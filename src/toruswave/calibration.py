@@ -22,16 +22,15 @@ from .fields import (
     Field,
     GridSpec,
     Spectrum,
+    derivative_weight,
     inverse_transform,
-    l2_norm,
-    multi_indices,
     pad_spectrum,
     random_band_limited,
     sobolev_norm,
     sobolev_weight,
-    spectral_derivative,
     sup_norm,
     transform,
+    weighted_norm_sq,
 )
 
 SAFETY_MARGIN = 1.5
@@ -79,12 +78,8 @@ def refine_field(u: Field) -> Field:
 
 def _derivative_block_norm(spectrum: Spectrum, order: int) -> float:
     """sqrt of the sum of ||d_alpha u||_{L^2}^2 over all |alpha| = order."""
-    total = 0.0
-    for alpha in multi_indices(order):
-        if sum(alpha) != order:
-            continue
-        total += l2_norm(spectral_derivative(spectrum, alpha)) ** 2
-    return math.sqrt(total)
+    weight = derivative_weight(spectrum.grid.n, order, lowest=order)
+    return math.sqrt(weighted_norm_sq(spectrum, weight))
 
 
 def _embedding_extremizer(grid: GridSpec, m: int) -> Field:

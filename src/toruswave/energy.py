@@ -17,7 +17,7 @@ late-time decay statements:
 
     Estd^2 = 1/2 (||u_t||_{H^m}^2 + ||grad u||_{H^m}^2).
 
-All integrals are evaluated spectrally through Parseval.
+All integrals are weighted reductions of the coefficients (Parseval).
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .fields import Field, Spectrum, VOLUME, multi_indices, spectral_derivative, transform
-
-_AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+from .fields import (
+    Field, Spectrum, VOLUME, derivative_weight, sobolev_weight, transform, weighted_norm_sq
+)
 
 
 @dataclass
@@ -51,7 +51,7 @@ class EnergySample:
     u_min: float
 
 
-def _check_pair(u: Field, ut: Field) -> None:
+def _check_pair(u: Field | Spectrum, ut: Field | Spectrum) -> None:
     if u.grid != ut.grid:
         raise ValueError(f"field grids differ: {u.grid.n} vs {ut.grid.n}")
 
@@ -61,50 +61,29 @@ def _check_omega(omega: float) -> None:
         raise ValueError(f"damping rate omega must be positive, got {omega}")
 
 
-def _l2_sq(spectrum: Spectrum) -> float:
-    return float(VOLUME * np.sum(np.abs(spectrum.coeffs) ** 2))
+def _spectrum(u: Field | Spectrum) -> Spectrum:
+    return transform(u) if isinstance(u, Field) else u
 
 
-def _cross(u_spec: Spectrum, ut_spec: Spectrum) -> float:
-    """int u u_t dx via Parseval; exactly real for real fields."""
-    return float(VOLUME * np.sum((u_spec.coeffs * np.conj(ut_spec.coeffs)).real))
+def modified_energy(u: Field | Spectrum, ut: Field | Spectrum, omega: float, m: int = 0) -> float:
+    """Squared modified energy E_m^2, summed over multi-indices up to m.
 
-
-def _pair_energy(u_spec: Spectrum, ut_spec: Spectrum, omega: float) -> float:
-    """Scalar modified energy of one derivative pair."""
-    value = 0.5 * _l2_sq(ut_spec)
-    value += 0.5 * omega * _cross(u_spec, ut_spec)
-    value += 0.25 * omega**2 * _l2_sq(u_spec)
-    for axis in _AXES:
-        value += 0.5 * _l2_sq(spectral_derivative(u_spec, axis))
-    return value
-
-
-def modified_energy(u: Field, ut: Field, omega: float, m: int = 0) -> float:
-    """Squared modified energy E_m^2, summed over multi-indices up to m."""
+    Every term is diagonal in k: one reduction over D_m, with g for |grad d^a u|^2.
+    """
     _check_pair(u, ut)
     _check_omega(omega)
-    u_spec = transform(u)
-    ut_spec = transform(ut)
-    total = 0.0
-    for alpha in multi_indices(m):
-        total += _pair_energy(
-            spectral_derivative(u_spec, alpha),
-            spectral_derivative(ut_spec, alpha),
-            omega,
-        )
-    return total
+    uc, vc, n = _spectrum(u).coeffs, _spectrum(ut).coeffs, u.grid.n
+    density = 0.5 * np.abs(vc) ** 2 + 0.5 * omega * (uc * np.conj(vc)).real
+    density += (0.25 * omega**2 + 0.5 * derivative_weight(n, 1, lowest=1)) * np.abs(uc) ** 2
+    return float(VOLUME * np.sum(derivative_weight(n, m) * density))
 
 
-def standard_energy(u: Field, ut: Field, m: int = 0) -> float:
+def standard_energy(u: Field | Spectrum, ut: Field | Spectrum, m: int = 0) -> float:
     """Squared standard energy 1/2 (||u_t||_{H^m}^2 + ||grad u||_{H^m}^2)."""
     _check_pair(u, ut)
-    u_spec = transform(u)
-    ut_spec = transform(ut)
-    grad_sq = sum(
-        fields.sobolev_norm(spectral_derivative(u_spec, axis), m) ** 2 for axis in _AXES
-    )
-    return 0.5 * (fields.sobolev_norm(ut_spec, m) ** 2 + grad_sq)
+    s_m = sobolev_weight(u.grid.n, m)
+    grad_sq = weighted_norm_sq(_spectrum(u), s_m * derivative_weight(u.grid.n, 1, lowest=1))
+    return 0.5 * (weighted_norm_sq(_spectrum(ut), s_m) + grad_sq)
 
 
 def damped_combination_norm(u: Field, ut: Field, omega: float) -> float:
@@ -118,14 +97,15 @@ def damped_combination_norm(u: Field, ut: Field, omega: float) -> float:
 def sample_energies(
     t: float, u: Field, ut: Field, f: Field, omega: float, m: int
 ) -> EnergySample:
-    """Evaluate the full diagnostic row for one instant of a trajectory."""
+    """Evaluate the full diagnostic row for one instant; one transform per field."""
+    u_spec, ut_spec, f_spec = transform(u), transform(ut), transform(f)
     return EnergySample(
         t=float(t),
-        e_m_sq=modified_energy(u, ut, omega, m),
-        e_std_sq=standard_energy(u, ut, m),
-        u_hm=fields.sobolev_norm(u, m),
-        ut_hm=fields.sobolev_norm(ut, m),
-        f_hm=fields.sobolev_norm(f, m),
+        e_m_sq=modified_energy(u_spec, ut_spec, omega, m),
+        e_std_sq=standard_energy(u_spec, ut_spec, m),
+        u_hm=fields.sobolev_norm(u_spec, m),
+        ut_hm=fields.sobolev_norm(ut_spec, m),
+        f_hm=fields.sobolev_norm(f_spec, m),
         u_mean=u.mean(),
         f_mean=f.mean(),
         u_min=float(np.min(u.values)),

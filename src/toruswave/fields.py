@@ -9,12 +9,21 @@ so Parseval reads integral |u|^2 dx = (2pi)^3 * sum_k |u_hat(k)|^2.  All
 derivatives and norms are computed on the coefficient side, which makes them
 exact for band-limited fields.
 
-Sobolev norms are the plain sums of derivative L2 norms,
+Every norm and energy is one reduction VOLUME * sum_k w(k) |u_hat(k)|^2 over a
+weight cached per grid size and order, summed over multi-indices a.  The
+Nyquist plane k_i = -n/2 has no +n/2 partner, and two conventions apply:
 
-    ||u||_{H^m}^2 = sum_{|a| <= m} ||d^a u||_{L2}^2,
+* ``sobolev_weight`` S_m keeps Nyquist planes at full weight.  It serves
+  ``sobolev_norm`` (every recorded H^m norm, the embedding extremizer and
+  the constants measured with it) and, times g, the standard energy.
+* ``derivative_weight`` D_m is the symbol of ``spectral_derivative``, which
+  zeroes the Nyquist plane of axis i for odd a_i.  Its |a| = 1 block is the
+  gradient weight g = sum_i k_i^2 N_i.  It serves the modified energy (D_m,
+  D_m g), the composition constants and the Wirtinger check.
 
-evaluated through the exact multi-index weight rather than the smooth
-(1 + |k|^2)^m equivalent, so frozen reference values match termwise.
+They stay separate because moving S_m would move the embedding extremizer,
+hence ``c_sobolev`` and every ``budget:``-scaled amplitude.  Both agree on
+fields without Nyquist content.
 
 Classes
 -------
@@ -23,8 +32,8 @@ GridSpec, Field, Spectrum, MeanSplit
 Functions
 ---------
 transform, inverse_transform, spectral_derivative, sobolev_norm, sup_norm,
-mean_decompose, multi_indices, sobolev_weight, pad_spectrum,
-random_band_limited
+mean_decompose, multi_indices, sobolev_weight, derivative_weight,
+weighted_norm_sq, pad_spectrum, random_band_limited
 """
 
 from __future__ import annotations
@@ -137,9 +146,8 @@ def _wavenumbers(n: int) -> tuple[npt.NDArray[np.float64], ...]:
 
 @lru_cache(maxsize=None)
 def laplacian_symbol(n: int) -> npt.NDArray[np.float64]:
-    """|k|^2 on the FFT-ordered wavenumber lattice."""
-    k1, k2, k3 = _wavenumbers(n)
-    return k1**2 + k2**2 + k3**2
+    """|k|^2 on the FFT-ordered wavenumber lattice: the |a| = 1 block of S_1."""
+    return _symbol_weight(n, 1, 1, zero_nyquist=False)
 
 
 def transform(field: Field) -> Spectrum:
@@ -200,26 +208,45 @@ def multi_indices(max_order: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
+def _symbol_weight(n: int, m: int, lowest: int, zero_nyquist: bool) -> npt.NDArray[np.float64]:
+    """sum_{lowest <= |a| <= m} prod_i k_i^(2 a_i), optionally zeroing the Nyquist
+    plane of axis i for odd a_i.  Entries are exact integers below 2^53."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    keep = np.where(np.arange(n) == n // 2, 0.0, 1.0) if zero_nyquist else 1.0
+    factors = [k ** (2 * a) * (keep if a % 2 else 1.0) for a in range(m + 1)]
+    weight = np.zeros((n, n, n))
+    for alpha in multi_indices(m):
+        if sum(alpha) >= lowest:
+            weight += np.einsum("i,j,k->ijk", *(factors[a] for a in alpha))
+    weight.flags.writeable = False  # cached and shared by every caller
+    return weight
+
+
 @lru_cache(maxsize=None)
 def sobolev_weight(n: int, m: int) -> npt.NDArray[np.float64]:
-    """Spectral weight W_m(k) = sum_{|a| <= m} k1^2a1 k2^2a2 k3^2a3.
-
-    The m = 0 weight is identically one, so the m = 0 norm is the L2 norm.
-    """
+    """S_m(k) = sum_{|a| <= m} k1^2a1 k2^2a2 k3^2a3; S_0 = 1 gives the L2 norm."""
     if m < 0:
         raise ValueError(f"Sobolev order must be >= 0, got {m}")
-    k1, k2, k3 = _wavenumbers(n)
-    weight = np.zeros((n, n, n))
-    for a1, a2, a3 in multi_indices(m):
-        weight += k1 ** (2 * a1) * k2 ** (2 * a2) * k3 ** (2 * a3)
-    return weight
+    return _symbol_weight(n, m, 0, zero_nyquist=False)
+
+
+@lru_cache(maxsize=None)
+def derivative_weight(n: int, m: int, lowest: int = 0) -> npt.NDArray[np.float64]:
+    """sum_{lowest <= |a| <= m} |sigma_a(k)|^2 for the symbol sigma_a that
+    ``spectral_derivative`` applies, so that ``weighted_norm_sq`` with it is
+    exactly the sum of ||d^a u||_{L2}^2 over those multi-indices."""
+    return _symbol_weight(n, m, lowest, zero_nyquist=True)
+
+
+def weighted_norm_sq(spectrum: Spectrum, weight: npt.NDArray[np.float64]) -> float:
+    """VOLUME * sum(weight * |c|^2), the squared norm a spectral weight defines."""
+    return float(VOLUME * np.sum(weight * np.abs(spectrum.coeffs) ** 2))
 
 
 def sobolev_norm(u: Field | Spectrum, m: int) -> float:
     """Discrete H^m norm, computed spectrally via Parseval."""
     spectrum = transform(u) if isinstance(u, Field) else u
-    weight = sobolev_weight(spectrum.grid.n, m)
-    return float(np.sqrt(VOLUME * np.sum(weight * np.abs(spectrum.coeffs) ** 2)))
+    return float(np.sqrt(weighted_norm_sq(spectrum, sobolev_weight(spectrum.grid.n, m))))
 
 
 def l2_norm(u: Field | Spectrum) -> float:

@@ -25,13 +25,13 @@ import numpy as np
 from .calibration import CalibratedConstants, alias_free_product
 from .estimates import BootstrapParams, epsilon_budgets
 from .fields import (
-    VOLUME,
+    derivative_weight,
     l2_norm,
     mean_decompose,
     sobolev_norm,
     sobolev_weight,
-    spectral_derivative,
     transform,
+    weighted_norm_sq,
 )
 from .solver import Trajectory, dealias_mask, mean_mode_reference
 from .source import ModelParams
@@ -251,8 +251,10 @@ def check_asymptotics(trajectory: Trajectory) -> tuple[CheckResult, float]:
         reason = f"horizon {horizon:.6g} shorter than {MIN_HORIZON:.0f}/omega = {MIN_HORIZON / omega:.6g}"
         return _skip(check_id, reason), c0
 
+    if trajectory.final_state is None:
+        return _skip(check_id, "no final state recorded"), c0
+
     ut_hm = trajectory.series("ut_hm")
-    u_hm = trajectory.series("u_hm")
     f_hm = trajectory.series("f_hm")
     e_std_sq = trajectory.series("e_std_sq")
     e_m0 = math.sqrt(trajectory.series("e_m_sq")[0])
@@ -273,8 +275,9 @@ def check_asymptotics(trajectory: Trajectory) -> tuple[CheckResult, float]:
     worst_times.append(times[late_peak])
     tolerances.append(ABS_TOL)
 
-    # spatial flattening: u(t_end) is H^m-close to its own mean
-    deviation = math.sqrt(max(u_hm[-1] ** 2 - VOLUME * c0**2, 0.0))
+    # spatial flattening: u(t_end) is H^m-close to its own mean (measured directly;
+    # ||u||^2 - VOLUME c0^2 would leave a roundoff residue of order sqrt(eps) ||u||)
+    deviation = sobolev_norm(mean_decompose(trajectory.final_state.u).oscillatory, params.m)
     margins.append((threshold - deviation) / threshold)
     worst_times.append(times[-1])
     tolerances.append(ABS_TOL)
@@ -302,13 +305,8 @@ def check_wirtinger_final(trajectory: Trajectory) -> CheckResult:
     if trajectory.final_state is None:
         return _skip(check_id, "no final state recorded")
     u = trajectory.final_state.u
-    split = mean_decompose(u)
-    lhs = l2_norm(split.oscillatory)
-    spectrum = transform(u)
-    rhs = math.sqrt(
-        sum(l2_norm(spectral_derivative(spectrum, alpha)) ** 2
-            for alpha in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    )
+    lhs = l2_norm(mean_decompose(u).oscillatory)
+    rhs = math.sqrt(weighted_norm_sq(transform(u), derivative_weight(u.grid.n, 1, lowest=1)))
     scale = max(rhs, 1e-12)
     return _finish(
         check_id, [trajectory.samples[-1].t], [(rhs - lhs) / scale], [ABS_TOL / scale]
@@ -346,12 +344,10 @@ def _spectral_tail_fraction(trajectory: Trajectory) -> float:
     u = trajectory.final_state.u
     spectrum = transform(u)
     weight = sobolev_weight(u.grid.n, trajectory.params.m + 1)
-    mass = weight * np.abs(spectrum.coeffs) ** 2
-    total = float(np.sum(mass))
+    total = weighted_norm_sq(spectrum, weight)
     if total == 0.0:
         return 0.0
-    tail = float(np.sum(mass[~dealias_mask(u.grid.n)]))
-    return math.sqrt(tail / total)
+    return math.sqrt(weighted_norm_sq(spectrum, weight * ~dealias_mask(u.grid.n)) / total)
 
 
 def _gradient_oscillation(trajectory: Trajectory) -> float:

@@ -12,8 +12,8 @@ The command line equivalent is
     toruswave run flagship --out flagship-out
 
 which writes the same report plus the time series to disk.  Expect
-about four seconds for the 16**3 grid (3.7 to 4.3 s measured on a 2-vCPU
-Intel Xeon virtual machine).
+about two and a half seconds for the 16**3 grid (2.5 to 2.8 s measured on a
+2-vCPU Intel Xeon virtual machine).
 """
 
 import time

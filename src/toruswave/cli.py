@@ -25,6 +25,8 @@ prefixes, so the format has no nesting and no quoting rules.  The schema:
     initial.e_m0            target E_m(0); required for single-mode and bump
     initial.u0_coeffs       n1,n2,n3,re,im; ... (coefficients preset)
     initial.u1_coeffs       same, for the velocity field
+                            (every mode and coefficient needs |n_i| < grid.n/2,
+                            which the grid can represent without aliasing)
     solver.dt               time step (required)
     solver.t_end            final time, an integer number of steps (required)
     solver.sample_every     sampling stride in steps (default 1)
@@ -265,6 +267,17 @@ def _parse_coeffs(text: str, key: str) -> list[tuple[int, int, int, float, float
     return coeffs
 
 
+def _check_resolved(key: str, modes, grid: GridSpec) -> None:
+    """Reject wavenumbers the grid cannot represent: each |n_i| must stay below n/2."""
+    bound = grid.n // 2
+    for mode in modes:
+        if max(abs(k) for k in mode) >= bound:
+            raise ConfigError(
+                f"{key}: mode {','.join(str(k) for k in mode)} needs every |n_i| < {bound} "
+                f"on grid.n = {grid.n}"
+            )
+
+
 def _coeff_values(grid: GridSpec, coeffs) -> np.ndarray:
     """Each entry adds re cos(n.x) + im sin(n.x); n = 0 gives a constant."""
     x1, x2, x3 = grid.coordinates()
@@ -335,6 +348,7 @@ def _build_initial(
             if key not in entries:
                 continue
             coeffs = _parse_coeffs(entries[key], key)
+            _check_resolved(key, [c[:3] for c in coeffs], grid)
             if key.endswith("u0_coeffs"):
                 u0_values = _coeff_values(grid, coeffs)
             else:
@@ -362,6 +376,7 @@ def _build_initial(
     x1, x2, x3 = grid.coordinates()
     if preset == "single-mode":
         n1, n2, n3 = _parse_mode(_require(entries, "initial.mode"))
+        _check_resolved("initial.mode", [(n1, n2, n3)], grid)
         shape = np.cos(n1 * x1 + n2 * x2 + n3 * x3) + np.zeros(grid.shape)
         echo["initial.mode"] = f"{n1},{n2},{n3}"
     else:

@@ -17,18 +17,26 @@ late-time decay statements:
 
     Estd^2 = 1/2 (||u_t||_{H^m}^2 + ||grad u||_{H^m}^2).
 
-All integrals are weighted reductions of the coefficients (Parseval).
+All integrals are weighted reductions of the coefficients (Parseval), and one
+core computes them for both coefficient layouts: the normalized full spectrum
+of ``transform`` (``sample_energies``, ``modified_energy``,
+``standard_energy``) and the raw ``np.fft.rfftn`` half spectrum the time loop
+keeps (``sample_half_spectrum``).  In the half layout the weights carry the
+Hermitian multiplicity 1, 2, ..., 2, 1 of the k3 planes
+(``fields.half_layout_weight``) and the n^-6 of raw coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
+import numpy.typing as npt
 
 from . import fields
 from .fields import (
-    Field, Spectrum, VOLUME, derivative_weight, sobolev_weight, transform, weighted_norm_sq
+    Field, Spectrum, VOLUME, derivative_weight, half_layout_weight, sobolev_weight, transform
 )
 
 
@@ -65,25 +73,81 @@ def _spectrum(u: Field | Spectrum) -> Spectrum:
     return transform(u) if isinstance(u, Field) else u
 
 
-def modified_energy(u: Field | Spectrum, ut: Field | Spectrum, omega: float, m: int = 0) -> float:
-    """Squared modified energy E_m^2, summed over multi-indices up to m.
+class _Weights:
+    """Reduction weights for one coefficient layout, each built on first use.
 
-    Every term is diagonal in k: one reduction over D_m, with g for |grad d^a u|^2.
+    Every squared norm is ``scale * sum(w * |c|^2)`` for w = S_m (``s``),
+    D_m (``d``) or S_m g (``sg``); g is the gradient symbol inside the
+    density of E_m.  The full layout is the normalized spectrum of
+    ``transform``: w is the weight ``fields`` caches and scale = VOLUME.  The
+    half layout holds raw ``np.fft.rfftn`` coefficients, n^3 times the
+    normalized ones: w is the full weight in the half layout
+    (``fields.half_layout_weight``) and scale = VOLUME n^-6.
     """
+
+    def __init__(self, n: int, m: int, half: bool):
+        self.n, self.m, self.half = n, m, half
+        self.scale = VOLUME * float(n) ** -6 if half else VOLUME
+
+    def _layout(self, weight: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+        if self.half:
+            weight = half_layout_weight(weight)
+        weight.flags.writeable = False  # cached and shared by every caller
+        return weight
+
+    @cached_property
+    def s(self) -> npt.NDArray[np.float64]:
+        return self._layout(sobolev_weight(self.n, self.m))
+
+    @cached_property
+    def d(self) -> npt.NDArray[np.float64]:
+        return self._layout(derivative_weight(self.n, self.m))
+
+    @cached_property
+    def g(self) -> npt.NDArray[np.float64]:
+        g = derivative_weight(self.n, 1, lowest=1)
+        return g[..., : self.n // 2 + 1] if self.half else g
+
+    @cached_property
+    def sg(self) -> npt.NDArray[np.float64]:
+        return self._layout(sobolev_weight(self.n, self.m) * derivative_weight(self.n, 1, lowest=1))
+
+
+@lru_cache(maxsize=None)
+def _weights(n: int, m: int, half: bool) -> _Weights:
+    return _Weights(n, m, half)
+
+
+def _modified_sq(uc, vc, w: _Weights, omega: float) -> float:
+    """E_m^2: every term is diagonal in k, one sum of D_m times the density,
+    with g for |grad d^a u|^2."""
+    density = 0.5 * np.abs(vc) ** 2 + 0.5 * omega * (uc * np.conj(vc)).real
+    density += (0.25 * omega**2 + 0.5 * w.g) * np.abs(uc) ** 2
+    return float(w.scale * np.sum(w.d * density))
+
+
+def _sobolev_sq(c, w: _Weights) -> float:
+    return float(w.scale * np.sum(w.s * np.abs(c) ** 2))
+
+
+def _standard_sq(uc, vc, w: _Weights) -> float:
+    """Estd^2: one sum over S_m for u_t and one over S_m g for u."""
+    return 0.5 * (_sobolev_sq(vc, w) + float(w.scale * np.sum(w.sg * np.abs(uc) ** 2)))
+
+
+def modified_energy(u: Field | Spectrum, ut: Field | Spectrum, omega: float, m: int = 0) -> float:
+    """Squared modified energy E_m^2, summed over multi-indices up to m."""
     _check_pair(u, ut)
     _check_omega(omega)
-    uc, vc, n = _spectrum(u).coeffs, _spectrum(ut).coeffs, u.grid.n
-    density = 0.5 * np.abs(vc) ** 2 + 0.5 * omega * (uc * np.conj(vc)).real
-    density += (0.25 * omega**2 + 0.5 * derivative_weight(n, 1, lowest=1)) * np.abs(uc) ** 2
-    return float(VOLUME * np.sum(derivative_weight(n, m) * density))
+    w = _weights(u.grid.n, m, half=False)
+    return _modified_sq(_spectrum(u).coeffs, _spectrum(ut).coeffs, w, omega)
 
 
 def standard_energy(u: Field | Spectrum, ut: Field | Spectrum, m: int = 0) -> float:
     """Squared standard energy 1/2 (||u_t||_{H^m}^2 + ||grad u||_{H^m}^2)."""
     _check_pair(u, ut)
-    s_m = sobolev_weight(u.grid.n, m)
-    grad_sq = weighted_norm_sq(_spectrum(u), s_m * derivative_weight(u.grid.n, 1, lowest=1))
-    return 0.5 * (weighted_norm_sq(_spectrum(ut), s_m) + grad_sq)
+    w = _weights(u.grid.n, m, half=False)
+    return _standard_sq(_spectrum(u).coeffs, _spectrum(ut).coeffs, w)
 
 
 def damped_combination_norm(u: Field, ut: Field, omega: float) -> float:
@@ -94,19 +158,40 @@ def damped_combination_norm(u: Field, ut: Field, omega: float) -> float:
     return fields.l2_norm(combo)
 
 
-def sample_energies(
-    t: float, u: Field, ut: Field, f: Field, omega: float, m: int
-) -> EnergySample:
-    """Evaluate the full diagnostic row for one instant; one transform per field."""
-    u_spec, ut_spec, f_spec = transform(u), transform(ut), transform(f)
+def _sample(t, u: Field, f: Field, uc, vc, fc, w: _Weights, omega: float) -> EnergySample:
+    _check_omega(omega)
     return EnergySample(
         t=float(t),
-        e_m_sq=modified_energy(u_spec, ut_spec, omega, m),
-        e_std_sq=standard_energy(u_spec, ut_spec, m),
-        u_hm=fields.sobolev_norm(u_spec, m),
-        ut_hm=fields.sobolev_norm(ut_spec, m),
-        f_hm=fields.sobolev_norm(f_spec, m),
+        e_m_sq=_modified_sq(uc, vc, w, omega),
+        e_std_sq=_standard_sq(uc, vc, w),
+        u_hm=float(np.sqrt(_sobolev_sq(uc, w))),
+        ut_hm=float(np.sqrt(_sobolev_sq(vc, w))),
+        f_hm=float(np.sqrt(_sobolev_sq(fc, w))),
         u_mean=u.mean(),
         f_mean=f.mean(),
         u_min=float(np.min(u.values)),
     )
+
+
+def sample_energies(
+    t: float, u: Field, ut: Field, f: Field, omega: float, m: int
+) -> EnergySample:
+    """Evaluate the full diagnostic row for one instant; one transform per field."""
+    _check_pair(u, ut)
+    u_spec, ut_spec, f_spec = transform(u), transform(ut), transform(f)
+    w = _weights(u.grid.n, m, half=False)
+    return _sample(t, u, f, u_spec.coeffs, ut_spec.coeffs, f_spec.coeffs, w, omega)
+
+
+def sample_half_spectrum(
+    t: float, u: Field, f: Field, u_hat, ut_hat, f_hat, omega: float, m: int
+) -> EnergySample:
+    """The row of ``sample_energies`` from raw ``np.fft.rfftn`` coefficients.
+
+    The time loop keeps its state in this layout and has u and F on the grid
+    from the force evaluation; they give the minimum and the grid means.
+    Every other entry is the reduction of ``sample_energies`` with the
+    weights in the half layout.
+    """
+    w = _weights(u.grid.n, m, half=True)
+    return _sample(t, u, f, u_hat, ut_hat, f_hat, w, omega)

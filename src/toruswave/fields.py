@@ -25,6 +25,12 @@ They stay separate because moving S_m would move the embedding extremizer,
 hence ``c_sobolev`` and every ``budget:``-scaled amplitude.  Both agree on
 fields without Nyquist content.
 
+The time loop keeps real fields as the half spectrum ``np.fft.rfftn`` returns,
+last axis k3 = 0 .. n/2 only.  ``half_layout_weight`` turns any of the cached
+weights into that layout: slice the last axis and count each k3 plane with its
+Hermitian multiplicity 1, 2, ..., 2, 1, because c(-k) = conj c(k) makes every
+plane strictly between 0 and n/2 stand for its mirror as well.
+
 Classes
 -------
 GridSpec, Field, Spectrum, MeanSplit
@@ -33,7 +39,7 @@ Functions
 ---------
 transform, inverse_transform, spectral_derivative, sobolev_norm, sup_norm,
 mean_decompose, multi_indices, sobolev_weight, derivative_weight,
-weighted_norm_sq, pad_spectrum, random_band_limited
+half_layout_weight, weighted_norm_sq, pad_spectrum, random_band_limited
 """
 
 from __future__ import annotations
@@ -236,6 +242,21 @@ def derivative_weight(n: int, m: int, lowest: int = 0) -> npt.NDArray[np.float64
     ``spectral_derivative`` applies, so that ``weighted_norm_sq`` with it is
     exactly the sum of ||d^a u||_{L2}^2 over those multi-indices."""
     return _symbol_weight(n, m, lowest, zero_nyquist=True)
+
+
+def half_layout_weight(weight: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+    """A full-layout weight w in the rfftn half layout, Hermitian multiplicity included.
+
+    For a real field and any weight even under k -> -k (every weight here),
+    sum w |c|^2 over the full spectrum equals the sum of this weight times
+    |c|^2 over the half spectrum.  The plane at index n/2 is k3 = -n/2 in the
+    full layout and +n/2 in the half one; an even weight has the same value
+    on both.
+    """
+    n = weight.shape[-1]
+    multiplicity = np.full(n // 2 + 1, 2.0)
+    multiplicity[[0, -1]] = 1.0
+    return weight[..., : n // 2 + 1] * multiplicity
 
 
 def weighted_norm_sq(spectrum: Spectrum, weight: npt.NDArray[np.float64]) -> float:

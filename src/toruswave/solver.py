@@ -6,11 +6,23 @@ source switched off the scheme reproduces the closed-form solution to
 roundoff for any step size.  The forcing is handled by a two-stage
 predictor-corrector: the predictor freezes f over the step, the corrector
 re-evaluates it at the predicted endpoint and averages, which is second
-order in dt.
+order in dt.  Both stages share the free part p11 u + p12 u_t.
+
+State layout: from the first transform of (u0, u1) to the final state the
+loop keeps (u, u_t) as raw ``np.fft.rfftn`` coefficients, an n x n x (n/2+1)
+half spectrum with no normalization.  The propagator is linear, so the raw
+scale cancels; each force is one ``irfftn`` to the grid, ``eval_prepared``
+and one ``rfftn`` back.  Every diagnostic is a reduction of these
+coefficients (``energy.sample_half_spectrum``), and ``Field``/``SolverState``
+objects are built only when a run ends or breaks down.
 
 The nonlinear product may be de-aliased with the standard 2/3-rule mask
-before injection; the zero mode is never touched by the mask, so the mean
-dynamics are unaffected.
+before injection.  The mask is folded into the cached forcing weights, and
+the zero mode is never touched by it, so the mean dynamics are unaffected.
+
+F(t_k) at a sample time serves both the sample and the step that starts
+there, so a run costs two force evaluations per step plus one for the final
+sample.
 """
 
 from __future__ import annotations
@@ -21,8 +33,9 @@ from functools import lru_cache
 import numpy as np
 import numpy.typing as npt
 
-from .energy import EnergySample, sample_energies
-from .fields import Field, GridSpec, Spectrum, inverse_transform, laplacian_symbol, transform
+from .energy import EnergySample, sample_half_spectrum
+from .estimates import gronwall_bound
+from .fields import Field, GridSpec, laplacian_symbol
 from .source import (
     BreakdownError,
     ModelParams,
@@ -169,35 +182,41 @@ def mode_propagator(n_sq, omega: float, dt: float):
 
 
 class _Stepper:
-    """Spectral state advancer; holds everything that is constant per run."""
+    """Advances raw rfftn coefficients; holds everything that is constant per run."""
 
     def __init__(self, params: ModelParams, prepared: PreparedSource, config: SolverConfig):
         self.params = params
         self.prepared = prepared
         self.config = config
         self.grid = config.grid
-        n = self.grid.n
-        pieces = _propagator_pieces(laplacian_symbol(n), params.omega, config.dt)
-        self.p11, self.p12, self.p21, self.p22, self.wu, self.wv = pieces
-        self.mask = dealias_mask(n) if config.dealias else None
+        half = np.s_[..., : self.grid.n // 2 + 1]
+        pieces = _propagator_pieces(laplacian_symbol(self.grid.n)[half], params.omega, config.dt)
+        self.p11, self.p12, self.p21, self.p22, wu, wv = pieces
+        if config.dealias:
+            keep = dealias_mask(self.grid.n)[half]
+            wu, wv = wu * keep, wv * keep
+        self.wu, self.wv = wu, wv
 
-    def _force(self, t: float, u_hat: npt.NDArray[np.complex128]) -> npt.NDArray[np.complex128]:
-        u = inverse_transform(Spectrum(self.grid, u_hat))
+    def field(self, c: npt.NDArray[np.complex128]) -> Field:
+        return Field(self.grid, np.fft.irfftn(c, s=self.grid.shape, axes=(0, 1, 2)))
+
+    def state(self, t: float, u_hat, ut_hat) -> SolverState:
+        return SolverState(t, self.field(u_hat), self.field(ut_hat))
+
+    def force(self, t: float, u_hat) -> tuple[Field, Field, npt.NDArray[np.complex128]]:
+        """u and F(t, u) on the grid, and the raw rfftn coefficients of F."""
+        u = self.field(u_hat)
         f = eval_prepared(t, u, self.params, self.prepared)
-        f_hat = transform(f).coeffs
-        if self.mask is not None:
-            f_hat = np.where(self.mask, f_hat, 0.0)
-        return f_hat
+        return u, f, np.fft.rfftn(f.values)
 
-    def advance(self, t: float, u_hat, ut_hat):
-        f0 = self._force(t, u_hat)
-        u_pred = self.p11 * u_hat + self.p12 * ut_hat + self.wu * f0
-        ut_pred = self.p21 * u_hat + self.p22 * ut_hat + self.wv * f0
-        f1 = self._force(t + self.config.dt, u_pred)
-        f_avg = 0.5 * (f0 + f1)
-        u_next = self.p11 * u_hat + self.p12 * ut_hat + self.wu * f_avg
-        ut_next = self.p21 * u_hat + self.p22 * ut_hat + self.wv * f_avg
-        return u_next, ut_next
+    def advance(self, t: float, u_hat, ut_hat, f0_hat=None):
+        """One predictor-corrector step; pass ``f0_hat`` when F(t) is known."""
+        if f0_hat is None:
+            f0_hat = self.force(t, u_hat)[2]
+        free_u = self.p11 * u_hat + self.p12 * ut_hat
+        f1_hat = self.force(t + self.config.dt, free_u + self.wu * f0_hat)[2]
+        f_avg = 0.5 * (f0_hat + f1_hat)
+        return free_u + self.wu * f_avg, self.p21 * u_hat + self.p22 * ut_hat + self.wv * f_avg
 
 
 def _as_prepared(source, grid: GridSpec, m: int) -> PreparedSource:
@@ -212,21 +231,18 @@ def step(state: SolverState, params: ModelParams, source, config: SolverConfig) 
     """Advance one step of size config.dt from an arbitrary state."""
     prepared = _as_prepared(source, config.grid, params.m)
     stepper = _Stepper(params, prepared, config)
-    u_hat = transform(state.u).coeffs
-    ut_hat = transform(state.ut).coeffs
-    u_next, ut_next = stepper.advance(state.t, u_hat, ut_hat)
-    return SolverState(
-        state.t + config.dt,
-        inverse_transform(Spectrum(config.grid, u_next)),
-        inverse_transform(Spectrum(config.grid, ut_next)),
+    u_next, ut_next = stepper.advance(
+        state.t, np.fft.rfftn(state.u.values), np.fft.rfftn(state.ut.values)
     )
+    return stepper.state(state.t + config.dt, u_next, ut_next)
 
 
 def simulate(u0: Field, u1: Field, params: ModelParams, source, config: SolverConfig) -> Trajectory:
     """Run the full time span, sampling diagnostics along the way.
 
     A positivity or non-finite failure does not raise: the partial
-    trajectory is returned with ``breakdown`` filled in.
+    trajectory is returned with ``breakdown`` filled in, and with the state
+    at the last sample as ``final_state`` when the failure came mid-step.
     """
     if u0.grid != config.grid or u1.grid != config.grid:
         raise ValueError("initial data grids do not match the configured grid")
@@ -241,44 +257,48 @@ def simulate(u0: Field, u1: Field, params: ModelParams, source, config: SolverCo
         u1_mean=u1.mean(),
     )
 
-    u_hat = transform(u0).coeffs
-    ut_hat = transform(u1).coeffs
+    u_hat = np.fft.rfftn(u0.values)
+    ut_hat = np.fft.rfftn(u1.values)
     dt = config.dt
     n_steps = config.n_steps
 
-    def record(k: int) -> SolverState:
-        t = k * dt
-        u = inverse_transform(Spectrum(config.grid, u_hat))
-        ut = inverse_transform(Spectrum(config.grid, ut_hat))
-        f = eval_prepared(t, u, params, prepared)
-        trajectory.samples.append(sample_energies(t, u, ut, f, params.omega, params.m))
-        return SolverState(t, u, ut)
+    def record(k: int) -> npt.NDArray[np.complex128]:
+        """Sample at step k; returns F(t_k) for the step that starts there."""
+        u, f, f_hat = stepper.force(k * dt, u_hat)
+        trajectory.samples.append(
+            sample_half_spectrum(k * dt, u, f, u_hat, ut_hat, f_hat, params.omega, params.m)
+        )
+        return f_hat
 
-    state = None
+    sampled = None  # (t, u_hat, ut_hat) at the latest sample; k = 0 always samples
     for k in range(n_steps):
+        f_hat = None
         if k % config.sample_every == 0:
             try:
-                state = record(k)
+                f_hat = record(k)
             except BreakdownError as err:
                 trajectory.breakdown = BreakdownInfo(err.t, k, err.reason)
                 return trajectory
+            sampled = (k * dt, u_hat, ut_hat)
         try:
-            u_hat, ut_hat = stepper.advance(k * dt, u_hat, ut_hat)
+            u_hat, ut_hat = stepper.advance(k * dt, u_hat, ut_hat, f_hat)
         except BreakdownError as err:
             trajectory.breakdown = BreakdownInfo(err.t, k, err.reason)
-            trajectory.final_state = state
+            trajectory.final_state = stepper.state(*sampled)
             return trajectory
         if not (np.isfinite(u_hat).all() and np.isfinite(ut_hat).all()):
             t_bad = (k + 1) * dt
             trajectory.breakdown = BreakdownInfo(
                 t_bad, k + 1, f"state became non-finite at step {k + 1} (t = {t_bad:.6g})"
             )
-            trajectory.final_state = state
+            trajectory.final_state = stepper.state(*sampled)
             return trajectory
     try:
-        trajectory.final_state = record(n_steps)
+        record(n_steps)
     except BreakdownError as err:
         trajectory.breakdown = BreakdownInfo(err.t, n_steps, err.reason)
+        return trajectory
+    trajectory.final_state = stepper.state(n_steps * dt, u_hat, ut_hat)
     return trajectory
 
 
@@ -305,12 +325,12 @@ def mean_mode_reference(trajectory: Trajectory, params: ModelParams) -> list[tup
         )
     omega = params.omega
     t = trajectory.times()
+    if t.size == 1:
+        return [(float(t[0]), 0.0)]
     fbar = trajectory.series("f_mean")
-    # Outer-product trapezoid of the convolution; the kernel is bounded by 1.
-    weight = 1.0 - np.exp(-2.0 * omega * (t[:, None] - t[None, :]))
-    out = []
-    for i in range(len(t)):
-        integrand = weight[i, : i + 1] * fbar[: i + 1]
-        value = float(np.trapezoid(integrand, t[: i + 1])) / (2.0 * omega) if i > 0 else 0.0
-        out.append((float(t[i]), value))
-    return out
+    # The trapezoid of (1 - e^{-2 omega (t_i - s)}) Fbar splits, trapezoids
+    # being linear, into the plain running integral of Fbar minus the damped
+    # one, which is the Gronwall recurrence with A = -2 omega and g0 = 0.
+    plain = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(t) * (fbar[1:] + fbar[:-1]))))
+    damped = gronwall_bound(t, np.full(t.shape, -2.0 * omega), fbar, 0.0)
+    return [(float(ti), float(v)) for ti, v in zip(t, (plain - damped) / (2.0 * omega))]

@@ -118,6 +118,25 @@ class TestBuildScenario:
         with pytest.raises(ConfigError, match="zero mode"):
             build_scenario(load_config(str(cfg)))
 
+    @pytest.mark.parametrize("mode", ["4,0,0", "1,-4,2", "0,0,-5"])
+    def test_mode_the_grid_aliases_rejected(self, tmp_path, constants_file, mode):
+        cfg = make_cfg(tmp_path, constants_file, **{"initial.mode": mode})
+        with pytest.raises(ConfigError, match=r"initial\.mode: .*\|n_i\| < 4"):
+            build_scenario(load_config(str(cfg)))
+
+    def test_highest_resolved_mode_accepted(self, tmp_path, constants_file):
+        cfg = make_cfg(tmp_path, constants_file, **{"initial.mode": "3,-3,3"})
+        assert build_scenario(load_config(str(cfg))).echo["initial.mode"] == "3,-3,3"
+
+    @pytest.mark.parametrize("key", ["initial.u0_coeffs", "initial.u1_coeffs"])
+    def test_coefficient_the_grid_aliases_rejected(self, tmp_path, constants_file, key):
+        cfg = make_cfg(
+            tmp_path, constants_file, drop=("initial.mode", "initial.e_m0"),
+            **{"initial.preset": "coefficients", key: "1,0,0,0.01,0; 0,-4,1,0.01,0"},
+        )
+        with pytest.raises(ConfigError, match=rf"{key}: mode 0,-4,1 .*\|n_i\| < 4"):
+            build_scenario(load_config(str(cfg)))
+
     def test_negative_e_m0_rejected(self, tmp_path, constants_file):
         cfg = make_cfg(tmp_path, constants_file, **{"initial.e_m0": "-0.05"})
         with pytest.raises(ConfigError, match="must be positive"):
@@ -268,6 +287,13 @@ class TestRunScenario:
         assert run_scenario(str(cfg), out) == 0
         assert load_constants(out / "constants.txt").c_algebra == 0.123456789
 
+    def test_grid_override_that_aliases_the_mode_exits_3(self, tmp_path, capsys):
+        # mode 2,2,1 is resolved on the config's 8-grid but not on a 4-grid
+        cfg = make_cfg(tmp_path)
+        assert run_scenario(str(cfg), tmp_path / "out", grid_n=4) == 3
+        assert "initial.mode: mode 2,2,1 needs every |n_i| < 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_mismatched_constants_grid_exits_3(self, tmp_path, constants_file, capsys):
         cfg = make_cfg(tmp_path, constants_file, **{"grid.n": "16"})
         assert run_scenario(str(cfg), tmp_path / "out") == 3
@@ -327,6 +353,11 @@ class TestSweep:
         assert sweep(str(cfg), ["solver.dt=0.1"], tmp_path / "out") == 3
         assert "not sweepable" in capsys.readouterr().err
 
+    def test_grid_override_that_aliases_the_mode_exits_3(self, tmp_path, capsys):
+        cfg = make_cfg(tmp_path)
+        assert sweep(str(cfg), ["params.omega=0.5"], tmp_path / "out", grid_n=4) == 3
+        assert "initial.mode: mode 2,2,1 needs every |n_i| < 2" in capsys.readouterr().err
+
     def test_three_axes_rejected(self, tmp_path, constants_file):
         cfg = make_cfg(tmp_path, constants_file)
         axes = ["params.omega=0.5", "initial.e_m0=0.05", "source.amplitude=0"]
@@ -359,6 +390,11 @@ class TestMainEntry:
         )
         assert result.returncode == 0
         assert "all_passed = true" in result.stdout
+
+    def test_grid_flag_that_aliases_the_mode_exits_3(self, tmp_path, capsys):
+        cfg = make_cfg(tmp_path)
+        assert main(["run", str(cfg), "--grid", "4", "--out", str(tmp_path / "out")]) == 3
+        assert "initial.mode" in capsys.readouterr().err
 
     def test_sweep_requires_axis(self, capsys):
         with pytest.raises(SystemExit):

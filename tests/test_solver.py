@@ -1,8 +1,12 @@
 """Integrator checks: exact mode propagation, forcing order, mean dynamics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+
+from toruswave.energy import EnergySample
 
 from toruswave.fields import (
     Field,
@@ -15,6 +19,7 @@ from toruswave.fields import (
 from toruswave.solver import (
     SolverConfig,
     SolverState,
+    Trajectory,
     dealias_mask,
     mean_mode_free,
     mean_mode_reference,
@@ -214,6 +219,56 @@ class TestMeanMode:
         traj = simulate(u0, zero, params, zero_source(), config)
         with pytest.raises(ValueError, match="zero-mean"):
             mean_mode_reference(traj, params)
+
+
+def outer_product_mean_reference(t, fbar, omega):
+    """Duhamel trapezoid through the P x P kernel matrix, row by row."""
+    weight = 1.0 - np.exp(-2.0 * omega * (t[:, None] - t[None, :]))
+    out = [0.0]
+    for i in range(1, len(t)):
+        integrand = weight[i, : i + 1] * fbar[: i + 1]
+        out.append(float(np.trapezoid(integrand, t[: i + 1])) / (2.0 * omega))
+    return np.array(out)
+
+
+class TestMeanModeQuadrature:
+    def test_matches_outer_product_trapezoid(self):
+        # t_end is no multiple of sample_every, so the last interval is shorter
+        grid = GridSpec(8)
+        params = ModelParams.from_equation_of_state(2.0 / 3.0, omega=0.5, m=1)
+        spec = SourceSpec(kind="analytic-preset", amplitude=0.4, preset="bump", sigma="cos")
+        config = SolverConfig(grid=grid, dt=0.02, t_end=4.0, sample_every=7)
+        u0 = random_band_limited(grid, seed=3, band=2, amplitude=0.1, zero_mean=True)
+        u1 = random_band_limited(grid, seed=4, band=2, amplitude=0.1, zero_mean=True)
+        traj = simulate(u0, u1, params, spec, config)
+        t = traj.times()
+        assert t[-1] - t[-2] < t[1] - t[0]
+        got = mean_mode_reference(traj, params)
+        assert [ti for ti, _ in got] == list(t)
+        values = np.array([v for _, v in got])
+        expected = outer_product_mean_reference(t, traj.series("f_mean"), params.omega)
+        assert np.max(np.abs(values - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_long_horizon_without_warnings(self):
+        # P = 20001 to t = 2000: a P x P kernel would need 3.2 GB and overflow exp
+        omega, fbar = 0.5, 0.3
+        params = ModelParams(omega=omega, kappa=0.25, mu=0.5)
+        times = np.linspace(0.0, 2000.0, 20001)
+        samples = [EnergySample(t, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, fbar, 0.0) for t in times]
+        config = SolverConfig(grid=GridSpec(8), dt=0.1, t_end=2000.0)
+        traj = Trajectory(params=params, config=config, samples=samples)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.array([v for _, v in mean_mode_reference(traj, params)])
+        exact = fbar / (2 * omega) * (times - (1.0 - np.exp(-2 * omega * times)) / (2 * omega))
+        assert np.max(np.abs(values - exact)) <= 1e-6 * np.max(exact)
+
+    def test_single_sample(self):
+        params = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
+        config = SolverConfig(grid=GridSpec(8), dt=0.1, t_end=1.0)
+        sample = EnergySample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3, 0.0)
+        traj = Trajectory(params=params, config=config, samples=[sample])
+        assert mean_mode_reference(traj, params) == [(0.0, 0.0)]
 
 
 class TestBreakdown:

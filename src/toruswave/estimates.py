@@ -85,13 +85,7 @@ def bootstrap_preconditions(
     return failed
 
 
-def gronwall_bound(times, a_values, f_values, g0: float, t0: float | None = None):
-    """Propagate g' <= A g + f: the comparison solution on a sample grid.
-
-    Returns the array  e^{int A} g0 + int e^{int A} f  evaluated at every
-    sample at or after t0 (entries before t0 are NaN).  Integrals are
-    trapezoids, so the bound carries the usual O(h^2) quadrature error.
-    """
+def _sample_grid(times, a_values, f_values):
     times = np.asarray(times, dtype=np.float64)
     a_values = np.asarray(a_values, dtype=np.float64)
     f_values = np.asarray(f_values, dtype=np.float64)
@@ -103,6 +97,84 @@ def gronwall_bound(times, a_values, f_values, g0: float, t0: float | None = None
         )
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
+    return times, a_values, f_values
+
+
+def damped_trapezoids(times, a_values, f_values, g0, starts, ends):
+    """Comparison solutions of g' <= A g + f from many start samples in one pass.
+
+    ``starts`` are strictly increasing sample indices with initial values
+    ``g0``; ``ends`` are increasing sample indices.  Yields blocks
+    ``(js, bound, budget)``: ``js`` are consecutive ends, and row s of the
+    two arrays belongs to starts[s], for every start before the block, so
+    that for a start i and an end j
+
+        bound  = e^{int_i^j A} g0 + trapezoid over [t_i, t_j] of K f,
+        budget = sum over i < k < j of |second difference of K f at t_k|,
+
+    with K(s) = e^{int_s^{t_j} A}.  ``budget`` is the sum behind the
+    composite-trapezoid error estimate (h^2/12) int |(K f)''|.
+
+    Between two starts every open window takes the same affine steps
+    x -> x e^{h A} + (step term), so that stretch is walked once with scalars
+    and applied to all open windows at the ends inside it.  The second
+    difference at t_k is weighted relative to t_{k+1}, so no factor beyond
+    one step's growth is formed and decaying bounds never overflow.  Cost
+    O(P + len(starts) * len(ends)); memory is one block.
+    """
+    times, a_values, f_values = _sample_grid(times, a_values, f_values)
+    ends = np.asarray(ends, dtype=np.intp)
+    if not ends.size:
+        return
+    h = np.diff(times)
+    growth = np.exp(0.5 * h * (a_values[:-1] + a_values[1:]))
+    trapezoid = 0.5 * h * (f_values[:-1] * growth + f_values[1:])
+    second = np.zeros(h.shape)
+    second[1:] = np.abs(
+        f_values[2:] - 2.0 * f_values[1:-1] * growth[1:] + f_values[:-2] * growth[:-1] * growth[1:]
+    )
+    steps = list(zip(growth.tolist(), trapezoid.tolist(), second.tolist()))
+    starts = [int(i) for i in starts]
+    last = int(ends[-1])
+
+    bound = np.array(g0, dtype=np.float64)
+    budget = np.zeros(bound.shape)
+    for n, start in enumerate(starts):
+        stop = min(starts[n + 1], last) if n + 1 < len(starts) else last
+        if stop <= start:
+            return
+        # running decay, trapezoid, and budgets of the older windows (for
+        # which t_start is interior) and of the window opening at t_start
+        walk = []
+        decay, trap, older, newest = 1.0, 0.0, 0.0, 0.0
+        for k, (g, t, s) in enumerate(steps[start:stop]):
+            decay *= g
+            trap = trap * g + t
+            older = older * g + s
+            newest = newest * g + (s if k else 0.0)
+            walk.append((decay, trap, older, newest))
+        walk = np.array(walk)
+
+        open_ = slice(0, n + 1)
+        js = ends[np.searchsorted(ends, start, "right") : np.searchsorted(ends, stop, "right")]
+        if js.size:
+            at = walk[js - start - 1].T
+            block_budget = budget[open_, None] * at[0] + at[2]
+            block_budget[-1] = at[3]
+            yield js, bound[open_, None] * at[0] + at[1], block_budget
+        bound[open_] = bound[open_] * walk[-1, 0] + walk[-1, 1]
+        budget[open_] = budget[open_] * walk[-1, 0] + walk[-1, 2]
+        budget[n] = walk[-1, 3]
+
+
+def gronwall_bound(times, a_values, f_values, g0: float, t0: float | None = None):
+    """Propagate g' <= A g + f: the comparison solution on a sample grid.
+
+    Returns the array  e^{int A} g0 + int e^{int A} f  evaluated at every
+    sample at or after t0 (entries before t0 are NaN).  Integrals are
+    trapezoids, so the bound carries the usual O(h^2) quadrature error.
+    """
+    times, a_values, f_values = _sample_grid(times, a_values, f_values)
     if t0 is None:
         t0 = float(times[0])
     start = int(np.argmin(np.abs(times - t0)))
@@ -110,13 +182,10 @@ def gronwall_bound(times, a_values, f_values, g0: float, t0: float | None = None
         raise ValueError(f"t0 = {t0} is not a sample time")
 
     out = np.full(times.shape, np.nan)
-    bound = float(g0)
-    out[start] = bound
-    for i in range(start, times.size - 1):
-        h = times[i + 1] - times[i]
-        growth = math.exp(0.5 * h * (a_values[i] + a_values[i + 1]))
-        bound = bound * growth + 0.5 * h * (f_values[i] * growth + f_values[i + 1])
-        out[i + 1] = bound
+    out[start] = g0
+    ends = range(start + 1, times.size)
+    for js, bound, _ in damped_trapezoids(times, a_values, f_values, [g0], [start], ends):
+        out[js] = bound[0]
     return out
 
 

@@ -11,6 +11,13 @@ that cannot run reports itself as skipped with the reason, never silently.
 The binding sample is the one minimizing margin + tolerance, so a check
 whose tightest point enjoys a generous budget is not misreported as binding
 at some looser point with a stingy budget.
+
+Windowed integrals (the energy integral over every pair of decimated
+samples, the standard-energy bound from t = 0) come from one streaming
+recurrence, ``estimates.damped_trapezoids``, which carries each window's
+damped trapezoid and second-difference budget along the samples: the cost
+is O(P + starts * ends), never more than O(P * starts), memory O(starts),
+and no factor e^{+rate t} that could overflow on a long horizon is formed.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibratedConstants, alias_free_product
-from .estimates import BootstrapParams, epsilon_budgets
+from .estimates import BootstrapParams, damped_trapezoids, epsilon_budgets
 from .fields import (
     derivative_weight,
     l2_norm,
@@ -43,6 +50,7 @@ LATE_WINDOW = 0.1
 ASYMPTOTIC_SAFETY = 50.0
 MIN_HORIZON = 20.0  # in units of 1/omega
 _SCALE_FLOOR = ABS_TOL  # margins on an all-zero trajectory stay finite
+_TINY = np.finfo(np.float64).tiny  # smallest normal float
 
 
 @dataclass
@@ -113,6 +121,37 @@ def _decimated_indices(n: int) -> list[int]:
     return indices
 
 
+def _integral_windows(times, rate: float, profile, lhs, starts):
+    """Margins of  lhs(t_j) <= e^{-rate (t_j - t_i)} lhs(t_i) + int_{t_i}^{t_j} e^{-rate (t_j - s)} profile ds.
+
+    Pairs every start i with every decimated end j > i and yields, per block
+    of ends, ``(js, margins, tolerances)`` with one row per start.  The
+    trapezoid and its second-difference budget come from the shared
+    recurrence, so the cost is O(P + starts * ends), not one quadrature per pair.
+    """
+    rates = np.full(times.shape, -rate)
+    ends = _decimated_indices(times.size)
+    for js, bound, budget in damped_trapezoids(times, rates, profile, lhs[starts], starts, ends):
+        begin = starts[: bound.shape[0], None]
+        scale = np.maximum(bound, _SCALE_FLOOR)
+        spacing = (times[js] - times[begin]) / (js - begin)
+        margins = (bound - lhs[js]) / scale
+        tolerances = (FD_SAFETY * (budget * spacing / 12.0) + ABS_TOL) / scale
+        yield js, margins, tolerances
+
+
+def _binding_windows(times, rate: float, profile, lhs, starts):
+    """Per decimated end, the window that binds there: (end times, margins, tolerances)."""
+    ends, margins, tolerances = [], [], []
+    for js, block_margins, block_tolerances in _integral_windows(times, rate, profile, lhs, starts):
+        binding = np.argmin(block_margins + block_tolerances, axis=0)
+        columns = np.arange(js.size)
+        ends.extend(times[js])
+        margins.extend(block_margins[binding, columns])
+        tolerances.extend(block_tolerances[binding, columns])
+    return ends, margins, tolerances
+
+
 def check_energy_integral(trajectory: Trajectory) -> CheckResult:
     check_id = "energy_integral"
     times = trajectory.times()
@@ -123,23 +162,8 @@ def check_energy_integral(trajectory: Trajectory) -> CheckResult:
     profile = (omega**2 / math.sqrt(2.0)) * trajectory.series("u_hm")
     profile += math.sqrt(2.0) * trajectory.series("f_hm")
 
-    indices = _decimated_indices(times.size)
-    worst_times, margins, tolerances = [], [], []
-    for pos, i in enumerate(indices):
-        for j in indices[pos + 1 :]:
-            window = slice(i, j + 1)
-            kernel = np.exp(-omega * (times[j] - times[window]))
-            integrand = kernel * profile[window]
-            rhs = math.exp(-omega * (times[j] - times[i])) * e_m[i]
-            rhs += float(np.trapezoid(integrand, times[window]))
-            scale = max(rhs, _SCALE_FLOOR)
-            spacing = (times[j] - times[i]) / (j - i)
-            margins.append((rhs - e_m[j]) / scale)
-            tolerances.append(
-                (FD_SAFETY * _quadrature_budget(integrand, spacing) + ABS_TOL) / scale
-            )
-            worst_times.append(times[j])
-    return _finish(check_id, worst_times, margins, tolerances)
+    starts = np.array(_decimated_indices(times.size)[:-1])
+    return _finish(check_id, *_binding_windows(times, omega, profile, e_m, starts))
 
 
 def check_bootstrap(
@@ -240,6 +264,17 @@ def check_mean_mode(
     return _finish(check_id, worst_times, margins, tolerances)
 
 
+def _undamped(norms, rate: float, times):
+    """norms * e^{rate t}, formed as e^{log norms + rate t}.
+
+    The factor alone overflows once rate t > 709 while the product stays
+    moderate.  Zeros, and subnormal norms, whose few significant bits would
+    be scaled up into noise, map to 0; NaN stays NaN.
+    """
+    logs = np.log(norms, out=np.full(norms.shape, -np.inf), where=~(norms < _TINY))
+    return np.exp(logs + rate * times)
+
+
 def check_asymptotics(trajectory: Trajectory) -> tuple[CheckResult, float]:
     check_id = "asymptotics"
     params = trajectory.params
@@ -258,7 +293,7 @@ def check_asymptotics(trajectory: Trajectory) -> tuple[CheckResult, float]:
     f_hm = trajectory.series("f_hm")
     e_std_sq = trajectory.series("e_std_sq")
     e_m0 = math.sqrt(trajectory.series("e_m_sq")[0])
-    c1 = float(np.max(f_hm * np.exp(kappa * times)))
+    c1 = float(np.max(_undamped(f_hm, kappa, times)))
     c2 = float(np.max(ut_hm))
 
     window_start = times.size - max(2, int(LATE_WINDOW * times.size))
@@ -282,20 +317,15 @@ def check_asymptotics(trajectory: Trajectory) -> tuple[CheckResult, float]:
     worst_times.append(times[-1])
     tolerances.append(ABS_TOL)
 
-    # standard-energy bound with measured C1, C2 and trapezoid integrals
+    # standard-energy bound from t = 0 with measured C1, C2 and trapezoid integrals
     grad_sq = np.maximum(2.0 * e_std_sq - ut_hm**2, 0.0)
-    for j in _decimated_indices(times.size)[1:]:
-        window = slice(0, j + 1)
-        kernel = np.exp(-4.0 * omega * (times[j] - times[window]))
-        integrand = 2.0 * omega * kernel * grad_sq[window]
-        integrand += c1 * c2 * kernel * np.exp(-kappa * times[window])
-        rhs = math.exp(-4.0 * omega * (times[j] - times[0])) * e_std_sq[0]
-        rhs += float(np.trapezoid(integrand, times[window]))
-        scale = max(rhs, _SCALE_FLOOR)
-        spacing = (times[j] - times[0]) / j
-        margins.append((rhs - e_std_sq[j]) / scale)
-        worst_times.append(times[j])
-        tolerances.append((FD_SAFETY * _quadrature_budget(integrand, spacing) + ABS_TOL) / scale)
+    profile = 2.0 * omega * grad_sq + c1 * c2 * np.exp(-kappa * times)
+    ends, window_margins, window_tolerances = _binding_windows(
+        times, 4.0 * omega, profile, e_std_sq, np.array([0])
+    )
+    margins.extend(window_margins)
+    worst_times.extend(ends)
+    tolerances.extend(window_tolerances)
 
     return _finish(check_id, worst_times, margins, tolerances), c0
 
@@ -463,7 +493,7 @@ def run_all(
         check_algebra_final(trajectory, constants),
     ]
     times = trajectory.times()
-    f_scaled = trajectory.series("f_hm") * np.exp(params.kappa * times)
+    f_scaled = _undamped(trajectory.series("f_hm"), params.kappa, times)
     amplitude = trajectory.source_amplitude
     measured = float(np.max(f_scaled)) / amplitude if amplitude > 0.0 else 0.0
     breakdown = ""

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from toruswave.estimates import (
     BootstrapParams,
     bootstrap_preconditions,
     composition_envelope,
+    damped_trapezoids,
     epsilon_budgets,
     falling_derivative_bound,
     forcing_constant,
@@ -174,6 +176,69 @@ class TestGronwallBound:
             gronwall_bound(times[::-1], np.zeros(11), np.zeros(11), 0.0)
         with pytest.raises(ValueError, match="not a sample time"):
             gronwall_bound(times, np.zeros(11), np.zeros(11), 0.0, t0=0.55)
+
+
+def direct_windows(times, a_values, f_values, g0, starts, ends):
+    """Each window by its own kernel, trapezoid and second differences."""
+    exponent = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(times) * (a_values[1:] + a_values[:-1]))))
+    out = {}
+    for s, i in enumerate(starts):
+        for j in ends:
+            if j > i:
+                kf = np.exp(exponent[j] - exponent[i : j + 1]) * f_values[i : j + 1]
+                bound = math.exp(exponent[j] - exponent[i]) * g0[s]
+                bound += np.trapezoid(kf, times[i : j + 1])
+                budget = np.sum(np.abs(kf[2:] - 2.0 * kf[1:-1] + kf[:-2]))
+                out[i, j] = (bound, budget)
+    return out
+
+
+class TestDampedTrapezoids:
+    @pytest.mark.parametrize("count", [2, 3, 4, 11, 12, 57])
+    def test_matches_direct_quadrature(self, count):
+        rng = np.random.default_rng(count)
+        times = np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 0.3, count - 1))))
+        a_values = -0.5 + 0.3 * np.sin(times)
+        f_values = rng.uniform(0.0, 1.0, count)
+        starts = sorted(rng.choice(count, size=max(1, count // 4), replace=False).tolist())
+        ends = sorted(rng.choice(count, size=max(1, count // 3), replace=False).tolist())
+        g0 = rng.uniform(0.0, 1.0, len(starts))
+        got = {}
+        for js, bound, budget in damped_trapezoids(times, a_values, f_values, g0, starts, ends):
+            assert bound.shape == budget.shape == (bound.shape[0], js.size)
+            assert all(starts[bound.shape[0] - 1] < j for j in js)
+            for row, i in enumerate(starts[: bound.shape[0]]):
+                for column, j in enumerate(js):
+                    got[i, int(j)] = (bound[row, column], budget[row, column])
+        expected = direct_windows(times, a_values, f_values, g0, starts, ends)
+        assert got.keys() == expected.keys()
+        for key, (bound, budget) in expected.items():
+            assert got[key][0] == pytest.approx(bound, rel=1e-14)
+            assert got[key][1] == pytest.approx(budget, rel=1e-12, abs=1e-300)
+
+    def test_every_start_before_every_end(self):
+        times = np.linspace(0.0, 3.0, 31)
+        ones = np.ones_like(times)
+        blocks = list(damped_trapezoids(times, -ones, ones, [0.0, 0.0], [0, 20], [0, 10, 20, 25, 30]))
+        assert [list(js) for js, _, _ in blocks] == [[10, 20], [25, 30]]
+        assert [b.shape[0] for _, b, _ in blocks] == [1, 2]
+        # g' <= -g + 1 from 0 has the trapezoid of e^{-(t - s)} over the window
+        exact = 1.0 - np.exp(-(times[[25, 30]] - 2.0))
+        assert np.max(np.abs(blocks[1][1][1] - exact)) < 1e-3
+
+    def test_long_decay_without_warnings(self):
+        # A e^{int A} factor over the whole horizon would underflow to 0 and
+        # its inverse overflow; the recurrence forms neither
+        times = np.linspace(0.0, 4000.0, 40001)
+        rates = np.full(times.shape, -2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (js, bound, budget), = damped_trapezoids(
+                times, rates, np.ones_like(times), [1.0], [0], [times.size - 1]
+            )
+        # the trapezoid sum of e^{-2 (t - s)} on steps h = 0.1 is (h/2) coth(h)
+        assert bound[0, 0] == pytest.approx(0.05 / math.tanh(0.1), rel=1e-12)
+        assert budget[0, 0] >= 0.0 and math.isfinite(budget[0, 0])
 
 
 class TestCompositionConstants:

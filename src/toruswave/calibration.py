@@ -7,29 +7,39 @@ constants nobody should guess.  This module measures them: take the worst
 ratio over a seeded family of band-limited fields, inflate by a safety
 margin, and write the result next to the grid size and seed that produced
 it.  Anything downstream refuses constants calibrated on a different grid.
+
+Every transform here is a real FFT in the raw ``np.fft.rfftn`` half layout.
+``calibrate`` walks the family once: each member is transformed and refined
+to the doubled grid once, every composed field (1 + a u)^mu costs one
+``rfftn``, and all norms of one spectrum come from one product of its
+|c|^2 with a cached weight matrix (S_m, then the order-k blocks D_k).  At
+most three refined fields are alive at a time: the first member's and the
+previous one's, for the wrap-around pairs of the product ratio, and the
+current one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+import numpy.typing as npt
 
 from .estimates import composition_envelope
 from .fields import (
+    VOLUME,
     Field,
     GridSpec,
     Spectrum,
     derivative_weight,
+    half_layout_weight,
     inverse_transform,
-    pad_spectrum,
     random_band_limited,
-    sobolev_norm,
     sobolev_weight,
     sup_norm,
-    transform,
     weighted_norm_sq,
 )
 
@@ -61,19 +71,52 @@ class CalibratedConstants:
             )
 
 
+def _refine(raw: npt.NDArray[np.complex128], n: int) -> npt.NDArray[np.float64]:
+    """Samples on the 2n grid of the field whose raw ``np.fft.rfftn`` is ``raw``.
+
+    Zero padding in the half layout: the coefficients with |k_i| < n/2 move to
+    the (2n, 2n, n + 1) layout of the fine grid, the unpaired Nyquist index
+    n/2 is dropped on every axis as ``fields.pad_spectrum`` drops it, and the
+    factor 8 = (2n)^3 / n^3 carries the raw normalization to the finer grid.
+    """
+    half = n // 2
+    keep = np.r_[0:half, half + 1 : n]  # coarse indices with |k| < n/2
+    dest = np.r_[0:half, n + half + 1 : 2 * n]  # the same wavenumbers on the 2n grid
+    fine = np.zeros((2 * n, 2 * n, n + 1), dtype=np.complex128)
+    fine[dest[:, None], dest, :half] = 8.0 * raw[keep[:, None], keep, :half]
+    return np.fft.irfftn(fine, s=(2 * n,) * 3, axes=(0, 1, 2))
+
+
 def alias_free_product(u: Field, v: Field) -> Field:
     """Pointwise product evaluated on a doubled grid, so no mode aliases."""
     if u.grid.n != v.grid.n:
         raise ValueError(f"grids disagree: {u.grid.n} vs {v.grid.n}")
-    fine = GridSpec(2 * u.grid.n)
-    u_fine = inverse_transform(pad_spectrum(transform(u), fine.n))
-    v_fine = inverse_transform(pad_spectrum(transform(v), fine.n))
-    return Field(fine, u_fine.values * v_fine.values)
+    n = u.grid.n
+    u_fine = _refine(np.fft.rfftn(u.values), n)
+    v_fine = u_fine if v is u else _refine(np.fft.rfftn(v.values), n)
+    return Field(GridSpec(2 * n), u_fine * v_fine)
 
 
 def refine_field(u: Field) -> Field:
     """The same band-limited field sampled on a doubled grid."""
-    return inverse_transform(pad_spectrum(transform(u), 2 * u.grid.n))
+    return Field(GridSpec(2 * u.grid.n), _refine(np.fft.rfftn(u.values), u.grid.n))
+
+
+@lru_cache(maxsize=None)
+def _norm_weights(n: int, m: int) -> npt.NDArray[np.float64]:
+    """(n * n * (n/2 + 1), m + 1) half-layout weights: S_m, then the blocks
+    D_k = ``derivative_weight(n, k, lowest=k)`` for k = 1 .. m."""
+    weights = [sobolev_weight(n, m)] + [derivative_weight(n, k, lowest=k) for k in range(1, m + 1)]
+    matrix = np.stack([half_layout_weight(w).ravel() for w in weights], axis=1)
+    matrix.flags.writeable = False  # cached and shared by every caller
+    return matrix
+
+
+def _norms(raw: npt.NDArray[np.complex128], m: int) -> list[float]:
+    """[||u||_{H^m}, block 1, ..., block m] of the field whose raw rfftn is ``raw``."""
+    n = raw.shape[0]
+    power = np.square(raw.real) + np.square(raw.imag)
+    return np.sqrt(VOLUME * float(n) ** -6 * (power.ravel() @ _norm_weights(n, m))).tolist()
 
 
 def _derivative_block_norm(spectrum: Spectrum, order: int) -> float:
@@ -98,7 +141,8 @@ def _field_family(grid: GridSpec, m: int, seed: int, n_fields: int) -> list[Fiel
     constant with one slow mode (the product extremizer direction), and the
     aligned-phase embedding extremizer.  Those go in explicitly.
     """
-    bands = [b for b in (1, 2, grid.n // 6, grid.n // 4, grid.n // 3, grid.n // 2 - 1) if b >= 1]
+    top = grid.n // 2 - 1  # highest band below Nyquist; 1 on the smallest grid, n = 4
+    bands = [b for b in (1, 2, grid.n // 6, grid.n // 4, grid.n // 3, top) if 1 <= b <= top]
     fields = []
     for i in range(n_fields):
         band = bands[i % len(bands)]
@@ -113,6 +157,12 @@ def _field_family(grid: GridSpec, m: int, seed: int, n_fields: int) -> list[Fiel
     return fields
 
 
+def _product_ratio(u, v, m: int) -> float:
+    """||uv||_{H^m} / (||u||_{H^m} ||v||_{H^m}) for two (refined samples, H^m norm) pairs."""
+    product_norm = _norms(np.fft.rfftn(u[0] * v[0]), m)[0]
+    return product_norm / (u[1] * v[1])
+
+
 def calibrate(
     grid: GridSpec, m: int, seed: int = 2024, n_fields: int = 36
 ) -> CalibratedConstants:
@@ -123,37 +173,36 @@ def calibrate(
         raise ValueError(f"need at least 4 fields for a meaningful family, got {n_fields}")
     family = _field_family(grid, m, seed, n_fields)
 
-    c_sobolev = max(sup_norm(u) / sobolev_norm(u, m) for u in family)
-
-    c_algebra = 0.0
-    for u, v in zip(family, family[1:] + family[:1]):
-        ratio = sobolev_norm(alias_free_product(u, v), m) / (
-            sobolev_norm(u, m) * sobolev_norm(v, m)
-        )
-        c_algebra = max(c_algebra, ratio)
-
+    c_sobolev = c_algebra = 0.0
     c_moser = {k: 0.0 for k in range(1, m + 1)}
+    first = previous = None  # (refined samples, H^m norm) of members 0 and i - 1
     for base in family:
-        base_blocks = {
-            k: _derivative_block_norm(transform(base), k) for k in range(1, m + 1)
-        }
+        raw = np.fft.rfftn(base.values)
+        norm, *base_blocks = _norms(raw, m)
+        refined = _refine(raw, grid.n)
+        current = (refined, norm)
+        sup = sup_norm(base)
+        c_sobolev = max(c_sobolev, sup / norm)
+        if previous is not None:
+            c_algebra = max(c_algebra, _product_ratio(previous, current, m))
+        # refinement is linear and the amplitudes are powers of two, so
+        # amplitude * refined is exactly the refinement of amplitude * base
+        peak = max(sup, float(np.max(np.abs(refined))))
         for amplitude in _CALIBRATION_AMPLITUDES:
-            scaled = Field(base.grid, amplitude * base.values)
-            fine = refine_field(scaled)
-            ceiling = max(sup_norm(scaled), sup_norm(fine))
+            ceiling = amplitude * peak
+            shifted = 1.0 + amplitude * refined
             for mu in _CALIBRATION_EXPONENTS:
-                composed = Field(fine.grid, (1.0 + fine.values) ** mu)
-                spectrum = transform(composed)
-                for k in range(1, m + 1):
-                    if base_blocks[k] == 0.0:  # constant probes carry no derivatives
+                composed = np.fft.rfftn(shifted**mu)
+                _, *blocks = _norms(composed, m)
+                for k, (block, base_block) in enumerate(zip(blocks, base_blocks), start=1):
+                    if base_block == 0.0:  # constant probes carry no derivatives
                         continue
-                    numerator = _derivative_block_norm(spectrum, k)
-                    denominator = (
-                        composition_envelope(k, mu, ceiling)
-                        * amplitude
-                        * base_blocks[k]
-                    )
-                    c_moser[k] = max(c_moser[k], numerator / denominator)
+                    denominator = composition_envelope(k, mu, ceiling) * amplitude * base_block
+                    c_moser[k] = max(c_moser[k], block / denominator)
+        if first is None:
+            first = current
+        previous = current
+    c_algebra = max(c_algebra, _product_ratio(previous, first, m))
 
     return CalibratedConstants(
         grid_n=grid.n,

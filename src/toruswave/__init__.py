@@ -7,7 +7,7 @@ from .calibration import (
     load_constants,
     save_constants,
 )
-from .energy import EnergySample, modified_energy, sample_energies, standard_energy
+from .energy import EnergySample, modified_energy, standard_energy
 from .estimates import (
     BootstrapParams,
     epsilon_budgets,
@@ -17,7 +17,7 @@ from .estimates import (
     g_function_quotient,
     h_threshold,
 )
-from .fields import Field, GridSpec, Spectrum, sobolev_norm, sobolev_weight
+from .fields import Field, GridSpec, sobolev_norm, sobolev_weight
 from .solver import (
     BreakdownInfo,
     SolverConfig,
@@ -45,7 +45,6 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "SourceSpec",
-    "Spectrum",
     "Trajectory",
     "VerificationReport",
     "alias_free_product",
@@ -61,7 +60,6 @@ __all__ = [
     "modified_energy",
     "prepare_source",
     "run_all",
-    "sample_energies",
     "save_constants",
     "simulate",
     "sobolev_norm",

@@ -9,18 +9,21 @@ margin, and write the result next to the grid size and seed that produced
 it.  Anything downstream refuses constants calibrated on a different grid.
 
 Every transform here is a real FFT in the raw ``np.fft.rfftn`` half layout.
-``calibrate`` walks the family once: each member is transformed and refined
-to the doubled grid once, every composed field (1 + a u)^mu costs one
-``rfftn``, and all norms of one spectrum come from one product of its
-|c|^2 with a cached weight matrix (S_m, then the order-k blocks D_k).  At
-most three refined fields are alive at a time: the first member's and the
-previous one's, for the wrap-around pairs of the product ratio, and the
-current one.
+``calibrate`` walks the family once, one member at a time as
+``_field_family`` yields it: each member is transformed and refined to the
+doubled grid once, every composed field (1 + a u)^mu costs one ``rfftn``, and
+all norms of one spectrum come from one product of its |c|^2 with a cached
+weight matrix (S_m, then the order-k blocks D_k).  At most three refined
+fields are alive at a time: the first member's and the previous one's, for
+the wrap-around pairs of the product ratio, and the current one.
+``verify.check_algebra_final`` measures ||u^2||_{H^m} with the same
+refinement and norms.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -29,19 +32,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .estimates import composition_envelope
-from .fields import (
-    VOLUME,
-    Field,
-    GridSpec,
-    Spectrum,
-    derivative_weight,
-    half_layout_weight,
-    inverse_transform,
-    random_band_limited,
-    sobolev_weight,
-    sup_norm,
-    weighted_norm_sq,
-)
+from .fields import VOLUME, Field, GridSpec, _symbol_weight, random_band_limited, sup_norm
 
 SAFETY_MARGIN = 1.5
 FILE_FORMAT = "toruswave-constants-1"
@@ -76,7 +67,7 @@ def _refine(raw: npt.NDArray[np.complex128], n: int) -> npt.NDArray[np.float64]:
 
     Zero padding in the half layout: the coefficients with |k_i| < n/2 move to
     the (2n, 2n, n + 1) layout of the fine grid, the unpaired Nyquist index
-    n/2 is dropped on every axis as ``fields.pad_spectrum`` drops it, and the
+    n/2 is dropped on every axis, since it has no +n/2 partner, and the
     factor 8 = (2n)^3 / n^3 carries the raw normalization to the finer grid.
     """
     half = n // 2
@@ -104,10 +95,16 @@ def refine_field(u: Field) -> Field:
 
 @lru_cache(maxsize=None)
 def _norm_weights(n: int, m: int) -> npt.NDArray[np.float64]:
-    """(n * n * (n/2 + 1), m + 1) half-layout weights: S_m, then the blocks
-    D_k = ``derivative_weight(n, k, lowest=k)`` for k = 1 .. m."""
-    weights = [sobolev_weight(n, m)] + [derivative_weight(n, k, lowest=k) for k in range(1, m + 1)]
-    matrix = np.stack([half_layout_weight(w).ravel() for w in weights], axis=1)
+    """(n * n * (n/2 + 1), m + 1) half-layout reduction weights: S_m, then the
+    blocks D_k = ``derivative_weight(n, k, lowest=k)`` for k = 1 .. m.
+
+    The columns are built here and not taken from the caches of ``fields``, so
+    this matrix is the only array a grid size leaves behind.
+    """
+    matrix = np.empty(((n * n * (n // 2 + 1)), m + 1))
+    matrix[:, 0] = _symbol_weight(n, m, hermitian=True).ravel()
+    for k in range(1, m + 1):
+        matrix[:, k] = _symbol_weight(n, k, lowest=k, zero_nyquist=True, hermitian=True).ravel()
     matrix.flags.writeable = False  # cached and shared by every caller
     return matrix
 
@@ -119,22 +116,16 @@ def _norms(raw: npt.NDArray[np.complex128], m: int) -> list[float]:
     return np.sqrt(VOLUME * float(n) ** -6 * (power.ravel() @ _norm_weights(n, m))).tolist()
 
 
-def _derivative_block_norm(spectrum: Spectrum, order: int) -> float:
-    """sqrt of the sum of ||d_alpha u||_{L^2}^2 over all |alpha| = order."""
-    weight = derivative_weight(spectrum.grid.n, order, lowest=order)
-    return math.sqrt(weighted_norm_sq(spectrum, weight))
-
-
 def _embedding_extremizer(grid: GridSpec, m: int) -> Field:
-    """Field with coefficients 1/W_m(k); Cauchy-Schwarz is an equality for it
+    """Field with coefficients 1/S_m(k); Cauchy-Schwarz is an equality for it
     at x = 0, so its ratio IS the discrete embedding constant."""
-    coeffs = (1.0 / sobolev_weight(grid.n, m)).astype(np.complex128)
-    return inverse_transform(Spectrum(grid, coeffs))
+    raw = grid.n**3 / _symbol_weight(grid.n, m)
+    return Field(grid, np.fft.irfftn(raw, s=grid.shape, axes=(0, 1, 2)))
 
 
-def _field_family(grid: GridSpec, m: int, seed: int, n_fields: int) -> list[Field]:
+def _field_family(grid: GridSpec, m: int, seed: int, n_fields: int) -> Iterator[Field]:
     """Band-limited fields across the available bands, unit sup norm, plus
-    deterministic probes of the near-constant corner.
+    deterministic probes of the near-constant corner, one at a time.
 
     A random band family never produces the fields that maximize the product
     and embedding ratios: constants (product ratio (2 pi)^{-3/2}), blends of a
@@ -143,18 +134,14 @@ def _field_family(grid: GridSpec, m: int, seed: int, n_fields: int) -> list[Fiel
     """
     top = grid.n // 2 - 1  # highest band below Nyquist; 1 on the smallest grid, n = 4
     bands = [b for b in (1, 2, grid.n // 6, grid.n // 4, grid.n // 3, top) if 1 <= b <= top]
-    fields = []
     for i in range(n_fields):
-        band = bands[i % len(bands)]
-        fields.append(random_band_limited(grid, seed=seed + 7919 * i, band=band))
+        yield random_band_limited(grid, seed=seed + 7919 * i, band=bands[i % len(bands)])
     x1, _, _ = grid.coordinates()
     wave = np.broadcast_to(np.cos(x1), grid.shape)
-    probes = [np.ones(grid.shape)]
-    probes += [1.0 + blend * wave for blend in (0.25, 0.5, 0.75)]
-    probes.append(_embedding_extremizer(grid, m).values)
-    # same unit-sup normalization as the random family; ratios are invariant
-    fields += [Field(grid, p / np.max(np.abs(p))) for p in probes]
-    return fields
+    probes = (1.0 + blend * wave for blend in (0.0, 0.25, 0.5, 0.75))  # blend 0: the constant
+    for values in itertools.chain(probes, [_embedding_extremizer(grid, m).values]):
+        # same unit-sup normalization as the random family; ratios are invariant
+        yield Field(grid, values / np.max(np.abs(values)))
 
 
 def _product_ratio(u, v, m: int) -> float:

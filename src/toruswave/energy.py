@@ -17,17 +17,17 @@ late-time decay statements:
 
     Estd^2 = 1/2 (||u_t||_{H^m}^2 + ||grad u||_{H^m}^2).
 
-All integrals are weighted reductions of the coefficients (Parseval), and one
-core computes them for both coefficient layouts: the normalized full spectrum
-of ``transform`` (``sample_energies``, ``modified_energy``,
-``standard_energy``) and the raw ``np.fft.rfftn`` half spectrum the time loop
-keeps (``sample_half_spectrum``).  In the half layout the weights carry the
-Hermitian multiplicity 1, 2, ..., 2, 1 of the k3 planes
-(``fields.half_layout_weight``) and the n^-6 of raw coefficients.
+All integrals are weighted reductions of the raw ``np.fft.rfftn`` half
+spectrum (Parseval): ``modified_energy`` and ``standard_energy`` transform
+their grid fields once each, and ``sample_half_spectrum`` reads the
+coefficients the time loop keeps.  The reduction weights of ``fields`` carry
+the Hermitian multiplicity of the k3 planes; the n^-6 of raw coefficients is
+the one scale factor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -35,9 +35,7 @@ import numpy as np
 import numpy.typing as npt
 
 from . import fields
-from .fields import (
-    Field, Spectrum, VOLUME, derivative_weight, half_layout_weight, sobolev_weight, transform
-)
+from .fields import Field, VOLUME, derivative_weight, gradient_symbol, norm_sq, sobolev_weight
 
 
 @dataclass
@@ -59,7 +57,7 @@ class EnergySample:
     u_min: float
 
 
-def _check_pair(u: Field | Spectrum, ut: Field | Spectrum) -> None:
+def _check_pair(u: Field, ut: Field) -> None:
     if u.grid != ut.grid:
         raise ValueError(f"field grids differ: {u.grid.n} vs {ut.grid.n}")
 
@@ -69,53 +67,30 @@ def _check_omega(omega: float) -> None:
         raise ValueError(f"damping rate omega must be positive, got {omega}")
 
 
-def _spectrum(u: Field | Spectrum) -> Spectrum:
-    return transform(u) if isinstance(u, Field) else u
-
-
 class _Weights:
-    """Reduction weights for one coefficient layout, each built on first use.
+    """The weights of one (n, m) on the raw rfftn half spectrum.
 
-    Every squared norm is ``scale * sum(w * |c|^2)`` for w = S_m (``s``),
-    D_m (``d``) or S_m g (``sg``); g is the gradient symbol inside the
-    density of E_m.  The full layout is the normalized spectrum of
-    ``transform``: w is the weight ``fields`` caches and scale = VOLUME.  The
-    half layout holds raw ``np.fft.rfftn`` coefficients, n^3 times the
-    normalized ones: w is the full weight in the half layout
-    (``fields.half_layout_weight``) and scale = VOLUME n^-6.
+    Every squared norm is ``scale * sum(w * |c|^2)`` for a reduction weight
+    w = S_m (``s``), D_m (``d``) or S_m g (``sg``), with scale = VOLUME n^-6;
+    g is the per-mode gradient symbol inside the density of E_m.
     """
 
-    def __init__(self, n: int, m: int, half: bool):
-        self.n, self.m, self.half = n, m, half
-        self.scale = VOLUME * float(n) ** -6 if half else VOLUME
-
-    def _layout(self, weight: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-        if self.half:
-            weight = half_layout_weight(weight)
-        weight.flags.writeable = False  # cached and shared by every caller
-        return weight
-
-    @cached_property
-    def s(self) -> npt.NDArray[np.float64]:
-        return self._layout(sobolev_weight(self.n, self.m))
-
-    @cached_property
-    def d(self) -> npt.NDArray[np.float64]:
-        return self._layout(derivative_weight(self.n, self.m))
-
-    @cached_property
-    def g(self) -> npt.NDArray[np.float64]:
-        g = derivative_weight(self.n, 1, lowest=1)
-        return g[..., : self.n // 2 + 1] if self.half else g
+    def __init__(self, n: int, m: int):
+        self.scale = VOLUME * float(n) ** -6
+        self.s = sobolev_weight(n, m)
+        self.d = derivative_weight(n, m)
+        self.g = gradient_symbol(n)
 
     @cached_property
     def sg(self) -> npt.NDArray[np.float64]:
-        return self._layout(sobolev_weight(self.n, self.m) * derivative_weight(self.n, 1, lowest=1))
+        sg = self.s * self.g
+        sg.flags.writeable = False  # cached and shared by every caller
+        return sg
 
 
 @lru_cache(maxsize=None)
-def _weights(n: int, m: int, half: bool) -> _Weights:
-    return _Weights(n, m, half)
+def _weights(n: int, m: int) -> _Weights:
+    return _Weights(n, m)
 
 
 def _modified_sq(uc, vc, w: _Weights, omega: float) -> float:
@@ -126,28 +101,24 @@ def _modified_sq(uc, vc, w: _Weights, omega: float) -> float:
     return float(w.scale * np.sum(w.d * density))
 
 
-def _sobolev_sq(c, w: _Weights) -> float:
-    return float(w.scale * np.sum(w.s * np.abs(c) ** 2))
-
-
 def _standard_sq(uc, vc, w: _Weights) -> float:
     """Estd^2: one sum over S_m for u_t and one over S_m g for u."""
-    return 0.5 * (_sobolev_sq(vc, w) + float(w.scale * np.sum(w.sg * np.abs(uc) ** 2)))
+    return 0.5 * (norm_sq(vc, w.s) + norm_sq(uc, w.sg))
 
 
-def modified_energy(u: Field | Spectrum, ut: Field | Spectrum, omega: float, m: int = 0) -> float:
+def modified_energy(u: Field, ut: Field, omega: float, m: int = 0) -> float:
     """Squared modified energy E_m^2, summed over multi-indices up to m."""
     _check_pair(u, ut)
     _check_omega(omega)
-    w = _weights(u.grid.n, m, half=False)
-    return _modified_sq(_spectrum(u).coeffs, _spectrum(ut).coeffs, w, omega)
+    w = _weights(u.grid.n, m)
+    return _modified_sq(np.fft.rfftn(u.values), np.fft.rfftn(ut.values), w, omega)
 
 
-def standard_energy(u: Field | Spectrum, ut: Field | Spectrum, m: int = 0) -> float:
+def standard_energy(u: Field, ut: Field, m: int = 0) -> float:
     """Squared standard energy 1/2 (||u_t||_{H^m}^2 + ||grad u||_{H^m}^2)."""
     _check_pair(u, ut)
-    w = _weights(u.grid.n, m, half=False)
-    return _standard_sq(_spectrum(u).coeffs, _spectrum(ut).coeffs, w)
+    w = _weights(u.grid.n, m)
+    return _standard_sq(np.fft.rfftn(u.values), np.fft.rfftn(ut.values), w)
 
 
 def damped_combination_norm(u: Field, ut: Field, omega: float) -> float:
@@ -158,40 +129,26 @@ def damped_combination_norm(u: Field, ut: Field, omega: float) -> float:
     return fields.l2_norm(combo)
 
 
-def _sample(t, u: Field, f: Field, uc, vc, fc, w: _Weights, omega: float) -> EnergySample:
+def sample_half_spectrum(
+    t: float, u, f, u_hat, ut_hat, f_hat, omega: float, m: int
+) -> EnergySample:
+    """The diagnostic row at one instant, from raw ``np.fft.rfftn`` coefficients.
+
+    The time loop keeps its state in this layout and has the grid samples
+    ``u`` and ``f`` of u and F from the force evaluation; they give the
+    minimum and the grid means.  Every other entry is a reduction of the
+    coefficients.
+    """
     _check_omega(omega)
+    w = _weights(u.shape[0], m)
     return EnergySample(
         t=float(t),
-        e_m_sq=_modified_sq(uc, vc, w, omega),
-        e_std_sq=_standard_sq(uc, vc, w),
-        u_hm=float(np.sqrt(_sobolev_sq(uc, w))),
-        ut_hm=float(np.sqrt(_sobolev_sq(vc, w))),
-        f_hm=float(np.sqrt(_sobolev_sq(fc, w))),
-        u_mean=u.mean(),
-        f_mean=f.mean(),
-        u_min=float(np.min(u.values)),
+        e_m_sq=_modified_sq(u_hat, ut_hat, w, omega),
+        e_std_sq=_standard_sq(u_hat, ut_hat, w),
+        u_hm=math.sqrt(norm_sq(u_hat, w.s)),
+        ut_hm=math.sqrt(norm_sq(ut_hat, w.s)),
+        f_hm=math.sqrt(norm_sq(f_hat, w.s)),
+        u_mean=float(np.mean(u)),
+        f_mean=float(np.mean(f)),
+        u_min=float(np.min(u)),
     )
-
-
-def sample_energies(
-    t: float, u: Field, ut: Field, f: Field, omega: float, m: int
-) -> EnergySample:
-    """Evaluate the full diagnostic row for one instant; one transform per field."""
-    _check_pair(u, ut)
-    u_spec, ut_spec, f_spec = transform(u), transform(ut), transform(f)
-    w = _weights(u.grid.n, m, half=False)
-    return _sample(t, u, f, u_spec.coeffs, ut_spec.coeffs, f_spec.coeffs, w, omega)
-
-
-def sample_half_spectrum(
-    t: float, u: Field, f: Field, u_hat, ut_hat, f_hat, omega: float, m: int
-) -> EnergySample:
-    """The row of ``sample_energies`` from raw ``np.fft.rfftn`` coefficients.
-
-    The time loop keeps its state in this layout and has u and F on the grid
-    from the force evaluation; they give the minimum and the grid means.
-    Every other entry is the reduction of ``sample_energies`` with the
-    weights in the half layout.
-    """
-    w = _weights(u.grid.n, m, half=True)
-    return _sample(t, u, f, u_hat, ut_hat, f_hat, w, omega)

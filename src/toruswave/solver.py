@@ -9,10 +9,11 @@ re-evaluates it at the predicted endpoint and averages, which is second
 order in dt.  Both stages share the free part p11 u + p12 u_t.
 
 State layout: from the first transform of (u0, u1) to the final state the
-loop keeps (u, u_t) as raw ``np.fft.rfftn`` coefficients, an n x n x (n/2+1)
-half spectrum with no normalization.  The propagator is linear, so the raw
-scale cancels; each force is one ``irfftn`` to the grid, ``eval_prepared``
-and one ``rfftn`` back.  Every diagnostic is a reduction of these
+loop keeps (u, u_t) as raw ``np.fft.rfftn`` coefficients, the n x n x (n/2+1)
+half spectrum with no normalization that every symbol and weight of
+``fields`` is laid out on.  The propagator is linear, so the raw scale
+cancels; each force is one ``irfftn`` to a grid array, ``eval_prepared`` on
+that array and one ``rfftn`` back.  Every diagnostic is a reduction of these
 coefficients (``energy.sample_half_spectrum``), and ``Field``/``SolverState``
 objects are built only when a run ends or breaks down.
 
@@ -118,10 +119,11 @@ class Trajectory:
 
 @lru_cache(maxsize=None)
 def dealias_mask(n: int) -> npt.NDArray[np.bool_]:
-    """Keep |k_i| <= n/3 on every axis (the 2/3 rule)."""
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    keep = np.abs(k) <= n // 3
-    return keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
+    """Keep |k_i| <= n/3 on every axis (the 2/3 rule), per mode of the half layout."""
+    keep = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n // 3
+    mask = keep[:, None, None] & keep[None, :, None] & keep[: n // 2 + 1]
+    mask.flags.writeable = False  # cached and shared by every caller
+    return mask
 
 
 def _propagator_pieces(n_sq, omega: float, dt: float):
@@ -189,25 +191,25 @@ class _Stepper:
         self.prepared = prepared
         self.config = config
         self.grid = config.grid
-        half = np.s_[..., : self.grid.n // 2 + 1]
-        pieces = _propagator_pieces(laplacian_symbol(self.grid.n)[half], params.omega, config.dt)
+        pieces = _propagator_pieces(laplacian_symbol(self.grid.n), params.omega, config.dt)
         self.p11, self.p12, self.p21, self.p22, wu, wv = pieces
         if config.dealias:
-            keep = dealias_mask(self.grid.n)[half]
+            keep = dealias_mask(self.grid.n)
             wu, wv = wu * keep, wv * keep
         self.wu, self.wv = wu, wv
 
-    def field(self, c: npt.NDArray[np.complex128]) -> Field:
-        return Field(self.grid, np.fft.irfftn(c, s=self.grid.shape, axes=(0, 1, 2)))
+    def values(self, c: npt.NDArray[np.complex128]) -> npt.NDArray[np.float64]:
+        return np.fft.irfftn(c, s=self.grid.shape, axes=(0, 1, 2))
 
     def state(self, t: float, u_hat, ut_hat) -> SolverState:
-        return SolverState(t, self.field(u_hat), self.field(ut_hat))
+        u, ut = (Field(self.grid, self.values(c)) for c in (u_hat, ut_hat))
+        return SolverState(t, u, ut)
 
-    def force(self, t: float, u_hat) -> tuple[Field, Field, npt.NDArray[np.complex128]]:
-        """u and F(t, u) on the grid, and the raw rfftn coefficients of F."""
-        u = self.field(u_hat)
+    def force(self, t: float, u_hat):
+        """u and F(t, u) as grid arrays, and the raw rfftn coefficients of F."""
+        u = self.values(u_hat)
         f = eval_prepared(t, u, self.params, self.prepared)
-        return u, f, np.fft.rfftn(f.values)
+        return u, f, np.fft.rfftn(f)
 
     def advance(self, t: float, u_hat, ut_hat, f0_hat=None):
         """One predictor-corrector step; pass ``f0_hat`` when F(t) is known."""
@@ -240,7 +242,7 @@ def step(state: SolverState, params: ModelParams, source, config: SolverConfig) 
 def simulate(u0: Field, u1: Field, params: ModelParams, source, config: SolverConfig) -> Trajectory:
     """Run the full time span, sampling diagnostics along the way.
 
-    A positivity or non-finite failure does not raise: the partial
+    A positivity, overflow or non-finite failure does not raise: the partial
     trajectory is returned with ``breakdown`` filled in, and with the state
     at the last sample as ``final_state`` when the failure came mid-step.
     """

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.typing as npt
 
 from .fields import Field, GridSpec, random_band_limited, sobolev_norm
 
@@ -222,25 +223,39 @@ def prepare_source(spec: SourceSpec, grid: GridSpec, m: int) -> PreparedSource:
     return PreparedSource(spec, Field(grid, raw.values * (spec.amplitude / norm)), m)
 
 
-def eval_prepared(t: float, u: Field, params: ModelParams, prepared: PreparedSource) -> Field:
-    """F(t, .) = exp(-kappa t) a(t, .) (1 + u)^mu for a resolved profile."""
-    if u.grid != prepared.profile.grid:
+def eval_prepared(
+    t: float, u: npt.NDArray[np.float64], params: ModelParams, prepared: PreparedSource
+) -> npt.NDArray[np.float64]:
+    """F(t, .) = exp(-kappa t) a(t, .) (1 + u)^mu on the grid, for grid samples
+    ``u`` and a resolved profile.
+
+    For non-integer or negative mu the power needs 1 + u > 0; for mu < 0 it
+    is largest where u is smallest, so (1 + u_min)^mu also decides whether it
+    overflows.  Either failure raises ``BreakdownError``.
+    """
+    if u.shape != prepared.profile.grid.shape:
         raise ValueError(
-            f"state grid {u.grid.n} does not match source grid {prepared.profile.grid.n}"
+            f"state shape {u.shape} does not match source grid {prepared.profile.grid.n}"
         )
     mu = params.mu
-    base = 1.0 + u.values
+    base = 1.0 + u
     if mu == int(mu) and mu >= 0.0:
         power = base ** int(mu)
     else:
-        u_min = float(np.min(u.values))
+        u_min = float(np.min(u))
         if 1.0 + u_min <= 0.0:
             raise BreakdownError(t, u_min)
+        try:
+            (1.0 + u_min) ** mu  # the largest power if mu < 0; raises if it overflows
+        except OverflowError:
+            reason = f"(1 + u)^mu overflows at t = {t:.6g}: 1 + u = {1.0 + u_min:.6g}, mu = {mu:g}"
+            raise BreakdownError(t, u_min, reason) from None
         power = base**mu
     envelope = float(np.exp(-params.kappa * t)) * prepared.sigma(t)
-    return Field(u.grid, envelope * prepared.profile.values * power)
+    return envelope * prepared.profile.values * power
 
 
 def eval_source(t: float, u: Field, params: ModelParams, spec: SourceSpec) -> Field:
     """One-shot evaluation; simulations should prepare the profile instead."""
-    return eval_prepared(t, u, params, prepare_source(spec, u.grid, params.m))
+    prepared = prepare_source(spec, u.grid, params.m)
+    return Field(u.grid, eval_prepared(t, u.values, params, prepared))

@@ -1,10 +1,25 @@
 """Slow reference computations the test suite checks the fast paths against.
 
-Everything here avoids the FFT and the spectral shortcuts on purpose: direct
-DFT sums, grid quadrature, finite differences.  Keep these dumb.
+Two kinds live here, and both should stay dumb.
+
+* Computations that avoid the FFT and the spectral shortcuts on purpose:
+  direct DFT sums, grid quadrature, finite differences.
+* The full-complex spectral toolkit: normalized ``fftn`` spectra over all n^3
+  wave vectors, derivatives by symbol multiplication, zero padding, weights
+  on the full lattice, and the diagnostic row computed from them.  The
+  package keeps every spectrum in the real-FFT half layout instead; this is
+  the layout-free oracle its symbols, weights, norms and energies must
+  reproduce.
 """
 
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
+
+from toruswave.energy import EnergySample
+from toruswave.fields import VOLUME, Field, GridSpec
 
 TWO_PI = 2.0 * np.pi
 
@@ -48,3 +63,166 @@ def trapezoid_cumulative(t, y):
     out = np.zeros_like(y)
     out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
     return out
+
+
+def white_noise(n, seed):
+    """Unfiltered Gaussian samples: every mode is populated, Nyquist planes too."""
+    grid = GridSpec(n)
+    return Field(grid, np.random.default_rng(seed).standard_normal(grid.shape))
+
+
+# --- the full-complex spectral toolkit --------------------------------------
+
+
+@dataclass
+class Spectrum:
+    """Normalized coefficients u_hat = fftn(u) / n^3 over the full n^3 lattice."""
+
+    grid: GridSpec
+    coeffs: np.ndarray
+
+
+def transform(field):
+    return Spectrum(field.grid, np.fft.fftn(field.values) / field.grid.n**3)
+
+
+def inverse_transform(spectrum):
+    """Back to grid samples; the imaginary residue of a real field is dropped."""
+    n = spectrum.grid.n
+    return Field(spectrum.grid, np.fft.ifftn(spectrum.coeffs * n**3).real)
+
+
+def wavenumbers(n):
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    return k[:, None, None], k[None, :, None], k[None, None, :]
+
+
+def spectral_derivative(spectrum, alpha):
+    """d^alpha by symbol multiplication.  An odd order zeroes the Nyquist plane
+    of its axis: the mode -n/2 has no +n/2 partner on an even grid."""
+    if len(alpha) != 3 or any(a < 0 or a != int(a) for a in alpha):
+        raise ValueError(f"multi-index must be three nonnegative integers, got {alpha!r}")
+    n = spectrum.grid.n
+    coeffs = spectrum.coeffs.copy()
+    for axis, (a, k) in enumerate(zip(alpha, wavenumbers(n))):
+        if a == 0:
+            continue
+        coeffs *= (1j * k) ** int(a)
+        if a % 2 == 1:
+            index = [slice(None)] * 3
+            index[axis] = n // 2
+            coeffs[tuple(index)] = 0.0
+    return Spectrum(spectrum.grid, coeffs)
+
+
+def multi_indices(max_order):
+    """All multi-indices (a1, a2, a3) with a1 + a2 + a3 <= max_order."""
+    return [
+        (a1, a2, total - a1 - a2)
+        for total in range(max_order + 1)
+        for a1 in range(total + 1)
+        for a2 in range(total - a1 + 1)
+    ]
+
+
+@lru_cache(maxsize=None)
+def full_weight(n, m, lowest=0, zero_nyquist=False):
+    """sum_{lowest <= |a| <= m} prod_i k_i^(2 a_i) on the full lattice,
+    optionally zeroing the Nyquist plane of axis i for odd a_i."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    keep = np.where(np.arange(n) == n // 2, 0.0, 1.0) if zero_nyquist else 1.0
+    factors = [k ** (2 * a) * (keep if a % 2 else 1.0) for a in range(m + 1)]
+    weight = np.zeros((n, n, n))
+    for alpha in multi_indices(m):
+        if sum(alpha) >= lowest:
+            weight += np.einsum("i,j,k->ijk", *(factors[a] for a in alpha))
+    weight.flags.writeable = False  # cached and shared by every caller
+    return weight
+
+
+def full_sobolev_weight(n, m):
+    return full_weight(n, m)
+
+
+def full_derivative_weight(n, m, lowest=0):
+    """The squared symbols of ``spectral_derivative`` summed over lowest <= |a| <= m."""
+    return full_weight(n, m, lowest, zero_nyquist=True)
+
+
+def full_laplacian_symbol(n):
+    return full_weight(n, 1, 1)
+
+
+def full_dealias_mask(n):
+    keep = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n // 3
+    return keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
+
+
+def weighted_norm_sq(spectrum, weight):
+    return float(VOLUME * np.sum(weight * np.abs(spectrum.coeffs) ** 2))
+
+
+def spectrum_norm(spectrum, m=0):
+    """H^m norm of a full spectrum; m = 0 is the L2 norm."""
+    return math.sqrt(weighted_norm_sq(spectrum, full_sobolev_weight(spectrum.grid.n, m)))
+
+
+def derivative_block_norm(spectrum, order):
+    """sqrt of the sum of ||d^a u||_{L2}^2 over all |a| = order."""
+    weight = full_derivative_weight(spectrum.grid.n, order, lowest=order)
+    return math.sqrt(weighted_norm_sq(spectrum, weight))
+
+
+def pad_spectrum(spectrum, new_n):
+    """Zero padding in wavenumber onto a finer grid.  The source Nyquist
+    planes are not carried over."""
+    n = spectrum.grid.n
+    half = n // 2
+    out = np.zeros((new_n, new_n, new_n), dtype=np.complex128)
+    lo = new_n // 2 - half
+    out[lo : lo + n, lo : lo + n, lo : lo + n] = np.fft.fftshift(spectrum.coeffs)
+    for axis in range(3):  # the unpaired -n/2 planes of the source layout
+        index = [slice(None)] * 3
+        index[axis] = lo
+        out[tuple(index)] = 0.0
+    return Spectrum(GridSpec(new_n), np.fft.ifftshift(out))
+
+
+def sample_energies(t, u, ut, f, omega, m):
+    """The diagnostic row of ``energy.sample_half_spectrum`` from full spectra."""
+    n = u.grid.n
+    s, d = full_sobolev_weight(n, m), full_derivative_weight(n, m)
+    g = full_derivative_weight(n, 1, lowest=1)
+    uc, vc, fc = (transform(x).coeffs for x in (u, ut, f))
+    density = 0.5 * np.abs(vc) ** 2 + 0.5 * omega * (uc * np.conj(vc)).real
+    density += (0.25 * omega**2 + 0.5 * g) * np.abs(uc) ** 2
+    power = [np.abs(c) ** 2 for c in (uc, vc, fc)]
+    return EnergySample(
+        t=float(t),
+        e_m_sq=float(VOLUME * np.sum(d * density)),
+        e_std_sq=0.5 * (VOLUME * np.sum(s * power[1]) + VOLUME * np.sum(s * g * power[0])),
+        u_hm=math.sqrt(VOLUME * np.sum(s * power[0])),
+        ut_hm=math.sqrt(VOLUME * np.sum(s * power[1])),
+        f_hm=math.sqrt(VOLUME * np.sum(s * power[2])),
+        u_mean=u.mean(),
+        f_mean=f.mean(),
+        u_min=float(np.min(u.values)),
+    )
+
+
+def random_band_limited(grid, seed, band, amplitude=1.0, zero_mean=False):
+    """``fields.random_band_limited`` drawn through full spectra."""
+    white = np.random.default_rng(seed).standard_normal(grid.shape)
+    coeffs = np.fft.fftn(white) / grid.n**3
+    k1, k2, k3 = wavenumbers(grid.n)
+    mask = (np.abs(k1) <= band) & (np.abs(k2) <= band) & (np.abs(k3) <= band)
+    coeffs = np.where(mask, coeffs, 0.0)
+    if zero_mean:
+        coeffs[0, 0, 0] = 0.0
+    values = inverse_transform(Spectrum(grid, coeffs)).values
+    return Field(grid, values * (amplitude / np.max(np.abs(values))))
+
+
+def embedding_extremizer(grid, m):
+    """The field with full-layout coefficients 1/S_m(k)."""
+    return inverse_transform(Spectrum(grid, 1.0 / full_sobolev_weight(grid.n, m)))

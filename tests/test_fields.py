@@ -1,27 +1,39 @@
-"""Transforms, norms, and decompositions against slow reference computations."""
+"""Transforms, norms, and decompositions against slow reference computations.
+
+The transforms and derivatives tested here are the full-complex reference
+toolkit of ``reference``, checked against direct sums and finite
+differences; the norms are the package's half-layout ones, checked against
+that toolkit.
+"""
 
 import numpy as np
 import pytest
 
+from toruswave.calibration import alias_free_product
 from toruswave.fields import (
     Field,
     GridSpec,
-    Spectrum,
     TWO_PI,
     VOLUME,
-    inverse_transform,
     l2_norm,
     mean_decompose,
-    multi_indices,
-    pad_spectrum,
     random_band_limited,
     sobolev_norm,
     sobolev_weight,
-    spectral_derivative,
     sup_norm,
+)
+from reference import (
+    Spectrum,
+    central_difference,
+    direct_dft,
+    grid_integral,
+    inverse_transform,
+    multi_indices,
+    pad_spectrum,
+    spectral_derivative,
+    spectrum_norm,
     transform,
 )
-from reference import central_difference, direct_dft, grid_integral
 
 
 def trig_field(grid):
@@ -37,6 +49,9 @@ class TestTransform:
         expected = direct_dft(field.values)
         got = transform(field).coeffs
         assert np.max(np.abs(got - expected)) < 1e-10
+        # the package's half layout is the k3 >= 0 half of the same spectrum
+        half = np.fft.rfftn(field.values) / grid.n**3
+        assert np.max(np.abs(half - expected[..., : grid.n // 2 + 1])) < 1e-10
 
     def test_round_trip(self):
         grid = GridSpec(16)
@@ -59,7 +74,7 @@ class TestTransform:
     def test_parseval(self):
         grid = GridSpec(16)
         field = random_band_limited(grid, seed=3, band=5)
-        spectral = VOLUME * np.sum(np.abs(transform(field).coeffs) ** 2)
+        spectral = l2_norm(field) ** 2
         physical = grid_integral(field.values**2)
         assert abs(spectral - physical) < 1e-12 * physical
 
@@ -145,7 +160,7 @@ class TestSobolevNorm:
         for m in (1, 2, 3):
             total = 0.0
             for alpha in multi_indices(m):
-                total += l2_norm(spectral_derivative(spectrum, alpha)) ** 2
+                total += spectrum_norm(spectral_derivative(spectrum, alpha)) ** 2
             assert sobolev_norm(field, m) == pytest.approx(np.sqrt(total), rel=1e-12)
 
     def test_monotone_in_m(self):
@@ -161,11 +176,17 @@ class TestSobolevNorm:
             ((1, 1, 0), 3, 10.0),
             ((2, 0, 0), 2, 21.0),
             ((0, 0, 0), 3, 1.0),
+            ((0, 0, 1), 3, 2 * 4.0),
+            ((1, 0, 2), 1, 2 * 6.0),
+            ((0, 0, 4), 1, 17.0),
         ],
     )
     def test_weight_values(self, k, m, expected):
-        # Hand-enumerated multi-index sums for small wave vectors.
+        # Hand-enumerated multi-index sums for small wave vectors, indexed in
+        # the (8, 8, 5) half layout: the k3 = 0 and k3 = 4 planes count once,
+        # the planes between them twice (for k and -k).
         weight = sobolev_weight(8, m)
+        assert weight.shape == (8, 8, 5)
         assert weight[k] == pytest.approx(expected, rel=1e-14)
 
     def test_rejects_negative_order(self):
@@ -192,7 +213,7 @@ class TestMeanSplit:
             v = random_band_limited(grid, seed=seed, band=5, zero_mean=True)
             spectrum = transform(v)
             grad_sq = sum(
-                l2_norm(spectral_derivative(spectrum, alpha)) ** 2
+                spectrum_norm(spectral_derivative(spectrum, alpha)) ** 2
                 for alpha in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
             )
             assert l2_norm(v) <= np.sqrt(grad_sq) * (1 + 1e-12)
@@ -204,7 +225,7 @@ class TestMeanSplit:
         spectrum = transform(v)
         grad = np.sqrt(
             sum(
-                l2_norm(spectral_derivative(spectrum, alpha)) ** 2
+                spectrum_norm(spectral_derivative(spectrum, alpha)) ** 2
                 for alpha in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
             )
         )
@@ -217,18 +238,16 @@ class TestPadding:
         x1, x2, _ = grid.coordinates()
         u = Field(grid, np.broadcast_to(np.cos(3 * x1), grid.shape).copy())
         v = Field(grid, np.broadcast_to(np.cos(2 * x1) * np.sin(x2), grid.shape).copy())
-        fine_u = inverse_transform(pad_spectrum(transform(u), 16))
-        fine_v = inverse_transform(pad_spectrum(transform(v), 16))
-        fine = GridSpec(16)
-        y1, y2, _ = fine.coordinates()
+        product = alias_free_product(u, v)
+        assert product.grid == GridSpec(16)
+        y1, y2, _ = product.grid.coordinates()
         expected = np.cos(3 * y1) * np.cos(2 * y1) * np.sin(y2)
-        product = fine_u.values * fine_v.values
-        assert np.max(np.abs(product - expected)) < 1e-12
+        assert np.max(np.abs(product.values - expected)) < 1e-12
 
     def test_padding_preserves_norms(self):
         grid = GridSpec(8)
         field = random_band_limited(grid, seed=4, band=3)
-        padded = pad_spectrum(transform(field), 20)
+        padded = inverse_transform(pad_spectrum(transform(field), 20))
         for m in (0, 2):
             assert sobolev_norm(padded, m) == pytest.approx(
                 sobolev_norm(field, m), rel=1e-12
@@ -241,10 +260,10 @@ class TestRandomFields:
         a = random_band_limited(grid, seed=9, band=3)
         b = random_band_limited(grid, seed=9, band=3)
         assert np.array_equal(a.values, b.values)
-        coeffs = transform(a).coeffs
+        coeffs = np.fft.rfftn(a.values) / 16**3
         k = np.fft.fftfreq(16, d=1 / 16)
         outside = (np.abs(k[:, None, None]) > 3) | (np.abs(k[None, :, None]) > 3)
-        outside = outside | (np.abs(k[None, None, :]) > 3)
+        outside = outside | (np.abs(k[None, None, :9]) > 3)
         assert np.max(np.abs(coeffs[outside])) < 1e-15
 
     def test_amplitude_and_zero_mean(self):

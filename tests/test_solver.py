@@ -14,7 +14,6 @@ from toruswave.fields import (
     TWO_PI,
     l2_norm,
     random_band_limited,
-    transform,
 )
 from toruswave.solver import (
     SolverConfig,
@@ -28,6 +27,7 @@ from toruswave.solver import (
     step,
 )
 from toruswave.source import ModelParams, SourceSpec
+from reference import transform
 
 
 def free_mode_exact(v0, v1, n_sq, omega, t):
@@ -311,10 +311,15 @@ class TestSamplingAndConfig:
             simulate(zero16, zero16, params, zero_source(), config)
 
     def test_dealias_mask_shape(self):
+        # a per-mode mask on the (16, 16, 9) half layout, k3 = 0 .. 8
         mask = dealias_mask(16)
+        assert mask.shape == (16, 16, 9)
         assert mask[0, 0, 0]
         assert mask[5, 0, 0] and not mask[6, 0, 0]
         assert not mask[8, 0, 0]
+        assert mask[0, 0, 5] and not mask[0, 0, 6]
+        assert not mask[0, 0, 8]
+        assert mask[-5, 0, 5] and not mask[-6, 0, 5]
 
     def test_dealiasing_changes_nonlinear_runs(self):
         grid = GridSpec(8)

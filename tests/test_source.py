@@ -138,10 +138,10 @@ class TestEvaluation:
         spec = SourceSpec(kind="analytic-preset", amplitude=0.6, preset="uniform")
         prepared = prepare_source(spec, grid, m=0)
         u = constant_field(grid, 0.44)
-        f = eval_prepared(2.0, u, params, prepared)
+        f = eval_prepared(2.0, u.values, params, prepared)
         profile = prepared.profile.values[0, 0, 0]
         expected = np.exp(-0.5) * profile * 1.44**0.5
-        assert np.allclose(f.values, expected, rtol=1e-13)
+        assert np.allclose(f, expected, rtol=1e-13)
 
     def test_breakdown_raises_with_location_data(self):
         grid = GridSpec(8)
@@ -167,7 +167,7 @@ class TestEvaluation:
         spec = SourceSpec(kind="analytic-preset", amplitude=1.0)
         prepared = prepare_source(spec, GridSpec(8), m=0)
         with pytest.raises(ValueError, match="does not match"):
-            eval_prepared(0.0, zero_field(GridSpec(16)), params, prepared)
+            eval_prepared(0.0, zero_field(GridSpec(16)).values, params, prepared)
 
     def test_sampled_profile_route(self):
         grid = GridSpec(8)

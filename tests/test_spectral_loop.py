@@ -4,8 +4,8 @@
 2/3 mask into the forcing weights, shares F(t_k) between a sample and the
 step after it and samples straight from the coefficients.  The reference
 below is the earlier loop, kept here as the oracle: full complex spectra
-through ``transform``/``inverse_transform``, the mask applied to every force,
-and ``sample_energies`` on grid fields at every sample.
+through ``reference.transform``/``inverse_transform``, the mask applied to
+every force, and ``reference.sample_energies`` on grid fields at every sample.
 """
 
 import sys
@@ -13,26 +13,20 @@ import sys
 import numpy as np
 import pytest
 
-from toruswave import fields, solver
-from toruswave.energy import sample_energies, sample_half_spectrum
+from toruswave import solver
+from toruswave.energy import sample_half_spectrum
 from toruswave.fields import (
     Field,
     GridSpec,
-    Spectrum,
-    VOLUME,
     derivative_weight,
-    half_layout_weight,
-    inverse_transform,
-    laplacian_symbol,
+    norm_sq,
     random_band_limited,
     sobolev_weight,
-    transform,
 )
 from toruswave.solver import (
     BreakdownInfo,
     SolverConfig,
     SolverState,
-    dealias_mask,
     mode_propagator,
     simulate,
 )
@@ -43,6 +37,18 @@ from toruswave.source import (
     eval_prepared,
     prepare_source,
 )
+from reference import (
+    Spectrum,
+    full_dealias_mask,
+    full_derivative_weight,
+    full_laplacian_symbol,
+    full_sobolev_weight,
+    inverse_transform,
+    sample_energies,
+    transform,
+    weighted_norm_sq,
+    white_noise,
+)
 
 SERIES = ("e_m_sq", "e_std_sq", "u_hm", "ut_hm", "f_hm", "u_mean", "f_mean", "u_min")
 REL_LOOP = 1e-13
@@ -52,15 +58,15 @@ REL_REDUCE = 1e-14
 def reference_simulate(u0, u1, params, prepared, config):
     """The full-complex predictor-corrector loop: (samples, breakdown, final_state)."""
     grid, dt = config.grid, config.dt
-    matrix, weights = mode_propagator(laplacian_symbol(grid.n), params.omega, dt)
+    matrix, weights = mode_propagator(full_laplacian_symbol(grid.n), params.omega, dt)
     p11, p12 = matrix[..., 0, 0], matrix[..., 0, 1]
     p21, p22 = matrix[..., 1, 0], matrix[..., 1, 1]
     wu, wv = weights[..., 0], weights[..., 1]
-    mask = dealias_mask(grid.n) if config.dealias else None
+    mask = full_dealias_mask(grid.n) if config.dealias else None
 
     def force(t, u_hat):
-        f = eval_prepared(t, inverse_transform(Spectrum(grid, u_hat)), params, prepared)
-        f_hat = transform(f).coeffs
+        u = inverse_transform(Spectrum(grid, u_hat))
+        f_hat = transform(Field(grid, eval_prepared(t, u.values, params, prepared))).coeffs
         return f_hat if mask is None else np.where(mask, f_hat, 0.0)
 
     def advance(t, u_hat, ut_hat):
@@ -76,7 +82,7 @@ def reference_simulate(u0, u1, params, prepared, config):
         t = k * dt
         u = inverse_transform(Spectrum(grid, u_hat))
         ut = inverse_transform(Spectrum(grid, ut_hat))
-        f = eval_prepared(t, u, params, prepared)
+        f = Field(grid, eval_prepared(t, u.values, params, prepared))
         samples.append(sample_energies(t, u, ut, f, params.omega, params.m))
         return SolverState(t, u, ut)
 
@@ -201,6 +207,7 @@ def counted(monkeypatch, module, name, counts):
         counts[name] += 1
         return original(*args, **kwargs)
 
+    monkeypatch.setattr(module, name, wrapper)
     # rebind the name in every toruswave module that imported it
     for key, mod in list(sys.modules.items()):
         if key.startswith("toruswave") and getattr(mod, name, None) is original:
@@ -216,31 +223,26 @@ def test_loop_costs_two_forces_per_step_and_no_full_transforms(monkeypatch, samp
     )
     config = SolverConfig(grid=grid, dt=0.05, t_end=t_end, sample_every=sample_every)
     u0, u1 = initial_data(grid)
-    counts = {"eval_prepared": 0, "transform": 0, "inverse_transform": 0, "spectra": 0}
+    counts = {"eval_prepared": 0, "fftn": 0, "ifftn": 0, "fields": 0}
     counted(monkeypatch, solver, "eval_prepared", counts)
-    counted(monkeypatch, fields, "transform", counts)
-    counted(monkeypatch, fields, "inverse_transform", counts)
-    check_spectrum = Spectrum.__post_init__
+    for name in ("fftn", "ifftn"):
+        counted(monkeypatch, np.fft, name, counts)
+    check_field = Field.__post_init__
 
-    def counted_spectrum(self):
-        counts["spectra"] += 1
-        check_spectrum(self)
+    def counted_field(self):
+        counts["fields"] += 1
+        check_field(self)
 
-    monkeypatch.setattr(Spectrum, "__post_init__", counted_spectrum)
+    monkeypatch.setattr(Field, "__post_init__", counted_field)
     traj = simulate(u0, u1, params, prepared, config)
     assert traj.breakdown is None
+    # the loop works on arrays; the only Fields are the final state's u and u_t
     assert counts == {
         "eval_prepared": 2 * config.n_steps + 1,
-        "transform": 0,
-        "inverse_transform": 0,
-        "spectra": 0,
+        "fftn": 0,
+        "ifftn": 0,
+        "fields": 2,
     }
-
-
-def white_noise(n, seed):
-    """Unfiltered Gaussian samples: every mode is populated, Nyquist planes too."""
-    grid = GridSpec(n)
-    return Field(grid, np.random.default_rng(seed).standard_normal(grid.shape))
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
@@ -248,18 +250,19 @@ def white_noise(n, seed):
 @pytest.mark.parametrize(
     "weight",
     [
-        lambda n, m: sobolev_weight(n, m),  # Nyquist planes at full weight
-        lambda n, m: derivative_weight(n, m),  # odd Nyquist planes zeroed
-        lambda n, m: derivative_weight(n, m, lowest=1),
+        # (half-layout reduction weight, the same weight on the full lattice)
+        lambda n, m: (sobolev_weight(n, m), full_sobolev_weight(n, m)),  # Nyquist at full weight
+        lambda n, m: (derivative_weight(n, m), full_derivative_weight(n, m)),  # odd Nyquist zeroed
+        lambda n, m: (derivative_weight(n, m, lowest=1), full_derivative_weight(n, m, lowest=1)),
     ],
     ids=["sobolev", "derivative", "derivative-lowest-1"],
 )
 def test_half_layout_reduction_matches_full(n, m, weight):
     u = white_noise(n, 100 + n + m)
-    w = weight(n, m)
-    full = float(VOLUME * np.sum(w * np.abs(transform(u).coeffs) ** 2))
-    raw = np.fft.rfftn(u.values)
-    half = float(VOLUME * np.sum(half_layout_weight(w) * np.abs(raw) ** 2)) / float(n) ** 6
+    half_weight, full_weight = weight(n, m)
+    assert half_weight.shape == (n, n, n // 2 + 1)
+    full = weighted_norm_sq(transform(u), full_weight)
+    half = norm_sq(np.fft.rfftn(u.values), half_weight)
     assert half == pytest.approx(full, rel=REL_REDUCE, abs=0.0)
 
 
@@ -269,7 +272,7 @@ def test_half_spectrum_sample_matches_sample_energies(n, m):
     u, ut, f = white_noise(n, 7), white_noise(n, 8), white_noise(n, 9)
     want = sample_energies(0.25, u, ut, f, 0.62, m)
     got = sample_half_spectrum(
-        0.25, u, f, *(np.fft.rfftn(x.values) for x in (u, ut, f)), 0.62, m
+        0.25, u.values, f.values, *(np.fft.rfftn(x.values) for x in (u, ut, f)), 0.62, m
     )
     assert got.t == want.t
     for name in SERIES:

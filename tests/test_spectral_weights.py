@@ -1,45 +1,29 @@
 """The cached spectral weights against the per-multi-index derivative sums.
 
-Every energy and norm is one weighted reduction of the coefficients.  The
-reference implementations below are the plain loops over multi-indices that
-call ``spectral_derivative`` once per term; the weighted reductions must
-reproduce them to roundoff, on white-noise fields that carry Nyquist content.
+Every energy and norm is one weighted reduction of the half-layout
+coefficients.  The reference implementations below are the plain loops over
+multi-indices that call the full-complex ``reference.spectral_derivative``
+once per term; the weighted reductions must reproduce them to roundoff, on
+white-noise fields that carry Nyquist content.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
 
 from toruswave import fields
-from toruswave.calibration import _derivative_block_norm, calibrate
-from toruswave.energy import modified_energy, sample_energies, standard_energy
-from toruswave.fields import (
-    Field,
-    GridSpec,
-    VOLUME,
-    derivative_weight,
-    l2_norm,
-    multi_indices,
-    sobolev_norm,
-    sobolev_weight,
-    spectral_derivative,
-    transform,
-)
+from toruswave.calibration import _norms, calibrate
+from toruswave.energy import modified_energy, sample_half_spectrum, standard_energy
+from toruswave.fields import GridSpec, VOLUME, derivative_weight, sobolev_norm, sobolev_weight
 from toruswave.solver import SolverConfig, SolverState, Trajectory
 from toruswave.source import ModelParams
 from toruswave.verify import check_wirtinger_final
+from reference import multi_indices, spectral_derivative, spectrum_norm, transform, white_noise
 
 AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 REL = 1e-14
 OMEGA = 0.62
-
-
-def white_noise(n, seed):
-    """Unfiltered Gaussian samples: every mode is populated, Nyquist planes too."""
-    grid = GridSpec(n)
-    return Field(grid, np.random.default_rng(seed).standard_normal(grid.shape))
 
 
 def loop_l2_sq(spectrum):
@@ -62,13 +46,13 @@ def loop_modified_energy(u, ut, omega, m):
 
 def loop_standard_energy(u, ut, m):
     u_spec = transform(u)
-    grad_sq = sum(sobolev_norm(spectral_derivative(u_spec, axis), m) ** 2 for axis in AXES)
+    grad_sq = sum(spectrum_norm(spectral_derivative(u_spec, axis), m) ** 2 for axis in AXES)
     return 0.5 * (sobolev_norm(ut, m) ** 2 + grad_sq)
 
 
 def loop_block_norm(spectrum, order):
     total = sum(
-        l2_norm(spectral_derivative(spectrum, alpha)) ** 2
+        spectrum_norm(spectral_derivative(spectrum, alpha)) ** 2
         for alpha in multi_indices(order)
         if sum(alpha) == order
     )
@@ -92,20 +76,23 @@ class TestMatchesDerivativeLoops:
         assert rel_err(standard_energy(u, ut, m), loop_standard_energy(u, ut, m)) <= REL
 
     def test_derivative_block_norm(self, n, m):
-        spectrum = transform(white_noise(n, 5))
-        assert rel_err(_derivative_block_norm(spectrum, m), loop_block_norm(spectrum, m)) <= REL
+        # calibration's blocks: column m of its weight matrix (S_0 when m = 0)
+        u = white_noise(n, 5)
+        got = _norms(np.fft.rfftn(u.values), m)[m]
+        assert rel_err(got, loop_block_norm(transform(u), m)) <= REL
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_wirtinger_gradient_matches_loop(n):
     u = white_noise(n, 6)
-    lhs = l2_norm(fields.mean_decompose(u).oscillatory)
+    lhs = fields.l2_norm(fields.mean_decompose(u).oscillatory)
     rhs = loop_block_norm(transform(u), 1)
     grid = u.grid
+    raw = np.fft.rfftn(u.values)
     trajectory = Trajectory(
         params=ModelParams(omega=OMEGA, kappa=0.3, mu=0.5),
         config=SolverConfig(grid, dt=0.1, t_end=0.1),
-        samples=[sample_energies(0.1, u, u, u, OMEGA, 1)],
+        samples=[sample_half_spectrum(0.1, u.values, u.values, raw, raw, raw, OMEGA, 1)],
         final_state=SolverState(0.1, u, u),
     )
     result = check_wirtinger_final(trajectory)
@@ -113,21 +100,31 @@ def test_wirtinger_gradient_matches_loop(n):
 
 
 class TestNyquistConventions:
-    """At n = 8 the wave vector (-4, 0, 0) sits on the Nyquist plane of axis 1."""
+    """At n = 8 the wave vector (-4, 0, 0) sits on the Nyquist plane of axis 1.
+
+    The weights are laid out on the (8, 8, 5) half grid: index 4 of the last
+    axis is the k3 = 4 Nyquist plane, and they count each k3 plane strictly
+    between 0 and 4 twice, once for k and once for -k.
+    """
 
     def test_sobolev_weight_counts_nyquist_in_full(self):
+        assert sobolev_weight(8, 1).shape == (8, 8, 5)
         assert sobolev_weight(8, 1)[4, 0, 0] == 1.0 + 16.0
         assert sobolev_weight(8, 2)[4, 0, 0] == 1.0 + 16.0 + 256.0
+        assert sobolev_weight(8, 1)[0, 0, 4] == 1.0 + 16.0
+        assert sobolev_weight(8, 1)[4, 0, 1] == 2 * (1.0 + 16.0 + 1.0)
 
     def test_derivative_weight_zeroes_odd_exponents(self):
         assert derivative_weight(8, 1)[4, 0, 0] == 1.0
         assert derivative_weight(8, 2)[4, 0, 0] == 1.0 + 256.0
         assert derivative_weight(8, 1, lowest=1)[4, 0, 0] == 0.0
+        assert derivative_weight(8, 1, lowest=1)[0, 0, 4] == 0.0
+        assert derivative_weight(8, 2)[0, 0, 4] == 1.0 + 256.0
         # the other axes keep their first derivatives
-        assert derivative_weight(8, 1, lowest=1)[4, 1, 2] == 1.0 + 4.0
+        assert derivative_weight(8, 1, lowest=1)[4, 1, 2] == 2 * (1.0 + 4.0)
 
     def test_conventions_agree_off_nyquist(self):
-        interior = np.ones((8, 8, 8), dtype=bool)
+        interior = np.ones((8, 8, 5), dtype=bool)
         for axis in range(3):
             index = [slice(None)] * 3
             index[axis] = 4
@@ -155,26 +152,18 @@ def test_calibration_constants_unchanged():
         assert rel_err(constants.c_moser[k], value) <= REL
 
 
-def test_one_sample_costs_three_transforms(monkeypatch):
-    counts = {"transform": 0, "spectral_derivative": 0}
-
-    def counted(name):
-        original = getattr(fields, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-
-        return original, wrapper
-
-    # rebind the name in every toruswave module that imported it
-    modules = [module for key, module in sys.modules.items() if key.startswith("toruswave")]
+def test_energies_take_one_rfftn_per_field(monkeypatch):
+    counts = {"fftn": 0, "ifftn": 0, "rfftn": 0, "irfftn": 0}
     for name in counts:
-        original, wrapper = counted(name)
-        for module in modules:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, wrapper)
+        original = getattr(np.fft, name)
 
-    u, ut, f = white_noise(8, 7), white_noise(8, 8), white_noise(8, 9)
-    sample_energies(0.0, u, ut, f, OMEGA, 3)
-    assert counts == {"transform": 3, "spectral_derivative": 0}
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, wrapper)
+
+    u, ut = white_noise(8, 7), white_noise(8, 8)
+    modified_energy(u, ut, OMEGA, 3)
+    standard_energy(u, ut, 3)
+    assert counts == {"fftn": 0, "ifftn": 0, "rfftn": 4, "irfftn": 0}

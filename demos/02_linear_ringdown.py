@@ -25,7 +25,7 @@ from toruswave import (
 grid = GridSpec(16)
 omega = 0.5
 params = ModelParams.from_equation_of_state(2.0 / 3.0, omega)
-silent = SourceSpec(kind="analytic-preset", amplitude=0.0)
+silent = SourceSpec(amplitude=0.0)
 
 x1, x2, x3 = grid.coordinates()
 full = np.zeros(grid.shape)

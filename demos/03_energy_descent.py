@@ -19,7 +19,7 @@ from toruswave.verify import check_energy_differential, check_energy_integral
 grid = GridSpec(8)
 omega = 0.5
 params = ModelParams.from_equation_of_state(2.0 / 3.0, omega)
-source = SourceSpec(kind="analytic-preset", preset="bump", amplitude=5e-4)
+source = SourceSpec(preset="bump", amplitude=5e-4)
 
 x1, x2, x3 = grid.coordinates()
 vals = 0.01 * (np.cos(x1 + x2) + np.sin(x2 + 2.0 * x3)) + np.zeros(grid.shape)

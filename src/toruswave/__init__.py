@@ -14,7 +14,6 @@ from .estimates import (
     forcing_constant,
     fractional_constant,
     g_function,
-    g_function_quotient,
     h_threshold,
 )
 from .fields import Field, GridSpec, sobolev_norm, sobolev_weight
@@ -25,7 +24,6 @@ from .solver import (
     Trajectory,
     mean_mode_free,
     simulate,
-    step,
 )
 from .source import BreakdownError, ModelParams, SourceSpec, prepare_source
 from .verify import CheckResult, VerificationReport, run_all
@@ -53,7 +51,6 @@ __all__ = [
     "forcing_constant",
     "fractional_constant",
     "g_function",
-    "g_function_quotient",
     "h_threshold",
     "load_constants",
     "mean_mode_free",
@@ -65,6 +62,5 @@ __all__ = [
     "sobolev_norm",
     "sobolev_weight",
     "standard_energy",
-    "step",
     "__version__",
 ]

@@ -88,11 +88,6 @@ def alias_free_product(u: Field, v: Field) -> Field:
     return Field(GridSpec(2 * n), u_fine * v_fine)
 
 
-def refine_field(u: Field) -> Field:
-    """The same band-limited field sampled on a doubled grid."""
-    return Field(GridSpec(2 * u.grid.n), _refine(np.fft.rfftn(u.values), u.grid.n))
-
-
 @lru_cache(maxsize=None)
 def _norm_weights(n: int, m: int) -> npt.NDArray[np.float64]:
     """(n * n * (n/2 + 1), m + 1) half-layout reduction weights: S_m, then the

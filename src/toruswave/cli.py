@@ -2,42 +2,9 @@
 
 A scenario file is line-based ``key = value`` text.  Blank lines and lines
 starting with ``#`` are skipped; section structure lives in dotted key
-prefixes, so the format has no nesting and no quoting rules.  The schema:
-
-    format                  toruswave-scenario-1 (required)
-    name                    scenario label used in reports (required)
-    grid.n                  points per axis, even, >= 4 (required)
-    params.omega            damping rate, in (0, 1) for the threshold algebra
-    params.k_eos            equation-of-state index in (1/2, 1); sets kappa, mu
-    params.kappa            forcing decay rate (give with mu if no k_eos)
-    params.mu               nonlinearity exponent
-    params.m                Sobolev order (default 3)
-    source.kind             analytic-preset (the only kind here; default)
-    source.preset           uniform | single-mode | bump | band
-    source.amplitude        number >= 0, or budget:F for F * min(eps1, eps2)
-    source.sigma            const | cos (default const)
-    source.sigma_rate       rate for sigma = cos (default 1.0)
-    source.seed             seed for the band preset (default 0)
-    source.rng              pcg64 (the only generator; recorded in the echo)
-    initial.preset          zero | single-mode | bump | coefficients
-    initial.part            velocity | displacement (default velocity)
-    initial.mode            n1,n2,n3 integers, not all zero (single-mode)
-    initial.e_m0            target E_m(0); required for single-mode and bump
-    initial.u0_coeffs       n1,n2,n3,re,im; ... (coefficients preset)
-    initial.u1_coeffs       same, for the velocity field
-                            (every mode and coefficient needs |n_i| < grid.n/2,
-                            which the grid can represent without aliasing)
-    solver.dt               time step (required)
-    solver.t_end            final time, an integer number of steps (required)
-    solver.sample_every     sampling stride in steps (default 1)
-    solver.dealias          true | false (default true)
-    bootstrap.t1            number, or auto = 1/omega
-    bootstrap.eps_prime     number, or auto = h(t1)/2
-    bootstrap.delta         number, or auto = E_m(0)/omega
-    bootstrap.delta_prime   number, or auto = c_sobolev sqrt(2) E_m(0)
-    bootstrap.c_delta       number, or auto from the calibrated constants
-    constants.path          calibration file; else $TORUSWAVE_CONSTANTS,
-                            else calibrate on the fly for this grid
+prefixes, so the format has no nesting and no quoting rules.  The schema is
+the ``_KEYS`` table below: every key with its type, its default and what it
+means, in resolved.cfg order.
 
 ``run`` writes into the output directory: timeseries.csv (the sampled
 diagnostics), report.txt and report.csv (one verdict per check),
@@ -98,43 +65,49 @@ CHECK_IDS = (
     "algebra_final",
 )
 
-_SOURCE_PRESETS = ("uniform", "single-mode", "bump", "band")
-_INITIAL_PRESETS = ("zero", "single-mode", "bump", "coefficients")
-_PARTS = ("velocity", "displacement")
-
-_SCHEMA = (
-    "format",
-    "name",
-    "grid.n",
-    "params.omega",
-    "params.k_eos",
-    "params.kappa",
-    "params.mu",
-    "params.m",
-    "source.kind",
-    "source.preset",
-    "source.amplitude",
-    "source.sigma",
-    "source.sigma_rate",
-    "source.seed",
-    "source.rng",
-    "initial.preset",
-    "initial.part",
-    "initial.mode",
-    "initial.e_m0",
-    "initial.u0_coeffs",
-    "initial.u1_coeffs",
-    "solver.dt",
-    "solver.t_end",
-    "solver.sample_every",
-    "solver.dealias",
-    "bootstrap.t1",
-    "bootstrap.eps_prime",
-    "bootstrap.delta",
-    "bootstrap.delta_prime",
-    "bootstrap.c_delta",
-    "constants.path",
-)
+# The scenario schema, in resolved.cfg order: key -> (type, default).  A type
+# is "text", "int", "float" (finite), "bool" (true | false), a tuple of
+# choices, "auto" (a finite number, or auto for the value named below) or
+# "structured" (build_scenario and its helpers parse the text and format the
+# echo).  A default is config text, parsed like a given value; None means no
+# default, and the key is required wherever it is read.
+_KEYS = {
+    "format": ("structured", None),  # toruswave-scenario-1
+    "name": ("text", None),  # scenario label used in reports
+    "grid.n": ("int", None),  # points per axis, even, >= 4
+    "params.omega": ("float", None),  # damping rate, in (0, 1) for the threshold algebra
+    "params.k_eos": ("float", None),  # equation-of-state index in (1/2, 1); sets kappa, mu
+    "params.kappa": ("float", None),  # forcing decay rate (give with mu if no k_eos)
+    "params.mu": ("float", None),  # nonlinearity exponent
+    "params.m": ("int", "3"),  # Sobolev order
+    "source.kind": (("analytic-preset",), "analytic-preset"),  # the only kind
+    "source.preset": (("uniform", "single-mode", "bump", "band"), "uniform"),
+    # a number >= 0, or budget:F for F * min(eps1, eps2)
+    "source.amplitude": ("structured", "0"),
+    "source.sigma": (("const", "cos"), "const"),
+    "source.sigma_rate": ("float", "1.0"),  # rate for sigma = cos
+    "source.seed": ("int", "0"),  # seed for the band preset
+    "source.rng": (("pcg64",), "pcg64"),  # the only generator; recorded in the echo
+    "initial.preset": (("zero", "single-mode", "bump", "coefficients"), None),
+    "initial.part": (("velocity", "displacement"), "velocity"),  # used by single-mode, bump
+    "initial.mode": ("structured", None),  # n1,n2,n3 integers, not all zero (single-mode)
+    "initial.e_m0": ("float", None),  # target E_m(0); required for single-mode and bump
+    # n1,n2,n3,re,im; ... (coefficients preset); every mode and coefficient
+    # needs |n_i| < grid.n/2, which the grid represents without aliasing
+    "initial.u0_coeffs": ("structured", None),
+    "initial.u1_coeffs": ("structured", None),  # same, for the velocity field
+    "solver.dt": ("float", None),  # time step
+    "solver.t_end": ("float", None),  # final time, an integer number (>= 1) of steps
+    "solver.sample_every": ("int", "1"),  # sampling stride in steps
+    "solver.dealias": ("bool", "true"),
+    "bootstrap.t1": ("auto", "auto"),  # auto = 1/omega
+    "bootstrap.eps_prime": ("auto", "auto"),  # auto = h(t1)/2
+    "bootstrap.delta": ("auto", "auto"),  # auto = E_m(0)/omega
+    "bootstrap.delta_prime": ("auto", "auto"),  # auto = c_sobolev sqrt(2) E_m(0)
+    "bootstrap.c_delta": ("auto", "auto"),  # auto from the calibrated constants
+    # calibration file; else $TORUSWAVE_CONSTANTS, else calibrate on the fly
+    "constants.path": ("text", None),
+}
 
 
 class ConfigError(ValueError):
@@ -143,6 +116,73 @@ class ConfigError(ValueError):
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
+
+
+def _finite(key: str, text: str, expected: str, shown: str | None = None) -> float:
+    """``float(text)``, rejecting text that is no number or no finite one."""
+    shown = text if shown is None else shown
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{key}: expected {expected}, got {shown!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: {shown!r} is not finite")
+    return value
+
+
+def _parse(key: str, kind, text: str):
+    """The value of one key's text, by its table type."""
+    if kind == "int":
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
+    if kind == "float":
+        return _finite(key, text, "a number")
+    if kind == "auto":
+        return None if text == "auto" else _finite(key, text, "a number or 'auto'")
+    if kind == "bool":
+        if text not in ("true", "false"):
+            raise ConfigError(f"{key}: expected true or false, got {text!r}")
+        return text == "true"
+    if isinstance(kind, tuple) and text not in kind:
+        raise ConfigError(f"{key}: expected one of {', '.join(kind)}; got {text!r}")
+    return text
+
+
+class _Reader:
+    """Parses keys by their table rows and keeps the values it returns, for the echo."""
+
+    def __init__(self, entries: dict[str, str]):
+        self.entries = entries
+        self.resolved: dict[str, object] = {}
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.entries
+
+    def __call__(self, key: str, echo: bool = True):
+        kind, default = _KEYS[key]
+        text = self.entries.get(key, default)
+        if text is None:
+            raise ConfigError(f"missing required key {key!r}")
+        value = _parse(key, kind, text)
+        if echo:
+            self.resolved[key] = value
+        return value
+
+    def echo(self) -> dict[str, str]:
+        """Resolved values as config text: floats at full precision, bools as true/false."""
+        out = {}
+        for key, (kind, _) in _KEYS.items():
+            if key in self.resolved:
+                value = self.resolved[key]
+                if kind in ("float", "auto"):
+                    out[key] = _fmt(value)
+                elif kind == "bool":
+                    out[key] = "true" if value else "false"
+                else:
+                    out[key] = str(value)
+        return out
 
 
 def parse_config(text: str, origin: str = "<config>") -> dict[str, str]:
@@ -158,7 +198,7 @@ def parse_config(text: str, origin: str = "<config>") -> dict[str, str]:
             continue
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             problems.append(f"line {lineno}: unknown key {key!r}")
         elif key in entries:
             problems.append(f"line {lineno}: duplicate key {key!r}")
@@ -178,61 +218,6 @@ def load_config(ref: str) -> dict[str, str]:
     if bundled.is_file():
         return parse_config(bundled.read_text(), origin=f"bundled scenario {ref!r}")
     raise ConfigError(f"no config file at {ref!r} and no bundled scenario of that name")
-
-
-def _require(entries: dict[str, str], key: str) -> str:
-    if key not in entries:
-        raise ConfigError(f"missing required key {key!r}")
-    return entries[key]
-
-
-def _parse_float(entries: dict[str, str], key: str, default: float | None = None) -> float:
-    if key not in entries:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return float(entries[key])
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {entries[key]!r}") from None
-
-
-def _parse_int(entries: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in entries:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return int(entries[key])
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {entries[key]!r}") from None
-
-
-def _parse_bool(entries: dict[str, str], key: str, default: bool) -> bool:
-    value = entries.get(key)
-    if value is None:
-        return default
-    if value not in ("true", "false"):
-        raise ConfigError(f"{key}: expected true or false, got {value!r}")
-    return value == "true"
-
-
-def _parse_choice(entries: dict[str, str], key: str, choices, default: str) -> str:
-    value = entries.get(key, default)
-    if value not in choices:
-        raise ConfigError(f"{key}: expected one of {', '.join(choices)}; got {value!r}")
-    return value
-
-
-def _parse_auto(entries: dict[str, str], key: str) -> float | None:
-    """'auto' (also the default when the key is absent) or an explicit number."""
-    value = entries.get(key, "auto")
-    if value == "auto":
-        return None
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number or 'auto', got {value!r}") from None
 
 
 def _parse_mode(text: str) -> tuple[int, int, int]:
@@ -262,6 +247,8 @@ def _parse_coeffs(text: str, key: str) -> list[tuple[int, int, int, float, float
                            float(parts[3]), float(parts[4])))
         except ValueError:
             raise ConfigError(f"{key}: malformed entry {chunk!r}") from None
+        if not all(math.isfinite(x) for x in coeffs[-1][3:]):
+            raise ConfigError(f"{key}: entry {chunk!r} is not finite")
     if not coeffs:
         raise ConfigError(f"{key}: no entries")
     return coeffs
@@ -304,61 +291,53 @@ class Scenario:
     echo: dict[str, str]
 
 
-def _build_params(entries: dict[str, str]) -> ModelParams:
-    omega = _parse_float(entries, "params.omega")
-    m = _parse_int(entries, "params.m", 3)
+def _build_params(read: _Reader) -> ModelParams:
+    omega = read("params.omega")
+    m = read("params.m")
     try:
-        if "params.k_eos" in entries:
-            k_eos = _parse_float(entries, "params.k_eos")
-            if "params.kappa" in entries or "params.mu" in entries:
-                # explicit exponents next to k_eos; the constructor cross-checks
-                kappa = _parse_float(entries, "params.kappa")
-                mu = _parse_float(entries, "params.mu")
-                return ModelParams(omega=omega, kappa=kappa, mu=mu, k_eos=k_eos, m=m)
-            return ModelParams.from_equation_of_state(k_eos, omega, m=m)
-        kappa = _parse_float(entries, "params.kappa")
-        mu = _parse_float(entries, "params.mu")
-        return ModelParams(omega=omega, kappa=kappa, mu=mu, m=m)
+        if "params.k_eos" not in read:
+            params = ModelParams(omega=omega, kappa=read("params.kappa"), mu=read("params.mu"), m=m)
+        elif "params.kappa" in read or "params.mu" in read:
+            # explicit exponents next to k_eos; the constructor cross-checks
+            k_eos = read("params.k_eos")
+            params = ModelParams(
+                omega=omega, kappa=read("params.kappa"), mu=read("params.mu"), k_eos=k_eos, m=m
+            )
+        else:
+            params = ModelParams.from_equation_of_state(read("params.k_eos"), omega, m=m)
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from None
+    read.resolved.update({"params.kappa": params.kappa, "params.mu": params.mu})
+    return params
 
 
-def _build_initial(
-    entries: dict[str, str], grid: GridSpec, params: ModelParams
-) -> tuple[Field, Field, dict[str, str]]:
-    preset = _require(entries, "initial.preset")
-    if preset not in _INITIAL_PRESETS:
-        raise ConfigError(
-            f"initial.preset: expected one of {', '.join(_INITIAL_PRESETS)}; got {preset!r}"
-        )
-    part = _parse_choice(entries, "initial.part", _PARTS, "velocity")
+def _build_initial(read: _Reader, grid: GridSpec, params: ModelParams) -> tuple[Field, Field]:
+    preset = read("initial.preset")
+    part = read("initial.part", echo=preset in ("single-mode", "bump"))
     zero = np.zeros(grid.shape)
-    echo: dict[str, str] = {"initial.preset": preset}
 
     if preset == "zero":
-        if _parse_float(entries, "initial.e_m0", 0.0) != 0.0:
+        if "initial.e_m0" in read and read("initial.e_m0", echo=False) != 0.0:
             raise ConfigError("initial.e_m0: the zero preset has nothing to scale")
-        return Field(grid, zero), Field(grid, zero.copy()), echo
+        return Field(grid, zero), Field(grid, zero.copy())
 
     if preset == "coefficients":
-        if "initial.u0_coeffs" not in entries and "initial.u1_coeffs" not in entries:
+        if "initial.u0_coeffs" not in read and "initial.u1_coeffs" not in read:
             raise ConfigError("coefficients preset needs initial.u0_coeffs or initial.u1_coeffs")
-        u0_values, u1_values = zero, zero.copy()
+        values = {}
         for key in ("initial.u0_coeffs", "initial.u1_coeffs"):
-            if key not in entries:
+            if key not in read:
+                values[key] = zero
                 continue
-            coeffs = _parse_coeffs(entries[key], key)
+            coeffs = _parse_coeffs(read(key), key)
             _check_resolved(key, [c[:3] for c in coeffs], grid)
-            if key.endswith("u0_coeffs"):
-                u0_values = _coeff_values(grid, coeffs)
-            else:
-                u1_values = _coeff_values(grid, coeffs)
-            echo[key] = "; ".join(
+            values[key] = _coeff_values(grid, coeffs)
+            read.resolved[key] = "; ".join(
                 f"{a},{b},{c},{_fmt(re_)},{_fmt(im_)}" for a, b, c, re_, im_ in coeffs
             )
-        u0, u1 = Field(grid, u0_values), Field(grid, u1_values)
-        if "initial.e_m0" in entries:
-            target = _parse_float(entries, "initial.e_m0")
+        u0, u1 = Field(grid, values["initial.u0_coeffs"]), Field(grid, values["initial.u1_coeffs"])
+        if "initial.e_m0" in read:
+            target = read("initial.e_m0")
             if not target > 0.0:
                 raise ConfigError(f"initial.e_m0 must be positive, got {target}")
             current = math.sqrt(modified_energy(u0, u1, params.omega, params.m))
@@ -366,19 +345,18 @@ def _build_initial(
                 raise ConfigError("initial coefficients vanish, cannot scale to initial.e_m0")
             scale = target / current
             u0, u1 = Field(grid, scale * u0.values), Field(grid, scale * u1.values)
-            echo["initial.e_m0"] = _fmt(target)
-        return u0, u1, echo
+        return u0, u1
 
     # single-mode and bump carry their size as a target initial energy
-    target = _parse_float(entries, "initial.e_m0")
+    target = read("initial.e_m0")
     if not target > 0.0:
         raise ConfigError(f"initial.e_m0 must be positive, got {target}")
     x1, x2, x3 = grid.coordinates()
     if preset == "single-mode":
-        n1, n2, n3 = _parse_mode(_require(entries, "initial.mode"))
+        n1, n2, n3 = _parse_mode(read("initial.mode"))
         _check_resolved("initial.mode", [(n1, n2, n3)], grid)
         shape = np.cos(n1 * x1 + n2 * x2 + n3 * x3) + np.zeros(grid.shape)
-        echo["initial.mode"] = f"{n1},{n2},{n3}"
+        read.resolved["initial.mode"] = f"{n1},{n2},{n3}"
     else:
         bump = np.exp((np.cos(x1) + np.cos(x2) + np.cos(x3) - 3.0) / 0.49)
         shape = bump - bump.mean()  # the smallness hypotheses want zero-mean data
@@ -387,17 +365,11 @@ def _build_initial(
     else:
         u0, u1 = Field(grid, shape), Field(grid, zero)
     scale = target / math.sqrt(modified_energy(u0, u1, params.omega, params.m))
-    u0 = Field(grid, scale * u0.values)
-    u1 = Field(grid, scale * u1.values)
-    echo["initial.part"] = part
-    echo["initial.e_m0"] = _fmt(target)
-    return u0, u1, echo
+    return Field(grid, scale * u0.values), Field(grid, scale * u1.values)
 
 
-def _resolve_constants(
-    entries: dict[str, str], grid: GridSpec, m: int
-) -> tuple[CalibratedConstants, str | None]:
-    path = entries.get("constants.path") or os.environ.get(CONSTANTS_ENV)
+def _resolve_constants(read: _Reader, grid: GridSpec, m: int) -> CalibratedConstants:
+    path = read.entries.get("constants.path") or os.environ.get(CONSTANTS_ENV)
     try:
         if path:
             constants = load_constants(path)
@@ -406,7 +378,9 @@ def _resolve_constants(
         constants.require_grid(grid, m)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"constants: {exc}") from None
-    return constants, path
+    if path:
+        read.resolved["constants.path"] = path
+    return constants
 
 
 def build_scenario(entries: dict[str, str]) -> Scenario:
@@ -415,44 +389,46 @@ def build_scenario(entries: dict[str, str]) -> Scenario:
         raise ConfigError(
             f"format: expected {CONFIG_FORMAT!r}, got {entries.get('format')!r}"
         )
-    name = _require(entries, "name")
+    read = _Reader(entries)
+    read("format")
+    name = read("name")
     try:
-        grid = GridSpec(_parse_int(entries, "grid.n"))
+        grid = GridSpec(read("grid.n"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid.n: {exc}") from None
-    params = _build_params(entries)
+    params = _build_params(read)
 
     try:
         solver = SolverConfig(
             grid=grid,
-            dt=_parse_float(entries, "solver.dt"),
-            t_end=_parse_float(entries, "solver.t_end"),
-            sample_every=_parse_int(entries, "solver.sample_every", 1),
-            dealias=_parse_bool(entries, "solver.dealias", True),
+            dt=read("solver.dt"),
+            t_end=read("solver.t_end"),
+            sample_every=read("solver.sample_every"),
+            dealias=read("solver.dealias"),
         )
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from None
 
-    kind = _parse_choice(entries, "source.kind", ("analytic-preset",), "analytic-preset")
-    preset = _parse_choice(entries, "source.preset", _SOURCE_PRESETS, "uniform")
-    sigma = _parse_choice(entries, "source.sigma", ("const", "cos"), "const")
-    sigma_rate = _parse_float(entries, "source.sigma_rate", 1.0)
-    seed = _parse_int(entries, "source.seed", 0)
-    rng = _parse_choice(entries, "source.rng", ("pcg64",), "pcg64")
+    read("source.kind")  # one choice; checked and echoed so resolved.cfg states it
+    preset = read("source.preset")
+    sigma = read("source.sigma")
+    sigma_rate = read("source.sigma_rate")
+    seed = read("source.seed")
+    read("source.rng")  # likewise
 
-    u0, u1, initial_echo = _build_initial(entries, grid, params)
-    constants, constants_path = _resolve_constants(entries, grid, params.m)
+    u0, u1 = _build_initial(read, grid, params)
+    constants = _resolve_constants(read, grid, params.m)
 
     # auto bootstrap values follow the actual initial energy; all-zero data
     # gets a nominal unit energy so the trivial run still has finite bounds
     e_actual = math.sqrt(modified_energy(u0, u1, params.omega, params.m))
     e_check = e_actual if e_actual > 0.0 else 1.0
 
-    t1 = _parse_auto(entries, "bootstrap.t1")
-    eps_prime = _parse_auto(entries, "bootstrap.eps_prime")
-    delta = _parse_auto(entries, "bootstrap.delta")
-    delta_prime = _parse_auto(entries, "bootstrap.delta_prime")
-    c_delta = _parse_auto(entries, "bootstrap.c_delta")
+    t1 = read("bootstrap.t1")
+    eps_prime = read("bootstrap.eps_prime")
+    delta = read("bootstrap.delta")
+    delta_prime = read("bootstrap.delta_prime")
+    c_delta = read("bootstrap.c_delta")
     try:
         if t1 is None:
             t1 = 1.0 / params.omega
@@ -473,6 +449,8 @@ def build_scenario(entries: dict[str, str]) -> Scenario:
         )
     except ValueError as exc:
         raise ConfigError(f"bootstrap: {exc}") from None
+    for field in ("t1", "eps_prime", "delta", "delta_prime", "c_delta"):
+        read.resolved[f"bootstrap.{field}"] = getattr(bootstrap, field)
 
     budget_error: str | None = None
     try:
@@ -480,68 +458,35 @@ def build_scenario(entries: dict[str, str]) -> Scenario:
     except ValueError as exc:
         budget_error = str(exc)  # only fatal if the amplitude needs the budget
 
-    raw_amplitude = entries.get("source.amplitude", "0")
+    raw_amplitude = read("source.amplitude")
     if raw_amplitude.startswith("budget:"):
         if budget_error is not None:
             raise ConfigError(f"source.amplitude: no budget to scale by ({budget_error})")
-        try:
-            fraction = float(raw_amplitude[len("budget:"):])
-        except ValueError:
-            raise ConfigError(
-                f"source.amplitude: expected budget:F with F a number, got {raw_amplitude!r}"
-            ) from None
+        fraction = _finite(
+            "source.amplitude", raw_amplitude[len("budget:"):],
+            "budget:F with F a number", shown=raw_amplitude,
+        )
         if fraction < 0.0:
             raise ConfigError(f"source.amplitude: budget fraction must be >= 0, got {fraction}")
         amplitude = fraction * min(bootstrap.eps1, bootstrap.eps2)
     else:
-        amplitude = _parse_float(entries, "source.amplitude", 0.0)
+        amplitude = _finite("source.amplitude", raw_amplitude, "a number")
+    read.resolved["source.amplitude"] = _fmt(amplitude)
     try:
         source = SourceSpec(
-            kind=kind, amplitude=amplitude, preset=preset,
-            sigma=sigma, sigma_rate=sigma_rate, seed=seed,
+            amplitude=amplitude, preset=preset, sigma=sigma, sigma_rate=sigma_rate, seed=seed,
         )
     except ValueError as exc:
         raise ConfigError(f"source: {exc}") from None
 
-    echo: dict[str, str] = {
-        "format": CONFIG_FORMAT,
-        "name": name,
-        "grid.n": str(grid.n),
-        "params.omega": _fmt(params.omega),
-        "params.kappa": _fmt(params.kappa),
-        "params.mu": _fmt(params.mu),
-        "params.m": str(params.m),
-        "source.kind": kind,
-        "source.preset": preset,
-        "source.amplitude": _fmt(amplitude),
-        "source.sigma": sigma,
-        "source.sigma_rate": _fmt(sigma_rate),
-        "source.seed": str(seed),
-        "source.rng": rng,
-        "solver.dt": _fmt(solver.dt),
-        "solver.t_end": _fmt(solver.t_end),
-        "solver.sample_every": str(solver.sample_every),
-        "solver.dealias": "true" if solver.dealias else "false",
-        "bootstrap.t1": _fmt(bootstrap.t1),
-        "bootstrap.eps_prime": _fmt(bootstrap.eps_prime),
-        "bootstrap.delta": _fmt(bootstrap.delta),
-        "bootstrap.delta_prime": _fmt(bootstrap.delta_prime),
-        "bootstrap.c_delta": _fmt(bootstrap.c_delta),
-    }
-    if params.k_eos is not None:
-        echo["params.k_eos"] = _fmt(params.k_eos)
-    echo.update(initial_echo)
-    if constants_path:
-        echo["constants.path"] = constants_path
-
     return Scenario(
         name=name, grid=grid, params=params, source=source, u0=u0, u1=u1,
-        solver=solver, bootstrap=bootstrap, constants=constants, echo=echo,
+        solver=solver, bootstrap=bootstrap, constants=constants, echo=read.echo(),
     )
 
 
 def write_echo(path: Path, echo: dict[str, str]) -> None:
-    ordered = [f"{key} = {echo[key]}" for key in _SCHEMA if key in echo]
+    ordered = [f"{key} = {echo[key]}" for key in _KEYS if key in echo]
     path.write_text("\n".join(ordered) + "\n")
 
 

@@ -34,7 +34,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 import numpy.typing as npt
 
-from . import fields
 from .fields import Field, VOLUME, derivative_weight, gradient_symbol, norm_sq, sobolev_weight
 
 
@@ -119,14 +118,6 @@ def standard_energy(u: Field, ut: Field, m: int = 0) -> float:
     _check_pair(u, ut)
     w = _weights(u.grid.n, m)
     return _standard_sq(np.fft.rfftn(u.values), np.fft.rfftn(ut.values), w)
-
-
-def damped_combination_norm(u: Field, ut: Field, omega: float) -> float:
-    """L2 norm of u_t + (omega/2) u, the combination the energy controls."""
-    _check_pair(u, ut)
-    _check_omega(omega)
-    combo = Field(u.grid, ut.values + 0.5 * omega * u.values)
-    return fields.l2_norm(combo)
 
 
 def sample_half_spectrum(

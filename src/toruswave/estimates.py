@@ -63,28 +63,6 @@ class BootstrapParams:
             raise ValueError(f"forcing constant must be positive, got {self.c_delta}")
 
 
-def bootstrap_preconditions(
-    params: BootstrapParams, omega: float, u0_norm: float | None = None
-) -> list[str]:
-    """Conditions the small-data argument assumes; returns the failed ones."""
-    failed = []
-    if not params.eps_prime < h_threshold(omega, params.t1):
-        failed.append(
-            f"eps_prime = {params.eps_prime:.6g} is not below the threshold "
-            f"h(T1) = {h_threshold(omega, params.t1):.6g}"
-        )
-    if params.e_m0 > params.delta * omega * (1.0 + 1e-12):
-        failed.append(
-            f"initial energy {params.e_m0:.6g} exceeds delta * omega = "
-            f"{params.delta * omega:.6g}"
-        )
-    if u0_norm is not None and 0.25 * u0_norm > params.e_m0 * (1.0 + 1e-12):
-        failed.append(
-            f"initial data norm {u0_norm:.6g} violates ||u0|| / 4 <= E_m(0) = {params.e_m0:.6g}"
-        )
-    return failed
-
-
 def _sample_grid(times, a_values, f_values):
     times = np.asarray(times, dtype=np.float64)
     a_values = np.asarray(a_values, dtype=np.float64)
@@ -211,19 +189,6 @@ def g_function(t, omega: float, eps_prime: float):
     if np.any(t <= 0.0):
         raise ValueError("g is only defined for t > 0")
     out = (1.0 - omega) - eps_prime / (1.0 - np.exp(-omega * t))
-    return float(out) if out.ndim == 0 else out
-
-
-def g_function_quotient(t, omega: float, eps_prime: float):
-    """Equivalent quotient form [e^{omega t}(1 - eps' - omega) - (1 - omega)] / (e^{omega t} - 1)."""
-    _check_omega_window(omega)
-    if not 0.0 < eps_prime < 1.0:
-        raise ValueError(f"improvement factor must lie in (0, 1), got {eps_prime}")
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t <= 0.0):
-        raise ValueError("g is only defined for t > 0")
-    growth = np.exp(omega * t)
-    out = (growth * (1.0 - eps_prime - omega) - (1.0 - omega)) / (growth - 1.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -60,7 +60,7 @@ class SolverState:
 class SolverConfig:
     """Discretization parameters.
 
-    ``t_end`` must be an integer number of steps so the final time is hit
+    ``t_end`` must be a whole number (>= 1) of steps so the final time is hit
     exactly; samples are taken at t = 0, every ``sample_every`` steps, and at
     t_end regardless of divisibility.
     """
@@ -83,6 +83,8 @@ class SolverConfig:
             raise ValueError(
                 f"t_end = {self.t_end} is not an integer number of steps of dt = {self.dt}"
             )
+        if self.n_steps < 1:
+            raise ValueError(f"t_end = {self.t_end} is shorter than one step of dt = {self.dt}")
 
     @property
     def n_steps(self) -> int:
@@ -162,27 +164,6 @@ def _propagator_pieces(n_sq, omega: float, dt: float):
     return p11, p12, p21, p22, wu, wv
 
 
-def mode_propagator(n_sq, omega: float, dt: float):
-    """Exact step map of v'' + 2 omega v' + n_sq v = f with f frozen.
-
-    Returns (matrix, weights) so that [v, v'] advances as
-    matrix @ [v, v'] + f * weights.  Accepts scalar or array n_sq; arrays
-    yield leading batch dimensions.
-    """
-    if not omega > 0.0:
-        raise ValueError(f"damping rate omega must be positive, got {omega}")
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if np.any(np.asarray(n_sq) < 0.0):
-        raise ValueError("mode symbol n_sq must be nonnegative")
-    p11, p12, p21, p22, wu, wv = _propagator_pieces(n_sq, omega, dt)
-    matrix = np.stack(
-        [np.stack([p11, p12], axis=-1), np.stack([p21, p22], axis=-1)], axis=-2
-    )
-    weights = np.stack([wu, wv], axis=-1)
-    return matrix, weights
-
-
 class _Stepper:
     """Advances raw rfftn coefficients; holds everything that is constant per run."""
 
@@ -227,16 +208,6 @@ def _as_prepared(source, grid: GridSpec, m: int) -> PreparedSource:
     if isinstance(source, SourceSpec):
         return prepare_source(source, grid, m)
     raise TypeError(f"source must be a SourceSpec or PreparedSource, got {type(source).__name__}")
-
-
-def step(state: SolverState, params: ModelParams, source, config: SolverConfig) -> SolverState:
-    """Advance one step of size config.dt from an arbitrary state."""
-    prepared = _as_prepared(source, config.grid, params.m)
-    stepper = _Stepper(params, prepared, config)
-    u_next, ut_next = stepper.advance(
-        state.t, np.fft.rfftn(state.u.values), np.fft.rfftn(state.ut.values)
-    )
-    return stepper.state(state.t + config.dt, u_next, ut_next)
 
 
 def simulate(u0: Field, u1: Field, params: ModelParams, source, config: SolverConfig) -> Trajectory:

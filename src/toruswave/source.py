@@ -9,14 +9,15 @@ p = K rho with 0 < K < 1:
 
     kappa = (1 - K) omega / K,        mu = (2K - 1) / K.
 
-The profile a can come from three routes: an analytic preset sigma(t) A(x)
-with |sigma| <= 1, raw grid samples of A, or a scalar fluid potential whose
-timelike gradient generates
+The profile is an analytic preset a(t, x) = sigma(t) A(x) with
+|sigma| <= 1, and A is rescaled so the sup over t of ||a(t, .)||_{H^m}
+equals the requested amplitude; amplitude zero switches the source off
+entirely.  ``fluid_source`` is the paper's own formula for a, generated by a
+scalar fluid potential with a timelike gradient,
 
-    a = (1/6) (3 - 1/K) [(phi_t)^2 - |grad phi|^2]^{(1+K)/(2K)}.
+    a = (1/6) (3 - 1/K) [(phi_t)^2 - |grad phi|^2]^{(1+K)/(2K)};
 
-In every route A is rescaled so the sup over t of ||a(t, .)||_{H^m} equals
-the requested amplitude; amplitude zero switches the source off entirely.
+it is kept for a future preset and no scenario reaches it yet.
 """
 
 from __future__ import annotations
@@ -129,60 +130,34 @@ def fluid_source(potential: FluidPotential, k_eos: float) -> Field:
     return Field(potential.phi_t.grid, prefactor * potential.bracket() ** exponent)
 
 
-_KINDS = ("analytic-preset", "grid-samples", "fluid-potential")
 _PRESETS = ("uniform", "single-mode", "bump", "band")
 _SIGMAS = ("const", "cos")
 
 
 @dataclass
 class SourceSpec:
-    """Declarative description of the forcing profile a(t, x).
+    """Declarative description of the forcing profile a(t, x) = sigma(t) A(x).
 
     ``amplitude`` is the target for sup_t ||a(t, .)||_{H^m}; the spatial
-    profile is rescaled to meet it exactly.  The separable presets use
-    a(t, x) = sigma(t) A(x) with |sigma| <= 1.
+    profile is rescaled to meet it exactly, and |sigma| <= 1.
     """
 
-    kind: str
     amplitude: float
     preset: str = "uniform"
     sigma: str = "const"
     sigma_rate: float = 1.0
     seed: int = 0
-    samples: Field | None = None
-    potential: FluidPotential | None = None
-    k_eos: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"source kind must be one of {_KINDS}, got {self.kind!r}")
         if self.amplitude < 0.0:
             raise ValueError(f"source amplitude must be >= 0, got {self.amplitude}")
-        if self.kind == "analytic-preset" and self.preset not in _PRESETS:
+        if self.preset not in _PRESETS:
             raise ValueError(f"preset must be one of {_PRESETS}, got {self.preset!r}")
         if self.sigma not in _SIGMAS:
             raise ValueError(f"sigma kind must be one of {_SIGMAS}, got {self.sigma!r}")
-        if self.kind == "grid-samples" and self.samples is None:
-            raise ValueError("grid-samples source needs a samples field")
-        if self.kind == "fluid-potential" and self.potential is None:
-            raise ValueError("fluid-potential source needs potential data")
 
 
 def _raw_profile(spec: SourceSpec, grid: GridSpec) -> Field:
-    if spec.kind == "grid-samples":
-        if spec.samples.grid != grid:
-            raise ValueError(
-                f"sampled profile grid {spec.samples.grid.n} does not match scenario grid {grid.n}"
-            )
-        return spec.samples
-    if spec.kind == "fluid-potential":
-        if spec.potential.phi_t.grid != grid:
-            raise ValueError(
-                f"potential grid {spec.potential.phi_t.grid.n} does not match scenario grid {grid.n}"
-            )
-        if spec.k_eos is None:
-            raise ValueError("fluid-potential source needs k_eos to form the profile")
-        return fluid_source(spec.potential, spec.k_eos)
     x1, x2, x3 = grid.coordinates()
     if spec.preset == "uniform":
         return Field(grid, np.ones(grid.shape))
@@ -254,8 +229,3 @@ def eval_prepared(
     envelope = float(np.exp(-params.kappa * t)) * prepared.sigma(t)
     return envelope * prepared.profile.values * power
 
-
-def eval_source(t: float, u: Field, params: ModelParams, spec: SourceSpec) -> Field:
-    """One-shot evaluation; simulations should prepare the profile instead."""
-    prepared = prepare_source(spec, u.grid, params.m)
-    return Field(u.grid, eval_prepared(t, u.values, params, prepared))

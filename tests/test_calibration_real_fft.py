@@ -22,9 +22,9 @@ from toruswave.calibration import (
     _CALIBRATION_EXPONENTS,
     SAFETY_MARGIN,
     _embedding_extremizer,
+    _refine,
     alias_free_product,
     calibrate,
-    refine_field,
 )
 from toruswave.cli import CONSTANTS_ENV, run_scenario
 from toruswave.estimates import composition_envelope
@@ -169,10 +169,15 @@ def test_smallest_grid_runs_without_constants_file(tmp_path, monkeypatch):
 # --- padding -----------------------------------------------------------------
 
 
+def refine(u):
+    """``u`` sampled on the doubled grid, through ``calibration._refine``."""
+    return Field(GridSpec(2 * u.grid.n), _refine(np.fft.rfftn(u.values), u.grid.n))
+
+
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_refine_matches_pad_spectrum_on_white_noise(n):
     u = white_noise(n, 100 + n)
-    new, old = refine_field(u), reference_refine(u)
+    new, old = refine(u), reference_refine(u)
     assert new.grid == old.grid == GridSpec(2 * n)
     scale = np.max(np.abs(old.values))
     assert np.max(np.abs(new.values - old.values)) <= 1e-13 * scale
@@ -199,7 +204,7 @@ def test_nyquist_plane_dropped_on_every_axis(n, axis):
     sign = np.broadcast_to((-1.0) ** np.arange(n).reshape(shape), grid.shape)
     nyquist = Field(grid, 1.0 + sign)
     expected = np.ones(GridSpec(2 * n).shape)
-    assert np.max(np.abs(refine_field(nyquist).values - expected)) <= 1e-14
+    assert np.max(np.abs(refine(nyquist).values - expected)) <= 1e-14
     assert np.max(np.abs(reference_refine(nyquist).values - expected)) <= 1e-14
 
 

@@ -4,9 +4,11 @@ import dataclasses
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from toruswave import cli
 from toruswave.calibration import calibrate, load_constants, save_constants
 from toruswave.cli import (
     CHECK_IDS,
@@ -399,3 +401,243 @@ class TestMainEntry:
     def test_sweep_requires_axis(self, capsys):
         with pytest.raises(SystemExit):
             main(["sweep", "zero"])
+
+
+# Constants with fixed digits, so the golden echoes below pin the echo and
+# not the last bits of a calibration.
+GOLDEN_CONSTANTS = """\
+format = toruswave-constants-1
+grid_n = 8
+m = 3
+seed = 2024
+n_fields = 36
+safety = 1.5
+c_sobolev = 0.20896518005695008
+c_algebra = 0.13098745194911449
+c_moser_1 = 1.4847293127201198
+c_moser_2 = 1.4847897613650944
+c_moser_3 = 1.4850315805808649
+"""
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# case -> (bundled scenario name or config text, extra command-line arguments)
+GOLDEN_CASES = {
+    "flagship-grid8": ("flagship", ["--grid", "8"]),
+    "zero": ("zero", []),
+    "coefficients": ("""\
+format = toruswave-scenario-1
+name = golden-coefficients
+grid.n = 8
+params.omega = 0.5
+params.kappa = 0.3
+params.mu = 1
+source.preset = single-mode
+source.amplitude = 0.001
+initial.preset = coefficients
+initial.part = displacement
+initial.u0_coeffs = 1,0,0,0.01,0;  0,2,-1, 0.005 ,-0.002
+initial.u1_coeffs = 0,0,1,0,0.02
+initial.e_m0 = 0.04
+solver.dt = 0.1
+solver.t_end = 1
+""", []),
+    "k-eos-explicit": ("""\
+format = toruswave-scenario-1
+name = golden-k-eos
+grid.n = 8
+params.omega = 0.5
+params.k_eos = 0.66666666666666663
+params.kappa = 0.25
+params.mu = 0.5
+params.m = 3
+source.kind = analytic-preset
+source.preset = band
+source.amplitude = budget:0.25
+source.sigma = cos
+source.sigma_rate = 0.75
+source.seed = 11
+source.rng = pcg64
+initial.preset = single-mode
+initial.part = displacement
+initial.mode = 1, -2, 0
+initial.e_m0 = 0.03
+solver.dt = 0.05
+solver.t_end = 1
+solver.sample_every = 3
+""", []),
+    "bootstrap-explicit": ("""\
+format = toruswave-scenario-1
+name = golden-bootstrap
+grid.n = 8
+params.omega = 0.4
+params.k_eos = 0.6
+source.preset = bump
+source.amplitude = 0.0005
+initial.preset = bump
+initial.e_m0 = 0.02
+solver.dt = 0.1
+solver.t_end = 2
+solver.dealias = false
+bootstrap.t1 = 2.5
+bootstrap.eps_prime = 0.1
+bootstrap.delta = 0.06
+bootstrap.delta_prime = 0.2
+bootstrap.c_delta = 3
+""", []),
+}
+
+
+def golden_echo(case, tmp_path):
+    """resolved.cfg of one golden case, its output directory replaced by <out>.
+
+    The constants come from $TORUSWAVE_CONSTANTS, which the caller points at
+    a file holding GOLDEN_CONSTANTS.
+    """
+    ref, extra = GOLDEN_CASES[case]
+    if "\n" in ref:
+        config = tmp_path / f"{case}.cfg"
+        config.write_text(ref)
+        ref = str(config)
+    out = tmp_path / f"{case}-out"
+    main(["run", ref, "--out", str(out)] + extra)
+    text = (out / "resolved.cfg").read_text()
+    return text.replace(str((out / "constants.txt").resolve()), "<out>/constants.txt")
+
+
+@pytest.fixture
+def golden_constants(tmp_path, monkeypatch):
+    path = tmp_path / "golden-constants.txt"
+    path.write_text(GOLDEN_CONSTANTS)
+    monkeypatch.setenv(CONSTANTS_ENV, str(path))
+    return path
+
+
+class TestGoldenEcho:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_echo_is_byte_identical(self, tmp_path, golden_constants, case):
+        expected = (GOLDEN_DIR / f"{case}.cfg").read_text()
+        assert golden_echo(case, tmp_path) == expected
+
+
+# key -> (malformed value, or None to leave the key out; other lines to set;
+# the exact message, pinned as the schema has always worded it).  "{tmp}"
+# stands for the test directory.
+MALFORMED = {
+    "format": ("toruswave-scenario-0", {},
+               "format: expected 'toruswave-scenario-1', got 'toruswave-scenario-0'"),
+    "name": (None, {}, "missing required key 'name'"),
+    "grid.n": ("eight", {}, "grid.n: grid.n: expected an integer, got 'eight'"),
+    "params.omega": ("half", {}, "params.omega: expected a number, got 'half'"),
+    "params.k_eos": ("two-thirds", {},
+                     "params: params.k_eos: expected a number, got 'two-thirds'"),
+    "params.kappa": ("slow", {}, "params: params.kappa: expected a number, got 'slow'"),
+    "params.mu": ("weak", {"params.kappa": "0.25"},
+                  "params: params.mu: expected a number, got 'weak'"),
+    "params.m": ("three", {}, "params.m: expected an integer, got 'three'"),
+    "source.kind": ("grid-samples", {},
+                    "source.kind: expected one of analytic-preset; got 'grid-samples'"),
+    "source.preset": ("vortex", {},
+                      "source.preset: expected one of uniform, single-mode, bump, band; "
+                      "got 'vortex'"),
+    "source.amplitude": ("lots", {}, "source.amplitude: expected a number, got 'lots'"),
+    "source.sigma": ("sin", {}, "source.sigma: expected one of const, cos; got 'sin'"),
+    "source.sigma_rate": ("fast", {}, "source.sigma_rate: expected a number, got 'fast'"),
+    "source.seed": ("1.5", {}, "source.seed: expected an integer, got '1.5'"),
+    "source.rng": ("mt19937", {}, "source.rng: expected one of pcg64; got 'mt19937'"),
+    "initial.preset": ("random", {},
+                       "initial.preset: expected one of zero, single-mode, bump, "
+                       "coefficients; got 'random'"),
+    "initial.part": ("both", {},
+                     "initial.part: expected one of velocity, displacement; got 'both'"),
+    "initial.mode": ("1,2", {}, "initial.mode: expected n1,n2,n3, got '1,2'"),
+    "initial.e_m0": ("big", {}, "initial.e_m0: expected a number, got 'big'"),
+    "initial.u0_coeffs": ("1,0,0,0.01", {"initial.preset": "coefficients"},
+                          "initial.u0_coeffs: expected n1,n2,n3,re,im per entry, "
+                          "got '1,0,0,0.01'"),
+    "initial.u1_coeffs": ("1,0,0,x,0", {"initial.preset": "coefficients"},
+                          "initial.u1_coeffs: malformed entry '1,0,0,x,0'"),
+    "solver.dt": ("small", {}, "solver: solver.dt: expected a number, got 'small'"),
+    "solver.t_end": ("later", {}, "solver: solver.t_end: expected a number, got 'later'"),
+    "solver.sample_every": ("often", {},
+                            "solver: solver.sample_every: expected an integer, got 'often'"),
+    "solver.dealias": ("yes", {}, "solver: solver.dealias: expected true or false, got 'yes'"),
+    "bootstrap.t1": ("soon", {}, "bootstrap.t1: expected a number or 'auto', got 'soon'"),
+    "bootstrap.eps_prime": ("tiny", {},
+                            "bootstrap.eps_prime: expected a number or 'auto', got 'tiny'"),
+    "bootstrap.delta": ("wide", {}, "bootstrap.delta: expected a number or 'auto', got 'wide'"),
+    "bootstrap.delta_prime": ("low", {},
+                              "bootstrap.delta_prime: expected a number or 'auto', got 'low'"),
+    "bootstrap.c_delta": ("large", {},
+                          "bootstrap.c_delta: expected a number or 'auto', got 'large'"),
+    "constants.path": ("{tmp}/missing.txt", {},
+                       "constants: [Errno 2] No such file or directory: '{tmp}/missing.txt'"),
+}
+
+
+def malformed_message(tmp_path, constants_path, key):
+    """The ConfigError text for BASE_LINES with ``key`` malformed as in MALFORMED."""
+    value, others, _ = MALFORMED[key]
+    lines = {k: v.split(" = ", 1)[1] for k, v in BASE_LINES.items()}
+    lines["constants.path"] = str(constants_path)
+    lines.update(others)
+    if value is None:
+        lines.pop(key)
+    else:
+        lines[key] = value.replace("{tmp}", str(tmp_path))
+    config = tmp_path / "malformed.cfg"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    with pytest.raises(ConfigError) as err:
+        build_scenario(load_config(str(config)))
+    return str(err.value)
+
+
+class TestKeyTable:
+    @pytest.mark.parametrize("key", list(cli._KEYS))
+    def test_malformed_value_message(self, tmp_path, golden_constants, key):
+        expected = MALFORMED[key][2].replace("{tmp}", str(tmp_path))
+        assert malformed_message(tmp_path, golden_constants, key) == expected
+
+    def test_old_resolved_files_rerun(self, tmp_path, golden_constants):
+        # source.kind and source.rng stay accepted, so every echo is a config
+        for case in GOLDEN_CASES:
+            text = (GOLDEN_DIR / f"{case}.cfg").read_text()
+            entries = parse_config(text.replace("<out>/constants.txt", str(golden_constants)))
+            assert build_scenario(entries).echo["source.kind"] == "analytic-preset"
+
+
+# flagship at grid.n = 8 and t_end = 2 with some keys set (None drops one):
+# a non-finite number, or a run shorter than one step, is a config error
+REJECTED_NUMBERS = {
+    "amplitude-inf": ({"source.amplitude": "inf"}, [], "source.amplitude: 'inf' is not finite"),
+    "amplitude-nan": ({"source.amplitude": "nan"}, [], "source.amplitude: 'nan' is not finite"),
+    "budget-inf": ({"source.amplitude": "budget:inf"}, [],
+                   "source.amplitude: 'budget:inf' is not finite"),
+    "e_m0-inf": ({"initial.e_m0": "inf"}, [], "initial.e_m0: 'inf' is not finite"),
+    "sigma-rate-nan": ({"source.sigma": "cos", "source.sigma_rate": "nan"}, [],
+                       "source.sigma_rate: 'nan' is not finite"),
+    "t1-inf": ({"bootstrap.t1": "inf"}, [], "bootstrap.t1: 'inf' is not finite"),
+    "coefficient-inf": (
+        {"initial.preset": "coefficients", "initial.u0_coeffs": "1,0,0,inf,0",
+         "initial.mode": None, "initial.e_m0": None}, [],
+        "initial.u0_coeffs: entry '1,0,0,inf,0' is not finite",
+    ),
+    "dt-flag-inf": ({}, ["--dt", "inf"], "solver: solver.dt: 'inf' is not finite"),
+    "dt-flag-nan": ({}, ["--dt", "nan"], "solver: solver.dt: 'nan' is not finite"),
+    "zero-steps": ({"solver.dt": "1e300"}, [],
+                   "solver: t_end = 2.0 is shorter than one step of dt = 1e+300"),
+}
+
+
+class TestRejectedNumbers:
+    @pytest.mark.parametrize("case", sorted(REJECTED_NUMBERS))
+    def test_exits_3_naming_key_and_value(self, tmp_path, golden_constants, capsys, case):
+        changes, flags, message = REJECTED_NUMBERS[case]
+        entries = dict(load_config("flagship"), **{"grid.n": "8", "solver.t_end": "2"})
+        entries.update(changes)
+        config = tmp_path / "config.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in entries.items() if v is not None))
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out", str(out)] + flags) == 3
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()

@@ -7,7 +7,6 @@ from scipy.integrate import solve_ivp
 
 from toruswave.estimates import (
     BootstrapParams,
-    bootstrap_preconditions,
     composition_envelope,
     damped_trapezoids,
     epsilon_budgets,
@@ -15,7 +14,6 @@ from toruswave.estimates import (
     forcing_constant,
     fractional_constant,
     g_function,
-    g_function_quotient,
     gronwall_bound,
     h_threshold,
 )
@@ -52,7 +50,8 @@ class TestThresholdFunctions:
         t = np.linspace(0.05, 30.0, 1000)
         for omega, eps_prime in [(0.5, 0.1), (0.25, 0.05), (0.9, 0.02), (0.1, 0.5)]:
             direct = g_function(t, omega, eps_prime)
-            quotient = g_function_quotient(t, omega, eps_prime)
+            growth = np.exp(omega * t)
+            quotient = (growth * (1.0 - eps_prime - omega) - (1.0 - omega)) / (growth - 1.0)
             # near t = 0 the shared 1/(1 - e^{-omega t}) pole inflates both
             # forms, so compare against the local magnitude
             scale = np.maximum(1.0, np.abs(direct))
@@ -76,7 +75,7 @@ class TestThresholdFunctions:
         with pytest.raises(ValueError, match="t > 0"):
             g_function(0.0, 0.5, 0.1)
         with pytest.raises(ValueError, match="t > 0"):
-            g_function_quotient(np.array([1.0, -2.0]), 0.5, 0.1)
+            g_function(np.array([1.0, -2.0]), 0.5, 0.1)
 
 
 class TestEpsilonBudgets:
@@ -125,17 +124,6 @@ class TestBootstrapParams:
         with pytest.raises(ValueError, match="forcing constant"):
             make_params(c_delta=-2.0)
 
-    def test_preconditions_pass(self):
-        assert bootstrap_preconditions(make_params(), omega=0.5, u0_norm=0.2) == []
-
-    def test_preconditions_report_each_failure(self):
-        h = h_threshold(0.5, 2 * LN2)
-        failed = bootstrap_preconditions(make_params(eps_prime=h + 0.05), omega=0.5)
-        assert len(failed) == 1 and "threshold" in failed[0]
-        failed = bootstrap_preconditions(make_params(delta=0.1), omega=0.5)
-        assert len(failed) == 1 and "delta" in failed[0]
-        failed = bootstrap_preconditions(make_params(), omega=0.5, u0_norm=10.0)
-        assert len(failed) == 1 and "u0" in failed[0]
 
 
 class TestGronwallBound:

@@ -139,7 +139,7 @@ def test_spectral_tail_fraction_matches_full_complex(n):
 def overflow_case():
     grid = GridSpec(8)
     params = ModelParams(omega=0.5, kappa=0.25, mu=-40.0)
-    prepared = prepare_source(SourceSpec(kind="analytic-preset", amplitude=0.5), grid, params.m)
+    prepared = prepare_source(SourceSpec(amplitude=0.5), grid, params.m)
     u0 = Field(grid, np.full(grid.shape, -1.0 + 1e-10))
     return grid, params, prepared, u0
 

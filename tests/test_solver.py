@@ -17,14 +17,12 @@ from toruswave.fields import (
 )
 from toruswave.solver import (
     SolverConfig,
-    SolverState,
     Trajectory,
+    _propagator_pieces,
     dealias_mask,
     mean_mode_free,
     mean_mode_reference,
-    mode_propagator,
     simulate,
-    step,
 )
 from toruswave.source import ModelParams, SourceSpec
 from reference import transform
@@ -51,8 +49,15 @@ def free_mode_exact(v0, v1, n_sq, omega, t):
     return v, vp
 
 
+def mode_propagator(n_sq, omega, dt):
+    """The loop's propagator as (2 x 2 matrix, forcing weights), batched over ``n_sq``."""
+    p11, p12, p21, p22, wu, wv = _propagator_pieces(n_sq, omega, dt)
+    matrix = np.stack([np.stack([p11, p12], axis=-1), np.stack([p21, p22], axis=-1)], axis=-2)
+    return matrix, np.stack([wu, wv], axis=-1)
+
+
 def zero_source():
-    return SourceSpec(kind="analytic-preset", amplitude=0.0)
+    return SourceSpec(amplitude=0.0)
 
 
 class TestModePropagator:
@@ -87,14 +92,6 @@ class TestModePropagator:
         got = matrix @ x0 + f * weights
         assert np.allclose(got, expected, rtol=1e-9, atol=1e-12)
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            mode_propagator(-1.0, 0.5, 0.1)
-        with pytest.raises(ValueError):
-            mode_propagator(1.0, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            mode_propagator(1.0, 0.5, 0.0)
-
 
 class TestLinearExactness:
     def test_every_mode_matches_closed_form(self):
@@ -124,24 +121,12 @@ class TestLinearExactness:
                     # modes the band-limited data never excites.
                     assert err < 1e-11 * np.hypot(abs(ev), abs(evp)) + 1e-15 * scale
 
-    def test_step_agrees_with_simulate(self):
-        grid = GridSpec(8)
-        u0 = random_band_limited(grid, seed=1, band=2, amplitude=0.2)
-        u1 = random_band_limited(grid, seed=2, band=2, amplitude=0.2)
-        params = ModelParams(omega=0.5, kappa=0.5, mu=0.0)
-        spec = SourceSpec(kind="analytic-preset", amplitude=0.1, preset="bump")
-        config = SolverConfig(grid=grid, dt=0.25, t_end=0.25)
-        traj = simulate(u0, u1, params, spec, config)
-        advanced = step(SolverState(0.0, u0, u1), params, spec, config)
-        assert np.allclose(advanced.u.values, traj.final_state.u.values, atol=1e-15)
-        assert np.allclose(advanced.ut.values, traj.final_state.ut.values, atol=1e-15)
-
 
 class TestForcingOrder:
     def test_second_order_self_convergence(self):
         grid = GridSpec(8)
         params = ModelParams.from_equation_of_state(2.0 / 3.0, omega=0.5, m=2)
-        spec = SourceSpec(kind="analytic-preset", amplitude=0.5, preset="bump")
+        spec = SourceSpec(amplitude=0.5, preset="bump")
         u0 = random_band_limited(grid, seed=11, band=2, amplitude=0.2, zero_mean=True)
         u1 = random_band_limited(grid, seed=12, band=2, amplitude=0.2, zero_mean=True)
 
@@ -170,7 +155,7 @@ class TestMeanMode:
         params = ModelParams.from_equation_of_state(0.5, omega=omega, m=1)
         kappa = params.kappa
         eps = 0.3
-        spec = SourceSpec(kind="analytic-preset", amplitude=eps, preset="uniform")
+        spec = SourceSpec(amplitude=eps, preset="uniform")
         config = SolverConfig(grid=grid, dt=0.02, t_end=8.0, sample_every=5)
         zero = Field(grid, np.zeros(grid.shape))
         traj = simulate(zero, zero, params, spec, config)
@@ -191,7 +176,7 @@ class TestMeanMode:
         # Second difference + 2 omega first difference reproduces Fbar to O(h^2).
         grid = GridSpec(8)
         params = ModelParams.from_equation_of_state(2.0 / 3.0, omega=0.5, m=1)
-        spec = SourceSpec(kind="analytic-preset", amplitude=0.4, preset="bump")
+        spec = SourceSpec(amplitude=0.4, preset="bump")
         config = SolverConfig(grid=grid, dt=0.02, t_end=4.0, sample_every=1)
         u0 = random_band_limited(grid, seed=3, band=2, amplitude=0.1, zero_mean=True)
         u1 = random_band_limited(grid, seed=4, band=2, amplitude=0.1, zero_mean=True)
@@ -236,7 +221,7 @@ class TestMeanModeQuadrature:
         # t_end is no multiple of sample_every, so the last interval is shorter
         grid = GridSpec(8)
         params = ModelParams.from_equation_of_state(2.0 / 3.0, omega=0.5, m=1)
-        spec = SourceSpec(kind="analytic-preset", amplitude=0.4, preset="bump", sigma="cos")
+        spec = SourceSpec(amplitude=0.4, preset="bump", sigma="cos")
         config = SolverConfig(grid=grid, dt=0.02, t_end=4.0, sample_every=7)
         u0 = random_band_limited(grid, seed=3, band=2, amplitude=0.1, zero_mean=True)
         u1 = random_band_limited(grid, seed=4, band=2, amplitude=0.1, zero_mean=True)
@@ -275,7 +260,7 @@ class TestBreakdown:
     def test_positivity_failure_is_recorded(self):
         grid = GridSpec(8)
         params = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
-        spec = SourceSpec(kind="analytic-preset", amplitude=0.01, preset="uniform")
+        spec = SourceSpec(amplitude=0.01, preset="uniform")
         u0 = Field(grid, np.full(grid.shape, -0.5))
         u1 = Field(grid, np.full(grid.shape, -2.0))
         config = SolverConfig(grid=grid, dt=0.01, t_end=2.0, sample_every=1)
@@ -303,6 +288,12 @@ class TestSamplingAndConfig:
         with pytest.raises(ValueError, match="integer number of steps"):
             SolverConfig(grid=GridSpec(8), dt=0.3, t_end=1.0)
 
+    def test_at_least_one_step(self):
+        # 1 / 1e300 rounds to zero steps, which the integer-steps test alone accepts
+        with pytest.raises(ValueError, match="shorter than one step"):
+            SolverConfig(GridSpec(8), 1e300, 1.0)
+        assert SolverConfig(GridSpec(8), 1.0, 1.0).n_steps == 1
+
     def test_grid_mismatch_rejected(self):
         params = ModelParams(omega=0.5, kappa=0.25, mu=0.0)
         config = SolverConfig(grid=GridSpec(8), dt=0.1, t_end=1.0)
@@ -324,7 +315,7 @@ class TestSamplingAndConfig:
     def test_dealiasing_changes_nonlinear_runs(self):
         grid = GridSpec(8)
         params = ModelParams.from_equation_of_state(2.0 / 3.0, omega=0.5, m=1)
-        spec = SourceSpec(kind="analytic-preset", amplitude=1.5, preset="bump")
+        spec = SourceSpec(amplitude=1.5, preset="bump")
         u0 = random_band_limited(grid, seed=6, band=3, amplitude=0.4)
         u1 = Field(grid, np.zeros(grid.shape))
         kwargs = dict(grid=grid, dt=0.05, t_end=1.0)

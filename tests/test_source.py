@@ -1,4 +1,4 @@
-"""Forcing-term checks: exponent algebra, fluid route, normalization, breakdown."""
+"""Forcing-term checks: exponent algebra, fluid formula, normalization, breakdown."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from toruswave.source import (
     SourceSpec,
     derive_exponents,
     eval_prepared,
-    eval_source,
     fluid_source,
     prepare_source,
 )
@@ -99,43 +98,30 @@ class TestPreparation:
     @pytest.mark.parametrize("preset", ["uniform", "single-mode", "bump", "band"])
     def test_profile_hits_requested_amplitude(self, preset):
         grid = GridSpec(16)
-        spec = SourceSpec(kind="analytic-preset", amplitude=0.03, preset=preset, seed=4)
+        spec = SourceSpec(amplitude=0.03, preset=preset, seed=4)
         prepared = prepare_source(spec, grid, m=3)
         assert sobolev_norm(prepared.profile, 3) == pytest.approx(0.03, rel=1e-12)
 
     def test_zero_amplitude_is_zero_source(self):
         grid = GridSpec(8)
-        spec = SourceSpec(kind="analytic-preset", amplitude=0.0)
+        spec = SourceSpec(amplitude=0.0)
         params = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
-        f = eval_source(0.7, zero_field(grid), params, spec)
-        assert np.all(f.values == 0.0)
+        f = eval_prepared(0.7, zero_field(grid).values, params, prepare_source(spec, grid, 3))
+        assert np.all(f == 0.0)
 
     def test_sigma_envelope_bounded(self):
-        spec = SourceSpec(kind="analytic-preset", amplitude=1.0, sigma="cos", sigma_rate=0.9)
+        spec = SourceSpec(amplitude=1.0, sigma="cos", sigma_rate=0.9)
         prepared = prepare_source(spec, GridSpec(8), m=1)
         times = np.linspace(0.0, 20.0, 200)
         assert max(abs(prepared.sigma(float(t))) for t in times) <= 1.0
         assert prepared.amplitude_at(0.0) == pytest.approx(1.0)
-
-    def test_fluid_profile_is_normalized_too(self):
-        grid = GridSpec(8)
-        x1 = grid.coordinates()[0]
-        phi_t = Field(grid, 1.0 + 0.2 * np.broadcast_to(np.cos(x1), grid.shape))
-        pot = FluidPotential(phi_t, (zero_field(grid),) * 3)
-        spec = SourceSpec(kind="fluid-potential", amplitude=0.01, potential=pot, k_eos=2.0 / 3.0)
-        prepared = prepare_source(spec, grid, m=3)
-        assert sobolev_norm(prepared.profile, 3) == pytest.approx(0.01, rel=1e-12)
-        # Rescaling keeps the profile shape of the fluid formula.
-        raw = fluid_source(pot, 2.0 / 3.0)
-        ratio = prepared.profile.values / raw.values
-        assert np.ptp(ratio) < 1e-14 * np.max(np.abs(ratio))
 
 
 class TestEvaluation:
     def test_decay_envelope_and_power(self):
         grid = GridSpec(8)
         params = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
-        spec = SourceSpec(kind="analytic-preset", amplitude=0.6, preset="uniform")
+        spec = SourceSpec(amplitude=0.6, preset="uniform")
         prepared = prepare_source(spec, grid, m=0)
         u = constant_field(grid, 0.44)
         f = eval_prepared(2.0, u.values, params, prepared)
@@ -146,53 +132,36 @@ class TestEvaluation:
     def test_breakdown_raises_with_location_data(self):
         grid = GridSpec(8)
         params = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
-        spec = SourceSpec(kind="analytic-preset", amplitude=1.0, preset="uniform")
+        spec = SourceSpec(amplitude=1.0, preset="uniform")
         u = constant_field(grid, -1.25)
         with pytest.raises(BreakdownError) as info:
-            eval_source(3.0, u, params, spec)
+            eval_prepared(3.0, u.values, params, prepare_source(spec, grid, 3))
         assert info.value.t == 3.0
         assert info.value.u_min == pytest.approx(-1.25)
 
     def test_integer_power_skips_positivity_gate(self):
         grid = GridSpec(8)
         params = ModelParams(omega=0.5, kappa=0.1, mu=2.0)
-        spec = SourceSpec(kind="analytic-preset", amplitude=1.0, preset="uniform")
+        spec = SourceSpec(amplitude=1.0, preset="uniform")
         u = constant_field(grid, -3.0)
-        f = eval_source(0.0, u, params, spec)
-        assert np.isfinite(f.values).all()
-        assert sup_norm(f) > 0.0
+        f = eval_prepared(0.0, u.values, params, prepare_source(spec, grid, 3))
+        assert np.isfinite(f).all()
+        assert sup_norm(Field(grid, f)) > 0.0
 
     def test_grid_mismatch_rejected(self):
         params = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
-        spec = SourceSpec(kind="analytic-preset", amplitude=1.0)
+        spec = SourceSpec(amplitude=1.0)
         prepared = prepare_source(spec, GridSpec(8), m=0)
         with pytest.raises(ValueError, match="does not match"):
             eval_prepared(0.0, zero_field(GridSpec(16)).values, params, prepared)
 
-    def test_sampled_profile_route(self):
-        grid = GridSpec(8)
-        x1 = grid.coordinates()[0]
-        shape = Field(grid, 1.5 + np.broadcast_to(np.sin(x1), grid.shape))
-        spec = SourceSpec(kind="grid-samples", amplitude=0.2, samples=shape)
-        prepared = prepare_source(spec, grid, m=2)
-        assert sobolev_norm(prepared.profile, 2) == pytest.approx(0.2, rel=1e-12)
-
 
 class TestSpecValidation:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            SourceSpec(kind="mystery", amplitude=1.0)
-
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="preset"):
-            SourceSpec(kind="analytic-preset", amplitude=1.0, preset="vortex")
+            SourceSpec(amplitude=1.0, preset="vortex")
 
     def test_negative_amplitude(self):
         with pytest.raises(ValueError, match="amplitude"):
-            SourceSpec(kind="analytic-preset", amplitude=-0.1)
+            SourceSpec(amplitude=-0.1)
 
-    def test_missing_payloads(self):
-        with pytest.raises(ValueError, match="samples"):
-            SourceSpec(kind="grid-samples", amplitude=1.0)
-        with pytest.raises(ValueError, match="potential"):
-            SourceSpec(kind="fluid-potential", amplitude=1.0)

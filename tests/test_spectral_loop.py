@@ -27,7 +27,7 @@ from toruswave.solver import (
     BreakdownInfo,
     SolverConfig,
     SolverState,
-    mode_propagator,
+    _propagator_pieces,
     simulate,
 )
 from toruswave.source import (
@@ -58,10 +58,9 @@ REL_REDUCE = 1e-14
 def reference_simulate(u0, u1, params, prepared, config):
     """The full-complex predictor-corrector loop: (samples, breakdown, final_state)."""
     grid, dt = config.grid, config.dt
-    matrix, weights = mode_propagator(full_laplacian_symbol(grid.n), params.omega, dt)
-    p11, p12 = matrix[..., 0, 0], matrix[..., 0, 1]
-    p21, p22 = matrix[..., 1, 0], matrix[..., 1, 1]
-    wu, wv = weights[..., 0], weights[..., 1]
+    p11, p12, p21, p22, wu, wv = _propagator_pieces(
+        full_laplacian_symbol(grid.n), params.omega, dt
+    )
     mask = full_dealias_mask(grid.n) if config.dealias else None
 
     def force(t, u_hat):
@@ -145,7 +144,7 @@ MU = {"fractional": 0.5, "integer": 2.0}
 def test_simulate_matches_full_complex_loop(n, dealias, preset, mu):
     grid = GridSpec(n)
     params = ModelParams(omega=0.5, kappa=0.25, mu=MU[mu], m=3)
-    spec = SourceSpec(kind="analytic-preset", amplitude=0.8, preset=preset, seed=5, sigma="cos")
+    spec = SourceSpec(amplitude=0.8, preset=preset, seed=5, sigma="cos")
     prepared = prepare_source(spec, grid, params.m)
     config = SolverConfig(grid=grid, dt=0.05, t_end=1.0, sample_every=3, dealias=dealias)
     u0, u1 = initial_data(grid)
@@ -171,7 +170,7 @@ def test_breakdown_matches_full_complex_loop(kind):
     grid = GridSpec(8)
     params = ModelParams(omega=0.5, kappa=0.25, mu=mu)
     prepared = prepare_source(
-        SourceSpec(kind="analytic-preset", amplitude=amplitude), grid, params.m
+        SourceSpec(amplitude=amplitude), grid, params.m
     )
     config = SolverConfig(grid=grid, dt=0.1, t_end=2.0, sample_every=sample_every)
     ripple = random_band_limited(grid, seed=3, band=2, amplitude=0.01)
@@ -191,7 +190,7 @@ def test_breakdown_matches_full_complex_loop(kind):
 def test_breakdown_of_the_initial_data():
     grid = GridSpec(8)
     params = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
-    prepared = prepare_source(SourceSpec(kind="analytic-preset", amplitude=0.01), grid, 3)
+    prepared = prepare_source(SourceSpec(amplitude=0.01), grid, 3)
     config = SolverConfig(grid=grid, dt=0.01, t_end=1.0, sample_every=5)
     u0 = Field(grid, np.full(grid.shape, -1.5))
     u1 = Field(grid, np.zeros(grid.shape))
@@ -219,7 +218,7 @@ def test_loop_costs_two_forces_per_step_and_no_full_transforms(monkeypatch, samp
     grid = GridSpec(8)
     params = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
     prepared = prepare_source(
-        SourceSpec(kind="analytic-preset", amplitude=0.5, preset="bump"), grid, params.m
+        SourceSpec(amplitude=0.5, preset="bump"), grid, params.m
     )
     config = SolverConfig(grid=grid, dt=0.05, t_end=t_end, sample_every=sample_every)
     u0, u1 = initial_data(grid)

@@ -30,7 +30,7 @@ GRID = GridSpec(8)
 OMEGA = 0.5
 PARAMS = ModelParams.from_equation_of_state(2.0 / 3.0, OMEGA, m=3)
 E_TARGET = 0.05
-NO_SOURCE = SourceSpec(kind="analytic-preset", amplitude=0.0)
+NO_SOURCE = SourceSpec(amplitude=0.0)
 
 
 def velocity_data(target=E_TARGET):
@@ -76,7 +76,7 @@ def free_bp(free_traj):
 def forced_traj():
     # amplitude well inside min(eps1, eps2) for the bootstrap fixture below
     u0, u1 = velocity_data()
-    spec = SourceSpec(kind="analytic-preset", amplitude=0.0015, preset="uniform")
+    spec = SourceSpec(amplitude=0.0015, preset="uniform")
     return simulate(u0, u1, PARAMS, spec, long_config())
 
 
@@ -115,7 +115,7 @@ def runaway_traj():
     # the mean up; the a-priori smallness assumption must fail in finite time
     params = ModelParams(omega=OMEGA, kappa=0.3, mu=1.0)
     u0, u1 = velocity_data()
-    spec = SourceSpec(kind="analytic-preset", amplitude=50.0, preset="uniform")
+    spec = SourceSpec(amplitude=50.0, preset="uniform")
     return simulate(u0, u1, params, spec, long_config())
 
 
@@ -451,7 +451,7 @@ class TestRunAll:
         params = ModelParams(omega=OMEGA, kappa=0.25, mu=-0.5)
         u0 = Field(GRID, np.full(GRID.shape, -0.9))
         u1 = Field(GRID, np.full(GRID.shape, -0.5))
-        spec = SourceSpec(kind="analytic-preset", amplitude=0.01, preset="uniform")
+        spec = SourceSpec(amplitude=0.01, preset="uniform")
         config = SolverConfig(GRID, dt=0.05, t_end=10.0, sample_every=2)
         traj = simulate(u0, u1, params, spec, config)
         assert traj.breakdown is not None
@@ -465,9 +465,7 @@ class TestRunAll:
 
         def margins(scale):
             u0, u1 = velocity_data(target=scale * E_TARGET)
-            spec = SourceSpec(
-                kind="analytic-preset", amplitude=scale * 0.001, preset="single-mode"
-            )
+            spec = SourceSpec(amplitude=scale * 0.001, preset="single-mode")
             config = SolverConfig(GRID, dt=0.05, t_end=20.0, sample_every=4)
             traj = simulate(u0, u1, params, spec, config)
             return (

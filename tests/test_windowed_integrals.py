@@ -33,7 +33,7 @@ from toruswave.solver import SolverConfig, SolverState, Trajectory, simulate
 from toruswave.source import ModelParams, SourceSpec
 from toruswave.verify import check_asymptotics, check_energy_integral, run_all
 
-FORCING = SourceSpec(kind="analytic-preset", amplitude=0.0015, preset="uniform")
+FORCING = SourceSpec(amplitude=0.0015, preset="uniform")
 REL = 1e-12
 
 

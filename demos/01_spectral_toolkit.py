@@ -11,7 +11,7 @@ downstream (norms, energies, products) is built on that layout.
 import numpy as np
 
 from toruswave import Field, GridSpec, alias_free_product, sobolev_norm, sobolev_weight
-from toruswave.fields import l2_norm, sup_norm
+from toruswave.fields import l2_norm, norm_weights, sup_norm
 
 grid = GridSpec(16)
 x1, x2, x3 = grid.coordinates()
@@ -40,10 +40,18 @@ print("round-trip error  :", np.max(np.abs(back - u.values)))
 # k^(2a) and include the (2*pi)^3 volume factor, so a pure constant c has
 # L2 norm c*(2*pi)^(3/2).  On the half spectrum the weight also counts each
 # k3 plane strictly between 0 and n/2 twice, once for k and once for -k.
+# Every norm and energy reduces through one cached matrix per grid size and
+# order, norm_weights(n, m) = [S_m | D_1 ... D_m], D_k summing the squared
+# derivative symbols of order k; sobolev_weight is a view of its column S_m.
 c = Field(grid, np.full(grid.shape, 0.3))
 print("|const 0.3|_L2    :", l2_norm(c), "expected", 0.3 * (2.0 * np.pi) ** 1.5)
+weights = norm_weights(grid.n, 1)
+print("norm_weights shape:", weights.shape, "(one row per half-layout mode: S_1 | D_1)")
 print("S_1 at k=(1,0,0)  :", sobolev_weight(grid.n, 1)[1, 0, 0], "(k3 = 0 plane: once)")
 print("S_1 at k=(0,0,1)  :", sobolev_weight(grid.n, 1)[0, 0, 1], "(k3 = 1 plane: twice)")
+# k = (-8, 0, 0) sits on the Nyquist plane: S_1 counts it in full, while the
+# derivative block D_1 zeroes it, as a first spectral derivative does
+print("S_1, D_1 at k=(-8,0,0):", weights.reshape(grid.n, grid.n, grid.n // 2 + 1, 2)[8, 0, 0])
 
 for m in range(4):
     print(f"|u|_H{m} =", sobolev_norm(u, m))

@@ -11,9 +11,10 @@ it.  Anything downstream refuses constants calibrated on a different grid.
 Every transform here is a real FFT in the raw ``np.fft.rfftn`` half layout.
 ``calibrate`` walks the family once, one member at a time as
 ``_field_family`` yields it: each member is transformed and refined to the
-doubled grid once, every composed field (1 + a u)^mu costs one ``rfftn``, and
-all norms of one spectrum come from one product of its |c|^2 with a cached
-weight matrix (S_m, then the order-k blocks D_k).  At most three refined
+doubled grid once, and every composed field (1 + a u)^mu costs one ``rfftn``.
+All norms of one spectrum, ||.||_{H^m} and the order-k blocks, come from
+``fields.hm_norms``, the one product of its |c|^2 with the weight matrix
+every norm and energy of the package reduces through.  At most three refined
 fields are alive at a time: the first member's and the previous one's, for
 the wrap-around pairs of the product ratio, and the current one.
 ``verify.check_algebra_final`` measures ||u^2||_{H^m} with the same
@@ -25,14 +26,13 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import numpy.typing as npt
 
 from .estimates import composition_envelope
-from .fields import VOLUME, Field, GridSpec, _symbol_weight, random_band_limited, sup_norm
+from .fields import Field, GridSpec, _symbol_weight, hm_norms, random_band_limited, sup_norm
 
 SAFETY_MARGIN = 1.5
 FILE_FORMAT = "toruswave-constants-1"
@@ -88,29 +88,6 @@ def alias_free_product(u: Field, v: Field) -> Field:
     return Field(GridSpec(2 * n), u_fine * v_fine)
 
 
-@lru_cache(maxsize=None)
-def _norm_weights(n: int, m: int) -> npt.NDArray[np.float64]:
-    """(n * n * (n/2 + 1), m + 1) half-layout reduction weights: S_m, then the
-    blocks D_k = ``derivative_weight(n, k, lowest=k)`` for k = 1 .. m.
-
-    The columns are built here and not taken from the caches of ``fields``, so
-    this matrix is the only array a grid size leaves behind.
-    """
-    matrix = np.empty(((n * n * (n // 2 + 1)), m + 1))
-    matrix[:, 0] = _symbol_weight(n, m, hermitian=True).ravel()
-    for k in range(1, m + 1):
-        matrix[:, k] = _symbol_weight(n, k, lowest=k, zero_nyquist=True, hermitian=True).ravel()
-    matrix.flags.writeable = False  # cached and shared by every caller
-    return matrix
-
-
-def _norms(raw: npt.NDArray[np.complex128], m: int) -> list[float]:
-    """[||u||_{H^m}, block 1, ..., block m] of the field whose raw rfftn is ``raw``."""
-    n = raw.shape[0]
-    power = np.square(raw.real) + np.square(raw.imag)
-    return np.sqrt(VOLUME * float(n) ** -6 * (power.ravel() @ _norm_weights(n, m))).tolist()
-
-
 def _embedding_extremizer(grid: GridSpec, m: int) -> Field:
     """Field with coefficients 1/S_m(k); Cauchy-Schwarz is an equality for it
     at x = 0, so its ratio IS the discrete embedding constant."""
@@ -141,7 +118,7 @@ def _field_family(grid: GridSpec, m: int, seed: int, n_fields: int) -> Iterator[
 
 def _product_ratio(u, v, m: int) -> float:
     """||uv||_{H^m} / (||u||_{H^m} ||v||_{H^m}) for two (refined samples, H^m norm) pairs."""
-    product_norm = _norms(np.fft.rfftn(u[0] * v[0]), m)[0]
+    product_norm = hm_norms(np.fft.rfftn(u[0] * v[0]), m)[0]
     return product_norm / (u[1] * v[1])
 
 
@@ -160,7 +137,7 @@ def calibrate(
     first = previous = None  # (refined samples, H^m norm) of members 0 and i - 1
     for base in family:
         raw = np.fft.rfftn(base.values)
-        norm, *base_blocks = _norms(raw, m)
+        norm, *base_blocks = hm_norms(raw, m)
         refined = _refine(raw, grid.n)
         current = (refined, norm)
         sup = sup_norm(base)
@@ -175,7 +152,7 @@ def calibrate(
             shifted = 1.0 + amplitude * refined
             for mu in _CALIBRATION_EXPONENTS:
                 composed = np.fft.rfftn(shifted**mu)
-                _, *blocks = _norms(composed, m)
+                _, *blocks = hm_norms(composed, m)
                 for k, (block, base_block) in enumerate(zip(blocks, base_blocks), start=1):
                     if base_block == 0.0:  # constant probes carry no derivatives
                         continue

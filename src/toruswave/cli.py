@@ -294,17 +294,16 @@ class Scenario:
 def _build_params(read: _Reader) -> ModelParams:
     omega = read("params.omega")
     m = read("params.m")
+    k_eos = read("params.k_eos") if "params.k_eos" in read else None
+    # explicit exponents, alone or next to k_eos (the constructor cross-checks)
+    explicit = k_eos is None or "params.kappa" in read or "params.mu" in read
+    if explicit:
+        kappa, mu = read("params.kappa"), read("params.mu")
     try:
-        if "params.k_eos" not in read:
-            params = ModelParams(omega=omega, kappa=read("params.kappa"), mu=read("params.mu"), m=m)
-        elif "params.kappa" in read or "params.mu" in read:
-            # explicit exponents next to k_eos; the constructor cross-checks
-            k_eos = read("params.k_eos")
-            params = ModelParams(
-                omega=omega, kappa=read("params.kappa"), mu=read("params.mu"), k_eos=k_eos, m=m
-            )
+        if explicit:
+            params = ModelParams(omega=omega, kappa=kappa, mu=mu, k_eos=k_eos, m=m)
         else:
-            params = ModelParams.from_equation_of_state(read("params.k_eos"), omega, m=m)
+            params = ModelParams.from_equation_of_state(k_eos, omega, m=m)
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from None
     read.resolved.update({"params.kappa": params.kappa, "params.mu": params.mu})
@@ -392,19 +391,18 @@ def build_scenario(entries: dict[str, str]) -> Scenario:
     read = _Reader(entries)
     read("format")
     name = read("name")
+    grid_n = read("grid.n")  # a parse error names its key, so read outside the try
     try:
-        grid = GridSpec(read("grid.n"))
+        grid = GridSpec(grid_n)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid.n: {exc}") from None
     params = _build_params(read)
 
+    dt, t_end = read("solver.dt"), read("solver.t_end")
+    sample_every, dealias = read("solver.sample_every"), read("solver.dealias")
     try:
         solver = SolverConfig(
-            grid=grid,
-            dt=read("solver.dt"),
-            t_end=read("solver.t_end"),
-            sample_every=read("solver.sample_every"),
-            dealias=read("solver.dealias"),
+            grid=grid, dt=dt, t_end=t_end, sample_every=sample_every, dealias=dealias
         )
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from None

@@ -17,24 +17,25 @@ late-time decay statements:
 
     Estd^2 = 1/2 (||u_t||_{H^m}^2 + ||grad u||_{H^m}^2).
 
-All integrals are weighted reductions of the raw ``np.fft.rfftn`` half
-spectrum (Parseval): ``modified_energy`` and ``standard_energy`` transform
-their grid fields once each, and ``sample_half_spectrum`` reads the
-coefficients the time loop keeps.  The reduction weights of ``fields`` carry
-the Hermitian multiplicity of the k3 planes; the n^-6 of raw coefficients is
-the one scale factor.
+Every integral reduces a per-mode density of the raw ``np.fft.rfftn`` half
+spectrum through ``fields.reduce_power``, that is through the cached weight
+matrix [S_m | D_1 ... D_m] of ``fields.norm_weights`` (Parseval).
+E_m^2 is the D_0 = S_0 term plus the block columns applied to the density
+above; Estd^2 is the S_m column applied to |v_hat|^2 + g |u_hat|^2, with g the
+per-mode gradient symbol.  ``modified_energy`` and ``standard_energy``
+transform their grid fields once each; ``sample_half_spectrum`` reads the
+coefficients the time loop keeps and reduces all its densities in one
+stacked product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
-import numpy.typing as npt
 
-from .fields import Field, VOLUME, derivative_weight, gradient_symbol, norm_sq, sobolev_weight
+from .fields import Field, gradient_symbol, reduce_power, spectral_power
 
 
 @dataclass
@@ -66,58 +67,39 @@ def _check_omega(omega: float) -> None:
         raise ValueError(f"damping rate omega must be positive, got {omega}")
 
 
-class _Weights:
-    """The weights of one (n, m) on the raw rfftn half spectrum.
-
-    Every squared norm is ``scale * sum(w * |c|^2)`` for a reduction weight
-    w = S_m (``s``), D_m (``d``) or S_m g (``sg``), with scale = VOLUME n^-6;
-    g is the per-mode gradient symbol inside the density of E_m.
-    """
-
-    def __init__(self, n: int, m: int):
-        self.scale = VOLUME * float(n) ** -6
-        self.s = sobolev_weight(n, m)
-        self.d = derivative_weight(n, m)
-        self.g = gradient_symbol(n)
-
-    @cached_property
-    def sg(self) -> npt.NDArray[np.float64]:
-        sg = self.s * self.g
-        sg.flags.writeable = False  # cached and shared by every caller
-        return sg
+def _density(u_hat, ut_hat, pu, pv, omega: float):
+    """Per-mode energy density of E^2: 1/2 |v|^2 + omega/2 Re(u conj v)
+    + (omega^2/4 + g/2) |u|^2, for the powers pu = |u_hat|^2, pv = |ut_hat|^2."""
+    cross = u_hat.real * ut_hat.real + u_hat.imag * ut_hat.imag
+    g = gradient_symbol(u_hat.shape[0])
+    return 0.5 * pv + 0.5 * omega * cross + (0.25 * omega**2 + 0.5 * g) * pu
 
 
-@lru_cache(maxsize=None)
-def _weights(n: int, m: int) -> _Weights:
-    return _Weights(n, m)
+def _modified_sq(density, reduced) -> float:
+    """E_m^2 from the density and its row ``reduce_power(density, m)``: the
+    D_0 = S_0 term plus the blocks D_1 .. D_m."""
+    return float(reduce_power(density, 0)[0] + np.sum(reduced[1:]))
 
 
-def _modified_sq(uc, vc, w: _Weights, omega: float) -> float:
-    """E_m^2: every term is diagonal in k, one sum of D_m times the density,
-    with g for |grad d^a u|^2."""
-    density = 0.5 * np.abs(vc) ** 2 + 0.5 * omega * (uc * np.conj(vc)).real
-    density += (0.25 * omega**2 + 0.5 * w.g) * np.abs(uc) ** 2
-    return float(w.scale * np.sum(w.d * density))
-
-
-def _standard_sq(uc, vc, w: _Weights) -> float:
-    """Estd^2: one sum over S_m for u_t and one over S_m g for u."""
-    return 0.5 * (norm_sq(vc, w.s) + norm_sq(uc, w.sg))
+def _standard_row(pu, pv):
+    """|v_hat|^2 + g |u_hat|^2, whose S_m reduction is 2 Estd^2."""
+    return pv + gradient_symbol(pu.shape[0]) * pu
 
 
 def modified_energy(u: Field, ut: Field, omega: float, m: int = 0) -> float:
     """Squared modified energy E_m^2, summed over multi-indices up to m."""
     _check_pair(u, ut)
     _check_omega(omega)
-    w = _weights(u.grid.n, m)
-    return _modified_sq(np.fft.rfftn(u.values), np.fft.rfftn(ut.values), w, omega)
+    u_hat, ut_hat = np.fft.rfftn(u.values), np.fft.rfftn(ut.values)
+    density = _density(u_hat, ut_hat, spectral_power(u_hat), spectral_power(ut_hat), omega)
+    return _modified_sq(density, reduce_power(density, m))
 
 
 def standard_energy(u: Field, ut: Field, m: int = 0) -> float:
     """Squared standard energy 1/2 (||u_t||_{H^m}^2 + ||grad u||_{H^m}^2)."""
     _check_pair(u, ut)
-    w = _weights(u.grid.n, m)
-    return _standard_sq(np.fft.rfftn(u.values), np.fft.rfftn(ut.values), w)
+    pu, pv = (spectral_power(np.fft.rfftn(x.values)) for x in (u, ut))
+    return float(0.5 * reduce_power(_standard_row(pu, pv), m)[0])
 
 
 def sample_half_spectrum(
@@ -128,17 +110,21 @@ def sample_half_spectrum(
     The time loop keeps its state in this layout and has the grid samples
     ``u`` and ``f`` of u and F from the force evaluation; they give the
     minimum and the grid means.  Every other entry is a reduction of the
-    coefficients.
+    coefficients: one stacked product for the energy density, the standard
+    energy row and the powers of u, u_t and F.
     """
     _check_omega(omega)
-    w = _weights(u.shape[0], m)
+    pu, pv, pf = (spectral_power(c) for c in (u_hat, ut_hat, f_hat))
+    density = _density(u_hat, ut_hat, pu, pv, omega)
+    reduced = reduce_power(np.stack([density, _standard_row(pu, pv), pu, pv, pf]), m)
+    u_sq, ut_sq, f_sq = reduced[2:, 0].tolist()
     return EnergySample(
         t=float(t),
-        e_m_sq=_modified_sq(u_hat, ut_hat, w, omega),
-        e_std_sq=_standard_sq(u_hat, ut_hat, w),
-        u_hm=math.sqrt(norm_sq(u_hat, w.s)),
-        ut_hm=math.sqrt(norm_sq(ut_hat, w.s)),
-        f_hm=math.sqrt(norm_sq(f_hat, w.s)),
+        e_m_sq=_modified_sq(density, reduced[0]),
+        e_std_sq=float(0.5 * reduced[1, 0]),
+        u_hm=math.sqrt(u_sq),
+        ut_hm=math.sqrt(ut_sq),
+        f_hm=math.sqrt(f_sq),
         u_mean=float(np.mean(u)),
         f_mean=float(np.mean(f)),
         u_min=float(np.min(u)),

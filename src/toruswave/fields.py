@@ -1,4 +1,4 @@
-"""Real fields on the flat 3-torus and the weights of their spectral norms.
+"""Real fields on the flat 3-torus and the one weight matrix of their norms.
 
 The domain is the periodic box [0, 2pi)^3 sampled on a uniform n^3 grid.
 Fourier coefficients follow the convention
@@ -13,28 +13,33 @@ The one coefficient layout is the raw half spectrum of ``np.fft.rfftn``:
 shape (n, n, n/2 + 1), k3 = 0 .. n/2, n^3 times u_hat.  Since c(-k) =
 conj c(k), each k3 plane strictly between 0 and n/2 stands for its mirror too.
 Per-mode symbols (``laplacian_symbol`` |k|^2, ``gradient_symbol`` g) multiply
-coefficients; reduction weights carry the plane multiplicity 1, 2, ..., 2, 1,
-so that ``norm_sq`` = VOLUME n^-6 sum w |c|^2 sums over the full spectrum.
-Each is built once per grid size and order and cached read-only.
+coefficients.
 
-The Nyquist plane k_i = -n/2 has no +n/2 partner, and two weights differ there:
+Every norm and energy goes through one reduction, ``reduce_power``: a real
+per-mode density (|c|^2, or the energy density) times ``norm_weights(n, m)``,
+the cached (n * n * (n/2 + 1), m + 1) matrix [S_m | D_1 ... D_m], times
+VOLUME n^-6.  The columns carry the plane multiplicity 1, 2, ..., 2, 1,
+so the product sums over the full spectrum; a stack of densities reduces
+density by density, so a norm has the same bits whichever stack it is in.
 
-* ``sobolev_weight`` S_m keeps Nyquist planes at full weight.  It serves
-  ``sobolev_norm`` (every recorded H^m norm, the embedding extremizer and
-  the constants measured with it) and, times g, the standard energy.
-* ``derivative_weight`` D_m zeroes the Nyquist plane of axis i for odd a_i,
-  the symbol of an odd-order spectral derivative; its |a| = 1 block is g.  It
-  serves the modified energy (D_m, D_m g), the composition constants and the
-  Wirtinger check.
+* Column 0, S_m(k) = sum_{|a| <= m} k^2a, keeps the Nyquist planes k_i = -n/2
+  at full weight.  It gives ``sobolev_norm`` (every recorded H^m norm, the
+  embedding extremizer and the constants measured with it) and, applied to
+  |v|^2 + g |u|^2, the standard energy.  ``sobolev_weight`` is a view of it.
+* Column k >= 1, the block D_k, sums the squared symbols of d^a over |a| = k;
+  the Nyquist plane of axis i has no +n/2 partner and is zeroed for odd a_i,
+  as an odd-order spectral derivative zeroes it.  D_1 is the Wirtinger
+  gradient; the blocks give the composition constants.  The modified energy
+  E_m^2 is the D_0 = S_0 term (column 0 of the m = 0 matrix) plus the blocks,
+  applied to its density.
 
-They stay separate because moving S_m would move the embedding extremizer,
-hence ``c_sobolev`` and every ``budget:``-scaled amplitude.  Both agree on
-fields without Nyquist content.
+The conventions stay apart because moving S_m would move the embedding
+extremizer, hence ``c_sobolev`` and every ``budget:``-scaled amplitude; both
+agree on fields without Nyquist content.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -158,27 +163,50 @@ def gradient_symbol(n: int) -> npt.NDArray[np.float64]:
 
 
 @lru_cache(maxsize=None)
+def norm_weights(n: int, m: int) -> npt.NDArray[np.float64]:
+    """The (n * n * (n/2 + 1), m + 1) reduction weights [S_m | D_1 ... D_m]:
+    S_m with Nyquist planes at full weight, then the blocks D_k over |a| = k
+    with odd-order Nyquist planes zeroed.  The only cached reduction weight."""
+    matrix = np.empty((n * n * (n // 2 + 1), m + 1))
+    matrix[:, 0] = _symbol_weight(n, m, hermitian=True).ravel()  # raises first if m < 0
+    for k in range(1, m + 1):
+        matrix[:, k] = _symbol_weight(n, k, lowest=k, zero_nyquist=True, hermitian=True).ravel()
+    matrix.flags.writeable = False  # cached and shared by every caller
+    return matrix
+
+
 def sobolev_weight(n: int, m: int) -> npt.NDArray[np.float64]:
-    """S_m(k) = sum_{|a| <= m} k1^2a1 k2^2a2 k3^2a3 as a reduction weight; S_0 gives L2."""
-    return _symbol_weight(n, m, hermitian=True)
+    """S_m(k) = sum_{|a| <= m} k1^2a1 k2^2a2 k3^2a3 on the half layout, a read-only
+    view of column 0 of ``norm_weights``; S_0 gives L2."""
+    return norm_weights(n, m)[:, 0].reshape(n, n, n // 2 + 1)
 
 
-@lru_cache(maxsize=None)
-def derivative_weight(n: int, m: int, lowest: int = 0) -> npt.NDArray[np.float64]:
-    """D_m, the sum over lowest <= |a| <= m of the squared symbol of d^a, as a
-    reduction weight: ``norm_sq`` with it is the sum of ||d^a u||_{L2}^2."""
-    return _symbol_weight(n, m, lowest, zero_nyquist=True, hermitian=True)
+def spectral_power(raw: npt.NDArray[np.complex128]) -> npt.NDArray[np.float64]:
+    """|c|^2 per mode."""
+    return np.square(raw.real) + np.square(raw.imag)
 
 
-def norm_sq(raw: npt.NDArray[np.complex128], weight: npt.NDArray[np.float64]) -> float:
-    """VOLUME n^-6 sum(weight |raw|^2): the squared norm a reduction weight
-    defines, for the raw ``np.fft.rfftn`` coefficients of a field on an n^3 grid."""
-    return float(VOLUME * float(raw.shape[0]) ** -6 * np.sum(weight * np.abs(raw) ** 2))
+def reduce_power(power: npt.NDArray[np.float64], m: int) -> npt.NDArray[np.float64]:
+    """VOLUME n^-6 (power @ ``norm_weights(n, m)``) for a per-mode density on the
+    half layout, or a stack of them: [S_m, D_1, ..., D_m] norms squared.
+
+    Each density is its own vector-matrix product, so its result does not
+    depend on what else is in the stack.
+    """
+    n = power.shape[-3]
+    rows = power.reshape(power.shape[:-3] + (1, -1))
+    return VOLUME * float(n) ** -6 * (rows @ norm_weights(n, m))[..., 0, :]
+
+
+def hm_norms(raw: npt.NDArray[np.complex128], m: int) -> list[float]:
+    """[||u||_{H^m}, ||D_1 u||, ..., ||D_m u||] of the field whose raw
+    ``np.fft.rfftn`` is ``raw``; ||D_k u||^2 is the sum of ||d^a u||^2 over |a| = k."""
+    return np.sqrt(reduce_power(spectral_power(raw), m)).tolist()
 
 
 def sobolev_norm(u: Field, m: int) -> float:
     """Discrete H^m norm, computed spectrally via Parseval."""
-    return math.sqrt(norm_sq(np.fft.rfftn(u.values), sobolev_weight(u.grid.n, m)))
+    return hm_norms(np.fft.rfftn(u.values), m)[0]
 
 
 def l2_norm(u: Field) -> float:

@@ -28,6 +28,7 @@ sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -79,6 +80,10 @@ class SolverConfig:
         if not (isinstance(self.sample_every, int) and self.sample_every >= 1):
             raise ValueError(f"sample_every must be a positive integer, got {self.sample_every}")
         steps = self.t_end / self.dt
+        if not math.isfinite(steps):
+            raise ValueError(
+                f"t_end = {self.t_end} over dt = {self.dt} is not a finite number of steps"
+            )
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(
                 f"t_end = {self.t_end} is not an integer number of steps of dt = {self.dt}"

@@ -182,10 +182,6 @@ class PreparedSource:
             return float(np.cos(self.spec.sigma_rate * t))
         return 1.0
 
-    def amplitude_at(self, t: float) -> float:
-        """||a(t, .)||_{H^m}, for bookkeeping and reports."""
-        return abs(self.sigma(t)) * self.spec.amplitude
-
 
 def prepare_source(spec: SourceSpec, grid: GridSpec, m: int) -> PreparedSource:
     """Resolve and normalize the spatial profile once per run."""

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CalibratedConstants, _norms, _refine
+from .calibration import CalibratedConstants, _refine
 from .estimates import BootstrapParams, damped_trapezoids, epsilon_budgets
 from .fields import (
-    derivative_weight, l2_norm, mean_decompose, norm_sq, sobolev_norm, sobolev_weight
+    hm_norms, l2_norm, mean_decompose, reduce_power, sobolev_norm, spectral_power
 )
 from .solver import Trajectory, dealias_mask, mean_mode_reference
 from .source import ModelParams
@@ -330,7 +330,7 @@ def check_wirtinger_final(trajectory: Trajectory) -> CheckResult:
         return _skip(check_id, "no final state recorded")
     u = trajectory.final_state.u
     lhs = l2_norm(mean_decompose(u).oscillatory)
-    rhs = math.sqrt(norm_sq(np.fft.rfftn(u.values), derivative_weight(u.grid.n, 1, lowest=1)))
+    rhs = hm_norms(np.fft.rfftn(u.values), 1)[1]  # the D_1 block: ||grad u||
     scale = max(rhs, 1e-12)
     return _finish(
         check_id, [trajectory.samples[-1].t], [(rhs - lhs) / scale], [ABS_TOL / scale]
@@ -356,8 +356,8 @@ def check_algebra_final(
     # measured as calibrate measures c_algebra: refined once, u^2 on the doubled grid
     raw = np.fft.rfftn(u.values)
     refined = _refine(raw, u.grid.n)
-    lhs = _norms(np.fft.rfftn(refined * refined), m)[0]
-    rhs = constants.c_algebra * _norms(raw, m)[0] ** 2
+    lhs = hm_norms(np.fft.rfftn(refined * refined), m)[0]
+    rhs = constants.c_algebra * hm_norms(raw, m)[0] ** 2
     scale = max(rhs, 1e-12)
     return _finish(
         check_id, [trajectory.samples[-1].t], [(rhs - lhs) / scale], [ABS_TOL / scale]
@@ -369,12 +369,12 @@ def _spectral_tail_fraction(trajectory: Trajectory) -> float:
     if trajectory.final_state is None:
         return math.nan
     u = trajectory.final_state.u
-    raw = np.fft.rfftn(u.values)
-    weight = sobolev_weight(u.grid.n, trajectory.params.m + 1)
-    total = norm_sq(raw, weight)
+    power = spectral_power(np.fft.rfftn(u.values))
+    tail = np.where(dealias_mask(u.grid.n), 0.0, power)
+    total, beyond = reduce_power(np.stack([power, tail]), trajectory.params.m + 1)[:, 0].tolist()
     if total == 0.0:
         return 0.0
-    return math.sqrt(norm_sq(raw, weight * ~dealias_mask(u.grid.n)) / total)
+    return math.sqrt(beyond / total)
 
 
 def _gradient_oscillation(trajectory: Trajectory) -> float:

@@ -8,7 +8,6 @@ from toruswave.calibration import (
     CalibratedConstants,
     _embedding_extremizer,
     _refine,
-    _norms,
     alias_free_product,
     calibrate,
     load_constants,
@@ -19,6 +18,7 @@ from toruswave.fields import (
     Field,
     GridSpec,
     VOLUME,
+    hm_norms,
     random_band_limited,
     sobolev_norm,
     sup_norm,
@@ -60,7 +60,7 @@ class TestDerivativeBlocks:
         grid = GridSpec(16)
         x1 = grid.coordinates()[0]
         u = Field(grid, np.broadcast_to(np.sin(x1), grid.shape).copy())
-        _, *blocks = _norms(np.fft.rfftn(u.values), 3)
+        _, *blocks = hm_norms(np.fft.rfftn(u.values), 3)
         # every derivative of sin x1 along axis 1 has L2 norm sqrt(V/2);
         # mixed derivatives vanish, so each block reduces to that single term
         expected = math.sqrt(VOLUME / 2.0)
@@ -131,9 +131,9 @@ class TestCalibrate:
             u = random_band_limited(grid, seed=93_000 + i, band=(i % 5) + 1, amplitude=0.4)
             fine = refine(u)
             ceiling = max(sup_norm(u), sup_norm(fine))
-            _, *u_blocks = _norms(np.fft.rfftn(u.values), 3)
+            _, *u_blocks = hm_norms(np.fft.rfftn(u.values), 3)
             for mu in (0.5, -0.5):
-                _, *blocks = _norms(np.fft.rfftn((1.0 + fine.values) ** mu), 3)
+                _, *blocks = hm_norms(np.fft.rfftn((1.0 + fine.values) ** mu), 3)
                 for k in (1, 2, 3):
                     lhs = blocks[k - 1]
                     rhs = (

@@ -527,13 +527,13 @@ MALFORMED = {
     "format": ("toruswave-scenario-0", {},
                "format: expected 'toruswave-scenario-1', got 'toruswave-scenario-0'"),
     "name": (None, {}, "missing required key 'name'"),
-    "grid.n": ("eight", {}, "grid.n: grid.n: expected an integer, got 'eight'"),
+    "grid.n": ("eight", {}, "grid.n: expected an integer, got 'eight'"),
     "params.omega": ("half", {}, "params.omega: expected a number, got 'half'"),
     "params.k_eos": ("two-thirds", {},
-                     "params: params.k_eos: expected a number, got 'two-thirds'"),
-    "params.kappa": ("slow", {}, "params: params.kappa: expected a number, got 'slow'"),
+                     "params.k_eos: expected a number, got 'two-thirds'"),
+    "params.kappa": ("slow", {}, "params.kappa: expected a number, got 'slow'"),
     "params.mu": ("weak", {"params.kappa": "0.25"},
-                  "params: params.mu: expected a number, got 'weak'"),
+                  "params.mu: expected a number, got 'weak'"),
     "params.m": ("three", {}, "params.m: expected an integer, got 'three'"),
     "source.kind": ("grid-samples", {},
                     "source.kind: expected one of analytic-preset; got 'grid-samples'"),
@@ -557,11 +557,11 @@ MALFORMED = {
                           "got '1,0,0,0.01'"),
     "initial.u1_coeffs": ("1,0,0,x,0", {"initial.preset": "coefficients"},
                           "initial.u1_coeffs: malformed entry '1,0,0,x,0'"),
-    "solver.dt": ("small", {}, "solver: solver.dt: expected a number, got 'small'"),
-    "solver.t_end": ("later", {}, "solver: solver.t_end: expected a number, got 'later'"),
+    "solver.dt": ("small", {}, "solver.dt: expected a number, got 'small'"),
+    "solver.t_end": ("later", {}, "solver.t_end: expected a number, got 'later'"),
     "solver.sample_every": ("often", {},
-                            "solver: solver.sample_every: expected an integer, got 'often'"),
-    "solver.dealias": ("yes", {}, "solver: solver.dealias: expected true or false, got 'yes'"),
+                            "solver.sample_every: expected an integer, got 'often'"),
+    "solver.dealias": ("yes", {}, "solver.dealias: expected true or false, got 'yes'"),
     "bootstrap.t1": ("soon", {}, "bootstrap.t1: expected a number or 'auto', got 'soon'"),
     "bootstrap.eps_prime": ("tiny", {},
                             "bootstrap.eps_prime: expected a number or 'auto', got 'tiny'"),
@@ -607,7 +607,8 @@ class TestKeyTable:
 
 
 # flagship at grid.n = 8 and t_end = 2 with some keys set (None drops one):
-# a non-finite number, or a run shorter than one step, is a config error
+# a non-finite number, or a run shorter than one step or of no finite step
+# count, is a config error
 REJECTED_NUMBERS = {
     "amplitude-inf": ({"source.amplitude": "inf"}, [], "source.amplitude: 'inf' is not finite"),
     "amplitude-nan": ({"source.amplitude": "nan"}, [], "source.amplitude: 'nan' is not finite"),
@@ -622,10 +623,12 @@ REJECTED_NUMBERS = {
          "initial.mode": None, "initial.e_m0": None}, [],
         "initial.u0_coeffs: entry '1,0,0,inf,0' is not finite",
     ),
-    "dt-flag-inf": ({}, ["--dt", "inf"], "solver: solver.dt: 'inf' is not finite"),
-    "dt-flag-nan": ({}, ["--dt", "nan"], "solver: solver.dt: 'nan' is not finite"),
+    "dt-flag-inf": ({}, ["--dt", "inf"], "solver.dt: 'inf' is not finite"),
+    "dt-flag-nan": ({}, ["--dt", "nan"], "solver.dt: 'nan' is not finite"),
     "zero-steps": ({"solver.dt": "1e300"}, [],
                    "solver: t_end = 2.0 is shorter than one step of dt = 1e+300"),
+    "steps-inf": ({"solver.dt": "1e-310"}, [],
+                  "solver: t_end = 2.0 over dt = 1e-310 is not a finite number of steps"),
 }
 
 

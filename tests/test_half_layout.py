@@ -14,17 +14,18 @@ import warnings
 import numpy as np
 import pytest
 
-from toruswave import calibration, fields
+from toruswave import calibration, energy
 from toruswave.calibration import _embedding_extremizer, calibrate
 from toruswave.cli import CONSTANTS_ENV, run_scenario
-from toruswave.energy import sample_half_spectrum
+from toruswave.energy import modified_energy, sample_half_spectrum, standard_energy
 from toruswave.fields import (
     Field,
     GridSpec,
-    derivative_weight,
     gradient_symbol,
     laplacian_symbol,
+    norm_weights,
     random_band_limited,
+    sobolev_norm,
     sobolev_weight,
 )
 from toruswave.solver import SolverConfig, SolverState, Trajectory, dealias_mask, simulate
@@ -52,14 +53,24 @@ def folded(full):
     return full[..., : n // 2 + 1] * multiplicity
 
 
+def columns(n, m):
+    """The columns S_m, D_1, ..., D_m of ``norm_weights(n, m)`` on the half layout."""
+    matrix = norm_weights(n, m)
+    return [matrix[:, k].reshape(n, n, n // 2 + 1) for k in range(m + 1)]
+
+
 @pytest.mark.parametrize("n", [4, 6, 8, 16, 32])
 def test_weights_are_the_full_weights_folded(n):
     half = np.s_[..., : n // 2 + 1]
+    d_0 = columns(n, 0)[0]  # D_0 = S_0: the multiplicity alone
     for m in range(5):
-        assert np.array_equal(sobolev_weight(n, m), folded(full_sobolev_weight(n, m)))
+        s_m, *blocks = columns(n, m)
+        assert np.array_equal(s_m, folded(full_sobolev_weight(n, m)))
+        assert np.array_equal(sobolev_weight(n, m), s_m)
+        orders = [d_0] + blocks  # D_lowest + ... + D_m is the derivative weight
         for lowest in range(m + 1):
             want = folded(full_derivative_weight(n, m, lowest))
-            assert np.array_equal(derivative_weight(n, m, lowest), want)
+            assert np.array_equal(sum(orders[lowest:]), want)
     # per-mode symbols carry no multiplicity
     assert np.array_equal(laplacian_symbol(n), full_laplacian_symbol(n)[half])
     assert np.array_equal(gradient_symbol(n), full_derivative_weight(n, 1, lowest=1)[half])
@@ -67,16 +78,27 @@ def test_weights_are_the_full_weights_folded(n):
 
 
 def test_norm_weights_leave_no_block_arrays_cached():
-    # a grid size no other test uses, so the caches of fields start without it
+    # a grid size no other test uses, so the cache of fields starts without it
     n, m = 14, 2
-    caches = (fields.sobolev_weight, fields.derivative_weight)
-    before = [cache.cache_info().currsize for cache in caches]
-    matrix = calibration._norm_weights(n, m)
-    assert [cache.cache_info().currsize for cache in caches] == before
+    before = norm_weights.cache_info().currsize
+    matrix = norm_weights(n, m)
+    view = sobolev_weight(n, m)
+    assert norm_weights.cache_info().currsize == before + 1
+    assert np.shares_memory(view, matrix) and not view.flags.writeable
     assert matrix.shape == (n * n * (n // 2 + 1), m + 1)
-    assert np.array_equal(matrix[:, 0], sobolev_weight(n, m).ravel())
+    assert np.array_equal(matrix[:, 0], folded(full_sobolev_weight(n, m)).ravel())
     for k in range(1, m + 1):
-        assert np.array_equal(matrix[:, k], derivative_weight(n, k, lowest=k).ravel())
+        assert np.array_equal(matrix[:, k], folded(full_derivative_weight(n, k, lowest=k)).ravel())
+    # norms and energies add only the m = 0 matrix, whose S_0 column is E_m's D_0 term
+    u, ut = white_noise(n, 1), white_noise(n, 2)
+    sobolev_norm(u, m)
+    modified_energy(u, ut, 0.5, m)
+    standard_energy(u, ut, m)
+    assert norm_weights.cache_info().currsize == before + 2
+    # and no module outside fields keeps a cache of its own
+    for module in (calibration, energy):
+        own = [f for f in vars(module).values() if getattr(f, "__module__", "") == module.__name__]
+        assert not any(hasattr(f, "cache_info") for f in own)
 
 
 @pytest.mark.parametrize("n, band", [(8, 1), (8, 3), (16, 4), (16, 7), (32, 5)])

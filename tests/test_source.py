@@ -114,7 +114,6 @@ class TestPreparation:
         prepared = prepare_source(spec, GridSpec(8), m=1)
         times = np.linspace(0.0, 20.0, 200)
         assert max(abs(prepared.sigma(float(t))) for t in times) <= 1.0
-        assert prepared.amplitude_at(0.0) == pytest.approx(1.0)
 
 
 class TestEvaluation:

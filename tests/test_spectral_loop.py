@@ -18,10 +18,9 @@ from toruswave.energy import sample_half_spectrum
 from toruswave.fields import (
     Field,
     GridSpec,
-    derivative_weight,
-    norm_sq,
     random_band_limited,
-    sobolev_weight,
+    reduce_power,
+    spectral_power,
 )
 from toruswave.solver import (
     BreakdownInfo,
@@ -249,19 +248,20 @@ def test_loop_costs_two_forces_per_step_and_no_full_transforms(monkeypatch, samp
 @pytest.mark.parametrize(
     "weight",
     [
-        # (half-layout reduction weight, the same weight on the full lattice)
-        lambda n, m: (sobolev_weight(n, m), full_sobolev_weight(n, m)),  # Nyquist at full weight
-        lambda n, m: (derivative_weight(n, m), full_derivative_weight(n, m)),  # odd Nyquist zeroed
-        lambda n, m: (derivative_weight(n, m, lowest=1), full_derivative_weight(n, m, lowest=1)),
+        # (the squared norm through the half-layout weight matrix, the same
+        # weight on the full lattice); D_0 is S_0, column 0 of the m = 0 matrix
+        lambda p, m: (reduce_power(p, m)[0], full_sobolev_weight),  # Nyquist at full weight
+        lambda p, m: (reduce_power(p, 0)[0] + sum(reduce_power(p, m)[1:]),
+                      full_derivative_weight),  # odd Nyquist zeroed
+        lambda p, m: (sum(reduce_power(p, m)[1:]),
+                      lambda n, m: full_derivative_weight(n, m, lowest=1)),
     ],
     ids=["sobolev", "derivative", "derivative-lowest-1"],
 )
 def test_half_layout_reduction_matches_full(n, m, weight):
     u = white_noise(n, 100 + n + m)
-    half_weight, full_weight = weight(n, m)
-    assert half_weight.shape == (n, n, n // 2 + 1)
-    full = weighted_norm_sq(transform(u), full_weight)
-    half = norm_sq(np.fft.rfftn(u.values), half_weight)
+    half, full_weight = weight(spectral_power(np.fft.rfftn(u.values)), m)
+    full = weighted_norm_sq(transform(u), full_weight(n, m))
     assert half == pytest.approx(full, rel=REL_REDUCE, abs=0.0)
 
 

@@ -41,7 +41,7 @@ from .energy import modified_energy
 from .estimates import BootstrapParams, epsilon_budgets, forcing_constant, h_threshold
 from .fields import Field, GridSpec
 from .solver import SolverConfig, Trajectory, simulate
-from .source import ModelParams, SourceSpec
+from .source import ModelParams, SourceSpec, bump_profile
 from .verify import ABS_TOL, VerificationReport, run_all
 
 CONFIG_FORMAT = "toruswave-scenario-1"
@@ -350,14 +350,14 @@ def _build_initial(read: _Reader, grid: GridSpec, params: ModelParams) -> tuple[
     target = read("initial.e_m0")
     if not target > 0.0:
         raise ConfigError(f"initial.e_m0 must be positive, got {target}")
-    x1, x2, x3 = grid.coordinates()
     if preset == "single-mode":
+        x1, x2, x3 = grid.coordinates()
         n1, n2, n3 = _parse_mode(read("initial.mode"))
         _check_resolved("initial.mode", [(n1, n2, n3)], grid)
         shape = np.cos(n1 * x1 + n2 * x2 + n3 * x3) + np.zeros(grid.shape)
         read.resolved["initial.mode"] = f"{n1},{n2},{n3}"
     else:
-        bump = np.exp((np.cos(x1) + np.cos(x2) + np.cos(x3) - 3.0) / 0.49)
+        bump = bump_profile(grid)
         shape = bump - bump.mean()  # the smallness hypotheses want zero-mean data
     if part == "velocity":
         u0, u1 = Field(grid, zero), Field(grid, shape)

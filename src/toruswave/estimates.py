@@ -145,24 +145,18 @@ def damped_trapezoids(times, a_values, f_values, g0, starts, ends):
         budget[n] = walk[-1, 3]
 
 
-def gronwall_bound(times, a_values, f_values, g0: float, t0: float | None = None):
-    """Propagate g' <= A g + f: the comparison solution on a sample grid.
+def gronwall_bound(times, a_values, f_values, g0: float):
+    """Propagate g' <= A g + f from the first sample: the comparison solution.
 
-    Returns the array  e^{int A} g0 + int e^{int A} f  evaluated at every
-    sample at or after t0 (entries before t0 are NaN).  Integrals are
-    trapezoids, so the bound carries the usual O(h^2) quadrature error.
+    Returns the array  e^{int A} g0 + int e^{int A} f  at every sample.
+    Integrals are trapezoids, so the bound carries the usual O(h^2)
+    quadrature error; with A = 0 it is the plain running trapezoid of f.
     """
     times, a_values, f_values = _sample_grid(times, a_values, f_values)
-    if t0 is None:
-        t0 = float(times[0])
-    start = int(np.argmin(np.abs(times - t0)))
-    if abs(times[start] - t0) > 1e-9 * max(1.0, abs(t0)):
-        raise ValueError(f"t0 = {t0} is not a sample time")
-
     out = np.full(times.shape, np.nan)
-    out[start] = g0
-    ends = range(start + 1, times.size)
-    for js, bound, _ in damped_trapezoids(times, a_values, f_values, [g0], [start], ends):
+    out[0] = g0
+    ends = range(1, times.size)
+    for js, bound, _ in damped_trapezoids(times, a_values, f_values, [g0], [0], ends):
         out[js] = bound[0]
     return out
 

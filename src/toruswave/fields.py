@@ -12,6 +12,9 @@ exact for band-limited fields.
 The one coefficient layout is the raw half spectrum of ``np.fft.rfftn``:
 shape (n, n, n/2 + 1), k3 = 0 .. n/2, n^3 times u_hat.  Since c(-k) =
 conj c(k), each k3 plane strictly between 0 and n/2 stands for its mirror too.
+The mean is c(0) / n^3, so the oscillatory part u - mean is the same half
+spectrum with c(0) set to zero, and Parseval splits ||u||^2 into
+||u - mean||^2 + (2pi)^3 mean^2 with no grid subtraction.
 Per-mode symbols (``laplacian_symbol`` |k|^2, ``gradient_symbol`` g) multiply
 coefficients.
 
@@ -112,14 +115,6 @@ class Field:
         return float(np.mean(self.values))
 
 
-@dataclass
-class MeanSplit:
-    """Decomposition u = oscillatory + mean with a zero-mean oscillatory part."""
-
-    mean: float
-    oscillatory: Field
-
-
 def _symbol_weight(
     n: int, m: int, lowest: int = 0, zero_nyquist: bool = False, hermitian: bool = False
 ) -> npt.NDArray[np.float64]:
@@ -215,16 +210,6 @@ def l2_norm(u: Field) -> float:
 
 def sup_norm(field: Field) -> float:
     return float(np.max(np.abs(field.values)))
-
-
-def mean_decompose(field: Field) -> MeanSplit:
-    """Split off the normalized mean; the remainder has zero mean.
-
-    With this normalization the L2 norms satisfy
-    ||u||^2 = ||u_osc||^2 + (2pi)^3 * mean^2.
-    """
-    mean = field.mean()
-    return MeanSplit(mean, Field(field.grid, field.values - mean))
 
 
 def random_band_limited(

@@ -14,8 +14,8 @@ half spectrum with no normalization that every symbol and weight of
 ``fields`` is laid out on.  The propagator is linear, so the raw scale
 cancels; each force is one ``irfftn`` to a grid array, ``eval_prepared`` on
 that array and one ``rfftn`` back.  Every diagnostic is a reduction of these
-coefficients (``energy.sample_half_spectrum``), and ``Field``/``SolverState``
-objects are built only when a run ends or breaks down.
+coefficients (``energy.sample_half_spectrum``), and the final state a run
+hands to verification is the same pair of arrays: no ``Field`` is built.
 
 The nonlinear product may be de-aliased with the standard 2/3-rule mask
 before injection.  The mask is folded into the cached forcing weights, and
@@ -50,11 +50,13 @@ from .source import (
 
 @dataclass
 class SolverState:
-    """Instantaneous state (t, u, u_t)."""
+    """State (t, u, u_t) as the loop keeps it: ``u_hat`` and ``ut_hat`` are the
+    raw ``np.fft.rfftn`` half spectra, shape (n, n, n/2 + 1), n^3 times the
+    normalized coefficients."""
 
     t: float
-    u: Field
-    ut: Field
+    u_hat: npt.NDArray[np.complex128]
+    ut_hat: npt.NDArray[np.complex128]
 
 
 @dataclass
@@ -187,10 +189,6 @@ class _Stepper:
     def values(self, c: npt.NDArray[np.complex128]) -> npt.NDArray[np.float64]:
         return np.fft.irfftn(c, s=self.grid.shape, axes=(0, 1, 2))
 
-    def state(self, t: float, u_hat, ut_hat) -> SolverState:
-        u, ut = (Field(self.grid, self.values(c)) for c in (u_hat, ut_hat))
-        return SolverState(t, u, ut)
-
     def force(self, t: float, u_hat):
         """u and F(t, u) as grid arrays, and the raw rfftn coefficients of F."""
         u = self.values(u_hat)
@@ -207,15 +205,9 @@ class _Stepper:
         return free_u + self.wu * f_avg, self.p21 * u_hat + self.p22 * ut_hat + self.wv * f_avg
 
 
-def _as_prepared(source, grid: GridSpec, m: int) -> PreparedSource:
-    if isinstance(source, PreparedSource):
-        return source
-    if isinstance(source, SourceSpec):
-        return prepare_source(source, grid, m)
-    raise TypeError(f"source must be a SourceSpec or PreparedSource, got {type(source).__name__}")
-
-
-def simulate(u0: Field, u1: Field, params: ModelParams, source, config: SolverConfig) -> Trajectory:
+def simulate(
+    u0: Field, u1: Field, params: ModelParams, source: SourceSpec, config: SolverConfig
+) -> Trajectory:
     """Run the full time span, sampling diagnostics along the way.
 
     A positivity, overflow or non-finite failure does not raise: the partial
@@ -224,7 +216,7 @@ def simulate(u0: Field, u1: Field, params: ModelParams, source, config: SolverCo
     """
     if u0.grid != config.grid or u1.grid != config.grid:
         raise ValueError("initial data grids do not match the configured grid")
-    prepared = _as_prepared(source, config.grid, params.m)
+    prepared = prepare_source(source, config.grid, params.m)
     stepper = _Stepper(params, prepared, config)
 
     trajectory = Trajectory(
@@ -248,7 +240,7 @@ def simulate(u0: Field, u1: Field, params: ModelParams, source, config: SolverCo
         )
         return f_hat
 
-    sampled = None  # (t, u_hat, ut_hat) at the latest sample; k = 0 always samples
+    sampled = None  # the state at the latest sample; k = 0 always samples
     for k in range(n_steps):
         f_hat = None
         if k % config.sample_every == 0:
@@ -257,26 +249,26 @@ def simulate(u0: Field, u1: Field, params: ModelParams, source, config: SolverCo
             except BreakdownError as err:
                 trajectory.breakdown = BreakdownInfo(err.t, k, err.reason)
                 return trajectory
-            sampled = (k * dt, u_hat, ut_hat)
+            sampled = SolverState(k * dt, u_hat, ut_hat)
         try:
             u_hat, ut_hat = stepper.advance(k * dt, u_hat, ut_hat, f_hat)
         except BreakdownError as err:
             trajectory.breakdown = BreakdownInfo(err.t, k, err.reason)
-            trajectory.final_state = stepper.state(*sampled)
+            trajectory.final_state = sampled
             return trajectory
         if not (np.isfinite(u_hat).all() and np.isfinite(ut_hat).all()):
             t_bad = (k + 1) * dt
             trajectory.breakdown = BreakdownInfo(
                 t_bad, k + 1, f"state became non-finite at step {k + 1} (t = {t_bad:.6g})"
             )
-            trajectory.final_state = stepper.state(*sampled)
+            trajectory.final_state = sampled
             return trajectory
     try:
         record(n_steps)
     except BreakdownError as err:
         trajectory.breakdown = BreakdownInfo(err.t, n_steps, err.reason)
         return trajectory
-    trajectory.final_state = stepper.state(n_steps * dt, u_hat, ut_hat)
+    trajectory.final_state = SolverState(n_steps * dt, u_hat, ut_hat)
     return trajectory
 
 
@@ -286,7 +278,7 @@ def mean_mode_free(v0: float, v1: float, omega: float, t) -> npt.NDArray[np.floa
     return v0 + v1 * (1.0 - np.exp(-2.0 * omega * t)) / (2.0 * omega)
 
 
-def mean_mode_reference(trajectory: Trajectory, params: ModelParams) -> list[tuple[float, float]]:
+def mean_mode_reference(trajectory: Trajectory) -> list[tuple[float, float]]:
     """Duhamel quadrature for the mean: (2 omega)^-1 int (1 - e^{-2 omega (t-s)}) Fbar ds.
 
     Valid for zero-mean initial data only; the recorded mean of u and the
@@ -301,14 +293,14 @@ def mean_mode_reference(trajectory: Trajectory, params: ModelParams) -> list[tup
             f"mean-mode reference needs zero-mean initial data, got means "
             f"({first.u_mean:.3e}, {trajectory.u1_mean:.3e})"
         )
-    omega = params.omega
+    omega = trajectory.params.omega
     t = trajectory.times()
     if t.size == 1:
         return [(float(t[0]), 0.0)]
     fbar = trajectory.series("f_mean")
     # The trapezoid of (1 - e^{-2 omega (t_i - s)}) Fbar splits, trapezoids
     # being linear, into the plain running integral of Fbar minus the damped
-    # one, which is the Gronwall recurrence with A = -2 omega and g0 = 0.
-    plain = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(t) * (fbar[1:] + fbar[:-1]))))
+    # one: the Gronwall recurrence with g0 = 0 and A = 0, then A = -2 omega.
+    plain = gronwall_bound(t, np.zeros(t.shape), fbar, 0.0)
     damped = gronwall_bound(t, np.full(t.shape, -2.0 * omega), fbar, 0.0)
     return [(float(ti), float(v)) for ti, v in zip(t, (plain - damped) / (2.0 * omega))]

@@ -157,15 +157,21 @@ class SourceSpec:
             raise ValueError(f"sigma kind must be one of {_SIGMAS}, got {self.sigma!r}")
 
 
-def _raw_profile(spec: SourceSpec, grid: GridSpec) -> Field:
+def bump_profile(grid: GridSpec) -> npt.NDArray[np.float64]:
+    """exp((cos x1 + cos x2 + cos x3 - 3) / 0.49): the bump of the source and
+    initial-data presets, peaked at the origin."""
     x1, x2, x3 = grid.coordinates()
+    return np.exp((np.cos(x1) + np.cos(x2) + np.cos(x3) - 3.0) / 0.49)
+
+
+def _raw_profile(spec: SourceSpec, grid: GridSpec) -> Field:
     if spec.preset == "uniform":
         return Field(grid, np.ones(grid.shape))
     if spec.preset == "single-mode":
+        x1 = grid.coordinates()[0]
         return Field(grid, np.broadcast_to(np.cos(x1), grid.shape).copy())
     if spec.preset == "bump":
-        width_sq = 0.49
-        return Field(grid, np.exp((np.cos(x1) + np.cos(x2) + np.cos(x3) - 3.0) / width_sq))
+        return Field(grid, bump_profile(grid))
     return random_band_limited(grid, seed=spec.seed, band=max(1, grid.n // 4))
 
 

@@ -18,6 +18,11 @@ recurrence, ``estimates.damped_trapezoids``, which carries each window's
 damped trapezoid and second-difference budget along the samples: the cost
 is O(P + starts * ends), never more than O(P * starts), memory O(starts),
 and no factor e^{+rate t} that could overflow on a long horizon is formed.
+
+The final-state checks (flattening, Wirtinger, algebra, spectral tail) read
+the loop's own raw half spectrum ``final_state.u_hat`` and reduce it through
+``fields.hm_norms``/``reduce_power``; the mean is removed by zeroing the
+coefficient k = 0, so the oscillatory part carries no grid roundoff in it.
 """
 
 from __future__ import annotations
@@ -31,9 +36,7 @@ import numpy as np
 
 from .calibration import CalibratedConstants, _refine
 from .estimates import BootstrapParams, damped_trapezoids, epsilon_budgets
-from .fields import (
-    hm_norms, l2_norm, mean_decompose, reduce_power, sobolev_norm, spectral_power
-)
+from .fields import hm_norms, reduce_power, spectral_power
 from .solver import Trajectory, dealias_mask, mean_mode_reference
 from .source import ModelParams
 
@@ -220,9 +223,7 @@ def check_improved_estimates(
 
 
 def check_mean_mode(
-    trajectory: Trajectory,
-    params: ModelParams,
-    bootstrap: BootstrapParams | None = None,
+    trajectory: Trajectory, bootstrap: BootstrapParams | None = None
 ) -> CheckResult:
     check_id = "mean_mode"
     first = trajectory.samples[0]
@@ -234,7 +235,7 @@ def check_mean_mode(
         )
     times = trajectory.times()
     recorded = trajectory.series("u_mean")
-    reference = np.array([value for _, value in mean_mode_reference(trajectory, params)])
+    reference = np.array([value for _, value in mean_mode_reference(trajectory)])
     scale = max(np.max(np.abs(recorded)), np.max(np.abs(reference)), 1e-12)
 
     omega = trajectory.params.omega
@@ -267,6 +268,13 @@ def _undamped(norms, rate: float, times):
     """
     logs = np.log(norms, out=np.full(norms.shape, -np.inf), where=~(norms < _TINY))
     return np.exp(logs + rate * times)
+
+
+def _oscillatory(raw):
+    """The raw half spectrum with its mean, the coefficient k = 0, set to zero."""
+    oscillatory = raw.copy()
+    oscillatory[0, 0, 0] = 0.0
+    return oscillatory
 
 
 def check_asymptotics(trajectory: Trajectory) -> tuple[CheckResult, float]:
@@ -306,7 +314,7 @@ def check_asymptotics(trajectory: Trajectory) -> tuple[CheckResult, float]:
 
     # spatial flattening: u(t_end) is H^m-close to its own mean (measured directly;
     # ||u||^2 - VOLUME c0^2 would leave a roundoff residue of order sqrt(eps) ||u||)
-    deviation = sobolev_norm(mean_decompose(trajectory.final_state.u).oscillatory, params.m)
+    deviation = hm_norms(_oscillatory(trajectory.final_state.u_hat), params.m)[0]
     margins.append((threshold - deviation) / threshold)
     worst_times.append(times[-1])
     tolerances.append(ABS_TOL)
@@ -328,9 +336,9 @@ def check_wirtinger_final(trajectory: Trajectory) -> CheckResult:
     check_id = "wirtinger_final"
     if trajectory.final_state is None:
         return _skip(check_id, "no final state recorded")
-    u = trajectory.final_state.u
-    lhs = l2_norm(mean_decompose(u).oscillatory)
-    rhs = hm_norms(np.fft.rfftn(u.values), 1)[1]  # the D_1 block: ||grad u||
+    u_hat = trajectory.final_state.u_hat
+    lhs = hm_norms(_oscillatory(u_hat), 0)[0]
+    rhs = hm_norms(u_hat, 1)[1]  # the D_1 block: ||grad u||
     scale = max(rhs, 1e-12)
     return _finish(
         check_id, [trajectory.samples[-1].t], [(rhs - lhs) / scale], [ABS_TOL / scale]
@@ -345,17 +353,16 @@ def check_algebra_final(
         return _skip(check_id, "no calibrated constants supplied")
     if trajectory.final_state is None:
         return _skip(check_id, "no final state recorded")
-    u = trajectory.final_state.u
-    m = trajectory.params.m
-    if constants.grid_n != u.grid.n or constants.m < m:
+    n, m = trajectory.config.grid.n, trajectory.params.m
+    if constants.grid_n != n or constants.m < m:
         return _skip(
             check_id,
             f"constants calibrated for n = {constants.grid_n}, m <= {constants.m}; "
-            f"state has n = {u.grid.n}, m = {m}",
+            f"state has n = {n}, m = {m}",
         )
     # measured as calibrate measures c_algebra: refined once, u^2 on the doubled grid
-    raw = np.fft.rfftn(u.values)
-    refined = _refine(raw, u.grid.n)
+    raw = trajectory.final_state.u_hat
+    refined = _refine(raw, n)
     lhs = hm_norms(np.fft.rfftn(refined * refined), m)[0]
     rhs = constants.c_algebra * hm_norms(raw, m)[0] ** 2
     scale = max(rhs, 1e-12)
@@ -368,9 +375,8 @@ def _spectral_tail_fraction(trajectory: Trajectory) -> float:
     """H^{m+1}-weighted mass fraction beyond the dealias band of the final u."""
     if trajectory.final_state is None:
         return math.nan
-    u = trajectory.final_state.u
-    power = spectral_power(np.fft.rfftn(u.values))
-    tail = np.where(dealias_mask(u.grid.n), 0.0, power)
+    power = spectral_power(trajectory.final_state.u_hat)
+    tail = np.where(dealias_mask(trajectory.config.grid.n), 0.0, power)
     total, beyond = reduce_power(np.stack([power, tail]), trajectory.params.m + 1)[:, 0].tolist()
     if total == 0.0:
         return 0.0
@@ -484,7 +490,7 @@ def run_all(
         check_energy_integral(trajectory),
         bootstrap_result,
         check_improved_estimates(trajectory, bootstrap),
-        check_mean_mode(trajectory, params, bootstrap),
+        check_mean_mode(trajectory, bootstrap),
         asymptotics_result,
         check_wirtinger_final(trajectory),
         check_algebra_final(trajectory, constants),

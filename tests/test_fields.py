@@ -15,13 +15,14 @@ from toruswave.fields import (
     GridSpec,
     TWO_PI,
     VOLUME,
+    hm_norms,
     l2_norm,
-    mean_decompose,
     random_band_limited,
     sobolev_norm,
     sobolev_weight,
     sup_norm,
 )
+from toruswave.verify import _oscillatory
 from reference import (
     Spectrum,
     central_difference,
@@ -197,13 +198,18 @@ class TestSobolevNorm:
 
 class TestMeanSplit:
     def test_pythagorean_identity(self):
+        # the mean is c(0) / n^3; removing it zeroes that one raw coefficient
         grid = GridSpec(16)
         field = random_band_limited(grid, seed=21, band=5)
         field = Field(grid, field.values + 0.7)
-        split = mean_decompose(field)
-        assert abs(split.oscillatory.mean()) < 1e-14
+        raw = np.fft.rfftn(field.values)
+        oscillatory = _oscillatory(raw)
+        mean = raw[0, 0, 0].real / grid.n**3
+        assert raw[0, 0, 0] != 0.0 and oscillatory[0, 0, 0] == 0.0
+        assert mean == pytest.approx(field.mean(), rel=1e-14)
+        assert abs(np.fft.irfftn(oscillatory, s=grid.shape, axes=(0, 1, 2)).mean()) < 1e-14
         lhs = l2_norm(field) ** 2
-        rhs = l2_norm(split.oscillatory) ** 2 + VOLUME * split.mean**2
+        rhs = hm_norms(oscillatory, 0)[0] ** 2 + VOLUME * mean**2
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_wirtinger_inequality(self):

@@ -132,7 +132,7 @@ def final_state_trajectory(u, m=3):
         params=ModelParams(omega=0.5, kappa=0.25, mu=0.5, m=m),
         config=SolverConfig(u.grid, dt=0.1, t_end=0.1),
         samples=[sample_half_spectrum(0.1, u.values, u.values, raw, raw, raw, 0.5, m)],
-        final_state=SolverState(0.1, u, u),
+        final_state=SolverState(0.1, raw, raw),
     )
 
 
@@ -161,13 +161,13 @@ def test_spectral_tail_fraction_matches_full_complex(n):
 def overflow_case():
     grid = GridSpec(8)
     params = ModelParams(omega=0.5, kappa=0.25, mu=-40.0)
-    prepared = prepare_source(SourceSpec(amplitude=0.5), grid, params.m)
     u0 = Field(grid, np.full(grid.shape, -1.0 + 1e-10))
-    return grid, params, prepared, u0
+    return grid, params, SourceSpec(amplitude=0.5), u0
 
 
 def test_overflowing_power_raises_breakdown():
-    _, params, prepared, u0 = overflow_case()
+    grid, params, spec, u0 = overflow_case()
+    prepared = prepare_source(spec, grid, params.m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BreakdownError, match="overflow") as info:
@@ -178,11 +178,11 @@ def test_overflowing_power_raises_breakdown():
 def test_overflowing_force_is_a_breakdown_not_an_error():
     # (1e-10)^-40 overflows: simulate returns a breakdown at t = 0, no NaN
     # sample, and no floating-point warning on the way
-    grid, params, prepared, u0 = overflow_case()
+    grid, params, spec, u0 = overflow_case()
     config = SolverConfig(grid=grid, dt=0.1, t_end=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trajectory = simulate(u0, Field(grid, np.zeros(grid.shape)), params, prepared, config)
+        trajectory = simulate(u0, Field(grid, np.zeros(grid.shape)), params, spec, config)
     assert trajectory.breakdown.t == 0.0 and trajectory.breakdown.step == 0
     assert "overflow" in trajectory.breakdown.reason
     assert trajectory.samples == [] and trajectory.final_state is None

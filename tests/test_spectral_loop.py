@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 from toruswave import solver
+from toruswave.cli import CONSTANTS_ENV, build_scenario, load_config
 from toruswave.energy import sample_half_spectrum
 from toruswave.fields import (
     Field,
     GridSpec,
+    hm_norms,
     random_band_limited,
     reduce_power,
     spectral_power,
@@ -54,9 +56,11 @@ REL_LOOP = 1e-13
 REL_REDUCE = 1e-14
 
 
-def reference_simulate(u0, u1, params, prepared, config):
-    """The full-complex predictor-corrector loop: (samples, breakdown, final_state)."""
+def reference_simulate(u0, u1, params, spec, config):
+    """The full-complex predictor-corrector loop: (samples, breakdown, final_state),
+    the final state in the half layout and raw scale ``simulate`` keeps."""
     grid, dt = config.grid, config.dt
+    prepared = prepare_source(spec, grid, params.m)
     p11, p12, p21, p22, wu, wv = _propagator_pieces(
         full_laplacian_symbol(grid.n), params.omega, dt
     )
@@ -82,7 +86,9 @@ def reference_simulate(u0, u1, params, prepared, config):
         ut = inverse_transform(Spectrum(grid, ut_hat))
         f = Field(grid, eval_prepared(t, u.values, params, prepared))
         samples.append(sample_energies(t, u, ut, f, params.omega, params.m))
-        return SolverState(t, u, ut)
+        # the normalized full spectrum, cut to k3 >= 0 and scaled to raw rfftn
+        half = (..., slice(0, grid.n // 2 + 1))
+        return SolverState(t, grid.n**3 * u_hat[half], grid.n**3 * ut_hat[half])
 
     state = None
     for k in range(config.n_steps):
@@ -122,8 +128,8 @@ def assert_matches_reference(traj, reference):
         assert traj.final_state is None
         return
     assert traj.final_state.t == final_state.t
-    assert_close(traj.final_state.u.values, final_state.u.values, REL_LOOP)
-    assert_close(traj.final_state.ut.values, final_state.ut.values, REL_LOOP)
+    assert_close(traj.final_state.u_hat, final_state.u_hat, REL_LOOP)
+    assert_close(traj.final_state.ut_hat, final_state.ut_hat, REL_LOOP)
 
 
 def initial_data(grid, amplitude=0.3):
@@ -144,12 +150,11 @@ def test_simulate_matches_full_complex_loop(n, dealias, preset, mu):
     grid = GridSpec(n)
     params = ModelParams(omega=0.5, kappa=0.25, mu=MU[mu], m=3)
     spec = SourceSpec(amplitude=0.8, preset=preset, seed=5, sigma="cos")
-    prepared = prepare_source(spec, grid, params.m)
     config = SolverConfig(grid=grid, dt=0.05, t_end=1.0, sample_every=3, dealias=dealias)
     u0, u1 = initial_data(grid)
-    traj = simulate(u0, u1, params, prepared, config)
+    traj = simulate(u0, u1, params, spec, config)
     assert traj.breakdown is None and len(traj.samples) == 8
-    assert_matches_reference(traj, reference_simulate(u0, u1, params, prepared, config))
+    assert_matches_reference(traj, reference_simulate(u0, u1, params, spec, config))
 
 
 # (mu, source amplitude, u_t, sample_every): 1 + u falls through 0 where F is due
@@ -168,14 +173,12 @@ def test_breakdown_matches_full_complex_loop(kind):
     mu, amplitude, velocity, sample_every = BREAKDOWNS[kind]
     grid = GridSpec(8)
     params = ModelParams(omega=0.5, kappa=0.25, mu=mu)
-    prepared = prepare_source(
-        SourceSpec(amplitude=amplitude), grid, params.m
-    )
+    spec = SourceSpec(amplitude=amplitude)
     config = SolverConfig(grid=grid, dt=0.1, t_end=2.0, sample_every=sample_every)
     ripple = random_band_limited(grid, seed=3, band=2, amplitude=0.01)
     u0 = Field(grid, ripple.values - 0.5)
     u1 = Field(grid, np.full(grid.shape, velocity))
-    traj = simulate(u0, u1, params, prepared, config)
+    traj = simulate(u0, u1, params, spec, config)
     assert traj.breakdown.step == 2
     if kind == "at-sample":
         assert traj.final_state is None and traj.breakdown.t == pytest.approx(0.2)
@@ -183,19 +186,33 @@ def test_breakdown_matches_full_complex_loop(kind):
         assert traj.final_state.t == 0.0 and traj.breakdown.t == pytest.approx(0.2)
     else:
         assert traj.final_state.t == pytest.approx(0.2) and traj.breakdown.t == pytest.approx(0.3)
-    assert_matches_reference(traj, reference_simulate(u0, u1, params, prepared, config))
+    assert_matches_reference(traj, reference_simulate(u0, u1, params, spec, config))
 
 
 def test_breakdown_of_the_initial_data():
     grid = GridSpec(8)
     params = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
-    prepared = prepare_source(SourceSpec(amplitude=0.01), grid, 3)
+    spec = SourceSpec(amplitude=0.01)
     config = SolverConfig(grid=grid, dt=0.01, t_end=1.0, sample_every=5)
     u0 = Field(grid, np.full(grid.shape, -1.5))
     u1 = Field(grid, np.zeros(grid.shape))
-    traj = simulate(u0, u1, params, prepared, config)
+    traj = simulate(u0, u1, params, spec, config)
     assert traj.breakdown.step == 0 and traj.samples == [] and traj.final_state is None
-    assert_matches_reference(traj, reference_simulate(u0, u1, params, prepared, config))
+    assert_matches_reference(traj, reference_simulate(u0, u1, params, spec, config))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("part", ["velocity", "displacement"])
+def test_final_state_norm_is_the_last_sample_norm(monkeypatch, n, part):
+    # the final state is the loop's own spectrum, so its H^m norm is the same
+    # float as the u_hm the last sample recorded from it
+    monkeypatch.delenv(CONSTANTS_ENV, raising=False)
+    entries = load_config("flagship")
+    entries.update({"grid.n": str(n), "initial.part": part, "solver.t_end": "20"})
+    scenario = build_scenario(entries)
+    traj = simulate(scenario.u0, scenario.u1, scenario.params, scenario.source, scenario.solver)
+    assert traj.breakdown is None
+    assert hm_norms(traj.final_state.u_hat, scenario.params.m)[0] == traj.samples[-1].u_hm
 
 
 def counted(monkeypatch, module, name, counts):
@@ -216,9 +233,7 @@ def counted(monkeypatch, module, name, counts):
 def test_loop_costs_two_forces_per_step_and_no_full_transforms(monkeypatch, sample_every, t_end):
     grid = GridSpec(8)
     params = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
-    prepared = prepare_source(
-        SourceSpec(amplitude=0.5, preset="bump"), grid, params.m
-    )
+    spec = SourceSpec(amplitude=0.5, preset="bump")
     config = SolverConfig(grid=grid, dt=0.05, t_end=t_end, sample_every=sample_every)
     u0, u1 = initial_data(grid)
     counts = {"eval_prepared": 0, "fftn": 0, "ifftn": 0, "fields": 0}
@@ -232,14 +247,22 @@ def test_loop_costs_two_forces_per_step_and_no_full_transforms(monkeypatch, samp
         check_field(self)
 
     monkeypatch.setattr(Field, "__post_init__", counted_field)
-    traj = simulate(u0, u1, params, prepared, config)
+    prepare = solver.prepare_source
+
+    def prepare_then_count(*args):
+        prepared = prepare(*args)
+        counts["fields"] = 0  # the source profile is built once per run, before the loop
+        return prepared
+
+    monkeypatch.setattr(solver, "prepare_source", prepare_then_count)
+    traj = simulate(u0, u1, params, spec, config)
     assert traj.breakdown is None
-    # the loop works on arrays; the only Fields are the final state's u and u_t
+    # the loop works on arrays, and the final state is its pair of half spectra
     assert counts == {
         "eval_prepared": 2 * config.n_steps + 1,
         "fftn": 0,
         "ifftn": 0,
-        "fields": 2,
+        "fields": 0,
     }
 
 

@@ -8,10 +8,10 @@ import pytest
 
 from toruswave import verify
 from toruswave.calibration import calibrate
-from toruswave.energy import modified_energy
+from toruswave.energy import EnergySample, modified_energy
 from toruswave.estimates import BootstrapParams, epsilon_budgets
 from toruswave.fields import VOLUME, Field, GridSpec
-from toruswave.solver import SolverConfig, simulate
+from toruswave.solver import SolverConfig, SolverState, Trajectory, simulate
 from toruswave.source import ModelParams, SourceSpec
 from toruswave.verify import (
     CheckResult,
@@ -247,18 +247,18 @@ class TestImprovedEstimates:
 
 class TestMeanMode:
     def test_zero_source_zero_mean_is_trivial(self, free_traj, free_bp):
-        result = check_mean_mode(free_traj, free_traj.params, free_bp)
+        result = check_mean_mode(free_traj, free_bp)
         assert result.passed
 
     def test_forced_mean_tracks_reference(self, forced_traj, forced_bp):
-        result = check_mean_mode(forced_traj, forced_traj.params, forced_bp)
+        result = check_mean_mode(forced_traj, forced_bp)
         assert result.passed and not result.skipped
 
     def test_smallness_bound_without_bootstrap_params(self, forced_traj):
-        assert check_mean_mode(forced_traj, forced_traj.params).passed
+        assert check_mean_mode(forced_traj).passed
 
     def test_skips_on_nonzero_mean_data(self, mean_traj):
-        result = check_mean_mode(mean_traj, mean_traj.params)
+        result = check_mean_mode(mean_traj)
         assert result.skipped and "nonzero-mean" in result.reason
 
     def test_rejects_tampered_means(self, forced_traj, forced_bp):
@@ -267,7 +267,7 @@ class TestMeanMode:
             for s in forced_traj.samples[1:]
         ]
         bad = dataclasses.replace(forced_traj, samples=samples)
-        result = check_mean_mode(bad, bad.params, forced_bp)
+        result = check_mean_mode(bad, forced_bp)
         assert not result.passed and not result.skipped
 
 
@@ -334,9 +334,9 @@ class TestAsymptotics:
     def test_rejects_non_flat_final_state(self, settled_traj):
         x1 = GRID.coordinates()[0]
         final = settled_traj.final_state
-        ripple = final.u.values + 1e-6 * np.cos(x1)
+        ripple = np.fft.rfftn(1e-6 * np.cos(x1) + np.zeros(GRID.shape))
         bad = dataclasses.replace(
-            settled_traj, final_state=dataclasses.replace(final, u=Field(GRID, ripple))
+            settled_traj, final_state=dataclasses.replace(final, u_hat=final.u_hat + ripple)
         )
         assert 1e-6 > 10.0 * self._flattening_threshold(bad)
         result, _ = check_asymptotics(bad)
@@ -357,6 +357,23 @@ class TestFinalStateChecks:
     def test_wirtinger_on_constant_state(self, mean_traj):
         # constant field: both sides vanish
         assert check_wirtinger_final(mean_traj).passed
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+    def test_wirtinger_margin_not_negative_at_equality(self, n, eps):
+        # u = 1 + eps cos(x_i + phi) has |k| = 1 besides its mean, where Wirtinger
+        # is an equality: removing the mean must leave no roundoff behind
+        grid = GridSpec(n)
+        for j in range(8):
+            x = grid.coordinates()[j % 3]
+            raw = np.fft.rfftn(1.0 + eps * np.cos(x + j * math.pi / 4) + np.zeros(grid.shape))
+            trajectory = Trajectory(
+                params=PARAMS,
+                config=SolverConfig(grid, dt=0.1, t_end=0.1),
+                samples=[EnergySample(0.1, *[0.0] * 8)],
+                final_state=SolverState(0.1, raw, raw),
+            )
+            assert check_wirtinger_final(trajectory).worst_margin >= 0.0
 
     def test_wirtinger_skips_without_final_state(self, free_traj):
         stub = dataclasses.replace(free_traj, final_state=None)

@@ -10,8 +10,9 @@ downstream (norms, energies, products) is built on that layout.
 
 import numpy as np
 
-from toruswave import Field, GridSpec, alias_free_product, sobolev_norm, sobolev_weight
-from toruswave.fields import l2_norm, norm_weights, sup_norm
+from toruswave import Field, GridSpec
+from toruswave.fields import hm_norms, norm_weights
+from toruswave.solver import dealias_mask
 
 grid = GridSpec(16)
 x1, x2, x3 = grid.coordinates()
@@ -42,19 +43,22 @@ print("round-trip error  :", np.max(np.abs(back - u.values)))
 # k3 plane strictly between 0 and n/2 twice, once for k and once for -k.
 # Every norm and energy reduces through one cached matrix per grid size and
 # order, norm_weights(n, m) = [S_m | D_1 ... D_m], D_k summing the squared
-# derivative symbols of order k; sobolev_weight is a view of its column S_m.
+# derivative symbols of order k.  hm_norms(raw, m) reduces the raw rfftn
+# spectrum through it: [|u|_Hm, |D_1 u|, ..., |D_m u|].
 c = Field(grid, np.full(grid.shape, 0.3))
-print("|const 0.3|_L2    :", l2_norm(c), "expected", 0.3 * (2.0 * np.pi) ** 1.5)
+print("|const 0.3|_L2    :", hm_norms(np.fft.rfftn(c.values), 0)[0],
+      "expected", 0.3 * (2.0 * np.pi) ** 1.5)
 weights = norm_weights(grid.n, 1)
 print("norm_weights shape:", weights.shape, "(one row per half-layout mode: S_1 | D_1)")
-print("S_1 at k=(1,0,0)  :", sobolev_weight(grid.n, 1)[1, 0, 0], "(k3 = 0 plane: once)")
-print("S_1 at k=(0,0,1)  :", sobolev_weight(grid.n, 1)[0, 0, 1], "(k3 = 1 plane: twice)")
+columns = weights.reshape(grid.n, grid.n, grid.n // 2 + 1, 2)
+print("S_1 at k=(1,0,0)  :", columns[1, 0, 0, 0], "(k3 = 0 plane: once)")
+print("S_1 at k=(0,0,1)  :", columns[0, 0, 1, 0], "(k3 = 1 plane: twice)")
 # k = (-8, 0, 0) sits on the Nyquist plane: S_1 counts it in full, while the
 # derivative block D_1 zeroes it, as a first spectral derivative does
-print("S_1, D_1 at k=(-8,0,0):", weights.reshape(grid.n, grid.n, grid.n // 2 + 1, 2)[8, 0, 0])
+print("S_1, D_1 at k=(-8,0,0):", columns[8, 0, 0])
 
 for m in range(4):
-    print(f"|u|_H{m} =", sobolev_norm(u, m))
+    print(f"|u|_H{m} =", hm_norms(np.fft.rfftn(u.values), m)[0])
 
 # Derivatives act diagonally on the spectrum.  d/dx1 of cos(x1) is
 # -sin(x1); multiply by i k1 and compare against the analytic answer.
@@ -64,16 +68,16 @@ analytic = full - np.sin(x1)
 print("d/dx1 error       :", np.max(np.abs(du - analytic)))
 
 # Pointwise products alias: cos(4 x1) * cos(5 x1) contains mode 9, which
-# a 16-point axis cannot hold, so the naive product folds it onto mode
-# 16 - 9 = 7 as a ghost.  alias_free_product evaluates on a padded grid
-# and truncates, so the ghost never appears.
+# a 16-point axis cannot hold, so the grid product folds it onto mode
+# 16 - 9 = 7 as a ghost.  The time loop applies the 2/3 rule to every
+# force: dealias_mask keeps |k_i| <= n/3 = 5.  Both factors live below
+# n/3, so every ghost of their product lands above it and the mask
+# removes it, while the true content below n/3 passes untouched.
 v = Field(grid, full + np.cos(4.0 * x1))
 w = Field(grid, full + np.cos(5.0 * x1))
 naive = Field(grid, v.values * w.values)
-clean = alias_free_product(v, w)
-clean_hat = np.fft.rfftn(clean.values) / clean.grid.n**3
+masked = half_spectrum(naive) * dealias_mask(grid.n)
 
 print("mode 7 naive      :", half_spectrum(naive)[7, 0, 0].real, "(alias ghost)")
-print("mode 7 dealiased  :", clean_hat[7, 0, 0].real)
-print("mode 1 either way :", clean_hat[1, 0, 0].real, "(true content)")
-print("sup norm of u     :", sup_norm(u))
+print("mode 7 masked     :", masked[7, 0, 0].real)
+print("mode 1 either way :", masked[1, 0, 0].real, "(true content)")

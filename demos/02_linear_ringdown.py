@@ -18,7 +18,6 @@ from toruswave import (
     ModelParams,
     SolverConfig,
     SourceSpec,
-    mean_mode_free,
     simulate,
 )
 
@@ -49,11 +48,13 @@ print("mode (1,1,0) exact    :", exact_mode)
 print("mode (1,1,0) computed :", got_mode)
 print("difference            :", abs(got_mode - exact_mode))
 
-# The mean: u0_bar = 0.08, u1_bar = 0, so the plateau is just 0.08 and
-# the drift formula reproduces the recorded means along the way.
+# The mean obeys v'' + 2 omega v' = 0, so v(t) = u0_bar + u1_bar (1 -
+# exp(-2 omega t)) / (2 omega).  Here u0_bar = 0.08 and u1_bar = 0, so the
+# plateau is just 0.08 and the formula reproduces the recorded means.
 times = trajectory.times()
 means = trajectory.series("u_mean")
-predicted = mean_mode_free(0.08, 0.0, omega, times)
+u0_bar, u1_bar = 0.08, 0.0
+predicted = u0_bar + u1_bar * (1.0 - np.exp(-2.0 * omega * times)) / (2.0 * omega)
 print("worst mean-mode error :", np.max(np.abs(means - predicted)))
 print("plateau               :", means[-1], "(target 0.08)")
 

@@ -2,12 +2,11 @@
 
 from .calibration import (
     CalibratedConstants,
-    alias_free_product,
     calibrate,
     load_constants,
     save_constants,
 )
-from .energy import EnergySample, modified_energy, standard_energy
+from .energy import EnergySample, modified_energy
 from .estimates import (
     BootstrapParams,
     epsilon_budgets,
@@ -16,13 +15,12 @@ from .estimates import (
     g_function,
     h_threshold,
 )
-from .fields import Field, GridSpec, sobolev_norm, sobolev_weight
+from .fields import Field, GridSpec
 from .solver import (
     BreakdownInfo,
     SolverConfig,
     SolverState,
     Trajectory,
-    mean_mode_free,
     simulate,
 )
 from .source import BreakdownError, ModelParams, SourceSpec, prepare_source
@@ -45,7 +43,6 @@ __all__ = [
     "SourceSpec",
     "Trajectory",
     "VerificationReport",
-    "alias_free_product",
     "calibrate",
     "epsilon_budgets",
     "forcing_constant",
@@ -53,14 +50,10 @@ __all__ = [
     "g_function",
     "h_threshold",
     "load_constants",
-    "mean_mode_free",
     "modified_energy",
     "prepare_source",
     "run_all",
     "save_constants",
     "simulate",
-    "sobolev_norm",
-    "sobolev_weight",
-    "standard_energy",
     "__version__",
 ]

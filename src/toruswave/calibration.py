@@ -12,13 +12,15 @@ Every transform here is a real FFT in the raw ``np.fft.rfftn`` half layout.
 ``calibrate`` walks the family once, one member at a time as
 ``_field_family`` yields it: each member is transformed and refined to the
 doubled grid once, and every composed field (1 + a u)^mu costs one ``rfftn``.
-All norms of one spectrum, ||.||_{H^m} and the order-k blocks, come from
-``fields.hm_norms``, the one product of its |c|^2 with the weight matrix
-every norm and energy of the package reduces through.  At most three refined
-fields are alive at a time: the first member's and the previous one's, for
-the wrap-around pairs of the product ratio, and the current one.
-``verify.check_algebra_final`` measures ||u^2||_{H^m} with the same
-refinement and norms.
+``_refine`` is the package's one alias-free product: a product uv is the
+pointwise product of the refined samples of u and v, and on the doubled grid
+no mode of it aliases.  All norms of one spectrum, ||.||_{H^m} and the
+order-k blocks, come from ``fields.hm_norms``, the one product of its |c|^2
+with the weight matrix every norm and energy of the package reduces through.
+At most three refined fields are alive at a time: the first member's and the
+previous one's, for the wrap-around pairs of the product ratio, and the
+current one.  ``verify.check_algebra_final`` measures ||u^2||_{H^m} with the
+same refinement and norms.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .estimates import composition_envelope
-from .fields import Field, GridSpec, _symbol_weight, hm_norms, random_band_limited, sup_norm
+from .fields import Field, GridSpec, _symbol_weight, hm_norms, random_band_limited
 
 SAFETY_MARGIN = 1.5
 FILE_FORMAT = "toruswave-constants-1"
@@ -76,16 +78,6 @@ def _refine(raw: npt.NDArray[np.complex128], n: int) -> npt.NDArray[np.float64]:
     fine = np.zeros((2 * n, 2 * n, n + 1), dtype=np.complex128)
     fine[dest[:, None], dest, :half] = 8.0 * raw[keep[:, None], keep, :half]
     return np.fft.irfftn(fine, s=(2 * n,) * 3, axes=(0, 1, 2))
-
-
-def alias_free_product(u: Field, v: Field) -> Field:
-    """Pointwise product evaluated on a doubled grid, so no mode aliases."""
-    if u.grid.n != v.grid.n:
-        raise ValueError(f"grids disagree: {u.grid.n} vs {v.grid.n}")
-    n = u.grid.n
-    u_fine = _refine(np.fft.rfftn(u.values), n)
-    v_fine = u_fine if v is u else _refine(np.fft.rfftn(v.values), n)
-    return Field(GridSpec(2 * n), u_fine * v_fine)
 
 
 def _embedding_extremizer(grid: GridSpec, m: int) -> Field:
@@ -140,7 +132,7 @@ def calibrate(
         norm, *base_blocks = hm_norms(raw, m)
         refined = _refine(raw, grid.n)
         current = (refined, norm)
-        sup = sup_norm(base)
+        sup = float(np.max(np.abs(base.values)))
         c_sobolev = max(c_sobolev, sup / norm)
         if previous is not None:
             c_algebra = max(c_algebra, _product_ratio(previous, current, m))

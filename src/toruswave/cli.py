@@ -266,13 +266,30 @@ def _check_resolved(key: str, modes, grid: GridSpec) -> None:
 
 
 def _coeff_values(grid: GridSpec, coeffs) -> np.ndarray:
-    """Each entry adds re cos(n.x) + im sin(n.x); n = 0 gives a constant."""
+    """Each entry adds re cos(n.x) + im sin(n.x); n = 0 gives a constant.
+    A sum that overflows is left as inf, for ``_initial_field`` to reject."""
     x1, x2, x3 = grid.coordinates()
     values = np.zeros(grid.shape)
-    for n1, n2, n3, re_part, im_part in coeffs:
-        phase = n1 * x1 + n2 * x2 + n3 * x3
-        values = values + re_part * np.cos(phase) + im_part * np.sin(phase)
+    with np.errstate(over="ignore"):
+        for n1, n2, n3, re_part, im_part in coeffs:
+            phase = n1 * x1 + n2 * x2 + n3 * x3
+            values = values + re_part * np.cos(phase) + im_part * np.sin(phase)
     return values
+
+
+def _initial_field(key: str, grid: GridSpec, values: np.ndarray) -> Field:
+    """Initial data built from ``key``; a non-finite value is a config error of that key."""
+    try:
+        return Field(grid, values)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: the initial data overflow: {exc}") from None
+
+
+def _scaled(u0: Field, u1: Field, scale: float) -> tuple[Field, Field]:
+    """scale * (u0, u1); a scale or product that overflows is a config error of initial.e_m0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v0, v1 = scale * u0.values, scale * u1.values
+    return _initial_field("initial.e_m0", u0.grid, v0), _initial_field("initial.e_m0", u1.grid, v1)
 
 
 @dataclass
@@ -334,7 +351,8 @@ def _build_initial(read: _Reader, grid: GridSpec, params: ModelParams) -> tuple[
             read.resolved[key] = "; ".join(
                 f"{a},{b},{c},{_fmt(re_)},{_fmt(im_)}" for a, b, c, re_, im_ in coeffs
             )
-        u0, u1 = Field(grid, values["initial.u0_coeffs"]), Field(grid, values["initial.u1_coeffs"])
+        u0, u1 = (_initial_field(key, grid, values[key])
+                  for key in ("initial.u0_coeffs", "initial.u1_coeffs"))
         if "initial.e_m0" in read:
             target = read("initial.e_m0")
             if not target > 0.0:
@@ -342,8 +360,7 @@ def _build_initial(read: _Reader, grid: GridSpec, params: ModelParams) -> tuple[
             current = math.sqrt(modified_energy(u0, u1, params.omega, params.m))
             if current == 0.0:
                 raise ConfigError("initial coefficients vanish, cannot scale to initial.e_m0")
-            scale = target / current
-            u0, u1 = Field(grid, scale * u0.values), Field(grid, scale * u1.values)
+            u0, u1 = _scaled(u0, u1, target / current)
         return u0, u1
 
     # single-mode and bump carry their size as a target initial energy
@@ -364,7 +381,7 @@ def _build_initial(read: _Reader, grid: GridSpec, params: ModelParams) -> tuple[
     else:
         u0, u1 = Field(grid, shape), Field(grid, zero)
     scale = target / math.sqrt(modified_energy(u0, u1, params.omega, params.m))
-    return Field(grid, scale * u0.values), Field(grid, scale * u1.values)
+    return _scaled(u0, u1, scale)
 
 
 def _resolve_constants(read: _Reader, grid: GridSpec, m: int) -> CalibratedConstants:

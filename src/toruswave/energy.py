@@ -22,10 +22,10 @@ spectrum through ``fields.reduce_power``, that is through the cached weight
 matrix [S_m | D_1 ... D_m] of ``fields.norm_weights`` (Parseval).
 E_m^2 is the D_0 = S_0 term plus the block columns applied to the density
 above; Estd^2 is the S_m column applied to |v_hat|^2 + g |u_hat|^2, with g the
-per-mode gradient symbol.  ``modified_energy`` and ``standard_energy``
-transform their grid fields once each; ``sample_half_spectrum`` reads the
-coefficients the time loop keeps and reduces all its densities in one
-stacked product.
+per-mode gradient symbol.  ``sample_half_spectrum`` reads the coefficients
+the time loop keeps and reduces all its densities, both energies among them,
+in one stacked product; ``modified_energy`` transforms a pair of grid fields
+once each, for the initial data a scenario scales to its target E_m.
 """
 
 from __future__ import annotations
@@ -93,13 +93,6 @@ def modified_energy(u: Field, ut: Field, omega: float, m: int = 0) -> float:
     u_hat, ut_hat = np.fft.rfftn(u.values), np.fft.rfftn(ut.values)
     density = _density(u_hat, ut_hat, spectral_power(u_hat), spectral_power(ut_hat), omega)
     return _modified_sq(density, reduce_power(density, m))
-
-
-def standard_energy(u: Field, ut: Field, m: int = 0) -> float:
-    """Squared standard energy 1/2 (||u_t||_{H^m}^2 + ||grad u||_{H^m}^2)."""
-    _check_pair(u, ut)
-    pu, pv = (spectral_power(np.fft.rfftn(x.values)) for x in (u, ut))
-    return float(0.5 * reduce_power(_standard_row(pu, pv), m)[0])
 
 
 def sample_half_spectrum(

@@ -26,9 +26,10 @@ so the product sums over the full spectrum; a stack of densities reduces
 density by density, so a norm has the same bits whichever stack it is in.
 
 * Column 0, S_m(k) = sum_{|a| <= m} k^2a, keeps the Nyquist planes k_i = -n/2
-  at full weight.  It gives ``sobolev_norm`` (every recorded H^m norm, the
-  embedding extremizer and the constants measured with it) and, applied to
-  |v|^2 + g |u|^2, the standard energy.  ``sobolev_weight`` is a view of it.
+  at full weight.  It gives the H^m norm ``hm_norms(raw, m)[0]`` (every
+  recorded H^m norm, the source amplitude, the embedding extremizer and the
+  constants measured with it) and, applied to |v|^2 + g |u|^2, the standard
+  energy.
 * Column k >= 1, the block D_k, sums the squared symbols of d^a over |a| = k;
   the Nyquist plane of axis i has no +n/2 partner and is zeroed for odd a_i,
   as an odd-order spectral derivative zeroes it.  D_1 is the Wirtinger
@@ -170,12 +171,6 @@ def norm_weights(n: int, m: int) -> npt.NDArray[np.float64]:
     return matrix
 
 
-def sobolev_weight(n: int, m: int) -> npt.NDArray[np.float64]:
-    """S_m(k) = sum_{|a| <= m} k1^2a1 k2^2a2 k3^2a3 on the half layout, a read-only
-    view of column 0 of ``norm_weights``; S_0 gives L2."""
-    return norm_weights(n, m)[:, 0].reshape(n, n, n // 2 + 1)
-
-
 def spectral_power(raw: npt.NDArray[np.complex128]) -> npt.NDArray[np.float64]:
     """|c|^2 per mode."""
     return np.square(raw.real) + np.square(raw.imag)
@@ -197,19 +192,6 @@ def hm_norms(raw: npt.NDArray[np.complex128], m: int) -> list[float]:
     """[||u||_{H^m}, ||D_1 u||, ..., ||D_m u||] of the field whose raw
     ``np.fft.rfftn`` is ``raw``; ||D_k u||^2 is the sum of ||d^a u||^2 over |a| = k."""
     return np.sqrt(reduce_power(spectral_power(raw), m)).tolist()
-
-
-def sobolev_norm(u: Field, m: int) -> float:
-    """Discrete H^m norm, computed spectrally via Parseval."""
-    return hm_norms(np.fft.rfftn(u.values), m)[0]
-
-
-def l2_norm(u: Field) -> float:
-    return sobolev_norm(u, 0)
-
-
-def sup_norm(field: Field) -> float:
-    return float(np.max(np.abs(field.values)))
 
 
 def random_band_limited(

@@ -211,8 +211,9 @@ def simulate(
     """Run the full time span, sampling diagnostics along the way.
 
     A positivity, overflow or non-finite failure does not raise: the partial
-    trajectory is returned with ``breakdown`` filled in, and with the state
-    at the last sample as ``final_state`` when the failure came mid-step.
+    trajectory is returned with ``breakdown`` filled in.  Whether or not the
+    run breaks down, ``final_state`` is the state of the last recorded sample
+    (None if there is none), so its time is ``samples[-1].t``.
     """
     if u0.grid != config.grid or u1.grid != config.grid:
         raise ValueError("initial data grids do not match the configured grid")
@@ -238,44 +239,20 @@ def simulate(
         trajectory.samples.append(
             sample_half_spectrum(k * dt, u, f, u_hat, ut_hat, f_hat, params.omega, params.m)
         )
+        trajectory.final_state = SolverState(k * dt, u_hat, ut_hat)
         return f_hat
 
-    sampled = None  # the state at the latest sample; k = 0 always samples
-    for k in range(n_steps):
-        f_hat = None
-        if k % config.sample_every == 0:
-            try:
-                f_hat = record(k)
-            except BreakdownError as err:
-                trajectory.breakdown = BreakdownInfo(err.t, k, err.reason)
-                return trajectory
-            sampled = SolverState(k * dt, u_hat, ut_hat)
-        try:
-            u_hat, ut_hat = stepper.advance(k * dt, u_hat, ut_hat, f_hat)
-        except BreakdownError as err:
-            trajectory.breakdown = BreakdownInfo(err.t, k, err.reason)
-            trajectory.final_state = sampled
-            return trajectory
-        if not (np.isfinite(u_hat).all() and np.isfinite(ut_hat).all()):
-            t_bad = (k + 1) * dt
-            trajectory.breakdown = BreakdownInfo(
-                t_bad, k + 1, f"state became non-finite at step {k + 1} (t = {t_bad:.6g})"
-            )
-            trajectory.final_state = sampled
-            return trajectory
     try:
-        record(n_steps)
+        for k in range(n_steps + 1):  # k = 0 and k = n_steps always sample
+            if not (np.isfinite(u_hat).all() and np.isfinite(ut_hat).all()):
+                reason = f"state became non-finite at step {k} (t = {k * dt:.6g})"
+                raise BreakdownError(k * dt, math.nan, reason)
+            f_hat = record(k) if k % config.sample_every == 0 or k == n_steps else None
+            if k < n_steps:
+                u_hat, ut_hat = stepper.advance(k * dt, u_hat, ut_hat, f_hat)
     except BreakdownError as err:
-        trajectory.breakdown = BreakdownInfo(err.t, n_steps, err.reason)
-        return trajectory
-    trajectory.final_state = SolverState(n_steps * dt, u_hat, ut_hat)
+        trajectory.breakdown = BreakdownInfo(err.t, k, err.reason)
     return trajectory
-
-
-def mean_mode_free(v0: float, v1: float, omega: float, t) -> npt.NDArray[np.float64]:
-    """Zero-mode solution with no forcing: v0 + v1 (1 - exp(-2 omega t)) / 2 omega."""
-    t = np.asarray(t, dtype=np.float64)
-    return v0 + v1 * (1.0 - np.exp(-2.0 * omega * t)) / (2.0 * omega)
 
 
 def mean_mode_reference(trajectory: Trajectory) -> list[tuple[float, float]]:

@@ -27,11 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .fields import Field, GridSpec, random_band_limited, sobolev_norm
+from .fields import Field, GridSpec, hm_norms, random_band_limited
 
 
 class BreakdownError(RuntimeError):
-    """The pointwise positivity 1 + u > 0 failed, so (1 + u)^mu is undefined."""
+    """The run cannot go on at time t: 1 + u > 0 failed, so (1 + u)^mu is
+    undefined, or the power overflows, or (in ``simulate``) the state became
+    non-finite, where u_min is nan."""
 
     def __init__(self, t: float, u_min: float, reason: str = ""):
         self.t = float(t)
@@ -164,24 +166,23 @@ def bump_profile(grid: GridSpec) -> npt.NDArray[np.float64]:
     return np.exp((np.cos(x1) + np.cos(x2) + np.cos(x3) - 3.0) / 0.49)
 
 
-def _raw_profile(spec: SourceSpec, grid: GridSpec) -> Field:
+def _raw_profile(spec: SourceSpec, grid: GridSpec) -> npt.NDArray[np.float64]:
     if spec.preset == "uniform":
-        return Field(grid, np.ones(grid.shape))
+        return np.ones(grid.shape)
     if spec.preset == "single-mode":
         x1 = grid.coordinates()[0]
-        return Field(grid, np.broadcast_to(np.cos(x1), grid.shape).copy())
+        return np.broadcast_to(np.cos(x1), grid.shape).copy()
     if spec.preset == "bump":
-        return Field(grid, bump_profile(grid))
-    return random_band_limited(grid, seed=spec.seed, band=max(1, grid.n // 4))
+        return bump_profile(grid)
+    return random_band_limited(grid, seed=spec.seed, band=max(1, grid.n // 4)).values
 
 
 @dataclass
 class PreparedSource:
-    """Profile resolved on a grid, rescaled to the requested amplitude."""
+    """Profile A resolved on the grid as an array, rescaled to the requested amplitude."""
 
     spec: SourceSpec
-    profile: Field
-    m: int
+    profile: npt.NDArray[np.float64]
 
     def sigma(self, t: float) -> float:
         if self.spec.sigma == "cos":
@@ -192,12 +193,12 @@ class PreparedSource:
 def prepare_source(spec: SourceSpec, grid: GridSpec, m: int) -> PreparedSource:
     """Resolve and normalize the spatial profile once per run."""
     if spec.amplitude == 0.0:
-        return PreparedSource(spec, Field(grid, np.zeros(grid.shape)), m)
+        return PreparedSource(spec, np.zeros(grid.shape))
     raw = _raw_profile(spec, grid)
-    norm = sobolev_norm(raw, m)
+    norm = hm_norms(np.fft.rfftn(raw), m)[0]
     if norm == 0.0:
         raise ValueError("source profile vanishes, cannot scale it to a positive amplitude")
-    return PreparedSource(spec, Field(grid, raw.values * (spec.amplitude / norm)), m)
+    return PreparedSource(spec, raw * (spec.amplitude / norm))
 
 
 def eval_prepared(
@@ -210,9 +211,9 @@ def eval_prepared(
     is largest where u is smallest, so (1 + u_min)^mu also decides whether it
     overflows.  Either failure raises ``BreakdownError``.
     """
-    if u.shape != prepared.profile.grid.shape:
+    if u.shape != prepared.profile.shape:
         raise ValueError(
-            f"state shape {u.shape} does not match source grid {prepared.profile.grid.n}"
+            f"state shape {u.shape} does not match source grid {prepared.profile.shape[0]}"
         )
     mu = params.mu
     base = 1.0 + u
@@ -229,5 +230,5 @@ def eval_prepared(
             raise BreakdownError(t, u_min, reason) from None
         power = base**mu
     envelope = float(np.exp(-params.kappa * t)) * prepared.sigma(t)
-    return envelope * prepared.profile.values * power
+    return envelope * prepared.profile * power
 

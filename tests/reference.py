@@ -188,6 +188,14 @@ def pad_spectrum(spectrum, new_n):
     return Spectrum(GridSpec(new_n), np.fft.ifftshift(out))
 
 
+def padded_product(u, v):
+    """uv on the doubled grid, where no mode of it aliases: both factors
+    zero padded by ``pad_spectrum``."""
+    fine = GridSpec(2 * u.grid.n)
+    u_fine, v_fine = (inverse_transform(pad_spectrum(transform(x), fine.n)) for x in (u, v))
+    return Field(fine, u_fine.values * v_fine.values)
+
+
 def sample_energies(t, u, ut, f, omega, m):
     """The diagnostic row of ``energy.sample_half_spectrum`` from full spectra."""
     n = u.grid.n

@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from toruswave.calibration import alias_free_product, calibrate, save_constants
+from toruswave.calibration import calibrate, save_constants
 from toruswave.cli import build_scenario, load_config
-from toruswave.energy import modified_energy, standard_energy
+from toruswave.energy import modified_energy
 from toruswave.estimates import (
     BootstrapParams,
     epsilon_budgets,
@@ -27,14 +27,12 @@ from toruswave.fields import (
     Field,
     GridSpec,
     hm_norms,
-    l2_norm,
     random_band_limited,
-    sobolev_norm,
 )
 from toruswave.solver import SolverConfig, mean_mode_reference, simulate
 from toruswave.source import ModelParams, SourceSpec
 from toruswave.verify import check_energy_differential, check_energy_integral, run_all
-from reference import transform
+from reference import padded_product, sample_energies, spectrum_norm, transform
 
 GRID16 = GridSpec(16)
 REL_SLACK = 1e-9  # float headroom on inequalities that hold with real margin
@@ -256,31 +254,36 @@ def test_criterion_6_estimate_toolkit_inequalities(constants16):
         for mu in (0.5, -0.5)
     }
 
+    def norm(u, m=0):
+        return spectrum_norm(transform(u), m)
+
+    def gradient(u):  # ||grad u||, the standard energy at u_t = 0
+        return math.sqrt(2.0 * sample_energies(0.0, u, zero, zero, omega, 0).e_std_sq)
+
     for u, v in zip(family, family[1:] + family[:1]):
-        u_norm = sobolev_norm(u, 3)
+        u_norm = norm(u, 3)
         for mu, c_frac in moser_constants.items():
             composed = Field(GRID16, (1.0 + u.values) ** mu)
             bound = c_frac * u_norm + VOLUME**0.5
-            assert sobolev_norm(composed, 3) <= bound * (1.0 + REL_SLACK)
+            assert norm(composed, 3) <= bound * (1.0 + REL_SLACK)
 
-        product = alias_free_product(u, v)
-        assert sobolev_norm(product, 3) <= (
-            constants16.c_algebra * u_norm * sobolev_norm(v, 3) * (1.0 + REL_SLACK)
+        product = padded_product(u, v)
+        assert norm(product, 3) <= (
+            constants16.c_algebra * u_norm * norm(v, 3) * (1.0 + REL_SLACK)
         )
 
         energy = math.sqrt(modified_energy(u, v, omega, 0))
-        assert l2_norm(u) <= math.sqrt(8.0) / omega * energy * (1.0 + REL_SLACK)
+        assert norm(u) <= math.sqrt(8.0) / omega * energy * (1.0 + REL_SLACK)
         # ||u_t + omega/2 u||, with v in the role of u_t
-        combination = l2_norm(Field(GRID16, v.values + 0.5 * omega * u.values))
+        combination = norm(Field(GRID16, v.values + 0.5 * omega * u.values))
         assert combination**2 <= 2.0 * energy**2 * (1.0 + REL_SLACK)
 
-        gradient = math.sqrt(2.0 * standard_energy(u, zero, 0))
-        assert l2_norm(u) <= gradient * (1.0 + REL_SLACK)
+        assert norm(u) <= gradient(u) * (1.0 + REL_SLACK)
 
     x1 = GRID16.coordinates()[0]
     extremal = Field(GRID16, np.sin(x1) + np.zeros(GRID16.shape))
-    gap = abs(l2_norm(extremal) - math.sqrt(2.0 * standard_energy(extremal, zero, 0)))
-    assert gap <= 1e-12 * l2_norm(extremal)
+    gap = abs(norm(extremal) - gradient(extremal))
+    assert gap <= 1e-12 * norm(extremal)
     _verdict(6, f"5 inequalities on {len(family)} fields, extremal gap {gap:.1e}")
 
 

@@ -377,6 +377,24 @@ class TestSweep:
         assert rows[1][2] == "1"
         assert (out / "point-001" / "report.txt").is_file()
 
+    def test_overflowing_initial_data_is_a_config_error_of_its_point(
+        self, tmp_path, constants_file, capsys
+    ):
+        # scaling u_t = 1e-150 cos(2 x1 + 2 x2 + x3) to E_m = 1e200 overflows;
+        # that point exits 3 and the sweep still writes its summary
+        cfg = make_cfg(
+            tmp_path, constants_file, drop=("initial.mode",),
+            **{"initial.preset": "coefficients", "initial.u1_coeffs": "2,2,1,1e-150,0"},
+        )
+        out = tmp_path / "sweep"
+        assert sweep(str(cfg), ["initial.e_m0=0.05,1e200"], out, jobs=1) == 3
+        rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[2:]]
+        assert [(r[1], r[2]) for r in rows] == [("0.05", "0"), ("1e200", "3")]
+        assert "point-001: config error: initial.e_m0: the initial data overflow" in (
+            capsys.readouterr().err
+        )
+        assert not (out / "point-001").exists()
+
 
 class TestMainEntry:
     def test_run_subcommand(self, tmp_path, capsys):
@@ -622,6 +640,13 @@ REJECTED_NUMBERS = {
         {"initial.preset": "coefficients", "initial.u0_coeffs": "1,0,0,inf,0",
          "initial.mode": None, "initial.e_m0": None}, [],
         "initial.u0_coeffs: entry '1,0,0,inf,0' is not finite",
+    ),
+    # finite entries whose sum overflows at the origin
+    "coefficients-overflow": (
+        {"initial.preset": "coefficients", "initial.u0_coeffs": "1,0,0,1e308,0; 0,1,0,1e308,0",
+         "initial.mode": None, "initial.e_m0": None}, [],
+        "initial.u0_coeffs: the initial data overflow: "
+        "field has a non-finite value at grid index (0, 0, 0)",
     ),
     "dt-flag-inf": ({}, ["--dt", "inf"], "solver.dt: 'inf' is not finite"),
     "dt-flag-nan": ({}, ["--dt", "nan"], "solver.dt: 'nan' is not finite"),

@@ -17,16 +17,15 @@ import pytest
 from toruswave import calibration, energy
 from toruswave.calibration import _embedding_extremizer, calibrate
 from toruswave.cli import CONSTANTS_ENV, run_scenario
-from toruswave.energy import modified_energy, sample_half_spectrum, standard_energy
+from toruswave.energy import modified_energy, sample_half_spectrum
 from toruswave.fields import (
     Field,
     GridSpec,
     gradient_symbol,
+    hm_norms,
     laplacian_symbol,
     norm_weights,
     random_band_limited,
-    sobolev_norm,
-    sobolev_weight,
 )
 from toruswave.solver import SolverConfig, SolverState, Trajectory, dealias_mask, simulate
 from toruswave.source import BreakdownError, ModelParams, SourceSpec, eval_prepared, prepare_source
@@ -66,7 +65,6 @@ def test_weights_are_the_full_weights_folded(n):
     for m in range(5):
         s_m, *blocks = columns(n, m)
         assert np.array_equal(s_m, folded(full_sobolev_weight(n, m)))
-        assert np.array_equal(sobolev_weight(n, m), s_m)
         orders = [d_0] + blocks  # D_lowest + ... + D_m is the derivative weight
         for lowest in range(m + 1):
             want = folded(full_derivative_weight(n, m, lowest))
@@ -82,18 +80,18 @@ def test_norm_weights_leave_no_block_arrays_cached():
     n, m = 14, 2
     before = norm_weights.cache_info().currsize
     matrix = norm_weights(n, m)
-    view = sobolev_weight(n, m)
     assert norm_weights.cache_info().currsize == before + 1
-    assert np.shares_memory(view, matrix) and not view.flags.writeable
+    assert not matrix.flags.writeable
     assert matrix.shape == (n * n * (n // 2 + 1), m + 1)
     assert np.array_equal(matrix[:, 0], folded(full_sobolev_weight(n, m)).ravel())
     for k in range(1, m + 1):
         assert np.array_equal(matrix[:, k], folded(full_derivative_weight(n, k, lowest=k)).ravel())
     # norms and energies add only the m = 0 matrix, whose S_0 column is E_m's D_0 term
     u, ut = white_noise(n, 1), white_noise(n, 2)
-    sobolev_norm(u, m)
+    raw, raw_t = np.fft.rfftn(u.values), np.fft.rfftn(ut.values)
+    hm_norms(raw, m)
     modified_energy(u, ut, 0.5, m)
-    standard_energy(u, ut, m)
+    sample_half_spectrum(0.0, u.values, u.values, raw, raw_t, raw, 0.5, m)
     assert norm_weights.cache_info().currsize == before + 2
     # and no module outside fields keeps a cache of its own
     for module in (calibration, energy):

@@ -20,7 +20,6 @@ from toruswave.solver import (
     Trajectory,
     _propagator_pieces,
     dealias_mask,
-    mean_mode_free,
     mean_mode_reference,
     simulate,
 )
@@ -188,10 +187,6 @@ class TestMeanMode:
         residual = second + 2 * params.omega * first - fbar[1:-1]
         scale = np.max(np.abs(fbar)) * (1.0 + 2 * params.omega + params.kappa) ** 2
         assert np.max(np.abs(residual)) < 5.0 * h**2 * scale
-
-    def test_free_mean_formula(self):
-        assert mean_mode_free(0.3, 0.8, 0.5, 0.0) == pytest.approx(0.3)
-        assert mean_mode_free(0.3, 0.8, 0.5, np.inf) == pytest.approx(0.3 + 0.8)
 
     def test_reference_rejects_nonzero_means(self):
         grid = GridSpec(8)

@@ -58,7 +58,8 @@ REL_REDUCE = 1e-14
 
 def reference_simulate(u0, u1, params, spec, config):
     """The full-complex predictor-corrector loop: (samples, breakdown, final_state),
-    the final state in the half layout and raw scale ``simulate`` keeps."""
+    the final state being the last recorded sample's, in the half layout and raw
+    scale ``simulate`` keeps."""
     grid, dt = config.grid, config.dt
     prepared = prepare_source(spec, grid, params.m)
     p11, p12, p21, p22, wu, wv = _propagator_pieces(
@@ -96,7 +97,7 @@ def reference_simulate(u0, u1, params, spec, config):
             try:
                 state = record(k)
             except BreakdownError as err:
-                return samples, BreakdownInfo(err.t, k, err.reason), None
+                return samples, BreakdownInfo(err.t, k, err.reason), state
         try:
             u_hat, ut_hat = advance(k * dt, u_hat, ut_hat)
         except BreakdownError as err:
@@ -106,7 +107,7 @@ def reference_simulate(u0, u1, params, spec, config):
     try:
         return samples, None, record(config.n_steps)
     except BreakdownError as err:
-        return samples, BreakdownInfo(err.t, config.n_steps, err.reason), None
+        return samples, BreakdownInfo(err.t, config.n_steps, err.reason), state
 
 
 def assert_close(got, want, rel):
@@ -157,32 +158,36 @@ def test_simulate_matches_full_complex_loop(n, dealias, preset, mu):
     assert_matches_reference(traj, reference_simulate(u0, u1, params, spec, config))
 
 
-# (mu, source amplitude, u_t, sample_every): 1 + u falls through 0 where F is due
+# (mu, source amplitude, u_t, sample_every, t_end): 1 + u falls through 0 where F is due
 BREAKDOWNS = {
     # the corrected state after step 1 crosses; F(t_2) fails in the sample
-    "at-sample": (0.5, 300.0, -3.75, 1),
+    "at-sample": (0.5, 300.0, -3.75, 1, 2.0),
     # the same crossing, but step 2 is no sample: F(t_2) fails in the step
-    "step-start": (0.5, 300.0, -3.75, 3),
+    "step-start": (0.5, 300.0, -3.75, 3, 2.0),
+    # the same crossing at t_end = t_2: F(t_2) fails in the closing sample
+    "closing-sample": (0.5, 300.0, -3.75, 3, 0.2),
     # mu < 0 lets the predictor overshoot: F(t_2 + dt) fails mid-step
-    "predictor": (-0.5, 0.01, -2.0, 1),
+    "predictor": (-0.5, 0.01, -2.0, 1, 2.0),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(BREAKDOWNS))
 def test_breakdown_matches_full_complex_loop(kind):
-    mu, amplitude, velocity, sample_every = BREAKDOWNS[kind]
+    mu, amplitude, velocity, sample_every, t_end = BREAKDOWNS[kind]
     grid = GridSpec(8)
     params = ModelParams(omega=0.5, kappa=0.25, mu=mu)
     spec = SourceSpec(amplitude=amplitude)
-    config = SolverConfig(grid=grid, dt=0.1, t_end=2.0, sample_every=sample_every)
+    config = SolverConfig(grid=grid, dt=0.1, t_end=t_end, sample_every=sample_every)
     ripple = random_band_limited(grid, seed=3, band=2, amplitude=0.01)
     u0 = Field(grid, ripple.values - 0.5)
     u1 = Field(grid, np.full(grid.shape, velocity))
     traj = simulate(u0, u1, params, spec, config)
     assert traj.breakdown.step == 2
+    # one rule for every kind: the final state is the last recorded sample's
+    assert traj.final_state.t == traj.samples[-1].t
     if kind == "at-sample":
-        assert traj.final_state is None and traj.breakdown.t == pytest.approx(0.2)
-    elif kind == "step-start":
+        assert traj.final_state.t == pytest.approx(0.1) and traj.breakdown.t == pytest.approx(0.2)
+    elif kind in ("step-start", "closing-sample"):
         assert traj.final_state.t == 0.0 and traj.breakdown.t == pytest.approx(0.2)
     else:
         assert traj.final_state.t == pytest.approx(0.2) and traj.breakdown.t == pytest.approx(0.3)
@@ -199,6 +204,24 @@ def test_breakdown_of_the_initial_data():
     traj = simulate(u0, u1, params, spec, config)
     assert traj.breakdown.step == 0 and traj.samples == [] and traj.final_state is None
     assert_matches_reference(traj, reference_simulate(u0, u1, params, spec, config))
+
+
+@pytest.mark.parametrize("amplitude, step", [(1e2, 8), (1e3, 5)])
+def test_non_finite_state_is_a_breakdown(amplitude, step):
+    # mu = 2 has no positivity gate: u'' ~ u^2 blows up until the state
+    # overflows, after step 8 (a sample step) or step 5 (none)
+    grid = GridSpec(8)
+    params = ModelParams(omega=0.5, kappa=0.25, mu=2.0)
+    config = SolverConfig(grid=grid, dt=0.1, t_end=3.0, sample_every=2)
+    u0, u1 = Field(grid, np.full(grid.shape, 10.0)), Field(grid, np.zeros(grid.shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = simulate(u0, u1, params, SourceSpec(amplitude=amplitude), config)
+    t = step * config.dt
+    assert traj.breakdown == BreakdownInfo(
+        t, step, f"state became non-finite at step {step} (t = {t:.6g})"
+    )
+    assert [s.t for s in traj.samples] == [k * config.dt for k in range(0, step, 2)]
+    assert traj.final_state.t == traj.samples[-1].t
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -247,17 +270,10 @@ def test_loop_costs_two_forces_per_step_and_no_full_transforms(monkeypatch, samp
         check_field(self)
 
     monkeypatch.setattr(Field, "__post_init__", counted_field)
-    prepare = solver.prepare_source
-
-    def prepare_then_count(*args):
-        prepared = prepare(*args)
-        counts["fields"] = 0  # the source profile is built once per run, before the loop
-        return prepared
-
-    monkeypatch.setattr(solver, "prepare_source", prepare_then_count)
     traj = simulate(u0, u1, params, spec, config)
     assert traj.breakdown is None
-    # the loop works on arrays, and the final state is its pair of half spectra
+    # the source profile, the loop and the final state (its pair of half
+    # spectra) are all arrays
     assert counts == {
         "eval_prepared": 2 * config.n_steps + 1,
         "fftn": 0,

@@ -14,10 +14,8 @@ import pytest
 
 from toruswave import calibration, verify
 from toruswave.calibration import SAFETY_MARGIN, calibrate
-from toruswave.energy import modified_energy, sample_half_spectrum, standard_energy
-from toruswave.fields import (
-    Field, GridSpec, VOLUME, hm_norms, norm_weights, sobolev_norm, sobolev_weight, sup_norm
-)
+from toruswave.energy import modified_energy, sample_half_spectrum
+from toruswave.fields import Field, GridSpec, VOLUME, hm_norms, norm_weights
 from toruswave.solver import SolverConfig, SolverState, Trajectory
 from toruswave.source import ModelParams
 from toruswave.verify import check_algebra_final, check_wirtinger_final
@@ -49,7 +47,7 @@ def loop_modified_energy(u, ut, omega, m):
 def loop_standard_energy(u, ut, m):
     u_spec = transform(u)
     grad_sq = sum(spectrum_norm(spectral_derivative(u_spec, axis), m) ** 2 for axis in AXES)
-    return 0.5 * (sobolev_norm(ut, m) ** 2 + grad_sq)
+    return 0.5 * (spectrum_norm(transform(ut), m) ** 2 + grad_sq)
 
 
 def loop_block_norm(spectrum, order):
@@ -75,7 +73,9 @@ class TestMatchesDerivativeLoops:
 
     def test_standard_energy(self, n, m):
         u, ut = white_noise(n, 3), white_noise(n, 4)
-        assert rel_err(standard_energy(u, ut, m), loop_standard_energy(u, ut, m)) <= REL
+        raw, raw_t = np.fft.rfftn(u.values), np.fft.rfftn(ut.values)
+        row = sample_half_spectrum(0.0, u.values, u.values, raw, raw_t, raw, OMEGA, m)
+        assert rel_err(row.e_std_sq, loop_standard_energy(u, ut, m)) <= REL
 
     def test_derivative_block_norm(self, n, m):
         # calibration's blocks: column m of its weight matrix (S_0 when m = 0)
@@ -106,13 +106,13 @@ def test_wirtinger_gradient_matches_loop(n):
 @pytest.mark.parametrize("n", [8, 16, 32])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_one_hm_norm_bit_for_bit(n, m, monkeypatch):
-    # sobolev_norm, the u_hm a sample records, and the norm calibrate and
-    # check_algebra_final take are one float: one reduction, not three
+    # hm_norms of the raw spectrum, the u_hm a sample records, and the norm
+    # calibrate and check_algebra_final take are one float: one reduction
     ut, f = white_noise(n, 20 + m), white_noise(n, 30 + m)
     # scaled so that calibrate's compositions (1 + a u)^mu stay defined
     u = Field(ut.grid, white_noise(n, 10 + m).values / 16.0)
     raw = np.fft.rfftn(u.values)
-    norm = sobolev_norm(u, m)
+    norm = hm_norms(raw, m)[0]
     sample = sample_half_spectrum(
         0.1, u.values, f.values, raw, np.fft.rfftn(ut.values), np.fft.rfftn(f.values), OMEGA, m
     )
@@ -121,7 +121,7 @@ def test_one_hm_norm_bit_for_bit(n, m, monkeypatch):
     # a family of u alone: c_sobolev is the safety margin times sup|u| / ||u||
     monkeypatch.setattr(calibration, "_field_family", lambda *args: iter([u]))
     constants = calibrate(u.grid, m)
-    assert constants.c_sobolev == SAFETY_MARGIN * (sup_norm(u) / norm)
+    assert constants.c_sobolev == SAFETY_MARGIN * (float(np.max(np.abs(u.values))) / norm)
 
     taken = []
 
@@ -163,8 +163,6 @@ class TestNyquistConventions:
     """
 
     def test_sobolev_weight_counts_nyquist_in_full(self):
-        assert sobolev_weight(8, 1).shape == (8, 8, 5)
-        assert np.array_equal(sobolev_weight(8, 1), column(1, 0))
         assert column(1, 0)[4, 0, 0] == 1.0 + 16.0
         assert column(2, 0)[4, 0, 0] == 1.0 + 16.0 + 256.0
         assert column(1, 0)[0, 0, 4] == 1.0 + 16.0
@@ -191,8 +189,6 @@ class TestNyquistConventions:
     def test_weights_are_read_only(self):
         with pytest.raises(ValueError):
             norm_weights(8, 2)[0, 0] = 5.0
-        with pytest.raises(ValueError):
-            sobolev_weight(8, 2)[0, 0, 0] = 5.0
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError, match="order"):
@@ -223,5 +219,4 @@ def test_energies_take_one_rfftn_per_field(monkeypatch):
 
     u, ut = white_noise(8, 7), white_noise(8, 8)
     modified_energy(u, ut, OMEGA, 3)
-    standard_energy(u, ut, 3)
-    assert counts == {"fftn": 0, "ifftn": 0, "rfftn": 4, "irfftn": 0}
+    assert counts == {"fftn": 0, "ifftn": 0, "rfftn": 2, "irfftn": 0}

@@ -15,8 +15,9 @@ non-skipped checks pass, 1 a check failed, 2 the run broke down, 3 the
 config is invalid (the message lists every unknown key).
 
 ``sweep`` varies one or two of params.omega, params.k_eos, source.amplitude,
-initial.e_m0 over explicit value lists, runs each grid point (in parallel
-with --jobs workers), writes per-point artifacts to point-NNN/ directories
+initial.e_m0 over explicit value lists, builds every grid point, runs the
+valid ones in --jobs contiguous batches (one worker process and one batched
+time loop per batch), writes per-point artifacts to point-NNN/ directories
 and a summary.csv at the root, and exits with the worst per-point code.
 """
 
@@ -40,9 +41,9 @@ from .calibration import CalibratedConstants, calibrate, load_constants, save_co
 from .energy import modified_energy
 from .estimates import BootstrapParams, epsilon_budgets, forcing_constant, h_threshold
 from .fields import Field, GridSpec
-from .solver import SolverConfig, Trajectory, simulate
+from .solver import SolverConfig, Trajectory, simulate, simulate_batch
 from .source import ModelParams, SourceSpec, bump_profile
-from .verify import ABS_TOL, VerificationReport, run_all
+from .verify import ABS_TOL, CHECK_IDS, VerificationReport, run_all
 
 CONFIG_FORMAT = "toruswave-scenario-1"
 TIMESERIES_FORMAT = "toruswave-timeseries-1"
@@ -51,19 +52,6 @@ CONSTANTS_ENV = "TORUSWAVE_CONSTANTS"
 CALIBRATION_SEED = 2024
 
 SWEEP_AXES = ("params.omega", "params.k_eos", "source.amplitude", "initial.e_m0")
-
-# run_all emits the checks in this fixed order; the sweep summary header
-# relies on it so rows line up without re-reading report files
-CHECK_IDS = (
-    "energy_differential",
-    "energy_integral",
-    "bootstrap",
-    "improved_estimates",
-    "mean_mode",
-    "asymptotics",
-    "wirtinger_final",
-    "algebra_final",
-)
 
 # The scenario schema, in resolved.cfg order: key -> (type, default).  A type
 # is "text", "int", "float" (finite), "bool" (true | false), a tuple of
@@ -285,6 +273,15 @@ def _initial_field(key: str, grid: GridSpec, values: np.ndarray) -> Field:
         raise ConfigError(f"{key}: the initial data overflow: {exc}") from None
 
 
+def _energy(key: str, u0: Field, u1: Field, params: ModelParams) -> float:
+    """E_m of the initial data; one that overflows is a config error of ``key``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_sq = modified_energy(u0, u1, params.omega, params.m)
+    if not math.isfinite(e_sq):
+        raise ConfigError(f"{key}: the initial energy E_m overflows")
+    return math.sqrt(e_sq)
+
+
 def _scaled(u0: Field, u1: Field, scale: float) -> tuple[Field, Field]:
     """scale * (u0, u1); a scale or product that overflows is a config error of initial.e_m0."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -327,7 +324,10 @@ def _build_params(read: _Reader) -> ModelParams:
     return params
 
 
-def _build_initial(read: _Reader, grid: GridSpec, params: ModelParams) -> tuple[Field, Field]:
+def _build_initial(
+    read: _Reader, grid: GridSpec, params: ModelParams
+) -> tuple[Field, Field, float]:
+    """The initial data (u0, u1) and their E_m."""
     preset = read("initial.preset")
     part = read("initial.part", echo=preset in ("single-mode", "bump"))
     zero = np.zeros(grid.shape)
@@ -335,12 +335,13 @@ def _build_initial(read: _Reader, grid: GridSpec, params: ModelParams) -> tuple[
     if preset == "zero":
         if "initial.e_m0" in read and read("initial.e_m0", echo=False) != 0.0:
             raise ConfigError("initial.e_m0: the zero preset has nothing to scale")
-        return Field(grid, zero), Field(grid, zero.copy())
+        return Field(grid, zero), Field(grid, zero.copy()), 0.0
 
     if preset == "coefficients":
         if "initial.u0_coeffs" not in read and "initial.u1_coeffs" not in read:
             raise ConfigError("coefficients preset needs initial.u0_coeffs or initial.u1_coeffs")
         values = {}
+        given = [key for key in ("initial.u0_coeffs", "initial.u1_coeffs") if key in read]
         for key in ("initial.u0_coeffs", "initial.u1_coeffs"):
             if key not in read:
                 values[key] = zero
@@ -353,15 +354,16 @@ def _build_initial(read: _Reader, grid: GridSpec, params: ModelParams) -> tuple[
             )
         u0, u1 = (_initial_field(key, grid, values[key])
                   for key in ("initial.u0_coeffs", "initial.u1_coeffs"))
-        if "initial.e_m0" in read:
-            target = read("initial.e_m0")
-            if not target > 0.0:
-                raise ConfigError(f"initial.e_m0 must be positive, got {target}")
-            current = math.sqrt(modified_energy(u0, u1, params.omega, params.m))
-            if current == 0.0:
-                raise ConfigError("initial coefficients vanish, cannot scale to initial.e_m0")
-            u0, u1 = _scaled(u0, u1, target / current)
-        return u0, u1
+        current = _energy(" and ".join(given), u0, u1, params)
+        if "initial.e_m0" not in read:
+            return u0, u1, current
+        target = read("initial.e_m0")
+        if not target > 0.0:
+            raise ConfigError(f"initial.e_m0 must be positive, got {target}")
+        if current == 0.0:
+            raise ConfigError("initial coefficients vanish, cannot scale to initial.e_m0")
+        u0, u1 = _scaled(u0, u1, target / current)
+        return u0, u1, _energy("initial.e_m0", u0, u1, params)
 
     # single-mode and bump carry their size as a target initial energy
     target = read("initial.e_m0")
@@ -381,7 +383,8 @@ def _build_initial(read: _Reader, grid: GridSpec, params: ModelParams) -> tuple[
     else:
         u0, u1 = Field(grid, shape), Field(grid, zero)
     scale = target / math.sqrt(modified_energy(u0, u1, params.omega, params.m))
-    return _scaled(u0, u1, scale)
+    u0, u1 = _scaled(u0, u1, scale)
+    return u0, u1, _energy("initial.e_m0", u0, u1, params)
 
 
 def _resolve_constants(read: _Reader, grid: GridSpec, m: int) -> CalibratedConstants:
@@ -431,12 +434,11 @@ def build_scenario(entries: dict[str, str]) -> Scenario:
     seed = read("source.seed")
     read("source.rng")  # likewise
 
-    u0, u1 = _build_initial(read, grid, params)
+    u0, u1, e_actual = _build_initial(read, grid, params)
     constants = _resolve_constants(read, grid, params.m)
 
     # auto bootstrap values follow the actual initial energy; all-zero data
     # gets a nominal unit energy so the trivial run still has finite bounds
-    e_actual = math.sqrt(modified_energy(u0, u1, params.omega, params.m))
     e_check = e_actual if e_actual > 0.0 else 1.0
 
     t1 = read("bootstrap.t1")
@@ -525,12 +527,11 @@ def write_timeseries(path: Path, trajectory: Trajectory, e_m0: float) -> None:
     path.write_text(buffer.getvalue())
 
 
-def _execute(scenario: Scenario, out: Path) -> tuple[int, VerificationReport]:
-    """Simulate, verify, and write the full artifact set for one scenario."""
+def _finish(
+    scenario: Scenario, trajectory: Trajectory, out: Path
+) -> tuple[int, VerificationReport]:
+    """Verify one simulated scenario and write its full artifact set."""
     out.mkdir(parents=True, exist_ok=True)
-    trajectory = simulate(
-        scenario.u0, scenario.u1, scenario.params, scenario.source, scenario.solver
-    )
     report = run_all(trajectory, scenario.bootstrap, scenario.constants, scenario.name)
     constants_file = out / "constants.txt"
     save_constants(scenario.constants, constants_file)
@@ -565,7 +566,10 @@ def run_scenario(config_ref: str, out_dir=None, *, seed=None, dt=None, grid_n=No
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     out = Path(out_dir) if out_dir else Path.cwd() / f"{scenario.name}-out"
-    code, report = _execute(scenario, out)
+    trajectory = simulate(
+        scenario.u0, scenario.u1, scenario.params, scenario.source, scenario.solver
+    )
+    code, report = _finish(scenario, trajectory, out)
     print(report.to_text(), end="")
     print(f"artifacts in {out}")
     return code
@@ -593,24 +597,27 @@ def _parse_axes(axis_args: list[str]) -> list[tuple[str, list[str]]]:
     return axes
 
 
-def _sweep_point(task) -> tuple[int, str | None, list[str]]:
-    """Worker for one sweep point; module-level so a Pool can pickle it."""
-    entries, out_dir, axis_keys = task
-    axis_values = [entries.get(k, "") for k in axis_keys]
-    try:
-        scenario = build_scenario(entries)
-    except ConfigError as exc:
-        row = axis_values + ["3", "false", "none"] + [""] * len(CHECK_IDS)
-        return 3, str(exc), row
-    code, report = _execute(scenario, Path(out_dir))
-    t_max = report.t_max_empirical
-    row = axis_values + [
-        str(code),
-        str(report.all_passed()).lower(),
-        "none" if t_max is None else _fmt(t_max),
-    ]
-    row += [r.status for r in report.results]
-    return code, None, row
+def _sweep_batch(points: list[tuple[Scenario, str]]) -> list[tuple[int, list[str]]]:
+    """Worker for one contiguous batch of built sweep points: one batched loop,
+    then each point's verdicts and artifacts in point order.  Module-level so a
+    Pool can pickle it; sweep axes leave the solver keys alone, so the points
+    share the first one's solver config."""
+    scenarios = [scenario for scenario, _ in points]
+    trajectories = simulate_batch(
+        np.stack([s.u0.values for s in scenarios]),
+        np.stack([s.u1.values for s in scenarios]),
+        [s.params for s in scenarios],
+        [s.source for s in scenarios],
+        scenarios[0].solver,
+    )
+    outcomes = []
+    for (scenario, out_dir), trajectory in zip(points, trajectories):
+        code, report = _finish(scenario, trajectory, Path(out_dir))
+        t_max = report.t_max_empirical
+        row = [str(code), str(report.all_passed()).lower()]
+        row += ["none" if t_max is None else _fmt(t_max)] + [r.status for r in report.results]
+        outcomes.append((code, row))
+    return outcomes
 
 
 def sweep(
@@ -633,22 +640,33 @@ def sweep(
     save_constants(base_scenario.constants, constants_file)
 
     axis_keys = [key for key, _ in axes]
-    combos = itertools.product(*(points for _, points in axes))
-    tasks = []
+    combos = list(itertools.product(*(points for _, points in axes)))
+    # build every point first; a point whose config fails exits 3 and runs nothing
+    errors: dict[int, str] = {}
+    valid: list[tuple[int, Scenario]] = []
     for index, combo in enumerate(combos):
         entries = dict(base)
         entries["constants.path"] = str(constants_file.resolve())
-        for key, value in zip(axis_keys, combo):
-            entries[key] = value
-        tasks.append((entries, str(root / f"point-{index:03d}"), axis_keys))
+        entries.update(zip(axis_keys, combo))
+        try:
+            valid.append((index, build_scenario(entries)))
+        except ConfigError as exc:
+            errors[index] = str(exc)
 
+    # one contiguous batch per worker; the Pool is the only fan-out
+    tasks = [(scenario, str(root / f"point-{index:03d}")) for index, scenario in valid]
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(processes=min(jobs, len(tasks))) as pool:
-            outcomes = pool.map(_sweep_point, tasks)
+    jobs = max(1, min(jobs, len(tasks)))
+    # contiguous batches whose sizes differ by at most one
+    bounds = [len(tasks) * part // jobs for part in range(jobs + 1)]
+    batches = [tasks[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    if jobs > 1:
+        with Pool(processes=jobs) as pool:
+            results = pool.map(_sweep_batch, batches)
     else:
-        outcomes = [_sweep_point(task) for task in tasks]
+        results = [_sweep_batch(batch) for batch in batches]
+    outcomes = dict(zip((index for index, _ in valid), itertools.chain(*results)))
 
     buffer = io.StringIO()
     buffer.write(f"# {SWEEP_FORMAT}\n")
@@ -658,14 +676,18 @@ def sweep(
         + list(CHECK_IDS)
     )
     worst = 0
-    for index, (code, error, row) in enumerate(outcomes):
-        worst = max(worst, code)
+    for index, combo in enumerate(combos):
         point = f"point-{index:03d}"
-        writer.writerow([point] + row)
-        if error is not None:
-            print(f"{point}: config error: {error}", file=sys.stderr)
+        if index in errors:
+            code, row = 3, ["3", "false", "none"] + [""] * len(CHECK_IDS)
+        else:
+            code, row = outcomes[index]
+        worst = max(worst, code)
+        writer.writerow([point, *combo, *row])
+        if index in errors:
+            print(f"{point}: config error: {errors[index]}", file=sys.stderr)
             continue
-        settings = " ".join(f"{k}={v}" for k, v in zip(axis_keys, row))
+        settings = " ".join(f"{k}={v}" for k, v in zip(axis_keys, combo))
         print(f"{point}: {settings} exit={code}")
     (root / "summary.csv").write_text(buffer.getvalue())
     print(f"sweep summary in {root / 'summary.csv'}")

@@ -17,6 +17,16 @@ that array and one ``rfftn`` back.  Every diagnostic is a reduction of these
 coefficients (``energy.sample_half_spectrum``), and the final state a run
 hands to verification is the same pair of arrays: no ``Field`` is built.
 
+Batch axis: the loop advances B runs at once.  The state, the propagator
+pieces and the forcing weights have shape (B, n, n, n/2+1), the grid arrays
+(B, n, n, n), and every transform runs on axes (1, 2, 3), so B runs share
+each FFT call and its Python overhead.  Every operation acts on each slice
+alone: a run gets the same bits in any batch, ``simulate`` is the batch of
+one, and ``simulate_batch`` serves a sweep.  Each run keeps its own
+finiteness, positivity and overflow tests and its own samples, taken slice
+by slice; a run that breaks down leaves the batch.  ``BATCH_BYTES`` caps a
+batch, since stacking stops paying on bigger grids.
+
 The nonlinear product may be de-aliased with the standard 2/3-rule mask
 before injection.  The mask is folded into the cached forcing weights, and
 the zero mode is never touched by it, so the mean dynamics are unaffected.
@@ -41,11 +51,14 @@ from .fields import Field, GridSpec, laplacian_symbol
 from .source import (
     BreakdownError,
     ModelParams,
-    PreparedSource,
+    PointBreakdowns,
     SourceSpec,
     eval_prepared,
     prepare_source,
 )
+
+# Bytes of stacked half spectrum (one complex array of the state) per batch.
+BATCH_BYTES = 512 * 1024
 
 
 @dataclass
@@ -172,28 +185,35 @@ def _propagator_pieces(n_sq, omega: float, dt: float):
 
 
 class _Stepper:
-    """Advances raw rfftn coefficients; holds everything that is constant per run."""
+    """Advances a batch of runs on one grid and step: every array carries the
+    leading batch axis, one slot per run, and holds what is constant per run."""
 
-    def __init__(self, params: ModelParams, prepared: PreparedSource, config: SolverConfig):
-        self.params = params
-        self.prepared = prepared
+    def __init__(self, params, prepared, config: SolverConfig):
+        self.params = list(params)
+        self.prepared = list(prepared)
         self.config = config
         self.grid = config.grid
-        pieces = _propagator_pieces(laplacian_symbol(self.grid.n), params.omega, config.dt)
-        self.p11, self.p12, self.p21, self.p22, wu, wv = pieces
+        symbol = laplacian_symbol(self.grid.n)
+        pieces = zip(*(_propagator_pieces(symbol, p.omega, config.dt) for p in self.params))
+        self.p11, self.p12, self.p21, self.p22, wu, wv = (np.stack(piece) for piece in pieces)
         if config.dealias:
             keep = dealias_mask(self.grid.n)
             wu, wv = wu * keep, wv * keep
         self.wu, self.wv = wu, wv
 
-    def values(self, c: npt.NDArray[np.complex128]) -> npt.NDArray[np.float64]:
-        return np.fft.irfftn(c, s=self.grid.shape, axes=(0, 1, 2))
+    def take(self, slots: list[int]) -> None:
+        """Keep only the runs in ``slots``, in that order."""
+        self.params = [self.params[b] for b in slots]
+        self.prepared = [self.prepared[b] for b in slots]
+        for name in ("p11", "p12", "p21", "p22", "wu", "wv"):
+            setattr(self, name, getattr(self, name)[slots])
 
     def force(self, t: float, u_hat):
-        """u and F(t, u) as grid arrays, and the raw rfftn coefficients of F."""
-        u = self.values(u_hat)
+        """u and F(t, u) as stacked grid arrays, and the raw rfftn coefficients of F;
+        raises ``PointBreakdowns`` for the runs whose force fails."""
+        u = np.fft.irfftn(u_hat, s=self.grid.shape, axes=(1, 2, 3))
         f = eval_prepared(t, u, self.params, self.prepared)
-        return u, f, np.fft.rfftn(f)
+        return u, f, np.fft.rfftn(f, s=self.grid.shape, axes=(1, 2, 3))
 
     def advance(self, t: float, u_hat, ut_hat, f0_hat=None):
         """One predictor-corrector step; pass ``f0_hat`` when F(t) is known."""
@@ -205,10 +225,100 @@ class _Stepper:
         return free_u + self.wu * f_avg, self.p21 * u_hat + self.p22 * ut_hat + self.wv * f_avg
 
 
+def batch_size(n: int) -> int:
+    """Runs per batched loop on an n^3 grid: as many stacked half spectra as
+    fit in ``BATCH_BYTES``, at least one."""
+    return max(1, BATCH_BYTES // (n * n * (n // 2 + 1) * np.dtype(np.complex128).itemsize))
+
+
+def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat) -> None:
+    """The time loop: fills the samples, breakdowns and final states of the
+    runs in ``trajectories``, whose stacked raw spectra are ``u_hat``, ``ut_hat``."""
+    config = stepper.config
+    dt, n_steps = config.dt, config.n_steps
+    live = list(trajectories)  # the run in each slot
+
+    def stop(errors: dict[int, BreakdownError], k: int, *arrays):
+        """Record the breakdowns of the slots in ``errors``, drop those slots from
+        the stepper, and return ``arrays`` without them."""
+        for b, err in errors.items():
+            live[b].breakdown = BreakdownInfo(err.t, k, err.reason)
+        slots = [b for b in range(len(live)) if b not in errors]
+        live[:] = [live[b] for b in slots]
+        stepper.take(slots)
+        return [None if a is None else a[slots] for a in arrays]
+
+    for k in range(n_steps + 1):  # k = 0 and k = n_steps always sample
+        t = k * dt
+        if not (np.isfinite(u_hat).all() and np.isfinite(ut_hat).all()):
+            reason = f"state became non-finite at step {k} (t = {t:.6g})"
+            errors = {
+                b: BreakdownError(t, math.nan, reason)
+                for b in range(len(live))
+                if not (np.isfinite(u_hat[b]).all() and np.isfinite(ut_hat[b]).all())
+            }
+            u_hat, ut_hat = stop(errors, k, u_hat, ut_hat)
+        f_hat = None
+        if k % config.sample_every == 0 or k == n_steps:
+            while live:
+                try:
+                    u, f, f_hat = stepper.force(t, u_hat)
+                    break
+                except PointBreakdowns as exc:
+                    u_hat, ut_hat = stop(exc.errors, k, u_hat, ut_hat)
+            for b, trajectory in enumerate(live):
+                params = trajectory.params
+                trajectory.samples.append(sample_half_spectrum(
+                    t, u[b], f[b], u_hat[b], ut_hat[b], f_hat[b], params.omega, params.m
+                ))
+                trajectory.final_state = SolverState(t, u_hat[b], ut_hat[b])
+        while live and k < n_steps:
+            try:
+                u_hat, ut_hat = stepper.advance(t, u_hat, ut_hat, f_hat)
+                break
+            except PointBreakdowns as exc:
+                u_hat, ut_hat, f_hat = stop(exc.errors, k, u_hat, ut_hat, f_hat)
+        if not live:
+            return
+
+
+def simulate_batch(u0, u1, params, sources, config: SolverConfig) -> list[Trajectory]:
+    """Run B points that share ``config`` (grid, dt, horizon, sampling) in one loop.
+
+    ``u0`` and ``u1`` are stacked grid arrays (B, n, n, n); ``params`` and
+    ``sources`` hold B entries each.  The points go through ``_run_batch`` in
+    contiguous batches of at most ``batch_size(n)``.  Each point gets the
+    trajectory its solo run gets, bit for bit: a point that breaks down keeps
+    its samples, ``BreakdownInfo`` and final state and leaves the batch, the
+    others go on.
+    """
+    u0, u1 = np.asarray(u0, dtype=np.float64), np.asarray(u1, dtype=np.float64)
+    count = len(params)
+    if u0.shape != (count, *config.grid.shape) or u1.shape != u0.shape:
+        raise ValueError(
+            f"initial data of shape {u0.shape} and {u1.shape} do not stack {count} "
+            f"fields of the configured grid {config.grid.shape}"
+        )
+    prepared = [prepare_source(s, config.grid, p.m) for s, p in zip(sources, params, strict=True)]
+    trajectories = [
+        Trajectory(params=p, config=config, samples=[], source_amplitude=q.spec.amplitude,
+                   u1_mean=float(np.mean(v)))
+        for p, q, v in zip(params, prepared, u1)
+    ]
+    size = batch_size(config.grid.n)
+    for lo in range(0, count, size):
+        batch = slice(lo, lo + size)
+        stepper = _Stepper(params[batch], prepared[batch], config)
+        u_hat = np.fft.rfftn(u0[batch], s=config.grid.shape, axes=(1, 2, 3))
+        ut_hat = np.fft.rfftn(u1[batch], s=config.grid.shape, axes=(1, 2, 3))
+        _run_batch(trajectories[batch], stepper, u_hat, ut_hat)
+    return trajectories
+
+
 def simulate(
     u0: Field, u1: Field, params: ModelParams, source: SourceSpec, config: SolverConfig
 ) -> Trajectory:
-    """Run the full time span, sampling diagnostics along the way.
+    """Run the full time span, sampling diagnostics along the way: the batch of one.
 
     A positivity, overflow or non-finite failure does not raise: the partial
     trajectory is returned with ``breakdown`` filled in.  Whether or not the
@@ -217,42 +327,7 @@ def simulate(
     """
     if u0.grid != config.grid or u1.grid != config.grid:
         raise ValueError("initial data grids do not match the configured grid")
-    prepared = prepare_source(source, config.grid, params.m)
-    stepper = _Stepper(params, prepared, config)
-
-    trajectory = Trajectory(
-        params=params,
-        config=config,
-        samples=[],
-        source_amplitude=prepared.spec.amplitude,
-        u1_mean=u1.mean(),
-    )
-
-    u_hat = np.fft.rfftn(u0.values)
-    ut_hat = np.fft.rfftn(u1.values)
-    dt = config.dt
-    n_steps = config.n_steps
-
-    def record(k: int) -> npt.NDArray[np.complex128]:
-        """Sample at step k; returns F(t_k) for the step that starts there."""
-        u, f, f_hat = stepper.force(k * dt, u_hat)
-        trajectory.samples.append(
-            sample_half_spectrum(k * dt, u, f, u_hat, ut_hat, f_hat, params.omega, params.m)
-        )
-        trajectory.final_state = SolverState(k * dt, u_hat, ut_hat)
-        return f_hat
-
-    try:
-        for k in range(n_steps + 1):  # k = 0 and k = n_steps always sample
-            if not (np.isfinite(u_hat).all() and np.isfinite(ut_hat).all()):
-                reason = f"state became non-finite at step {k} (t = {k * dt:.6g})"
-                raise BreakdownError(k * dt, math.nan, reason)
-            f_hat = record(k) if k % config.sample_every == 0 or k == n_steps else None
-            if k < n_steps:
-                u_hat, ut_hat = stepper.advance(k * dt, u_hat, ut_hat, f_hat)
-    except BreakdownError as err:
-        trajectory.breakdown = BreakdownInfo(err.t, k, err.reason)
-    return trajectory
+    return simulate_batch(u0.values[None], u1.values[None], [params], [source], config)[0]
 
 
 def mean_mode_reference(trajectory: Trajectory) -> list[tuple[float, float]]:

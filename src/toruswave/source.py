@@ -22,6 +22,7 @@ it is kept for a future preset and no scenario reaches it yet.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,34 +202,93 @@ def prepare_source(spec: SourceSpec, grid: GridSpec, m: int) -> PreparedSource:
     return PreparedSource(spec, raw * (spec.amplitude / norm))
 
 
-def eval_prepared(
-    t: float, u: npt.NDArray[np.float64], params: ModelParams, prepared: PreparedSource
-) -> npt.NDArray[np.float64]:
-    """F(t, .) = exp(-kappa t) a(t, .) (1 + u)^mu on the grid, for grid samples
-    ``u`` and a resolved profile.
+class PointBreakdowns(RuntimeError):
+    """Some runs of a batched force evaluation cannot go on: batch slot ->
+    that run's ``BreakdownError``.  The other runs are untouched."""
+
+    def __init__(self, errors: dict[int, BreakdownError]):
+        self.errors = errors
+        super().__init__("; ".join(f"slot {b}: {e.reason}" for b, e in errors.items()))
+
+
+def _integer(mu: float) -> bool:
+    """mu is a nonnegative integer, whose power is defined for 1 + u of any sign."""
+    return mu == int(mu) and mu >= 0.0
+
+
+def _power_breakdown(t: float, u_min: float, u_max: float, mu: float) -> BreakdownError | None:
+    """Why (1 + u)^mu fails for grid values in [u_min, u_max], or None.
 
     For non-integer or negative mu the power needs 1 + u > 0; for mu < 0 it
     is largest where u is smallest, so (1 + u_min)^mu also decides whether it
-    overflows.  Either failure raises ``BreakdownError``.
+    overflows.  An integer mu >= 0 admits any sign, and its power is largest
+    at max |1 + u|, which is |1 + u_min| or |1 + u_max| (rounding 1 + u keeps
+    the order of u).
     """
-    if u.shape != prepared.profile.shape:
-        raise ValueError(
-            f"state shape {u.shape} does not match source grid {prepared.profile.shape[0]}"
-        )
-    mu = params.mu
-    base = 1.0 + u
-    if mu == int(mu) and mu >= 0.0:
-        power = base ** int(mu)
-    else:
-        u_min = float(np.min(u))
-        if 1.0 + u_min <= 0.0:
-            raise BreakdownError(t, u_min)
+    if _integer(mu):
+        peak = max(abs(1.0 + u_min), abs(1.0 + u_max))
         try:
-            (1.0 + u_min) ** mu  # the largest power if mu < 0; raises if it overflows
+            largest = peak ** int(mu)
         except OverflowError:
-            reason = f"(1 + u)^mu overflows at t = {t:.6g}: 1 + u = {1.0 + u_min:.6g}, mu = {mu:g}"
-            raise BreakdownError(t, u_min, reason) from None
-        power = base**mu
-    envelope = float(np.exp(-params.kappa * t)) * prepared.sigma(t)
-    return envelope * prepared.profile * power
+            largest = math.inf
+        if not math.isfinite(largest):
+            reason = f"(1 + u)^mu overflows at t = {t:.6g}: max |1 + u| = {peak:.6g}, mu = {mu:g}"
+            return BreakdownError(t, u_min, reason)
+        return None
+    if 1.0 + u_min <= 0.0:
+        return BreakdownError(t, u_min)
+    try:
+        (1.0 + u_min) ** mu  # the largest power if mu < 0; raises if it overflows
+    except OverflowError:
+        reason = f"(1 + u)^mu overflows at t = {t:.6g}: 1 + u = {1.0 + u_min:.6g}, mu = {mu:g}"
+        return BreakdownError(t, u_min, reason)
+    return None
 
+
+def _power(base: npt.NDArray[np.float64], mu: float) -> npt.NDArray[np.float64]:
+    return base ** int(mu) if _integer(mu) else base**mu
+
+
+def eval_prepared(t: float, u, params, prepared):
+    """F(t, .) = exp(-kappa t) a(t, .) (1 + u)^mu on the grid, for grid samples
+    ``u`` and resolved profiles.
+
+    ``u`` is one grid array with one ``params`` and ``prepared``, or a stack
+    (B, n, n, n) of B runs with a sequence of B of each.  Every run is checked
+    on its own slice (``_power_breakdown``): if any fails, nothing is evaluated
+    and ``PointBreakdowns`` names the failing slots; a single run raises its
+    ``BreakdownError``.  Each run's envelope exp(-kappa t) sigma(t) is a
+    scalar, and one power covers the stack when every run has the same mu, so
+    a slice holds the bits its run would get alone.
+    """
+    if u.ndim == 3:
+        try:
+            return eval_prepared(t, u[None], [params], [prepared])[0]
+        except PointBreakdowns as exc:
+            raise exc.errors[0] from None
+    if u.shape[1:] != prepared[0].profile.shape:
+        raise ValueError(
+            f"state shape {u.shape[1:]} does not match source grid {prepared[0].profile.shape[0]}"
+        )
+    mus = [p.mu for p in params]
+    lows = u.min(axis=(1, 2, 3)).tolist()
+    # max u matters to integer powers only; the others skip that pass over the grid
+    highs = u.max(axis=(1, 2, 3)).tolist() if any(map(_integer, mus)) else lows
+    errors = {}
+    for b, (mu, low, high) in enumerate(zip(mus, lows, highs)):
+        error = _power_breakdown(t, low, high, mu)
+        if error is not None:
+            errors[b] = error
+    if errors:
+        raise PointBreakdowns(errors)
+    base = 1.0 + u
+    if mus.count(mus[0]) == len(mus):
+        power = _power(base, mus[0])
+    else:
+        power = np.stack([_power(slice_, mu) for slice_, mu in zip(base, mus)])
+    f = np.empty_like(u)
+    for b, (p, q) in enumerate(zip(params, prepared)):
+        envelope = float(np.exp(-p.kappa * t)) * q.sigma(t)
+        np.multiply(envelope, q.profile, out=f[b])
+    f *= power
+    return f

@@ -49,6 +49,18 @@ MIN_HORIZON = 20.0  # in units of 1/omega
 _SCALE_FLOOR = ABS_TOL  # margins on an all-zero trajectory stay finite
 _TINY = np.finfo(np.float64).tiny  # smallest normal float
 
+# run_all emits one result per check, in this order
+CHECK_IDS = (
+    "energy_differential",
+    "energy_integral",
+    "bootstrap",
+    "improved_estimates",
+    "mean_mode",
+    "asymptotics",
+    "wirtinger_final",
+    "algebra_final",
+)
+
 
 @dataclass
 class CheckResult:
@@ -483,6 +495,22 @@ def run_all(
     scenario: str = "scenario",
 ) -> VerificationReport:
     params = trajectory.params
+    breakdown = ""
+    if trajectory.breakdown is not None:
+        breakdown = f"t = {trajectory.breakdown.t:.17g}: {trajectory.breakdown.reason}"
+    if not trajectory.samples:  # broke down before its first sample: nothing to check
+        return VerificationReport(
+            scenario=scenario,
+            params=params,
+            bootstrap=bootstrap,
+            results=[_skip(check_id, "no samples") for check_id in CHECK_IDS],
+            c0_estimate=math.nan,
+            t_max_empirical=None,
+            grad_oscillation=math.nan,
+            spectral_tail=math.nan,
+            c_delta_measured=math.nan,
+            breakdown=breakdown,
+        )
     bootstrap_result, t_max = check_bootstrap(trajectory, bootstrap)
     asymptotics_result, c0 = check_asymptotics(trajectory)
     results = [
@@ -499,9 +527,6 @@ def run_all(
     f_scaled = _undamped(trajectory.series("f_hm"), params.kappa, times)
     amplitude = trajectory.source_amplitude
     measured = float(np.max(f_scaled)) / amplitude if amplitude > 0.0 else 0.0
-    breakdown = ""
-    if trajectory.breakdown is not None:
-        breakdown = f"t = {trajectory.breakdown.t:.17g}: {trajectory.breakdown.reason}"
     return VerificationReport(
         scenario=scenario,
         params=params,

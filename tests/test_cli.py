@@ -4,6 +4,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -330,15 +331,28 @@ class TestSweep:
             assert (out / f"point-{i:03d}" / "timeseries.csv").is_file()
 
     def test_parallel_matches_serial(self, tmp_path, constants_file):
+        # one batch of three against batches of two and one: every file of
+        # every point is the same, resolved.cfg up to its own constants path
         cfg = make_cfg(tmp_path, constants_file)
         serial = tmp_path / "serial"
         parallel = tmp_path / "parallel"
-        axes = ["initial.e_m0=0.05,0.1"]
+        axes = ["initial.e_m0=0.05,0.1,0.2"]
         assert sweep(str(cfg), axes, serial, jobs=1) == 0
         assert sweep(str(cfg), axes, parallel, jobs=2) == 0
         assert (serial / "summary.csv").read_bytes() == (
             parallel / "summary.csv"
         ).read_bytes()
+        for i in range(3):
+            point = f"point-{i:03d}"
+            for name in POINT_FILES:
+                assert (serial / point / name).read_bytes() == (
+                    parallel / point / name
+                ).read_bytes(), (point, name)
+            echo = read_echo(serial / point)
+            assert echo.pop("constants.path") == str((serial / point / "constants.txt").resolve())
+            assert read_echo(parallel / point) == dict(
+                echo, **{"constants.path": str((parallel / point / "constants.txt").resolve())}
+            )
 
     def test_single_point_matches_plain_run(self, tmp_path, constants_file):
         cfg = make_cfg(tmp_path, constants_file)
@@ -394,6 +408,96 @@ class TestSweep:
             capsys.readouterr().err
         )
         assert not (out / "point-001").exists()
+
+
+POINT_FILES = ("timeseries.csv", "report.txt", "report.csv", "constants.txt")
+
+
+class TestBatchedSweep:
+    """The points of one worker share one batched loop; each must come out as
+    its resolved.cfg does when run alone."""
+
+    def test_every_point_matches_its_resolved_cfg(self, tmp_path, constants_file):
+        # per-point mu (K) and kappa; e_m0 = 40 breaks down part way, 80 at t = 0
+        cfg = make_cfg(
+            tmp_path, constants_file, drop=("initial.mode",),
+            **{
+                "initial.preset": "coefficients",
+                "initial.u0_coeffs": "1,0,0,0.3,0",
+                "initial.u1_coeffs": "1,0,0,1,0",
+                "bootstrap.delta_prime": "0.5",
+                "bootstrap.c_delta": "1",
+            },
+        )
+        out = tmp_path / "sweep"
+        axes = ["params.k_eos=0.6,0.8", "initial.e_m0=0.05,40,80"]
+        assert sweep(str(cfg), axes, out, jobs=1) == 2
+        rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[2:]]
+        assert [r[3] for r in rows] == ["1", "2", "2"] * 2
+        for i in range(6):
+            point = out / f"point-{i:03d}"
+            alone = tmp_path / f"alone-{i}"
+            assert run_scenario(str(point / "resolved.cfg"), alone) == int(rows[i][3])
+            for name in ("timeseries.csv", "report.txt", "report.csv"):
+                assert (point / name).read_bytes() == (alone / name).read_bytes(), (i, name)
+        # the breakdowns the batch carries: part way with samples, and at t = 0 without
+        for i, at_start in ((1, False), (2, True), (4, False), (5, True)):
+            report = (out / f"point-{i:03d}" / "report.txt").read_text()
+            assert ("breakdown = t = 0: " in report) == at_start
+            samples = (out / f"point-{i:03d}" / "timeseries.csv").read_text().splitlines()[2:]
+            assert (samples == []) == at_start
+
+
+class TestEveryConfigEndsInAnExitCode:
+    """Configs that once ended in a traceback or a floating-point warning."""
+
+    def coefficients(self, tmp_path, constants_file, drop=(), **overrides):
+        return make_cfg(
+            tmp_path, constants_file, drop=("initial.mode", "initial.e_m0", *drop),
+            **{"initial.preset": "coefficients", **overrides},
+        )
+
+    def test_trajectory_without_samples_skips_every_check(self, tmp_path, constants_file):
+        # 1 + 2 cos(x1) < 0 at t = 0: the run breaks down before its first sample
+        cfg = self.coefficients(
+            tmp_path, constants_file,
+            **{"initial.u0_coeffs": "1,0,0,2,0", "bootstrap.delta_prime": "0.5",
+               "bootstrap.c_delta": "1"},
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_scenario(str(cfg), out) == 2
+        report = (out / "report.txt").read_text()
+        assert "breakdown = t = 0: 1 + u reached" in report
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [[c, "SKIP"] for c in CHECK_IDS]
+        assert all(row.endswith(",no samples") for row in rows)
+        assert (out / "timeseries.csv").read_text().count("\n") == 2  # format and header
+
+    def test_integer_power_overflow_is_a_breakdown(self, tmp_path, constants_file):
+        # (1 + 1e110 cos x1)^3 overflows at t = 0
+        cfg = self.coefficients(
+            tmp_path, constants_file, drop=("params.k_eos",),
+            **{"params.kappa": "0.5", "params.mu": "3", "initial.u0_coeffs": "1,0,0,1e110,0",
+               "bootstrap.delta_prime": "0.5", "bootstrap.c_delta": "1"},
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_scenario(str(cfg), out) == 2
+        assert (
+            "breakdown = t = 0: (1 + u)^mu overflows at t = 0: max |1 + u| = 1e+110, mu = 3"
+            in (out / "report.txt").read_text()
+        )
+
+    def test_overflowing_initial_energy_is_a_config_error(self, tmp_path, constants_file, capsys):
+        # finite data whose E_m overflows: squaring 1e200 in the spectral power
+        cfg = self.coefficients(tmp_path, constants_file, **{"initial.u0_coeffs": "1,0,0,1e200,0"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_scenario(str(cfg), tmp_path / "out") == 3
+        assert "initial.u0_coeffs: the initial energy E_m overflows" in capsys.readouterr().err
 
 
 class TestMainEntry:

@@ -207,15 +207,26 @@ def test_breakdown_of_the_initial_data():
 
 
 @pytest.mark.parametrize("amplitude, step", [(1e2, 8), (1e3, 5)])
-def test_non_finite_state_is_a_breakdown(amplitude, step):
-    # mu = 2 has no positivity gate: u'' ~ u^2 blows up until the state
-    # overflows, after step 8 (a sample step) or step 5 (none)
+def test_non_finite_state_is_a_breakdown(monkeypatch, amplitude, step):
+    # a step that leaves u_t infinite, here the one ending at step 8 (a sample
+    # step) or step 5 (none), stops the run when the next step starts; the
+    # blow-up of u'' ~ u^2 that once got here is now caught as an overflow of
+    # (1 + u)^2 (test_batched_loop::test_integer_power_overflow_is_a_breakdown)
     grid = GridSpec(8)
     params = ModelParams(omega=0.5, kappa=0.25, mu=2.0)
     config = SolverConfig(grid=grid, dt=0.1, t_end=3.0, sample_every=2)
-    u0, u1 = Field(grid, np.full(grid.shape, 10.0)), Field(grid, np.zeros(grid.shape))
-    with np.errstate(over="ignore", invalid="ignore"):
-        traj = simulate(u0, u1, params, SourceSpec(amplitude=amplitude), config)
+    u0, u1 = Field(grid, np.full(grid.shape, 0.01)), Field(grid, np.zeros(grid.shape))
+    advance = solver._Stepper.advance
+
+    def overflowing(self, t, *args):
+        u_hat, ut_hat = advance(self, t, *args)
+        if t == (step - 1) * config.dt:
+            ut_hat = ut_hat.copy()
+            ut_hat[:, 0, 0, 0] = np.inf
+        return u_hat, ut_hat
+
+    monkeypatch.setattr(solver._Stepper, "advance", overflowing)
+    traj = simulate(u0, u1, params, SourceSpec(amplitude=amplitude), config)
     t = step * config.dt
     assert traj.breakdown == BreakdownInfo(
         t, step, f"state became non-finite at step {step} (t = {t:.6g})"

@@ -1,16 +1,17 @@
 """Tour of the spectral toolkit on the flat 3-torus.
 
-Fields live on a uniform n**3 grid over [0, 2*pi)**3.  Their Fourier
-coefficients use the convention u_hat(k) = FFT(u) / n**3, so a single
-cosine mode shows up as a pair of coefficients of size 1/2.  A real field
-has u_hat(-k) = conj u_hat(k), so the package keeps only the half spectrum
-np.fft.rfftn returns: shape (n, n, n/2 + 1), k3 = 0 .. n/2.  Everything
-downstream (norms, energies, products) is built on that layout.
+A field is the array of its samples on a uniform n**3 grid over
+[0, 2*pi)**3, shape (n, n, n).  Its Fourier coefficients use the convention
+u_hat(k) = FFT(u) / n**3, so a single cosine mode shows up as a pair of
+coefficients of size 1/2.  A real field has u_hat(-k) = conj u_hat(k), so
+the package keeps only the half spectrum np.fft.rfftn returns: shape
+(n, n, n/2 + 1), k3 = 0 .. n/2.  Everything downstream (norms, energies,
+products) is built on that layout.
 """
 
 import numpy as np
 
-from toruswave import Field, GridSpec
+from toruswave import GridSpec
 from toruswave.fields import hm_norms, norm_weights
 from toruswave.solver import dealias_mask
 
@@ -21,12 +22,12 @@ n3 = grid.n**3
 
 
 def half_spectrum(field):
-    return np.fft.rfftn(field.values) / n3
+    return np.fft.rfftn(field) / n3
 
 
 # A field with three modes and a constant background.  coordinates()
 # returns broadcastable axes, so pad with zeros to get a dense array.
-u = Field(grid, full + 0.3 + np.cos(x1) + 0.5 * np.sin(2.0 * x2 + x3))
+u = full + 0.3 + np.cos(x1) + 0.5 * np.sin(2.0 * x2 + x3)
 
 u_hat = half_spectrum(u)
 print("spectrum shape    :", u_hat.shape, "(k3 = 0 .. n/2 only)")
@@ -35,7 +36,7 @@ print("mean from spectrum:", u_hat[0, 0, 0].real)
 
 # Round trip is exact to machine precision.
 back = np.fft.irfftn(u_hat * n3, s=grid.shape, axes=(0, 1, 2))
-print("round-trip error  :", np.max(np.abs(back - u.values)))
+print("round-trip error  :", np.max(np.abs(back - u)))
 
 # Sobolev norms weight each coefficient by S_m(k) = sum over |a| <= m of
 # k^(2a) and include the (2*pi)^3 volume factor, so a pure constant c has
@@ -45,8 +46,8 @@ print("round-trip error  :", np.max(np.abs(back - u.values)))
 # order, norm_weights(n, m) = [S_m | D_1 ... D_m], D_k summing the squared
 # derivative symbols of order k.  hm_norms(raw, m) reduces the raw rfftn
 # spectrum through it: [|u|_Hm, |D_1 u|, ..., |D_m u|].
-c = Field(grid, np.full(grid.shape, 0.3))
-print("|const 0.3|_L2    :", hm_norms(np.fft.rfftn(c.values), 0)[0],
+c = np.full(grid.shape, 0.3)
+print("|const 0.3|_L2    :", hm_norms(np.fft.rfftn(c), 0)[0],
       "expected", 0.3 * (2.0 * np.pi) ** 1.5)
 weights = norm_weights(grid.n, 1)
 print("norm_weights shape:", weights.shape, "(one row per half-layout mode: S_1 | D_1)")
@@ -58,7 +59,7 @@ print("S_1 at k=(0,0,1)  :", columns[0, 0, 1, 0], "(k3 = 1 plane: twice)")
 print("S_1, D_1 at k=(-8,0,0):", columns[8, 0, 0])
 
 for m in range(4):
-    print(f"|u|_H{m} =", hm_norms(np.fft.rfftn(u.values), m)[0])
+    print(f"|u|_H{m} =", hm_norms(np.fft.rfftn(u), m)[0])
 
 # Derivatives act diagonally on the spectrum.  d/dx1 of cos(x1) is
 # -sin(x1); multiply by i k1 and compare against the analytic answer.
@@ -73,9 +74,9 @@ print("d/dx1 error       :", np.max(np.abs(du - analytic)))
 # force: dealias_mask keeps |k_i| <= n/3 = 5.  Both factors live below
 # n/3, so every ghost of their product lands above it and the mask
 # removes it, while the true content below n/3 passes untouched.
-v = Field(grid, full + np.cos(4.0 * x1))
-w = Field(grid, full + np.cos(5.0 * x1))
-naive = Field(grid, v.values * w.values)
+v = full + np.cos(4.0 * x1)
+w = full + np.cos(5.0 * x1)
+naive = v * w
 masked = half_spectrum(naive) * dealias_mask(grid.n)
 
 print("mode 7 naive      :", half_spectrum(naive)[7, 0, 0].real, "(alias ghost)")

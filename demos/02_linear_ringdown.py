@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from toruswave import (
-    Field,
     GridSpec,
     ModelParams,
     SolverConfig,
@@ -28,8 +27,8 @@ silent = SourceSpec(amplitude=0.0)
 
 x1, x2, x3 = grid.coordinates()
 full = np.zeros(grid.shape)
-u0 = Field(grid, full + 0.08 + 0.02 * np.cos(x1 + x2))
-u1 = Field(grid, full + 0.01 * np.sin(2.0 * x3))
+u0 = full + 0.08 + 0.02 * np.cos(x1 + x2)
+u1 = full + 0.01 * np.sin(2.0 * x3)
 
 t_end = 12.0
 config = SolverConfig(grid=grid, dt=0.05, t_end=t_end, sample_every=10)
@@ -61,7 +60,7 @@ print("plateau               :", means[-1], "(target 0.08)")
 # The H^m energy of the run above plateaus because the surviving mean
 # sits inside the norm.  Strip the mean and the decay rate shows: each
 # oscillating mode carries the envelope exp(-omega*t).
-zero_mean = Field(grid, u0.values - u0.mean())
+zero_mean = u0 - u0.mean()
 ringdown = simulate(zero_mean, u1, params, silent, config)
 e_m = np.sqrt(ringdown.series("e_m_sq"))
 print("\nzero-mean data, E_3 against the envelope:")

@@ -13,7 +13,7 @@ functions score the same thing with their finite-difference tolerances.
 
 import numpy as np
 
-from toruswave import Field, GridSpec, ModelParams, SolverConfig, SourceSpec, simulate
+from toruswave import GridSpec, ModelParams, SolverConfig, SourceSpec, simulate
 from toruswave.verify import check_energy_differential, check_energy_integral
 
 grid = GridSpec(8)
@@ -22,9 +22,8 @@ params = ModelParams.from_equation_of_state(2.0 / 3.0, omega)
 source = SourceSpec(preset="bump", amplitude=5e-4)
 
 x1, x2, x3 = grid.coordinates()
-vals = 0.01 * (np.cos(x1 + x2) + np.sin(x2 + 2.0 * x3)) + np.zeros(grid.shape)
-u0 = Field(grid, vals)
-u1 = Field(grid, np.zeros(grid.shape))
+u0 = 0.01 * (np.cos(x1 + x2) + np.sin(x2 + 2.0 * x3)) + np.zeros(grid.shape)
+u1 = np.zeros(grid.shape)
 
 config = SolverConfig(grid=grid, dt=0.02, t_end=8.0, sample_every=20)
 trajectory = simulate(u0, u1, params, source, config)

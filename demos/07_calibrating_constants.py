@@ -46,7 +46,7 @@ with tempfile.TemporaryDirectory() as tmp:
 worst = 0.0
 for seed in range(500, 520):
     u = random_band_limited(grid, seed=seed, band=3, amplitude=1.0)
-    worst = max(worst, quotient(u.values))
+    worst = max(worst, quotient(u))
 print("worst fresh quotient :", worst)
 print("calibrated c_sobolev :", constants.c_sobolev)
 print("headroom factor      :", constants.c_sobolev / worst)

@@ -15,7 +15,7 @@ from .estimates import (
     g_function,
     h_threshold,
 )
-from .fields import Field, GridSpec
+from .fields import GridSpec
 from .solver import (
     BreakdownInfo,
     SolverConfig,
@@ -35,7 +35,6 @@ __all__ = [
     "CalibratedConstants",
     "CheckResult",
     "EnergySample",
-    "Field",
     "GridSpec",
     "ModelParams",
     "SolverConfig",

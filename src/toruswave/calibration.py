@@ -34,7 +34,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .estimates import composition_envelope
-from .fields import Field, GridSpec, _symbol_weight, hm_norms, random_band_limited
+from .fields import GridSpec, _symbol_weight, hm_norms, random_band_limited
 
 SAFETY_MARGIN = 1.5
 FILE_FORMAT = "toruswave-constants-1"
@@ -80,16 +80,18 @@ def _refine(raw: npt.NDArray[np.complex128], n: int) -> npt.NDArray[np.float64]:
     return np.fft.irfftn(fine, s=(2 * n,) * 3, axes=(0, 1, 2))
 
 
-def _embedding_extremizer(grid: GridSpec, m: int) -> Field:
-    """Field with coefficients 1/S_m(k); Cauchy-Schwarz is an equality for it
-    at x = 0, so its ratio IS the discrete embedding constant."""
+def _embedding_extremizer(grid: GridSpec, m: int) -> npt.NDArray[np.float64]:
+    """Grid samples of the field with coefficients 1/S_m(k); Cauchy-Schwarz is
+    an equality for it at x = 0, so its ratio IS the discrete embedding constant."""
     raw = grid.n**3 / _symbol_weight(grid.n, m)
-    return Field(grid, np.fft.irfftn(raw, s=grid.shape, axes=(0, 1, 2)))
+    return np.fft.irfftn(raw, s=grid.shape, axes=(0, 1, 2))
 
 
-def _field_family(grid: GridSpec, m: int, seed: int, n_fields: int) -> Iterator[Field]:
-    """Band-limited fields across the available bands, unit sup norm, plus
-    deterministic probes of the near-constant corner, one at a time.
+def _field_family(
+    grid: GridSpec, m: int, seed: int, n_fields: int
+) -> Iterator[npt.NDArray[np.float64]]:
+    """Grid samples of band-limited fields across the available bands, unit sup
+    norm, plus deterministic probes of the near-constant corner, one at a time.
 
     A random band family never produces the fields that maximize the product
     and embedding ratios: constants (product ratio (2 pi)^{-3/2}), blends of a
@@ -103,9 +105,9 @@ def _field_family(grid: GridSpec, m: int, seed: int, n_fields: int) -> Iterator[
     x1, _, _ = grid.coordinates()
     wave = np.broadcast_to(np.cos(x1), grid.shape)
     probes = (1.0 + blend * wave for blend in (0.0, 0.25, 0.5, 0.75))  # blend 0: the constant
-    for values in itertools.chain(probes, [_embedding_extremizer(grid, m).values]):
+    for values in itertools.chain(probes, [_embedding_extremizer(grid, m)]):
         # same unit-sup normalization as the random family; ratios are invariant
-        yield Field(grid, values / np.max(np.abs(values)))
+        yield values / np.max(np.abs(values))
 
 
 def _product_ratio(u, v, m: int) -> float:
@@ -128,11 +130,11 @@ def calibrate(
     c_moser = {k: 0.0 for k in range(1, m + 1)}
     first = previous = None  # (refined samples, H^m norm) of members 0 and i - 1
     for base in family:
-        raw = np.fft.rfftn(base.values)
+        raw = np.fft.rfftn(base)
         norm, *base_blocks = hm_norms(raw, m)
         refined = _refine(raw, grid.n)
         current = (refined, norm)
-        sup = float(np.max(np.abs(base.values)))
+        sup = float(np.max(np.abs(base)))
         c_sobolev = max(c_sobolev, sup / norm)
         if previous is not None:
             c_algebra = max(c_algebra, _product_ratio(previous, current, m))

@@ -40,7 +40,7 @@ import numpy as np
 from .calibration import CalibratedConstants, calibrate, load_constants, save_constants
 from .energy import modified_energy
 from .estimates import BootstrapParams, epsilon_budgets, forcing_constant, h_threshold
-from .fields import Field, GridSpec
+from .fields import GridSpec
 from .solver import SolverConfig, Trajectory, simulate, simulate_batch
 from .source import ModelParams, SourceSpec, bump_profile
 from .verify import ABS_TOL, CHECK_IDS, VerificationReport, run_all
@@ -265,28 +265,34 @@ def _coeff_values(grid: GridSpec, coeffs) -> np.ndarray:
     return values
 
 
-def _initial_field(key: str, grid: GridSpec, values: np.ndarray) -> Field:
+def _initial_field(key: str, values: np.ndarray) -> np.ndarray:
     """Initial data built from ``key``; a non-finite value is a config error of that key."""
-    try:
-        return Field(grid, values)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: the initial data overflow: {exc}") from None
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        index = tuple(int(i) for i in bad[0])
+        raise ConfigError(
+            f"{key}: the initial data overflow: field has a non-finite value at grid index {index}"
+        )
+    return values
 
 
-def _energy(key: str, u0: Field, u1: Field, params: ModelParams) -> float:
+def _energy(key: str, u0: np.ndarray, u1: np.ndarray, params: ModelParams) -> float:
     """E_m of the initial data; one that overflows is a config error of ``key``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        e_sq = modified_energy(u0, u1, params.omega, params.m)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            e_sq = modified_energy(u0, u1, params.omega, params.m)
+    except OverflowError:  # a Python float, such as omega^2, out of range
+        e_sq = math.inf
     if not math.isfinite(e_sq):
         raise ConfigError(f"{key}: the initial energy E_m overflows")
     return math.sqrt(e_sq)
 
 
-def _scaled(u0: Field, u1: Field, scale: float) -> tuple[Field, Field]:
+def _scaled(u0: np.ndarray, u1: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """scale * (u0, u1); a scale or product that overflows is a config error of initial.e_m0."""
     with np.errstate(over="ignore", invalid="ignore"):
-        v0, v1 = scale * u0.values, scale * u1.values
-    return _initial_field("initial.e_m0", u0.grid, v0), _initial_field("initial.e_m0", u1.grid, v1)
+        v0, v1 = scale * u0, scale * u1
+    return _initial_field("initial.e_m0", v0), _initial_field("initial.e_m0", v1)
 
 
 @dataclass
@@ -294,11 +300,10 @@ class Scenario:
     """A fully resolved run: fields built, every auto value substituted."""
 
     name: str
-    grid: GridSpec
     params: ModelParams
     source: SourceSpec
-    u0: Field
-    u1: Field
+    u0: np.ndarray
+    u1: np.ndarray
     solver: SolverConfig
     bootstrap: BootstrapParams
     constants: CalibratedConstants
@@ -326,8 +331,8 @@ def _build_params(read: _Reader) -> ModelParams:
 
 def _build_initial(
     read: _Reader, grid: GridSpec, params: ModelParams
-) -> tuple[Field, Field, float]:
-    """The initial data (u0, u1) and their E_m."""
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The initial data (u0, u1) as grid arrays, and their E_m."""
     preset = read("initial.preset")
     part = read("initial.part", echo=preset in ("single-mode", "bump"))
     zero = np.zeros(grid.shape)
@@ -335,7 +340,7 @@ def _build_initial(
     if preset == "zero":
         if "initial.e_m0" in read and read("initial.e_m0", echo=False) != 0.0:
             raise ConfigError("initial.e_m0: the zero preset has nothing to scale")
-        return Field(grid, zero), Field(grid, zero.copy()), 0.0
+        return zero, zero.copy(), 0.0
 
     if preset == "coefficients":
         if "initial.u0_coeffs" not in read and "initial.u1_coeffs" not in read:
@@ -352,7 +357,7 @@ def _build_initial(
             read.resolved[key] = "; ".join(
                 f"{a},{b},{c},{_fmt(re_)},{_fmt(im_)}" for a, b, c, re_, im_ in coeffs
             )
-        u0, u1 = (_initial_field(key, grid, values[key])
+        u0, u1 = (_initial_field(key, values[key])
                   for key in ("initial.u0_coeffs", "initial.u1_coeffs"))
         current = _energy(" and ".join(given), u0, u1, params)
         if "initial.e_m0" not in read:
@@ -378,11 +383,8 @@ def _build_initial(
     else:
         bump = bump_profile(grid)
         shape = bump - bump.mean()  # the smallness hypotheses want zero-mean data
-    if part == "velocity":
-        u0, u1 = Field(grid, zero), Field(grid, shape)
-    else:
-        u0, u1 = Field(grid, shape), Field(grid, zero)
-    scale = target / math.sqrt(modified_energy(u0, u1, params.omega, params.m))
+    u0, u1 = (zero, shape) if part == "velocity" else (shape, zero)
+    scale = target / _energy("params.omega", u0, u1, params)
     u0, u1 = _scaled(u0, u1, scale)
     return u0, u1, _energy("initial.e_m0", u0, u1, params)
 
@@ -466,6 +468,10 @@ def build_scenario(entries: dict[str, str]) -> Scenario:
         )
     except ValueError as exc:
         raise ConfigError(f"bootstrap: {exc}") from None
+    except OverflowError:  # only the auto c_delta raises it, in a power (1 -+ delta')^mu
+        raise ConfigError(
+            f"bootstrap.c_delta: the auto value overflows at mu = {params.mu:g}"
+        ) from None
     for field in ("t1", "eps_prime", "delta", "delta_prime", "c_delta"):
         read.resolved[f"bootstrap.{field}"] = getattr(bootstrap, field)
 
@@ -497,7 +503,7 @@ def build_scenario(entries: dict[str, str]) -> Scenario:
         raise ConfigError(f"source: {exc}") from None
 
     return Scenario(
-        name=name, grid=grid, params=params, source=source, u0=u0, u1=u1,
+        name=name, params=params, source=source, u0=u0, u1=u1,
         solver=solver, bootstrap=bootstrap, constants=constants, echo=read.echo(),
     )
 
@@ -604,8 +610,8 @@ def _sweep_batch(points: list[tuple[Scenario, str]]) -> list[tuple[int, list[str
     share the first one's solver config."""
     scenarios = [scenario for scenario, _ in points]
     trajectories = simulate_batch(
-        np.stack([s.u0.values for s in scenarios]),
-        np.stack([s.u1.values for s in scenarios]),
+        np.stack([s.u0 for s in scenarios]),
+        np.stack([s.u1 for s in scenarios]),
         [s.params for s in scenarios],
         [s.source for s in scenarios],
         scenarios[0].solver,

@@ -24,7 +24,7 @@ E_m^2 is the D_0 = S_0 term plus the block columns applied to the density
 above; Estd^2 is the S_m column applied to |v_hat|^2 + g |u_hat|^2, with g the
 per-mode gradient symbol.  ``sample_half_spectrum`` reads the coefficients
 the time loop keeps and reduces all its densities, both energies among them,
-in one stacked product; ``modified_energy`` transforms a pair of grid fields
+in one stacked product; ``modified_energy`` transforms a pair of grid arrays
 once each, for the initial data a scenario scales to its target E_m.
 """
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, gradient_symbol, reduce_power, spectral_power
+from .fields import gradient_symbol, reduce_power, spectral_power
 
 
 @dataclass
@@ -55,11 +55,6 @@ class EnergySample:
     u_mean: float
     f_mean: float
     u_min: float
-
-
-def _check_pair(u: Field, ut: Field) -> None:
-    if u.grid != ut.grid:
-        raise ValueError(f"field grids differ: {u.grid.n} vs {ut.grid.n}")
 
 
 def _check_omega(omega: float) -> None:
@@ -86,11 +81,13 @@ def _standard_row(pu, pv):
     return pv + gradient_symbol(pu.shape[0]) * pu
 
 
-def modified_energy(u: Field, ut: Field, omega: float, m: int = 0) -> float:
-    """Squared modified energy E_m^2, summed over multi-indices up to m."""
-    _check_pair(u, ut)
+def modified_energy(u, ut, omega: float, m: int = 0) -> float:
+    """Squared modified energy E_m^2 of the grid arrays ``u`` and ``ut``,
+    summed over multi-indices up to m."""
+    if u.shape != ut.shape:
+        raise ValueError(f"field grids differ: {u.shape} vs {ut.shape}")
     _check_omega(omega)
-    u_hat, ut_hat = np.fft.rfftn(u.values), np.fft.rfftn(ut.values)
+    u_hat, ut_hat = np.fft.rfftn(u), np.fft.rfftn(ut)
     density = _density(u_hat, ut_hat, spectral_power(u_hat), spectral_power(ut_hat), omega)
     return _modified_sq(density, reduce_power(density, m))
 

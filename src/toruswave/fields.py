@@ -1,6 +1,7 @@
-"""Real fields on the flat 3-torus and the one weight matrix of their norms.
+"""Real fields as grid arrays on the 3-torus, and the one weight matrix of their norms.
 
-The domain is the periodic box [0, 2pi)^3 sampled on a uniform n^3 grid.
+The domain is the periodic box [0, 2pi)^3 sampled on a uniform n^3 grid; a
+real field is its float array of samples, shape (n, n, n).
 Fourier coefficients follow the convention
 
     u_hat(k) = (2pi)^-3 * integral u(x) exp(-i k.x) dx,
@@ -88,34 +89,6 @@ class GridSpec:
         return x[:, None, None], x[None, :, None], x[None, None, :]
 
 
-def _first_bad_index(values: npt.NDArray) -> tuple[int, ...]:
-    return tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
-
-
-@dataclass
-class Field:
-    """Real scalar field sampled on a :class:`GridSpec`."""
-
-    grid: GridSpec
-    values: npt.NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {values.shape} does not match grid shape {self.grid.shape}"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError(
-                f"field has a non-finite value at grid index {_first_bad_index(values)}"
-            )
-        self.values = values
-
-    def mean(self) -> float:
-        """Normalized mean (2pi)^-3 * integral u dx, i.e. the grid average."""
-        return float(np.mean(self.values))
-
-
 def _symbol_weight(
     n: int, m: int, lowest: int = 0, zero_nyquist: bool = False, hermitian: bool = False
 ) -> npt.NDArray[np.float64]:
@@ -200,8 +173,8 @@ def random_band_limited(
     band: int,
     amplitude: float = 1.0,
     zero_mean: bool = False,
-) -> Field:
-    """Seeded random field with wavenumbers confined to max_k |k_i| <= band.
+) -> npt.NDArray[np.float64]:
+    """Grid samples of a seeded random field with wavenumbers confined to max_k |k_i| <= band.
 
     The field is scaled so its sup norm equals ``amplitude``.  ``band`` must
     stay below the Nyquist wavenumber n/2.
@@ -221,4 +194,4 @@ def random_band_limited(
     peak = float(np.max(np.abs(values)))
     if peak == 0.0:
         raise ValueError("band-limited draw collapsed to zero, change the seed")
-    return Field(grid, values * (amplitude / peak))
+    return values * (amplitude / peak)

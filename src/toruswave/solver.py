@@ -15,7 +15,7 @@ half spectrum with no normalization that every symbol and weight of
 cancels; each force is one ``irfftn`` to a grid array, ``eval_prepared`` on
 that array and one ``rfftn`` back.  Every diagnostic is a reduction of these
 coefficients (``energy.sample_half_spectrum``), and the final state a run
-hands to verification is the same pair of arrays: no ``Field`` is built.
+hands to verification is the same pair of arrays.
 
 Batch axis: the loop advances B runs at once.  The state, the propagator
 pieces and the forcing weights have shape (B, n, n, n/2+1), the grid arrays
@@ -47,7 +47,7 @@ import numpy.typing as npt
 
 from .energy import EnergySample, sample_half_spectrum
 from .estimates import gronwall_bound
-from .fields import Field, GridSpec, laplacian_symbol
+from .fields import GridSpec, laplacian_symbol
 from .source import (
     BreakdownError,
     ModelParams,
@@ -266,12 +266,21 @@ def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat)
                     break
                 except PointBreakdowns as exc:
                     u_hat, ut_hat = stop(exc.errors, k, u_hat, ut_hat)
+            overflows = {}
             for b, trajectory in enumerate(live):
                 params = trajectory.params
-                trajectory.samples.append(sample_half_spectrum(
+                sample = sample_half_spectrum(
                     t, u[b], f[b], u_hat[b], ut_hat[b], f_hat[b], params.omega, params.m
-                ))
+                )
+                bad = [name for name, value in vars(sample).items() if not math.isfinite(value)]
+                if bad:  # a finite state or force whose norms or means overflow
+                    reason = f"the diagnostics overflow at t = {t:.6g}: {', '.join(bad)}"
+                    overflows[b] = BreakdownError(t, sample.u_min, reason)
+                    continue
+                trajectory.samples.append(sample)
                 trajectory.final_state = SolverState(t, u_hat[b], ut_hat[b])
+            if overflows:
+                u_hat, ut_hat, f_hat = stop(overflows, k, u_hat, ut_hat, f_hat)
         while live and k < n_steps:
             try:
                 u_hat, ut_hat = stepper.advance(t, u_hat, ut_hat, f_hat)
@@ -296,8 +305,8 @@ def simulate_batch(u0, u1, params, sources, config: SolverConfig) -> list[Trajec
     count = len(params)
     if u0.shape != (count, *config.grid.shape) or u1.shape != u0.shape:
         raise ValueError(
-            f"initial data of shape {u0.shape} and {u1.shape} do not stack {count} "
-            f"fields of the configured grid {config.grid.shape}"
+            f"initial data of shape {u0.shape} and {u1.shape} do not match the configured "
+            f"grid: they do not stack {count} fields of shape {config.grid.shape}"
         )
     prepared = [prepare_source(s, config.grid, p.m) for s, p in zip(sources, params, strict=True)]
     trajectories = [
@@ -311,23 +320,22 @@ def simulate_batch(u0, u1, params, sources, config: SolverConfig) -> list[Trajec
         stepper = _Stepper(params[batch], prepared[batch], config)
         u_hat = np.fft.rfftn(u0[batch], s=config.grid.shape, axes=(1, 2, 3))
         ut_hat = np.fft.rfftn(u1[batch], s=config.grid.shape, axes=(1, 2, 3))
-        _run_batch(trajectories[batch], stepper, u_hat, ut_hat)
+        # an overflow in the loop ends its run through the finiteness checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            _run_batch(trajectories[batch], stepper, u_hat, ut_hat)
     return trajectories
 
 
-def simulate(
-    u0: Field, u1: Field, params: ModelParams, source: SourceSpec, config: SolverConfig
-) -> Trajectory:
-    """Run the full time span, sampling diagnostics along the way: the batch of one.
+def simulate(u0, u1, params: ModelParams, source: SourceSpec, config: SolverConfig) -> Trajectory:
+    """Run the full time span from the grid arrays ``u0`` and ``u1``, sampling
+    diagnostics along the way: the batch of one.
 
     A positivity, overflow or non-finite failure does not raise: the partial
     trajectory is returned with ``breakdown`` filled in.  Whether or not the
     run breaks down, ``final_state`` is the state of the last recorded sample
     (None if there is none), so its time is ``samples[-1].t``.
     """
-    if u0.grid != config.grid or u1.grid != config.grid:
-        raise ValueError("initial data grids do not match the configured grid")
-    return simulate_batch(u0.values[None], u1.values[None], [params], [source], config)[0]
+    return simulate_batch(u0[None], u1[None], [params], [source], config)[0]
 
 
 def mean_mode_reference(trajectory: Trajectory) -> list[tuple[float, float]]:

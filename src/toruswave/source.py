@@ -12,12 +12,12 @@ p = K rho with 0 < K < 1:
 The profile is an analytic preset a(t, x) = sigma(t) A(x) with
 |sigma| <= 1, and A is rescaled so the sup over t of ||a(t, .)||_{H^m}
 equals the requested amplitude; amplitude zero switches the source off
-entirely.  ``fluid_source`` is the paper's own formula for a, generated by a
-scalar fluid potential with a timelike gradient,
+entirely.  In the source paper (arXiv 2509.02023) a is generated by a scalar
+fluid potential with a timelike gradient,
 
     a = (1/6) (3 - 1/K) [(phi_t)^2 - |grad phi|^2]^{(1+K)/(2K)};
 
-it is kept for a future preset and no scenario reaches it yet.
+no preset uses that formula, and git history has the code that evaluated it.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .fields import Field, GridSpec, hm_norms, random_band_limited
+from .fields import GridSpec, hm_norms, random_band_limited
 
 
 class BreakdownError(RuntimeError):
     """The run cannot go on at time t: 1 + u > 0 failed, so (1 + u)^mu is
     undefined, or the power overflows, or (in ``simulate``) the state became
-    non-finite, where u_min is nan."""
+    non-finite, where u_min is nan, or its sampled norms overflow."""
 
     def __init__(self, t: float, u_min: float, reason: str = ""):
         self.t = float(t)
@@ -97,42 +97,6 @@ class ModelParams:
         return cls(omega=omega, kappa=kappa, mu=mu, k_eos=k_eos, m=m)
 
 
-@dataclass
-class FluidPotential:
-    """Scalar potential data (phi_t, grad phi) with a timelike gradient."""
-
-    phi_t: Field
-    phi_grad: tuple[Field, Field, Field]
-
-    def __post_init__(self) -> None:
-        for g in self.phi_grad:
-            if g.grid != self.phi_t.grid:
-                raise ValueError("potential components live on different grids")
-        if np.min(self.bracket()) <= 0.0:
-            bad = np.unravel_index(int(np.argmin(self.bracket())), self.phi_t.grid.shape)
-            raise ValueError(
-                f"potential gradient is not timelike at grid index {tuple(int(i) for i in bad)}"
-            )
-
-    def bracket(self) -> np.ndarray:
-        """(phi_t)^2 - |grad phi|^2 on the grid."""
-        out = self.phi_t.values**2
-        for g in self.phi_grad:
-            out = out - g.values**2
-        return out
-
-
-def fluid_source(potential: FluidPotential, k_eos: float) -> Field:
-    """Static profile a generated by a timelike potential."""
-    if not 0.0 < k_eos < 1.0:
-        raise ValueError(
-            f"equation of state parameter must satisfy 0 < K < 1, got {k_eos}"
-        )
-    exponent = (1.0 + k_eos) / (2.0 * k_eos)
-    prefactor = (3.0 - 1.0 / k_eos) / 6.0
-    return Field(potential.phi_t.grid, prefactor * potential.bracket() ** exponent)
-
-
 _PRESETS = ("uniform", "single-mode", "bump", "band")
 _SIGMAS = ("const", "cos")
 
@@ -158,6 +122,8 @@ class SourceSpec:
             raise ValueError(f"preset must be one of {_PRESETS}, got {self.preset!r}")
         if self.sigma not in _SIGMAS:
             raise ValueError(f"sigma kind must be one of {_SIGMAS}, got {self.sigma!r}")
+        if self.seed < 0:
+            raise ValueError(f"source seed must be >= 0, got {self.seed}")
 
 
 def bump_profile(grid: GridSpec) -> npt.NDArray[np.float64]:
@@ -175,7 +141,7 @@ def _raw_profile(spec: SourceSpec, grid: GridSpec) -> npt.NDArray[np.float64]:
         return np.broadcast_to(np.cos(x1), grid.shape).copy()
     if spec.preset == "bump":
         return bump_profile(grid)
-    return random_band_limited(grid, seed=spec.seed, band=max(1, grid.n // 4)).values
+    return random_band_limited(grid, seed=spec.seed, band=max(1, grid.n // 4))
 
 
 @dataclass
@@ -250,22 +216,16 @@ def _power(base: npt.NDArray[np.float64], mu: float) -> npt.NDArray[np.float64]:
 
 
 def eval_prepared(t: float, u, params, prepared):
-    """F(t, .) = exp(-kappa t) a(t, .) (1 + u)^mu on the grid, for grid samples
-    ``u`` and resolved profiles.
+    """F(t, .) = exp(-kappa t) a(t, .) (1 + u)^mu on the grid, for B runs:
+    ``u`` is their stack (B, n, n, n) of grid samples, ``params`` and
+    ``prepared`` sequences of B each.
 
-    ``u`` is one grid array with one ``params`` and ``prepared``, or a stack
-    (B, n, n, n) of B runs with a sequence of B of each.  Every run is checked
-    on its own slice (``_power_breakdown``): if any fails, nothing is evaluated
-    and ``PointBreakdowns`` names the failing slots; a single run raises its
-    ``BreakdownError``.  Each run's envelope exp(-kappa t) sigma(t) is a
-    scalar, and one power covers the stack when every run has the same mu, so
-    a slice holds the bits its run would get alone.
+    Every run is checked on its own slice (``_power_breakdown``): if any
+    fails, nothing is evaluated and ``PointBreakdowns`` names the failing
+    slots.  Each run's envelope exp(-kappa t) sigma(t) is a scalar, and one
+    power covers the stack when every run has the same mu, so a slice holds
+    the bits its run would get alone.
     """
-    if u.ndim == 3:
-        try:
-            return eval_prepared(t, u[None], [params], [prepared])[0]
-        except PointBreakdowns as exc:
-            raise exc.errors[0] from None
     if u.shape[1:] != prepared[0].profile.shape:
         raise ValueError(
             f"state shape {u.shape[1:]} does not match source grid {prepared[0].profile.shape[0]}"

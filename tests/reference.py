@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from toruswave.energy import EnergySample
-from toruswave.fields import VOLUME, Field, GridSpec
+from toruswave.fields import VOLUME, GridSpec
 
 TWO_PI = 2.0 * np.pi
 
@@ -67,8 +67,7 @@ def trapezoid_cumulative(t, y):
 
 def white_noise(n, seed):
     """Unfiltered Gaussian samples: every mode is populated, Nyquist planes too."""
-    grid = GridSpec(n)
-    return Field(grid, np.random.default_rng(seed).standard_normal(grid.shape))
+    return np.random.default_rng(seed).standard_normal((n, n, n))
 
 
 # --- the full-complex spectral toolkit --------------------------------------
@@ -82,14 +81,16 @@ class Spectrum:
     coeffs: np.ndarray
 
 
-def transform(field):
-    return Spectrum(field.grid, np.fft.fftn(field.values) / field.grid.n**3)
+def transform(u):
+    """The full spectrum of the grid array ``u``."""
+    n = u.shape[0]
+    return Spectrum(GridSpec(n), np.fft.fftn(u) / n**3)
 
 
 def inverse_transform(spectrum):
     """Back to grid samples; the imaginary residue of a real field is dropped."""
     n = spectrum.grid.n
-    return Field(spectrum.grid, np.fft.ifftn(spectrum.coeffs * n**3).real)
+    return np.fft.ifftn(spectrum.coeffs * n**3).real
 
 
 def wavenumbers(n):
@@ -191,14 +192,14 @@ def pad_spectrum(spectrum, new_n):
 def padded_product(u, v):
     """uv on the doubled grid, where no mode of it aliases: both factors
     zero padded by ``pad_spectrum``."""
-    fine = GridSpec(2 * u.grid.n)
-    u_fine, v_fine = (inverse_transform(pad_spectrum(transform(x), fine.n)) for x in (u, v))
-    return Field(fine, u_fine.values * v_fine.values)
+    n = u.shape[0]
+    u_fine, v_fine = (inverse_transform(pad_spectrum(transform(x), 2 * n)) for x in (u, v))
+    return u_fine * v_fine
 
 
 def sample_energies(t, u, ut, f, omega, m):
     """The diagnostic row of ``energy.sample_half_spectrum`` from full spectra."""
-    n = u.grid.n
+    n = u.shape[0]
     s, d = full_sobolev_weight(n, m), full_derivative_weight(n, m)
     g = full_derivative_weight(n, 1, lowest=1)
     uc, vc, fc = (transform(x).coeffs for x in (u, ut, f))
@@ -212,9 +213,9 @@ def sample_energies(t, u, ut, f, omega, m):
         u_hm=math.sqrt(VOLUME * np.sum(s * power[0])),
         ut_hm=math.sqrt(VOLUME * np.sum(s * power[1])),
         f_hm=math.sqrt(VOLUME * np.sum(s * power[2])),
-        u_mean=u.mean(),
-        f_mean=f.mean(),
-        u_min=float(np.min(u.values)),
+        u_mean=float(np.mean(u)),
+        f_mean=float(np.mean(f)),
+        u_min=float(np.min(u)),
     )
 
 
@@ -227,8 +228,8 @@ def random_band_limited(grid, seed, band, amplitude=1.0, zero_mean=False):
     coeffs = np.where(mask, coeffs, 0.0)
     if zero_mean:
         coeffs[0, 0, 0] = 0.0
-    values = inverse_transform(Spectrum(grid, coeffs)).values
-    return Field(grid, values * (amplitude / np.max(np.abs(values))))
+    values = inverse_transform(Spectrum(grid, coeffs))
+    return values * (amplitude / np.max(np.abs(values)))
 
 
 def embedding_extremizer(grid, m):

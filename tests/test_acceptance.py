@@ -24,7 +24,6 @@ from toruswave.estimates import (
 )
 from toruswave.fields import (
     VOLUME,
-    Field,
     GridSpec,
     hm_norms,
     random_band_limited,
@@ -136,8 +135,8 @@ def test_criterion_2_zero_source_mean_limit():
     params = ModelParams.from_equation_of_state(2.0 / 3.0, omega)
     x1, x2, x3 = GRID16.coordinates()
     full = np.zeros(GRID16.shape)
-    u0 = Field(GRID16, full + 0.1 + 0.02 * np.cos(x1 + 2.0 * x2) + 0.01 * np.sin(x3))
-    u1 = Field(GRID16, full + 0.02 + 0.015 * np.cos(2.0 * x1 + x3))
+    u0 = full + 0.1 + 0.02 * np.cos(x1 + 2.0 * x2) + 0.01 * np.sin(x3)
+    u1 = full + 0.02 + 0.015 * np.cos(2.0 * x1 + x3)
     source = SourceSpec(amplitude=0.0)
     config = SolverConfig(grid=GRID16, dt=0.05, t_end=t_end, sample_every=24)
     trajectory = simulate(u0, u1, params, source, config)
@@ -248,7 +247,7 @@ def test_criterion_6_estimate_toolkit_inequalities(constants16):
         random_band_limited(GRID16, seed=seed, band=4, amplitude=ceiling, zero_mean=True)
         for seed in range(100)
     ]
-    zero = Field(GRID16, np.zeros(GRID16.shape))
+    zero = np.zeros(GRID16.shape)
     moser_constants = {
         mu: fractional_constant(3, mu, ceiling, constants16.c_moser)
         for mu in (0.5, -0.5)
@@ -263,7 +262,7 @@ def test_criterion_6_estimate_toolkit_inequalities(constants16):
     for u, v in zip(family, family[1:] + family[:1]):
         u_norm = norm(u, 3)
         for mu, c_frac in moser_constants.items():
-            composed = Field(GRID16, (1.0 + u.values) ** mu)
+            composed = (1.0 + u) ** mu
             bound = c_frac * u_norm + VOLUME**0.5
             assert norm(composed, 3) <= bound * (1.0 + REL_SLACK)
 
@@ -275,13 +274,13 @@ def test_criterion_6_estimate_toolkit_inequalities(constants16):
         energy = math.sqrt(modified_energy(u, v, omega, 0))
         assert norm(u) <= math.sqrt(8.0) / omega * energy * (1.0 + REL_SLACK)
         # ||u_t + omega/2 u||, with v in the role of u_t
-        combination = norm(Field(GRID16, v.values + 0.5 * omega * u.values))
+        combination = norm(v + 0.5 * omega * u)
         assert combination**2 <= 2.0 * energy**2 * (1.0 + REL_SLACK)
 
         assert norm(u) <= gradient(u) * (1.0 + REL_SLACK)
 
     x1 = GRID16.coordinates()[0]
-    extremal = Field(GRID16, np.sin(x1) + np.zeros(GRID16.shape))
+    extremal = np.sin(x1) + np.zeros(GRID16.shape)
     gap = abs(norm(extremal) - gradient(extremal))
     assert gap <= 1e-12 * norm(extremal)
     _verdict(6, f"5 inequalities on {len(family)} fields, extremal gap {gap:.1e}")
@@ -354,8 +353,8 @@ def test_criterion_9_transform_matches_naive_dft():
     # half of the spectrum, and irfftn inverts it
     grid = GridSpec(8)
     rng = np.random.default_rng(99)
-    u = Field(grid, rng.standard_normal(grid.shape))
-    half = np.fft.rfftn(u.values) / grid.n**3
+    u = rng.standard_normal(grid.shape)
+    half = np.fft.rfftn(u) / grid.n**3
 
     x1, x2, x3 = grid.coordinates()
     wavenumbers = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
@@ -364,15 +363,15 @@ def test_criterion_9_transform_matches_naive_dft():
         for j, k2 in enumerate(wavenumbers):
             for l, k3 in enumerate(np.fft.rfftfreq(grid.n, d=1.0 / grid.n)):
                 phase = np.exp(-1j * (k1 * x1 + k2 * x2 + k3 * x3))
-                naive[i, j, l] = np.sum(u.values * phase) / grid.n**3
+                naive[i, j, l] = np.sum(u * phase) / grid.n**3
 
     scale = float(np.max(np.abs(naive)))
     forward_error = float(np.max(np.abs(naive - half)))
     assert forward_error <= 1e-10 * scale
 
     roundtrip = np.fft.irfftn(half * grid.n**3, s=grid.shape, axes=(0, 1, 2))
-    roundtrip_error = float(np.max(np.abs(roundtrip - u.values)))
-    assert roundtrip_error <= 1e-12 * float(np.max(np.abs(u.values)))
+    roundtrip_error = float(np.max(np.abs(roundtrip - u)))
+    assert roundtrip_error <= 1e-12 * float(np.max(np.abs(u)))
     _verdict(
         9,
         f"forward error {forward_error / scale:.2e} relative, "

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from toruswave import solver
-from toruswave.fields import Field, GridSpec
+from toruswave.fields import GridSpec
 from toruswave.solver import SolverConfig, batch_size, simulate, simulate_batch
 from toruswave.source import (
     BreakdownError,
@@ -59,7 +59,7 @@ def run_batch(runs, config=CONFIG):
 
 def run_alone(run, config=CONFIG):
     u0, u1, params, source = run
-    return simulate(Field(config.grid, u0), Field(config.grid, u1), params, source, config)
+    return simulate(u0, u1, params, source, config)
 
 
 def assert_same_run(got, want):
@@ -178,11 +178,12 @@ def test_integer_power_overflow_is_a_breakdown():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         overflow = r"overflows at t = 0\.25: max \|1 \+ u\| = 1e\+110"
-        with pytest.raises(BreakdownError, match=overflow):
-            eval_prepared(0.25, wave(1e110), params, prepared)
+        with pytest.raises(PointBreakdowns, match=overflow) as info:
+            eval_prepared(0.25, wave(1e110)[None], [params], [prepared])
+        assert isinstance(info.value.errors[0], BreakdownError)  # the message is its reason
         run = (wave(1e110), wave(0.0), params, SourceSpec(amplitude=0.001))
         trajectory = run_alone(run)
     assert trajectory.breakdown.step == 0 and "overflows" in trajectory.breakdown.reason
     assert trajectory.samples == [] and trajectory.final_state is None
     # below the overflow the integer power has no gate: 1 + u < 0 is fine
-    assert np.isfinite(eval_prepared(0.0, wave(1e100), params, prepared)).all()
+    assert np.isfinite(eval_prepared(0.0, wave(1e100)[None], [params], [prepared])).all()

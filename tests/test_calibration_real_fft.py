@@ -1,7 +1,7 @@
 """Calibration on real FFTs: the streaming pass against the full-complex loops.
 
 ``calibrate`` once ran every transform as a normalized ``fftn``/``ifftn``
-through ``Field``/``Spectrum``, refined each family member three times and
+on full spectra, refined each family member three times and
 took one weighted sum per derivative block.  That code is kept here as the
 reference, on the full-complex toolkit of ``reference``: the single pass over
 ``rfftn`` half spectra must reproduce every constant, and the shared
@@ -27,7 +27,7 @@ from toruswave.calibration import (
 )
 from toruswave.cli import CONSTANTS_ENV, run_scenario
 from toruswave.estimates import composition_envelope
-from toruswave.fields import Field, GridSpec, random_band_limited
+from toruswave.fields import GridSpec, random_band_limited
 from reference import (
     derivative_block_norm,
     inverse_transform,
@@ -45,7 +45,7 @@ REL = 1e-14
 
 
 def reference_refine(u):
-    return inverse_transform(pad_spectrum(transform(u), 2 * u.grid.n))
+    return inverse_transform(pad_spectrum(transform(u), 2 * u.shape[0]))
 
 
 def reference_family(grid, m, seed, n_fields):
@@ -58,8 +58,8 @@ def reference_family(grid, m, seed, n_fields):
     wave = np.broadcast_to(np.cos(x1), grid.shape)
     probes = [np.ones(grid.shape)]
     probes += [1.0 + blend * wave for blend in (0.25, 0.5, 0.75)]
-    probes.append(_embedding_extremizer(grid, m).values)
-    family += [Field(grid, p / np.max(np.abs(p))) for p in probes]
+    probes.append(_embedding_extremizer(grid, m))
+    family += [p / np.max(np.abs(p)) for p in probes]
     return family
 
 
@@ -68,7 +68,7 @@ def reference_calibrate(grid, m, seed, n_fields):
     def norm(u):
         return spectrum_norm(transform(u), m)
 
-    c_sobolev = max(np.max(np.abs(u.values)) / norm(u) for u in family)
+    c_sobolev = max(np.max(np.abs(u)) / norm(u) for u in family)
     c_algebra = 0.0
     for u, v in zip(family, family[1:] + family[:1]):
         ratio = norm(padded_product(u, v)) / (norm(u) * norm(v))
@@ -77,11 +77,11 @@ def reference_calibrate(grid, m, seed, n_fields):
     for base in family:
         base_blocks = {k: derivative_block_norm(transform(base), k) for k in range(1, m + 1)}
         for amplitude in _CALIBRATION_AMPLITUDES:
-            scaled = Field(base.grid, amplitude * base.values)
+            scaled = amplitude * base
             fine = reference_refine(scaled)
-            ceiling = max(np.max(np.abs(scaled.values)), np.max(np.abs(fine.values)))
+            ceiling = max(np.max(np.abs(scaled)), np.max(np.abs(fine)))
             for mu in _CALIBRATION_EXPONENTS:
-                spectrum = transform(Field(fine.grid, (1.0 + fine.values) ** mu))
+                spectrum = transform((1.0 + fine) ** mu)
                 for k in range(1, m + 1):
                     if base_blocks[k] == 0.0:
                         continue
@@ -142,7 +142,7 @@ def test_family_unchanged_above_the_smallest_grid(n):
     old = reference_family(GridSpec(n), 3, 2024, 12)
     assert len(new) == len(old)
     for a, b in zip(new, old):
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
 
 def test_smallest_grid_calibrates():
@@ -164,25 +164,25 @@ def test_smallest_grid_runs_without_constants_file(tmp_path, monkeypatch):
 
 def refine(u):
     """``u`` sampled on the doubled grid, through ``calibration._refine``."""
-    return Field(GridSpec(2 * u.grid.n), _refine(np.fft.rfftn(u.values), u.grid.n))
+    return _refine(np.fft.rfftn(u), u.shape[0])
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_refine_matches_pad_spectrum_on_white_noise(n):
     u = white_noise(n, 100 + n)
     new, old = refine(u), reference_refine(u)
-    assert new.grid == old.grid == GridSpec(2 * n)
-    scale = np.max(np.abs(old.values))
-    assert np.max(np.abs(new.values - old.values)) <= 1e-13 * scale
+    assert new.shape == old.shape == GridSpec(2 * n).shape
+    scale = np.max(np.abs(old))
+    assert np.max(np.abs(new - old)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_product_matches_pad_spectrum_on_white_noise(n):
     u, v = white_noise(n, 200 + n), white_noise(n, 300 + n)
     for a, b in ((u, v), (u, u)):
-        new, old = refine(a).values * refine(b).values, padded_product(a, b)
-        scale = np.max(np.abs(old.values))
-        assert np.max(np.abs(new - old.values)) <= 1e-13 * scale
+        new, old = refine(a) * refine(b), padded_product(a, b)
+        scale = np.max(np.abs(old))
+        assert np.max(np.abs(new - old)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -192,10 +192,10 @@ def test_nyquist_plane_dropped_on_every_axis(n, axis):
     grid = GridSpec(n)
     shape = [-1 if a == axis else 1 for a in range(3)]
     sign = np.broadcast_to((-1.0) ** np.arange(n).reshape(shape), grid.shape)
-    nyquist = Field(grid, 1.0 + sign)
+    nyquist = 1.0 + sign
     expected = np.ones(GridSpec(2 * n).shape)
-    assert np.max(np.abs(refine(nyquist).values - expected)) <= 1e-14
-    assert np.max(np.abs(reference_refine(nyquist).values - expected)) <= 1e-14
+    assert np.max(np.abs(refine(nyquist) - expected)) <= 1e-14
+    assert np.max(np.abs(reference_refine(nyquist) - expected)) <= 1e-14
 
 
 # --- structure and memory ----------------------------------------------------

@@ -499,6 +499,72 @@ class TestEveryConfigEndsInAnExitCode:
             assert run_scenario(str(cfg), tmp_path / "out") == 3
         assert "initial.u0_coeffs: the initial energy E_m overflows" in capsys.readouterr().err
 
+    def test_energy_whose_omega_squared_overflows_is_a_config_error(
+        self, tmp_path, constants_file, capsys
+    ):
+        # the Python float omega^2 = 1e400 of the energy density raises OverflowError
+        cfg = self.coefficients(
+            tmp_path, constants_file,
+            **{"params.omega": "1e200", "params.k_eos": "0.5", "source.amplitude": "0",
+               "initial.u0_coeffs": "1,0,0,0.5,0", "solver.t_end": "0.55"},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_scenario(str(cfg), tmp_path / "out") == 3
+        assert "initial.u0_coeffs: the initial energy E_m overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k_eos, mu", [("1e-300", "-1e+300"), ("1e-12", "-1e+12")])
+    def test_overflowing_auto_c_delta_is_a_config_error(self, tmp_path, capsys, k_eos, mu):
+        # mu ~ -1/K: the power (1 - delta')^(mu - 1) of the composition constant overflows
+        constants = tmp_path / "constants4.txt"
+        save_constants(calibrate(GridSpec(4), 3, seed=2024, n_fields=4), constants)
+        cfg = make_cfg(
+            tmp_path, constants, drop=("initial.mode", "initial.e_m0"),
+            **{"grid.n": "4", "params.k_eos": k_eos, "source.amplitude": "0",
+               "initial.preset": "zero", "solver.dt": "0.1", "solver.t_end": "2.8"},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_scenario(str(cfg), tmp_path / "out") == 3
+        assert capsys.readouterr().err == (
+            f"config error: bootstrap.c_delta: the auto value overflows at mu = {mu}\n"
+        )
+
+    def test_force_whose_norm_overflows_is_a_breakdown(self, tmp_path, constants_file):
+        # F = 1e200-scale cos(x1) is finite, but its H^m norm squares past float range
+        cfg = make_cfg(
+            tmp_path, constants_file, drop=("params.k_eos", "initial.mode", "initial.e_m0"),
+            **{"params.kappa": "0.3", "params.mu": "2", "source.preset": "single-mode",
+               "source.amplitude": "1e200", "initial.preset": "zero", "solver.dt": "0.1",
+               "solver.t_end": "0.7"},
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_scenario(str(cfg), out) == 2
+        report = (out / "report.txt").read_text()
+        assert "breakdown = t = 0: the diagnostics overflow at t = 0: f_hm" in report
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [[c, "SKIP"] for c in CHECK_IDS]
+
+    def test_step_that_overflows_is_a_breakdown(self, tmp_path, constants_file):
+        # omega = 1e-300 makes the zero mode's forcing weight dt / (2 omega) = 5e298,
+        # so the first step overflows the state
+        cfg = self.coefficients(
+            tmp_path, constants_file,
+            **{"params.omega": "1e-300", "params.k_eos": "0.75",
+               "initial.u0_coeffs": "1,-1,0,0.04,-0.04", "solver.dt": "0.1",
+               "solver.t_end": "0.5"},
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_scenario(str(cfg), out) == 2
+        assert (
+            "breakdown = t = 0.10000000000000001: state became non-finite at step 1 (t = 0.1)"
+            in (out / "report.txt").read_text()
+        )
+
 
 class TestMainEntry:
     def test_run_subcommand(self, tmp_path, capsys):
@@ -758,6 +824,9 @@ REJECTED_NUMBERS = {
                    "solver: t_end = 2.0 is shorter than one step of dt = 1e+300"),
     "steps-inf": ({"solver.dt": "1e-310"}, [],
                   "solver: t_end = 2.0 over dt = 1e-310 is not a finite number of steps"),
+    # numpy's generators take no negative seed
+    "seed-negative": ({"source.preset": "band", "source.seed": "-1"}, [],
+                      "source: source seed must be >= 0, got -1"),
 }
 
 

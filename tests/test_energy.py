@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from toruswave.energy import modified_energy, sample_half_spectrum
-from toruswave.fields import Field, GridSpec, VOLUME, hm_norms, random_band_limited
+from toruswave.fields import GridSpec, VOLUME, hm_norms, random_band_limited
 from reference import (
     full_laplacian_symbol,
     full_sobolev_weight,
@@ -17,7 +17,7 @@ from reference import (
 def mode_weight_energy(u, ut, omega, m):
     """Independent oracle: the same quadratic form, diagonalized per mode of
     the full spectrum."""
-    n = u.grid.n
+    n = u.shape[0]
     uc = transform(u).coeffs
     vc = transform(ut).coeffs
     q = (
@@ -31,9 +31,9 @@ def mode_weight_energy(u, ut, omega, m):
 
 def sampled(u, ut, m):
     """The package's diagnostic row of (u, u_t) with no forcing."""
-    zero = np.zeros(u.grid.shape)
-    raw = [np.fft.rfftn(x) for x in (u.values, ut.values, zero)]
-    return sample_half_spectrum(0.0, u.values, zero, *raw, omega=0.5, m=m)
+    zero = np.zeros(u.shape)
+    raw = [np.fft.rfftn(x) for x in (u, ut, zero)]
+    return sample_half_spectrum(0.0, u, zero, *raw, omega=0.5, m=m)
 
 
 def l2(u):
@@ -52,8 +52,8 @@ class TestFrozenValues:
         # E^2(c, 0) = omega^2 c^2 (2pi)^3 / 4
         grid = GridSpec(8)
         omega, c = 0.7, 1.3
-        u = Field(grid, np.full(grid.shape, c))
-        ut = Field(grid, np.zeros(grid.shape))
+        u = np.full(grid.shape, c)
+        ut = np.zeros(grid.shape)
         expected = 0.25 * omega**2 * c**2 * VOLUME
         assert modified_energy(u, ut, omega) == pytest.approx(expected, rel=1e-13)
 
@@ -61,8 +61,8 @@ class TestFrozenValues:
         # E^2(0, c) = c^2 (2pi)^3 / 2
         grid = GridSpec(8)
         c = -0.4
-        u = Field(grid, np.zeros(grid.shape))
-        ut = Field(grid, np.full(grid.shape, c))
+        u = np.zeros(grid.shape)
+        ut = np.full(grid.shape, c)
         expected = 0.5 * c**2 * VOLUME
         assert modified_energy(u, ut, omega=0.5) == pytest.approx(expected, rel=1e-13)
 
@@ -70,8 +70,8 @@ class TestFrozenValues:
         # Estd^2(0, sin x1) = (2pi)^3 / 4 at m = 0
         grid = GridSpec(8)
         x1 = grid.coordinates()[0]
-        u = Field(grid, np.zeros(grid.shape))
-        ut = Field(grid, np.broadcast_to(np.sin(x1), grid.shape).copy())
+        u = np.zeros(grid.shape)
+        ut = np.broadcast_to(np.sin(x1), grid.shape).copy()
         assert sampled(u, ut, m=0).e_std_sq == pytest.approx(VOLUME / 4, rel=1e-13)
 
 
@@ -105,10 +105,10 @@ class TestPositivityAndControl:
         omega = 0.62
         u, ut = random_pair(grid, seed=5)
         lhs = modified_energy(u, ut, omega)
-        zero = Field(grid, np.zeros(grid.shape))
+        zero = np.zeros(grid.shape)
         e_std_sq = sample_energies(0.0, u, ut, zero, omega, 0).e_std_sq
         rhs = (
-            0.5 * l2(Field(grid, ut.values + 0.5 * omega * u.values)) ** 2
+            0.5 * l2(ut + 0.5 * omega * u) ** 2
             + omega**2 / 8.0 * l2(u) ** 2
             + 0.5 * (2 * e_std_sq - l2(ut) ** 2)
         )
@@ -121,7 +121,7 @@ class TestPositivityAndControl:
         u, ut = random_pair(grid, seed=seed)
         root = np.sqrt(modified_energy(u, ut, omega))
         assert l2(u) <= np.sqrt(8.0) / omega * root * (1 + 1e-12)
-        combination = l2(Field(grid, ut.values + 0.5 * omega * u.values))
+        combination = l2(ut + 0.5 * omega * u)
         assert combination <= np.sqrt(2.0) * root * (1 + 1e-12)
 
     @pytest.mark.parametrize("m", [0, 2])
@@ -137,14 +137,14 @@ class TestPositivityAndControl:
 
 class TestValidation:
     def test_rejects_grid_mismatch(self):
-        u = Field(GridSpec(8), np.zeros((8, 8, 8)))
-        ut = Field(GridSpec(16), np.zeros((16, 16, 16)))
+        u = np.zeros((8, 8, 8))
+        ut = np.zeros((16, 16, 16))
         with pytest.raises(ValueError, match="grids differ"):
             modified_energy(u, ut, omega=0.5)
 
     def test_rejects_nonpositive_omega(self):
         grid = GridSpec(8)
-        z = Field(grid, np.zeros(grid.shape))
+        z = np.zeros(grid.shape)
         with pytest.raises(ValueError, match="omega"):
             modified_energy(z, z, omega=0.0)
 
@@ -153,10 +153,10 @@ def test_sample_row_is_consistent():
     grid = GridSpec(8)
     u, ut = random_pair(grid, seed=3, amplitude=0.3)
     f = random_band_limited(grid, seed=8, band=2, amplitude=0.1)
-    raw = [np.fft.rfftn(x.values) for x in (u, ut, f)]
-    row = sample_half_spectrum(1.5, u.values, f.values, *raw, omega=0.5, m=2)
+    raw = [np.fft.rfftn(x) for x in (u, ut, f)]
+    row = sample_half_spectrum(1.5, u, f, *raw, omega=0.5, m=2)
     assert row.t == 1.5
     assert row.e_m_sq == pytest.approx(modified_energy(u, ut, 0.5, 2), rel=1e-14)
     assert row.u_hm == pytest.approx(hm_norms(raw[0], 2)[0], rel=1e-14)
-    assert row.u_min == pytest.approx(float(np.min(u.values)))
+    assert row.u_min == pytest.approx(float(np.min(u)))
     assert row.f_mean == pytest.approx(f.mean())

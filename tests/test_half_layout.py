@@ -19,7 +19,6 @@ from toruswave.calibration import _embedding_extremizer, calibrate
 from toruswave.cli import CONSTANTS_ENV, run_scenario
 from toruswave.energy import modified_energy, sample_half_spectrum
 from toruswave.fields import (
-    Field,
     GridSpec,
     gradient_symbol,
     hm_norms,
@@ -28,7 +27,14 @@ from toruswave.fields import (
     random_band_limited,
 )
 from toruswave.solver import SolverConfig, SolverState, Trajectory, dealias_mask, simulate
-from toruswave.source import BreakdownError, ModelParams, SourceSpec, eval_prepared, prepare_source
+from toruswave.source import (
+    BreakdownError,
+    ModelParams,
+    PointBreakdowns,
+    SourceSpec,
+    eval_prepared,
+    prepare_source,
+)
 from toruswave.verify import _spectral_tail_fraction, check_algebra_final
 import reference
 from reference import (
@@ -88,10 +94,10 @@ def test_norm_weights_leave_no_block_arrays_cached():
         assert np.array_equal(matrix[:, k], folded(full_derivative_weight(n, k, lowest=k)).ravel())
     # norms and energies add only the m = 0 matrix, whose S_0 column is E_m's D_0 term
     u, ut = white_noise(n, 1), white_noise(n, 2)
-    raw, raw_t = np.fft.rfftn(u.values), np.fft.rfftn(ut.values)
+    raw, raw_t = np.fft.rfftn(u), np.fft.rfftn(ut)
     hm_norms(raw, m)
     modified_energy(u, ut, 0.5, m)
-    sample_half_spectrum(0.0, u.values, u.values, raw, raw_t, raw, 0.5, m)
+    sample_half_spectrum(0.0, u, u, raw, raw_t, raw, 0.5, m)
     assert norm_weights.cache_info().currsize == before + 2
     # and no module outside fields keeps a cache of its own
     for module in (calibration, energy):
@@ -105,14 +111,14 @@ def test_random_band_limited_matches_full_complex_draw(n, band, zero_mean):
     grid = GridSpec(n)
     got = random_band_limited(grid, seed=n + band, band=band, amplitude=0.3, zero_mean=zero_mean)
     want = reference.random_band_limited(grid, n + band, band, 0.3, zero_mean)
-    assert np.max(np.abs(got.values - want.values)) <= 1e-14 * 0.3
+    assert np.max(np.abs(got - want)) <= 1e-14 * 0.3
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_embedding_extremizer_matches_full_complex(n, m):
-    got = _embedding_extremizer(GridSpec(n), m).values
-    want = reference.embedding_extremizer(GridSpec(n), m).values
+    got = _embedding_extremizer(GridSpec(n), m)
+    want = reference.embedding_extremizer(GridSpec(n), m)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -121,15 +127,15 @@ def test_field_family_is_a_stream():
     assert inspect.isgenerator(family)
     members = list(family)
     assert len(members) == 12 + 5
-    assert all(isinstance(u, Field) and u.grid == GridSpec(8) for u in members)
+    assert all(isinstance(u, np.ndarray) and u.shape == GridSpec(8).shape for u in members)
 
 
 def final_state_trajectory(u, m=3):
-    raw = np.fft.rfftn(u.values)
+    raw = np.fft.rfftn(u)
     return Trajectory(
         params=ModelParams(omega=0.5, kappa=0.25, mu=0.5, m=m),
-        config=SolverConfig(u.grid, dt=0.1, t_end=0.1),
-        samples=[sample_half_spectrum(0.1, u.values, u.values, raw, raw, raw, 0.5, m)],
+        config=SolverConfig(GridSpec(u.shape[0]), dt=0.1, t_end=0.1),
+        samples=[sample_half_spectrum(0.1, u, u, raw, raw, raw, 0.5, m)],
         final_state=SolverState(0.1, raw, raw),
     )
 
@@ -140,7 +146,7 @@ def test_algebra_final_matches_full_complex_measurement(n):
     constants = calibrate(GridSpec(n), 3, n_fields=4)
     result = check_algebra_final(final_state_trajectory(u), constants)
     fine = reference.inverse_transform(reference.pad_spectrum(transform(u), 2 * n))
-    lhs = spectrum_norm(transform(Field(fine.grid, fine.values**2)), 3)
+    lhs = spectrum_norm(transform(fine**2), 3)
     rhs = constants.c_algebra * spectrum_norm(transform(u), 3) ** 2
     assert result.worst_margin == pytest.approx((rhs - lhs) / rhs, rel=1e-12, abs=1e-15)
 
@@ -159,7 +165,7 @@ def test_spectral_tail_fraction_matches_full_complex(n):
 def overflow_case():
     grid = GridSpec(8)
     params = ModelParams(omega=0.5, kappa=0.25, mu=-40.0)
-    u0 = Field(grid, np.full(grid.shape, -1.0 + 1e-10))
+    u0 = np.full(grid.shape, -1.0 + 1e-10)
     return grid, params, SourceSpec(amplitude=0.5), u0
 
 
@@ -168,9 +174,11 @@ def test_overflowing_power_raises_breakdown():
     prepared = prepare_source(spec, grid, params.m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(BreakdownError, match="overflow") as info:
-            eval_prepared(0.0, u0.values, params, prepared)
-    assert info.value.t == 0.0 and info.value.u_min == pytest.approx(-1.0 + 1e-10)
+        with pytest.raises(PointBreakdowns, match="overflow") as info:
+            eval_prepared(0.0, u0[None], [params], [prepared])
+    error = info.value.errors[0]
+    assert isinstance(error, BreakdownError)
+    assert error.t == 0.0 and error.u_min == pytest.approx(-1.0 + 1e-10)
 
 
 def test_overflowing_force_is_a_breakdown_not_an_error():
@@ -180,7 +188,7 @@ def test_overflowing_force_is_a_breakdown_not_an_error():
     config = SolverConfig(grid=grid, dt=0.1, t_end=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trajectory = simulate(u0, Field(grid, np.zeros(grid.shape)), params, spec, config)
+        trajectory = simulate(u0, np.zeros(grid.shape), params, spec, config)
     assert trajectory.breakdown.t == 0.0 and trajectory.breakdown.step == 0
     assert "overflow" in trajectory.breakdown.reason
     assert trajectory.samples == [] and trajectory.final_state is None

@@ -9,7 +9,6 @@ from scipy.integrate import solve_ivp
 from toruswave.energy import EnergySample
 
 from toruswave.fields import (
-    Field,
     GridSpec,
     TWO_PI,
     hm_norms,
@@ -97,7 +96,7 @@ class TestLinearExactness:
         grid = GridSpec(8)
         omega = 0.5
         u0 = random_band_limited(grid, seed=40, band=3, amplitude=0.4)
-        u0 = Field(grid, u0.values + 0.2)
+        u0 = u0 + 0.2
         u1 = random_band_limited(grid, seed=41, band=3, amplitude=0.3)
         params = ModelParams(omega=omega, kappa=0.25, mu=0.5)
         config = SolverConfig(grid=grid, dt=0.05, t_end=5.0, sample_every=20)
@@ -154,7 +153,7 @@ class TestMeanMode:
         eps = 0.3
         spec = SourceSpec(amplitude=eps, preset="uniform")
         config = SolverConfig(grid=grid, dt=0.02, t_end=8.0, sample_every=5)
-        zero = Field(grid, np.zeros(grid.shape))
+        zero = np.zeros(grid.shape)
         traj = simulate(zero, zero, params, spec, config)
         abar = eps / TWO_PI**1.5
         t = traj.times()
@@ -192,8 +191,8 @@ class TestMeanMode:
         grid = GridSpec(8)
         params = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
         config = SolverConfig(grid=grid, dt=0.1, t_end=1.0)
-        u0 = Field(grid, np.full(grid.shape, 0.2))
-        zero = Field(grid, np.zeros(grid.shape))
+        u0 = np.full(grid.shape, 0.2)
+        zero = np.zeros(grid.shape)
         traj = simulate(u0, zero, params, zero_source(), config)
         with pytest.raises(ValueError, match="zero-mean"):
             mean_mode_reference(traj)
@@ -254,8 +253,8 @@ class TestBreakdown:
         grid = GridSpec(8)
         params = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
         spec = SourceSpec(amplitude=0.01, preset="uniform")
-        u0 = Field(grid, np.full(grid.shape, -0.5))
-        u1 = Field(grid, np.full(grid.shape, -2.0))
+        u0 = np.full(grid.shape, -0.5)
+        u1 = np.full(grid.shape, -2.0)
         config = SolverConfig(grid=grid, dt=0.01, t_end=2.0, sample_every=1)
         traj = simulate(u0, u1, params, spec, config)
         assert traj.breakdown is not None
@@ -270,7 +269,7 @@ class TestSamplingAndConfig:
         grid = GridSpec(8)
         params = ModelParams(omega=0.5, kappa=0.25, mu=0.0)
         config = SolverConfig(grid=grid, dt=0.1, t_end=1.0, sample_every=3)
-        zero = Field(grid, np.zeros(grid.shape))
+        zero = np.zeros(grid.shape)
         traj = simulate(zero, zero, params, zero_source(), config)
         t = traj.times()
         assert t[0] == 0.0
@@ -290,7 +289,7 @@ class TestSamplingAndConfig:
     def test_grid_mismatch_rejected(self):
         params = ModelParams(omega=0.5, kappa=0.25, mu=0.0)
         config = SolverConfig(grid=GridSpec(8), dt=0.1, t_end=1.0)
-        zero16 = Field(GridSpec(16), np.zeros((16, 16, 16)))
+        zero16 = np.zeros((16, 16, 16))
         with pytest.raises(ValueError, match="do not match"):
             simulate(zero16, zero16, params, zero_source(), config)
 
@@ -310,7 +309,7 @@ class TestSamplingAndConfig:
         params = ModelParams.from_equation_of_state(2.0 / 3.0, omega=0.5, m=1)
         spec = SourceSpec(amplitude=1.5, preset="bump")
         u0 = random_band_limited(grid, seed=6, band=3, amplitude=0.4)
-        u1 = Field(grid, np.zeros(grid.shape))
+        u1 = np.zeros(grid.shape)
         kwargs = dict(grid=grid, dt=0.05, t_end=1.0)
         on = simulate(u0, u1, params, spec, SolverConfig(dealias=True, **kwargs))
         off = simulate(u0, u1, params, spec, SolverConfig(dealias=False, **kwargs))

@@ -1,28 +1,27 @@
-"""Forcing-term checks: exponent algebra, fluid formula, normalization, breakdown."""
+"""Forcing-term checks: exponent algebra, normalization, breakdown."""
 
 import numpy as np
 import pytest
 
-from toruswave.fields import Field, GridSpec
+from toruswave.fields import GridSpec
 from toruswave.source import (
     BreakdownError,
-    FluidPotential,
     ModelParams,
+    PointBreakdowns,
     SourceSpec,
     derive_exponents,
     eval_prepared,
-    fluid_source,
     prepare_source,
 )
 from reference import spectrum_norm, transform
 
 
 def constant_field(grid, value):
-    return Field(grid, np.full(grid.shape, float(value)))
+    return np.full(grid.shape, float(value))
 
 
 def zero_field(grid):
-    return Field(grid, np.zeros(grid.shape))
+    return np.zeros(grid.shape)
 
 
 class TestExponents:
@@ -67,49 +66,21 @@ class TestModelParams:
             ModelParams(omega=0.5, kappa=-0.25, mu=0.5)
 
 
-class TestFluidRoute:
-    def test_unit_timelike_potential(self):
-        grid = GridSpec(8)
-        pot = FluidPotential(constant_field(grid, 1.0), (zero_field(grid),) * 3)
-        a = fluid_source(pot, k_eos=0.5)
-        assert np.allclose(a.values, 1.0 / 6.0, rtol=1e-14)
-
-    def test_scaled_potential(self):
-        grid = GridSpec(8)
-        pot = FluidPotential(constant_field(grid, 2.0), (zero_field(grid),) * 3)
-        a = fluid_source(pot, k_eos=0.5)
-        # bracket 4, exponent 3/2, prefactor 1/6.
-        assert np.allclose(a.values, 8.0 / 6.0, rtol=1e-14)
-
-    def test_prefactor_vanishes_at_one_third(self):
-        grid = GridSpec(8)
-        pot = FluidPotential(constant_field(grid, 1.0), (zero_field(grid),) * 3)
-        a = fluid_source(pot, k_eos=1.0 / 3.0)
-        assert np.all(a.values == 0.0)
-
-    def test_rejects_non_timelike_gradient(self):
-        grid = GridSpec(8)
-        grad1 = zero_field(grid)
-        grad1.values[2, 3, 4] = 2.0
-        with pytest.raises(ValueError, match=r"not timelike at grid index \(2, 3, 4\)"):
-            FluidPotential(constant_field(grid, 1.0), (grad1, zero_field(grid), zero_field(grid)))
-
-
 class TestPreparation:
     @pytest.mark.parametrize("preset", ["uniform", "single-mode", "bump", "band"])
     def test_profile_hits_requested_amplitude(self, preset):
         grid = GridSpec(16)
         spec = SourceSpec(amplitude=0.03, preset=preset, seed=4)
         prepared = prepare_source(spec, grid, m=3)
-        profile = Field(grid, prepared.profile)
+        profile = prepared.profile
         assert spectrum_norm(transform(profile), 3) == pytest.approx(0.03, rel=1e-12)
 
     def test_zero_amplitude_is_zero_source(self):
         grid = GridSpec(8)
         spec = SourceSpec(amplitude=0.0)
         params = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
-        f = eval_prepared(0.7, zero_field(grid).values, params, prepare_source(spec, grid, 3))
-        assert np.all(f == 0.0)
+        f = eval_prepared(0.7, zero_field(grid)[None], [params], [prepare_source(spec, grid, 3)])
+        assert np.all(f[0] == 0.0)
 
     def test_sigma_envelope_bounded(self):
         spec = SourceSpec(amplitude=1.0, sigma="cos", sigma_rate=0.9)
@@ -125,7 +96,7 @@ class TestEvaluation:
         spec = SourceSpec(amplitude=0.6, preset="uniform")
         prepared = prepare_source(spec, grid, m=0)
         u = constant_field(grid, 0.44)
-        f = eval_prepared(2.0, u.values, params, prepared)
+        f = eval_prepared(2.0, u[None], [params], [prepared])[0]
         profile = prepared.profile[0, 0, 0]
         expected = np.exp(-0.5) * profile * 1.44**0.5
         assert np.allclose(f, expected, rtol=1e-13)
@@ -135,17 +106,19 @@ class TestEvaluation:
         params = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
         spec = SourceSpec(amplitude=1.0, preset="uniform")
         u = constant_field(grid, -1.25)
-        with pytest.raises(BreakdownError) as info:
-            eval_prepared(3.0, u.values, params, prepare_source(spec, grid, 3))
-        assert info.value.t == 3.0
-        assert info.value.u_min == pytest.approx(-1.25)
+        with pytest.raises(PointBreakdowns) as info:
+            eval_prepared(3.0, u[None], [params], [prepare_source(spec, grid, 3)])
+        error = info.value.errors[0]
+        assert isinstance(error, BreakdownError)
+        assert error.t == 3.0
+        assert error.u_min == pytest.approx(-1.25)
 
     def test_integer_power_skips_positivity_gate(self):
         grid = GridSpec(8)
         params = ModelParams(omega=0.5, kappa=0.1, mu=2.0)
         spec = SourceSpec(amplitude=1.0, preset="uniform")
         u = constant_field(grid, -3.0)
-        f = eval_prepared(0.0, u.values, params, prepare_source(spec, grid, 3))
+        f = eval_prepared(0.0, u[None], [params], [prepare_source(spec, grid, 3)])[0]
         assert np.isfinite(f).all()
         assert np.max(np.abs(f)) > 0.0
 
@@ -154,7 +127,7 @@ class TestEvaluation:
         spec = SourceSpec(amplitude=1.0)
         prepared = prepare_source(spec, GridSpec(8), m=0)
         with pytest.raises(ValueError, match="does not match"):
-            eval_prepared(0.0, zero_field(GridSpec(16)).values, params, prepared)
+            eval_prepared(0.0, zero_field(GridSpec(16))[None], [params], [prepared])
 
 
 class TestSpecValidation:
@@ -165,4 +138,9 @@ class TestSpecValidation:
     def test_negative_amplitude(self):
         with pytest.raises(ValueError, match="amplitude"):
             SourceSpec(amplitude=-0.1)
+
+    def test_negative_seed(self):
+        # numpy's generators take no negative seed, so the band preset could not draw
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SourceSpec(amplitude=1.0, preset="band", seed=-1)
 

@@ -17,7 +17,6 @@ from toruswave import solver
 from toruswave.cli import CONSTANTS_ENV, build_scenario, load_config
 from toruswave.energy import sample_half_spectrum
 from toruswave.fields import (
-    Field,
     GridSpec,
     hm_norms,
     random_band_limited,
@@ -34,6 +33,7 @@ from toruswave.solver import (
 from toruswave.source import (
     BreakdownError,
     ModelParams,
+    PointBreakdowns,
     SourceSpec,
     eval_prepared,
     prepare_source,
@@ -67,9 +67,16 @@ def reference_simulate(u0, u1, params, spec, config):
     )
     mask = full_dealias_mask(grid.n) if config.dealias else None
 
+    def evaluate(t, u):
+        """F(t) of this one run on the grid; raises its ``BreakdownError``."""
+        try:
+            return eval_prepared(t, u[None], [params], [prepared])[0]
+        except PointBreakdowns as exc:
+            raise exc.errors[0] from None
+
     def force(t, u_hat):
         u = inverse_transform(Spectrum(grid, u_hat))
-        f_hat = transform(Field(grid, eval_prepared(t, u.values, params, prepared))).coeffs
+        f_hat = transform(evaluate(t, u)).coeffs
         return f_hat if mask is None else np.where(mask, f_hat, 0.0)
 
     def advance(t, u_hat, ut_hat):
@@ -85,7 +92,7 @@ def reference_simulate(u0, u1, params, spec, config):
         t = k * dt
         u = inverse_transform(Spectrum(grid, u_hat))
         ut = inverse_transform(Spectrum(grid, ut_hat))
-        f = Field(grid, eval_prepared(t, u.values, params, prepared))
+        f = evaluate(t, u)
         samples.append(sample_energies(t, u, ut, f, params.omega, params.m))
         # the normalized full spectrum, cut to k3 >= 0 and scaled to raw rfftn
         half = (..., slice(0, grid.n // 2 + 1))
@@ -179,8 +186,8 @@ def test_breakdown_matches_full_complex_loop(kind):
     spec = SourceSpec(amplitude=amplitude)
     config = SolverConfig(grid=grid, dt=0.1, t_end=t_end, sample_every=sample_every)
     ripple = random_band_limited(grid, seed=3, band=2, amplitude=0.01)
-    u0 = Field(grid, ripple.values - 0.5)
-    u1 = Field(grid, np.full(grid.shape, velocity))
+    u0 = ripple - 0.5
+    u1 = np.full(grid.shape, velocity)
     traj = simulate(u0, u1, params, spec, config)
     assert traj.breakdown.step == 2
     # one rule for every kind: the final state is the last recorded sample's
@@ -199,8 +206,8 @@ def test_breakdown_of_the_initial_data():
     params = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
     spec = SourceSpec(amplitude=0.01)
     config = SolverConfig(grid=grid, dt=0.01, t_end=1.0, sample_every=5)
-    u0 = Field(grid, np.full(grid.shape, -1.5))
-    u1 = Field(grid, np.zeros(grid.shape))
+    u0 = np.full(grid.shape, -1.5)
+    u1 = np.zeros(grid.shape)
     traj = simulate(u0, u1, params, spec, config)
     assert traj.breakdown.step == 0 and traj.samples == [] and traj.final_state is None
     assert_matches_reference(traj, reference_simulate(u0, u1, params, spec, config))
@@ -215,7 +222,7 @@ def test_non_finite_state_is_a_breakdown(monkeypatch, amplitude, step):
     grid = GridSpec(8)
     params = ModelParams(omega=0.5, kappa=0.25, mu=2.0)
     config = SolverConfig(grid=grid, dt=0.1, t_end=3.0, sample_every=2)
-    u0, u1 = Field(grid, np.full(grid.shape, 0.01)), Field(grid, np.zeros(grid.shape))
+    u0, u1 = np.full(grid.shape, 0.01), np.zeros(grid.shape)
     advance = solver._Stepper.advance
 
     def overflowing(self, t, *args):
@@ -270,27 +277,13 @@ def test_loop_costs_two_forces_per_step_and_no_full_transforms(monkeypatch, samp
     spec = SourceSpec(amplitude=0.5, preset="bump")
     config = SolverConfig(grid=grid, dt=0.05, t_end=t_end, sample_every=sample_every)
     u0, u1 = initial_data(grid)
-    counts = {"eval_prepared": 0, "fftn": 0, "ifftn": 0, "fields": 0}
+    counts = {"eval_prepared": 0, "fftn": 0, "ifftn": 0}
     counted(monkeypatch, solver, "eval_prepared", counts)
     for name in ("fftn", "ifftn"):
         counted(monkeypatch, np.fft, name, counts)
-    check_field = Field.__post_init__
-
-    def counted_field(self):
-        counts["fields"] += 1
-        check_field(self)
-
-    monkeypatch.setattr(Field, "__post_init__", counted_field)
     traj = simulate(u0, u1, params, spec, config)
     assert traj.breakdown is None
-    # the source profile, the loop and the final state (its pair of half
-    # spectra) are all arrays
-    assert counts == {
-        "eval_prepared": 2 * config.n_steps + 1,
-        "fftn": 0,
-        "ifftn": 0,
-        "fields": 0,
-    }
+    assert counts == {"eval_prepared": 2 * config.n_steps + 1, "fftn": 0, "ifftn": 0}
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
@@ -310,7 +303,7 @@ def test_loop_costs_two_forces_per_step_and_no_full_transforms(monkeypatch, samp
 )
 def test_half_layout_reduction_matches_full(n, m, weight):
     u = white_noise(n, 100 + n + m)
-    half, full_weight = weight(spectral_power(np.fft.rfftn(u.values)), m)
+    half, full_weight = weight(spectral_power(np.fft.rfftn(u)), m)
     full = weighted_norm_sq(transform(u), full_weight(n, m))
     assert half == pytest.approx(full, rel=REL_REDUCE, abs=0.0)
 
@@ -321,7 +314,7 @@ def test_half_spectrum_sample_matches_sample_energies(n, m):
     u, ut, f = white_noise(n, 7), white_noise(n, 8), white_noise(n, 9)
     want = sample_energies(0.25, u, ut, f, 0.62, m)
     got = sample_half_spectrum(
-        0.25, u.values, f.values, *(np.fft.rfftn(x.values) for x in (u, ut, f)), 0.62, m
+        0.25, u, f, *(np.fft.rfftn(x) for x in (u, ut, f)), 0.62, m
     )
     assert got.t == want.t
     for name in SERIES:

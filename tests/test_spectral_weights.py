@@ -15,7 +15,7 @@ import pytest
 from toruswave import calibration, verify
 from toruswave.calibration import SAFETY_MARGIN, calibrate
 from toruswave.energy import modified_energy, sample_half_spectrum
-from toruswave.fields import Field, GridSpec, VOLUME, hm_norms, norm_weights
+from toruswave.fields import GridSpec, VOLUME, hm_norms, norm_weights
 from toruswave.solver import SolverConfig, SolverState, Trajectory
 from toruswave.source import ModelParams
 from toruswave.verify import check_algebra_final, check_wirtinger_final
@@ -73,14 +73,14 @@ class TestMatchesDerivativeLoops:
 
     def test_standard_energy(self, n, m):
         u, ut = white_noise(n, 3), white_noise(n, 4)
-        raw, raw_t = np.fft.rfftn(u.values), np.fft.rfftn(ut.values)
-        row = sample_half_spectrum(0.0, u.values, u.values, raw, raw_t, raw, OMEGA, m)
+        raw, raw_t = np.fft.rfftn(u), np.fft.rfftn(ut)
+        row = sample_half_spectrum(0.0, u, u, raw, raw_t, raw, OMEGA, m)
         assert rel_err(row.e_std_sq, loop_standard_energy(u, ut, m)) <= REL
 
     def test_derivative_block_norm(self, n, m):
         # calibration's blocks: column m of its weight matrix (S_0 when m = 0)
         u = white_noise(n, 5)
-        got = hm_norms(np.fft.rfftn(u.values), m)[m]
+        got = hm_norms(np.fft.rfftn(u), m)[m]
         assert rel_err(got, loop_block_norm(transform(u), m)) <= REL
 
 
@@ -91,12 +91,12 @@ def test_wirtinger_gradient_matches_loop(n):
     oscillatory = transform(u)
     oscillatory.coeffs[0, 0, 0] = 0.0
     lhs = math.sqrt(loop_l2_sq(oscillatory))
-    grid = u.grid
-    raw = np.fft.rfftn(u.values)
+    grid = GridSpec(u.shape[0])
+    raw = np.fft.rfftn(u)
     trajectory = Trajectory(
         params=ModelParams(omega=OMEGA, kappa=0.3, mu=0.5),
         config=SolverConfig(grid, dt=0.1, t_end=0.1),
-        samples=[sample_half_spectrum(0.1, u.values, u.values, raw, raw, raw, OMEGA, 1)],
+        samples=[sample_half_spectrum(0.1, u, u, raw, raw, raw, OMEGA, 1)],
         final_state=SolverState(0.1, raw, raw),
     )
     result = check_wirtinger_final(trajectory)
@@ -110,18 +110,18 @@ def test_one_hm_norm_bit_for_bit(n, m, monkeypatch):
     # calibrate and check_algebra_final take are one float: one reduction
     ut, f = white_noise(n, 20 + m), white_noise(n, 30 + m)
     # scaled so that calibrate's compositions (1 + a u)^mu stay defined
-    u = Field(ut.grid, white_noise(n, 10 + m).values / 16.0)
-    raw = np.fft.rfftn(u.values)
+    u = white_noise(n, 10 + m) / 16.0
+    raw = np.fft.rfftn(u)
     norm = hm_norms(raw, m)[0]
     sample = sample_half_spectrum(
-        0.1, u.values, f.values, raw, np.fft.rfftn(ut.values), np.fft.rfftn(f.values), OMEGA, m
+        0.1, u, f, raw, np.fft.rfftn(ut), np.fft.rfftn(f), OMEGA, m
     )
     assert sample.u_hm == norm
 
     # a family of u alone: c_sobolev is the safety margin times sup|u| / ||u||
     monkeypatch.setattr(calibration, "_field_family", lambda *args: iter([u]))
-    constants = calibrate(u.grid, m)
-    assert constants.c_sobolev == SAFETY_MARGIN * (float(np.max(np.abs(u.values))) / norm)
+    constants = calibrate(GridSpec(u.shape[0]), m)
+    assert constants.c_sobolev == SAFETY_MARGIN * (float(np.max(np.abs(u))) / norm)
 
     taken = []
 
@@ -134,9 +134,9 @@ def test_one_hm_norm_bit_for_bit(n, m, monkeypatch):
     monkeypatch.setattr(verify, "hm_norms", recording)
     trajectory = Trajectory(
         params=ModelParams(omega=OMEGA, kappa=0.3, mu=0.5, m=m),
-        config=SolverConfig(u.grid, dt=0.1, t_end=0.1),
+        config=SolverConfig(GridSpec(u.shape[0]), dt=0.1, t_end=0.1),
         samples=[sample],
-        final_state=SolverState(0.1, raw, np.fft.rfftn(ut.values)),
+        final_state=SolverState(0.1, raw, np.fft.rfftn(ut)),
     )
     check_algebra_final(trajectory, constants)
     assert taken == [norm]

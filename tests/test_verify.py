@@ -10,7 +10,7 @@ from toruswave import verify
 from toruswave.calibration import calibrate
 from toruswave.energy import EnergySample, modified_energy
 from toruswave.estimates import BootstrapParams, epsilon_budgets
-from toruswave.fields import VOLUME, Field, GridSpec
+from toruswave.fields import VOLUME, GridSpec
 from toruswave.solver import SolverConfig, SolverState, Trajectory, simulate
 from toruswave.source import ModelParams, SourceSpec
 from toruswave.verify import (
@@ -36,10 +36,10 @@ NO_SOURCE = SourceSpec(amplitude=0.0)
 def velocity_data(target=E_TARGET):
     """u0 = 0, u1 a single mode scaled so E_3(0) hits the target exactly."""
     x1, x2, x3 = GRID.coordinates()
-    u0 = Field(GRID, np.zeros(GRID.shape))
-    raw = Field(GRID, np.cos(2.0 * x1 + 2.0 * x2 + x3))
+    u0 = np.zeros(GRID.shape)
+    raw = np.cos(2.0 * x1 + 2.0 * x2 + x3)
     scale = target / math.sqrt(modified_energy(u0, raw, OMEGA, m=3))
-    return u0, Field(GRID, scale * raw.values)
+    return u0, scale * raw
 
 
 def long_config(dt=0.05):
@@ -88,16 +88,16 @@ def forced_bp(forced_traj):
 @pytest.fixture(scope="module")
 def mean_traj():
     # constant data: only the zero mode evolves, exactly
-    u0 = Field(GRID, np.full(GRID.shape, 0.1))
-    u1 = Field(GRID, np.full(GRID.shape, 0.02))
+    u0 = np.full(GRID.shape, 0.1)
+    u1 = np.full(GRID.shape, 0.02)
     return simulate(u0, u1, PARAMS, NO_SOURCE, long_config())
 
 
 @pytest.fixture(scope="module")
 def settled_traj():
     # constant data far past the decay horizon: u is flat to roundoff at the end
-    u0 = Field(GRID, np.full(GRID.shape, 0.1))
-    u1 = Field(GRID, np.full(GRID.shape, 0.02))
+    u0 = np.full(GRID.shape, 0.1)
+    u1 = np.full(GRID.shape, 0.02)
     config = SolverConfig(GRID, dt=0.5, t_end=120.0, sample_every=4)
     return simulate(u0, u1, PARAMS, NO_SOURCE, config)
 
@@ -144,7 +144,7 @@ class TestEnergyDifferential:
         assert check_energy_differential(forced_traj).passed
 
     def test_zero_trajectory_is_trivial(self):
-        zero = Field(GRID, np.zeros(GRID.shape))
+        zero = np.zeros(GRID.shape)
         config = SolverConfig(GRID, dt=0.1, t_end=2.0, sample_every=2)
         traj = simulate(zero, zero, PARAMS, NO_SOURCE, config)
         result = check_energy_differential(traj)
@@ -466,8 +466,8 @@ class TestRunAll:
         # mu < 0 with 1 + u crossing zero stops the run; force it with huge
         # negative constant data pushed by nothing (u stays at -0.9 < 0 ok)
         params = ModelParams(omega=OMEGA, kappa=0.25, mu=-0.5)
-        u0 = Field(GRID, np.full(GRID.shape, -0.9))
-        u1 = Field(GRID, np.full(GRID.shape, -0.5))
+        u0 = np.full(GRID.shape, -0.9)
+        u1 = np.full(GRID.shape, -0.5)
         spec = SourceSpec(amplitude=0.01, preset="uniform")
         config = SolverConfig(GRID, dt=0.05, t_end=10.0, sample_every=2)
         traj = simulate(u0, u1, params, spec, config)

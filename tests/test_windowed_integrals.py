@@ -28,7 +28,7 @@ from test_verify import (
 )
 from toruswave import verify
 from toruswave.energy import EnergySample
-from toruswave.fields import Field, hm_norms
+from toruswave.fields import hm_norms
 from toruswave.solver import SolverConfig, SolverState, Trajectory, simulate
 from toruswave.source import ModelParams, SourceSpec
 from toruswave.verify import check_asymptotics, check_energy_integral, run_all
@@ -165,8 +165,8 @@ def short_last_traj():
 @pytest.fixture(scope="module")
 def breakdown_traj():
     params = ModelParams(omega=OMEGA, kappa=0.25, mu=-0.5)
-    u0 = Field(GRID, np.full(GRID.shape, -0.9))
-    u1 = Field(GRID, np.full(GRID.shape, -0.5))
+    u0 = np.full(GRID.shape, -0.9)
+    u1 = np.full(GRID.shape, -0.5)
     config = SolverConfig(GRID, dt=0.05, t_end=10.0, sample_every=2)
     return simulate(u0, u1, params, FORCING, config)
 

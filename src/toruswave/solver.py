@@ -12,20 +12,29 @@ State layout: from the first transform of (u0, u1) to the final state the
 loop keeps (u, u_t) as raw ``np.fft.rfftn`` coefficients, the n x n x (n/2+1)
 half spectrum with no normalization that every symbol and weight of
 ``fields`` is laid out on.  The propagator is linear, so the raw scale
-cancels; each force is one ``irfftn`` to a grid array, ``eval_prepared`` on
-that array and one ``rfftn`` back.  Every diagnostic is a reduction of these
-coefficients (``energy.sample_half_spectrum``), and the final state a run
-hands to verification is the same pair of arrays.
+cancels; each force is one inverse transform to a grid array,
+``eval_prepared`` on that array and one forward transform back.  Every
+diagnostic is a reduction of these coefficients (``energy.sample_half_spectrum``),
+and the final state a run hands to verification is the same pair of arrays.
+
+Transforms: up to ``DFT_MAX_N`` points per axis a force's two transforms
+are products with cached dense DFT tables (``_dft_tables``), since at those
+sizes pocketfft's per-axis calls cost more than the arithmetic: one real
+product for the half axis, whose interleaved cos/sin columns give the half
+spectrum as a ``complex128`` view, and one complex product per full axis.
+Larger grids call ``np.fft.rfftn``/``irfftn``.  The two forms agree to
+roundoff, not bit for bit; the choice depends on the grid size alone.
 
 Batch axis: the loop advances B runs at once.  The state, the propagator
 pieces and the forcing weights have shape (B, n, n, n/2+1), the grid arrays
 (B, n, n, n), and every transform runs on axes (1, 2, 3), so B runs share
-each FFT call and its Python overhead.  Every operation acts on each slice
-alone: a run gets the same bits in any batch, ``simulate`` is the batch of
-one, and ``simulate_batch`` serves a sweep.  Each run keeps its own
-finiteness, positivity and overflow tests and its own samples, taken slice
-by slice; a run that breaks down leaves the batch.  ``BATCH_BYTES`` caps a
-batch, since stacking stops paying on bigger grids.
+each transform call and its Python overhead.  Every operation acts on each
+slice alone (a DFT product is a stack of one matrix product per slot, of the
+same shapes in any batch): a run gets the same bits in any batch,
+``simulate`` is the batch of one, and ``simulate_batch`` serves a sweep.
+Each run keeps its own finiteness, positivity and overflow tests and its own
+samples, taken slice by slice; a run that breaks down leaves the batch.
+``BATCH_BYTES`` caps a batch, since stacking stops paying on bigger grids.
 
 The nonlinear product may be de-aliased with the standard 2/3-rule mask
 before injection.  The mask is folded into the cached forcing weights, and
@@ -59,6 +68,18 @@ from .source import (
 
 # Bytes of stacked half spectrum (one complex array of the state) per batch.
 BATCH_BYTES = 512 * 1024
+
+# Largest grid whose loop transforms are dense DFT products.  A round trip
+# rfftn + irfftn of one 3-d array took 0.4-0.65x np.fft's time for n = 8 .. 18;
+# from n = 20 the products pass OpenBLAS's threading threshold and take a
+# second core for at best the same wall time, and at n = 32 they are 1.3x
+# slower (2-vCPU Xeon, OpenBLAS 0.3.31).
+DFT_MAX_N = 18
+
+# Below this x = 2 omega dt the zero mode's forcing weights sum their power
+# series; from it up, their closed forms, which lose about eps / x^2 of wu to
+# cancellation (at most 2.6e-13 relative, measured for x >= 0.02).
+ZERO_MODE_SERIES_X = 0.02
 
 
 @dataclass
@@ -148,6 +169,15 @@ def dealias_mask(n: int) -> npt.NDArray[np.bool_]:
     return mask
 
 
+def _phi_series(x: float, j: int) -> float:
+    """phi_j(x) = sum_k (-x)^k / (k + j)!, the exp(-x) remainders phi_1 = (1 - e^-x) / x
+    and phi_2 = (e^-x - 1 + x) / x^2; ten terms reach roundoff for x < 0.1."""
+    total = 0.0
+    for k in reversed(range(10)):
+        total = 1.0 / math.factorial(k + j) - x * total
+    return total
+
+
 def _propagator_pieces(n_sq, omega: float, dt: float):
     """Entries of the exact propagator and the constant-forcing weights.
 
@@ -174,14 +204,78 @@ def _propagator_pieces(n_sq, omega: float, dt: float):
     p22 = decay * (cos_like - omega * sin_like)
 
     # Forcing weights: the particular solution for f frozen on the step.
-    # For n_sq > 0 relax toward f / n_sq; the zero mode integrates directly.
-    decay2 = np.exp(-2.0 * omega * dt)
-    wv_zero = (1.0 - decay2) / (2.0 * omega)
-    wu_zero = (dt - wv_zero) / (2.0 * omega)
+    # For n_sq > 0 relax toward f / n_sq; the zero mode integrates directly,
+    # wv = dt phi1(x) and wu = dt^2 phi2(x) with x = 2 omega dt, whose closed
+    # forms cancel as x -> 0, so small x sums their series.
+    x = 2.0 * omega * dt
+    if x < ZERO_MODE_SERIES_X:
+        wv_zero = dt * _phi_series(x, 1)
+        wu_zero = dt * dt * _phi_series(x, 2)
+    else:
+        wv_zero = (1.0 - np.exp(-x)) / (2.0 * omega)
+        wu_zero = (dt - wv_zero) / (2.0 * omega)
     safe = np.where(n_sq > 0.0, n_sq, 1.0)
     wu = np.where(n_sq > 0.0, (1.0 - p11) / safe, wu_zero)
     wv = np.where(n_sq > 0.0, -p21 / safe, wv_zero)
     return p11, p12, p21, p22, wu, wv
+
+
+@lru_cache(maxsize=None)
+def _dft_tables(n: int):
+    """The loop's dense DFT tables on an n-point axis, from the residues jk mod n
+    with exact values at quarter turns:
+
+    * ``half`` (n, n + 2), real: columns cos and -sin of 2 pi jk / n interleaved
+      for k = 0 .. n/2, so real samples times it, viewed as ``complex128``,
+      are their raw half spectrum;
+    * ``full`` (n, n): exp(-2 pi i jk / n), the raw forward DFT;
+    * ``full_inverse`` (n, n): its conjugate, unnormalized;
+    * ``half_inverse`` (n + 2, n), real: the inverse of the half axis with the
+      plane multiplicity 1, 2, ..., 2, 1 and all of the n^-3 normalization.
+      Its rows for the imaginary parts of k = 0 and n/2 are exact zeros, so
+      those parts are ignored exactly, as ``irfftn`` ignores them.
+    """
+    residue = np.outer(np.arange(n), np.arange(n)) % n
+    angle = 2.0 * np.pi * residue / n
+    cos, sin = np.cos(angle), np.sin(angle)
+    for quarter, (c, s) in enumerate(((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))):
+        exact = 4 * residue == quarter * n
+        cos[exact], sin[exact] = c, s
+    h = n // 2 + 1
+    half = np.empty((n, 2 * h))
+    half[:, 0::2], half[:, 1::2] = cos[:, :h], -sin[:, :h]
+    multiplicity = np.where((np.arange(h) == 0) | (np.arange(h) == n // 2), 1.0, 2.0)
+    half_inverse = np.empty((2 * h, n))
+    half_inverse[0::2] = multiplicity[:, None] * cos[:h] / n**3
+    half_inverse[1::2] = -multiplicity[:, None] * sin[:h] / n**3
+    tables = half, cos - 1j * sin, cos + 1j * sin, half_inverse
+    for table in tables:
+        table.flags.writeable = False  # cached and shared by every caller
+    return tables
+
+
+def _rfftn(f):
+    """``np.fft.rfftn`` of a stack (B, n, n, n) of grid arrays over axes (1, 2, 3),
+    as dense DFT products up to ``DFT_MAX_N``: the half axis 3, then axes 2 and 1."""
+    b, n = f.shape[0], f.shape[-1]
+    if n > DFT_MAX_N:
+        return np.fft.rfftn(f, s=f.shape[1:], axes=(1, 2, 3))
+    half, full, _, _ = _dft_tables(n)
+    raw = (f.reshape(b, n * n, n) @ half).view(np.complex128).reshape(b, n, n, -1)
+    raw = full @ raw
+    return (full @ raw.reshape(b, n, -1)).reshape(raw.shape)
+
+
+def _irfftn(raw):
+    """``np.fft.irfftn`` of a stack (B, n, n, n/2 + 1) of raw half spectra over
+    axes (1, 2, 3), as dense DFT products up to ``DFT_MAX_N``: axes 1 and 2,
+    then the half axis 3."""
+    b, n = raw.shape[0], raw.shape[1]
+    if n > DFT_MAX_N:
+        return np.fft.irfftn(raw, s=(n, n, n), axes=(1, 2, 3))
+    _, _, full_inverse, half_inverse = _dft_tables(n)
+    z = full_inverse @ (full_inverse @ raw.reshape(b, n, -1)).reshape(raw.shape)
+    return (z.view(np.float64).reshape(b, n * n, -1) @ half_inverse).reshape(b, n, n, n)
 
 
 class _Stepper:
@@ -211,9 +305,9 @@ class _Stepper:
     def force(self, t: float, u_hat):
         """u and F(t, u) as stacked grid arrays, and the raw rfftn coefficients of F;
         raises ``PointBreakdowns`` for the runs whose force fails."""
-        u = np.fft.irfftn(u_hat, s=self.grid.shape, axes=(1, 2, 3))
+        u = _irfftn(u_hat)
         f = eval_prepared(t, u, self.params, self.prepared)
-        return u, f, np.fft.rfftn(f, s=self.grid.shape, axes=(1, 2, 3))
+        return u, f, _rfftn(f)
 
     def advance(self, t: float, u_hat, ut_hat, f0_hat=None):
         """One predictor-corrector step; pass ``f0_hat`` when F(t) is known."""

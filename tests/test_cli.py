@@ -548,13 +548,14 @@ class TestEveryConfigEndsInAnExitCode:
         assert [row.split(",")[:2] for row in rows] == [[c, "SKIP"] for c in CHECK_IDS]
 
     def test_step_that_overflows_is_a_breakdown(self, tmp_path, constants_file):
-        # omega = 1e-300 makes the zero mode's forcing weight dt / (2 omega) = 5e298,
-        # so the first step overflows the state
-        cfg = self.coefficients(
-            tmp_path, constants_file,
-            **{"params.omega": "1e-300", "params.k_eos": "0.75",
-               "initial.u0_coeffs": "1,-1,0,0.04,-0.04", "solver.dt": "0.1",
-               "solver.t_end": "0.5"},
+        # F(0) = a(x) ~ 1e148 cos(x1) is finite and so are its norms; the
+        # predictor takes u to about dt^2 F / 2, where (1 + u)^2 is still finite
+        # but a (1 + u)^2 overflows, so the first step leaves the state non-finite
+        cfg = make_cfg(
+            tmp_path, constants_file, drop=("params.k_eos", "initial.mode", "initial.e_m0"),
+            **{"params.kappa": "0.3", "params.mu": "2", "source.preset": "single-mode",
+               "source.amplitude": "1e150", "initial.preset": "zero", "solver.dt": "0.1",
+               "solver.t_end": "0.5", "bootstrap.delta_prime": "0.5", "bootstrap.c_delta": "1"},
         )
         out = tmp_path / "out"
         with warnings.catch_warnings():

@@ -1,6 +1,8 @@
 """Integrator checks: exact mode propagation, forcing order, mean dynamics."""
 
+import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from toruswave.fields import (
     random_band_limited,
 )
 from toruswave.solver import (
+    ZERO_MODE_SERIES_X,
     SolverConfig,
     Trajectory,
     _propagator_pieces,
@@ -89,6 +92,67 @@ class TestModePropagator:
         expected = ref.y[:, -1]
         got = matrix @ x0 + f * weights
         assert np.allclose(got, expected, rtol=1e-9, atol=1e-12)
+
+
+def zero_mode_exact(omega, dt):
+    """The zero mode's forcing weights (wu, wv) to 50 digits in decimal arithmetic:
+    wv = (1 - e^-x) / (2 omega) and wu = (dt - wv) / (2 omega), x = 2 omega dt.
+    Each closed form cancels about log10(1 / x) digits, so it carries that
+    many more twice over."""
+    with localcontext() as ctx:
+        ctx.prec = 50 + 2 * max(0, -math.floor(math.log10(2.0 * omega * dt)))
+        w, h = Decimal(omega), Decimal(dt)
+        wv = (1 - (-2 * w * h).exp()) / (2 * w)
+        return (h - wv) / (2 * w), wv
+
+
+def zero_mode_weights(omega, dt):
+    _, _, _, _, wu, wv = _propagator_pieces(np.zeros(1), omega, dt)
+    return float(wu[0]), float(wv[0])
+
+
+def relative_error(got, exact):
+    return float(abs((Decimal(got) - exact) / exact))
+
+
+class TestZeroModeWeights:
+    # below the crossover the closed forms cancel: at dt = 0.1 they once gave
+    # wu = -0.136 at omega = 1e-8 and 5e298 at omega = 1e-300, for about dt^2 / 2
+    @pytest.mark.parametrize("omega", [1e-300, 1e-12, 1e-8, 1e-4, 0.01])
+    @pytest.mark.parametrize("dt", [0.1, 0.05])
+    def test_small_omega_matches_decimal(self, omega, dt):
+        got = zero_mode_weights(omega, dt)
+        for value, exact in zip(got, zero_mode_exact(omega, dt)):
+            assert relative_error(value, exact) <= 1e-14
+
+    @pytest.mark.parametrize("side", [1 - 1e-9, 1 - 1e-3, 0.5])
+    def test_series_side_of_the_crossover_matches_decimal(self, side):
+        dt = 0.1
+        omega = side * ZERO_MODE_SERIES_X / (2 * dt)
+        assert 2.0 * omega * dt < ZERO_MODE_SERIES_X
+        for value, exact in zip(zero_mode_weights(omega, dt), zero_mode_exact(omega, dt)):
+            assert relative_error(value, exact) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "omega, dt",
+        # the crossover itself, just above it, and every benchmark omega dt
+        [(ZERO_MODE_SERIES_X / 0.2, 0.1), ((1 + 1e-9) * ZERO_MODE_SERIES_X / 0.2, 0.1),
+         (0.25, 0.05), (0.5, 0.05), (0.75, 0.05), (0.5, 0.1), (3.0, 0.37)],
+    )
+    def test_closed_forms_keep_their_bits_above_the_crossover(self, omega, dt):
+        x = 2.0 * omega * dt
+        assert x >= ZERO_MODE_SERIES_X
+        decay2 = np.exp(-2.0 * omega * dt)
+        wv = (1.0 - decay2) / (2.0 * omega)
+        wu = (dt - wv) / (2.0 * omega)
+        got = zero_mode_weights(omega, dt)
+        assert got == (wu, wv)
+        # what the closed forms lose there: wu takes dt - wv ~ dt x / 2, so the
+        # rounding of exp(-x) grows by 1 / x^2 (measured at most 0.46 eps / x^2)
+        eps = np.finfo(float).eps
+        exact_wu, exact_wv = zero_mode_exact(omega, dt)
+        assert relative_error(got[0], exact_wu) <= eps / x**2
+        assert relative_error(got[1], exact_wv) <= eps / x
 
 
 class TestLinearExactness:

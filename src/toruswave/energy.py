@@ -22,18 +22,23 @@ spectrum through ``fields.reduce_power``, that is through the cached weight
 matrix [S_m | D_1 ... D_m] of ``fields.norm_weights`` (Parseval).
 E_m^2 is the D_0 = S_0 term plus the block columns applied to the density
 above; Estd^2 is the S_m column applied to |v_hat|^2 + g |u_hat|^2, with g the
-per-mode gradient symbol.  ``sample_half_spectrum`` reads the coefficients
-the time loop keeps and reduces all its densities, both energies among them,
-in one stacked product; ``modified_energy`` transforms a pair of grid arrays
-once each, for the initial data a scenario scales to its target E_m.
+per-mode gradient symbol.  ``SampleBlock`` reads the coefficients the time
+loop keeps for a block of sample times and every run of a batch: it writes
+all their densities, both energies among them, with ``out=`` ufuncs into
+arrays of the whole block and reduces them in one stacked product per
+Sobolev order; the loop decides when a block is flushed and how deep it is
+(``solver``).
+``sample_half_spectrum`` is the block of one sample time and one run.
+``modified_energy`` transforms a pair of grid arrays once each, for the
+initial data a scenario scales to its target E_m.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.typing as npt
 
 from .fields import gradient_symbol, reduce_power, spectral_power
 
@@ -57,6 +62,10 @@ class EnergySample:
     u_min: float
 
 
+# The diagnostics of a sample after t: the fields of ``EnergySample`` in order.
+COLUMNS = ("e_m_sq", "e_std_sq", "u_hm", "ut_hm", "f_hm", "u_mean", "f_mean", "u_min")
+
+
 def _check_omega(omega: float) -> None:
     if not omega > 0.0:
         raise ValueError(f"damping rate omega must be positive, got {omega}")
@@ -76,11 +85,6 @@ def _modified_sq(density, reduced) -> float:
     return float(reduce_power(density, 0)[0] + np.sum(reduced[1:]))
 
 
-def _standard_row(pu, pv):
-    """|v_hat|^2 + g |u_hat|^2, whose S_m reduction is 2 Estd^2."""
-    return pv + gradient_symbol(pu.shape[0]) * pu
-
-
 def modified_energy(u, ut, omega: float, m: int = 0) -> float:
     """Squared modified energy E_m^2 of the grid arrays ``u`` and ``ut``,
     summed over multi-indices up to m."""
@@ -92,30 +96,92 @@ def modified_energy(u, ut, omega: float, m: int = 0) -> float:
     return _modified_sq(density, reduce_power(density, m))
 
 
+class SampleBlock:
+    """The diagnostics of blocks of sample times of B runs on one n^3 grid, each
+    block reduced in one stacked pass.
+
+    ``omegas`` and ``ms`` hold each run's damping rate and Sobolev order, and
+    ``take`` drops runs as they leave the batch.
+    """
+
+    def __init__(self, n: int, omegas, ms):
+        for omega in omegas:
+            _check_omega(omega)
+        self.n, self.ms = n, list(ms)
+        g = gradient_symbol(n)
+        self.half_omega = np.array([0.5 * omega for omega in omegas]).reshape(-1, 1, 1, 1)
+        self.coef = np.stack([0.25 * omega**2 + 0.5 * g for omega in omegas])
+
+    def take(self, slots: list[int]) -> None:
+        """Keep only the runs in ``slots``, in that order."""
+        self.ms = [self.ms[b] for b in slots]
+        self.half_omega, self.coef = self.half_omega[slots], self.coef[slots]
+
+    def reduce(self, entries) -> npt.NDArray[np.float64]:
+        """Rows (j, B, 8) of ``COLUMNS`` for j sample times, each an entry
+        (u, f, u_hat, ut_hat, f_hat, u_min): the stacked grid arrays of u and
+        F, the raw half spectra of u, u_t and F, and the B minima of u.
+
+        Per sample time and run: the energy density (in ``_density``'s
+        association), the standard energy row |v|^2 + g |u|^2 and the powers
+        of u, u_t and F go through one ``reduce_power`` per Sobolev order,
+        stacked; E_m's S_0 term through one more; the means are each run's
+        grid sum over n^3.  Every row is reduced alone, so a run gets the same
+        bits in any block.
+        """
+        n, b, j = self.n, len(self.ms), len(entries)
+        shape = (j, b, n, n, n // 2 + 1)
+        spectra = np.empty((3, *shape), dtype=np.complex128)
+        grids = np.empty((2, j, b, n**3))
+        for i, (u, f, u_hat, ut_hat, f_hat, _) in enumerate(entries):
+            spectra[0, i], spectra[1, i], spectra[2, i] = u_hat, ut_hat, f_hat
+            grids[0, i], grids[1, i] = u.reshape(b, -1), f.reshape(b, -1)
+        rows = np.empty((5, *shape))
+        density, standard, pu, pv, pf = rows
+        # (re, im) interleaved on the last axis; each part is squared in place
+        # once its plain values are used
+        floats = spectra.view(np.float64)
+        np.square(floats[2], out=floats[2])
+        np.add(floats[2, ..., 0::2], floats[2, ..., 1::2], out=pf)
+        cross = floats[2]  # re u re u_t, im u im u_t
+        np.multiply(floats[0], floats[1], out=cross)
+        np.add(cross[..., 0::2], cross[..., 1::2], out=density)
+        np.square(floats[:2], out=floats[:2])
+        np.add(floats[:2, ..., 0::2], floats[:2, ..., 1::2], out=rows[2:4])
+        np.multiply(self.half_omega, density, out=density)
+        np.multiply(0.5, pv, out=standard)
+        np.add(standard, density, out=density)
+        np.multiply(self.coef, pu, out=standard)
+        np.add(density, standard, out=density)
+        np.multiply(gradient_symbol(n), pu, out=standard)
+        np.add(pv, standard, out=standard)
+
+        table = np.empty((len(COLUMNS), j, b))
+        s0 = reduce_power(density, 0)[..., 0]
+        for m in sorted(set(self.ms)):
+            slots = [i for i, order in enumerate(self.ms) if order == m]
+            if len(slots) == b:
+                slots = slice(None)  # one order for the batch: no gather
+            reduced = reduce_power(rows[:, :, slots], m)
+            table[0][:, slots] = s0[:, slots] + np.add.reduce(reduced[0, ..., 1:], axis=-1)
+            table[1][:, slots] = 0.5 * reduced[1, ..., 0]
+            table[2:5, :, slots] = np.sqrt(reduced[2:, ..., 0])
+        np.divide(np.add.reduce(grids, axis=-1), float(n**3), out=table[5:7])
+        table[7] = [entry[5] for entry in entries]
+        return table.transpose(1, 2, 0)
+
+
 def sample_half_spectrum(
     t: float, u, f, u_hat, ut_hat, f_hat, omega: float, m: int
 ) -> EnergySample:
-    """The diagnostic row at one instant, from raw ``np.fft.rfftn`` coefficients.
+    """The diagnostic row at one instant, from raw ``np.fft.rfftn`` coefficients:
+    the block of one sample time and one run.
 
     The time loop keeps its state in this layout and has the grid samples
     ``u`` and ``f`` of u and F from the force evaluation; they give the
     minimum and the grid means.  Every other entry is a reduction of the
-    coefficients: one stacked product for the energy density, the standard
-    energy row and the powers of u, u_t and F.
+    coefficients.
     """
-    _check_omega(omega)
-    pu, pv, pf = (spectral_power(c) for c in (u_hat, ut_hat, f_hat))
-    density = _density(u_hat, ut_hat, pu, pv, omega)
-    reduced = reduce_power(np.stack([density, _standard_row(pu, pv), pu, pv, pf]), m)
-    u_sq, ut_sq, f_sq = reduced[2:, 0].tolist()
-    return EnergySample(
-        t=float(t),
-        e_m_sq=_modified_sq(density, reduced[0]),
-        e_std_sq=float(0.5 * reduced[1, 0]),
-        u_hm=math.sqrt(u_sq),
-        ut_hm=math.sqrt(ut_sq),
-        f_hm=math.sqrt(f_sq),
-        u_mean=float(np.mean(u)),
-        f_mean=float(np.mean(f)),
-        u_min=float(np.min(u)),
-    )
+    block = SampleBlock(u.shape[0], [omega], [m])
+    entry = (u[None], f[None], u_hat[None], ut_hat[None], f_hat[None], [float(np.min(u))])
+    return EnergySample(float(t), *block.reduce([entry])[0, 0].tolist())

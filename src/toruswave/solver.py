@@ -14,7 +14,7 @@ half spectrum with no normalization that every symbol and weight of
 ``fields`` is laid out on.  The propagator is linear, so the raw scale
 cancels; each force is one inverse transform to a grid array,
 ``eval_prepared`` on that array and one forward transform back.  Every
-diagnostic is a reduction of these coefficients (``energy.sample_half_spectrum``),
+diagnostic is a reduction of these coefficients (``energy.SampleBlock``),
 and the final state a run hands to verification is the same pair of arrays.
 
 Transforms: up to ``DFT_MAX_N`` points per axis a force's two transforms
@@ -33,7 +33,7 @@ slice alone (a DFT product is a stack of one matrix product per slot, of the
 same shapes in any batch): a run gets the same bits in any batch,
 ``simulate`` is the batch of one, and ``simulate_batch`` serves a sweep.
 Each run keeps its own finiteness, positivity and overflow tests and its own
-samples, taken slice by slice; a run that breaks down leaves the batch.
+samples; a run that breaks down leaves the batch.
 ``BATCH_BYTES`` caps a batch, since stacking stops paying on bigger grids.
 
 The nonlinear product may be de-aliased with the standard 2/3-rule mask
@@ -42,7 +42,18 @@ the zero mode is never touched by it, so the mean dynamics are unaffected.
 
 F(t_k) at a sample time serves both the sample and the step that starts
 there, so a run costs two force evaluations per step plus one for the final
-sample.
+sample.  Samples are deferred: a sample time keeps the arrays force and state
+made for it (no step changes them in place) and the grid minima of u that the
+positivity checks reduced, and ``energy.SampleBlock`` reduces a block of
+sample times for every run of the batch in one stacked pass.  A block is
+flushed when it is full, at the last step, and before any run leaves the
+batch: a non-finite state or a failed force first flushes, then the stage is
+retried on the runs that remain.  A run whose flushed row is not finite keeps
+the samples before it and the state of the last of them, and leaves with that
+overflow as its breakdown, so a failure it would meet later in the block never
+counts.  ``SAMPLE_BLOCK_BYTES`` sets the block's depth, ``block_depth``: it
+spares the per-call overhead of small grids with frequent samples, and from
+n = 14 on a block is one sample time.
 """
 
 from __future__ import annotations
@@ -54,7 +65,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.typing as npt
 
-from .energy import EnergySample, sample_half_spectrum
+from .energy import COLUMNS, EnergySample, SampleBlock
 from .estimates import gronwall_bound
 from .fields import GridSpec, laplacian_symbol
 from .source import (
@@ -68,6 +79,17 @@ from .source import (
 
 # Bytes of stacked half spectrum (one complex array of the state) per batch.
 BATCH_BYTES = 512 * 1024
+
+# Bytes of the stacked half spectra of u, u_t and F of a batch over the sample
+# times of one block of deferred samples.  One sample time of one run takes
+# 48 n^2 (n/2 + 1) bytes, so a block of one run holds 8 sample times at n = 8,
+# 2 at n = 12 and one from n = 14 on; a batch of six runs at n = 8 holds one.
+# Each flush allocates its arrays afresh.  A block of several sample times then
+# stays under glibc's default mmap threshold of 128 KiB, and the one sample
+# time of a larger grid is a mapped chunk whose release lifts the threshold
+# above the loop's own arrays; arrays kept for the whole loop left it low, and
+# at n = 32 each step's arrays were mapped anew, with 10x the page faults.
+SAMPLE_BLOCK_BYTES = 128 * 1024
 
 # Largest grid whose loop transforms are dense DFT products.  A round trip
 # rfftn + irfftn of one 3-d array took 0.4-0.65x np.fft's time for n = 8 .. 18;
@@ -289,11 +311,14 @@ class _Stepper:
         self.grid = config.grid
         symbol = laplacian_symbol(self.grid.n)
         pieces = zip(*(_propagator_pieces(symbol, p.omega, config.dt) for p in self.params))
-        self.p11, self.p12, self.p21, self.p22, wu, wv = (np.stack(piece) for piece in pieces)
+        p11, p12, p21, p22, wu, wv = (np.stack(piece) for piece in pieces)
         if config.dealias:
             keep = dealias_mask(self.grid.n)
             wu, wv = wu * keep, wv * keep
-        self.wu, self.wv = wu, wv
+        # complex, so no product with the state casts them again
+        self.p11, self.p12, self.p21, self.p22, self.wu, self.wv = (
+            piece.astype(np.complex128) for piece in (p11, p12, p21, p22, wu, wv)
+        )
 
     def take(self, slots: list[int]) -> None:
         """Keep only the runs in ``slots``, in that order."""
@@ -303,11 +328,12 @@ class _Stepper:
             setattr(self, name, getattr(self, name)[slots])
 
     def force(self, t: float, u_hat):
-        """u and F(t, u) as stacked grid arrays, and the raw rfftn coefficients of F;
-        raises ``PointBreakdowns`` for the runs whose force fails."""
+        """u and F(t, u) as stacked grid arrays, the raw rfftn coefficients of F
+        and the runs' grid minima of u; raises ``PointBreakdowns`` for the runs
+        whose force fails."""
         u = _irfftn(u_hat)
-        f = eval_prepared(t, u, self.params, self.prepared)
-        return u, f, _rfftn(f)
+        f, u_min = eval_prepared(t, u, self.params, self.prepared)
+        return u, f, _rfftn(f), u_min
 
     def advance(self, t: float, u_hat, ut_hat, f0_hat=None):
         """One predictor-corrector step; pass ``f0_hat`` when F(t) is known."""
@@ -325,62 +351,105 @@ def batch_size(n: int) -> int:
     return max(1, BATCH_BYTES // (n * n * (n // 2 + 1) * np.dtype(np.complex128).itemsize))
 
 
+def block_depth(n: int, runs: int) -> int:
+    """Sample times per block of deferred samples of ``runs`` runs on an n^3
+    grid: as many as their stacked half spectra of u, u_t and F fit in
+    ``SAMPLE_BLOCK_BYTES``, at least one."""
+    per_time = 3 * runs * n * n * (n // 2 + 1) * np.dtype(np.complex128).itemsize
+    return max(1, SAMPLE_BLOCK_BYTES // per_time)
+
+
 def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat) -> None:
     """The time loop: fills the samples, breakdowns and final states of the
     runs in ``trajectories``, whose stacked raw spectra are ``u_hat``, ``ut_hat``."""
     config = stepper.config
     dt, n_steps = config.dt, config.n_steps
     live = list(trajectories)  # the run in each slot
+    block = SampleBlock(config.grid.n, [p.omega for p in stepper.params],
+                        [p.m for p in stepper.params])
+    depth = block_depth(config.grid.n, len(live))
+    # the deferred sample times: (k, t, u, f, u_hat, ut_hat, f_hat, u_min), the
+    # arrays force and state produced, which no step changes in place
+    pending = []
 
-    def stop(errors: dict[int, BreakdownError], k: int, *arrays):
-        """Record the breakdowns of the slots in ``errors``, drop those slots from
+    def stop(infos: dict[int, BreakdownInfo], *arrays):
+        """Record the breakdowns of the slots in ``infos``, drop those slots from
         the stepper, and return ``arrays`` without them."""
-        for b, err in errors.items():
-            live[b].breakdown = BreakdownInfo(err.t, k, err.reason)
-        slots = [b for b in range(len(live)) if b not in errors]
+        for b, info in infos.items():
+            live[b].breakdown = info
+        slots = [b for b in range(len(live)) if b not in infos]
         live[:] = [live[b] for b in slots]
         stepper.take(slots)
+        block.take(slots)
         return [None if a is None else a[slots] for a in arrays]
+
+    def at_step(errors: dict[int, BreakdownError], k: int) -> dict[int, BreakdownInfo]:
+        return {b: BreakdownInfo(err.t, k, err.reason) for b, err in errors.items()}
+
+    def flush(*arrays):
+        """Reduce the pending samples in one block and record them.  A slot with
+        a non-finite row keeps its samples before it and leaves with that
+        overflow as its breakdown; returns ``arrays`` without those slots."""
+        if not pending:
+            return arrays
+        table = block.reduce([entry[2:] for entry in pending])
+        rows, finite = table.tolist(), np.isfinite(table).all(axis=-1).tolist()
+        overflows = {}
+        for b, trajectory in enumerate(live):
+            last = None
+            for (k, t, _, _, state_u, state_ut, _, _), rows_k, finite_k in zip(
+                pending, rows, finite
+            ):
+                row = rows_k[b]
+                if not finite_k[b]:  # a finite state or force whose norms or means overflow
+                    bad = ", ".join(name for name, value in zip(COLUMNS, row)
+                                    if not math.isfinite(value))
+                    reason = f"the diagnostics overflow at t = {t:.6g}: {bad}"
+                    overflows[b] = BreakdownInfo(t, k, reason)
+                    break
+                trajectory.samples.append(EnergySample(t, *row))
+                last = (t, state_u[b], state_ut[b])
+            if last is not None:
+                trajectory.final_state = SolverState(*last)
+        pending.clear()
+        return stop(overflows, *arrays) if overflows else arrays
 
     for k in range(n_steps + 1):  # k = 0 and k = n_steps always sample
         t = k * dt
         if not (np.isfinite(u_hat).all() and np.isfinite(ut_hat).all()):
+            u_hat, ut_hat = flush(u_hat, ut_hat)  # before any slot leaves
             reason = f"state became non-finite at step {k} (t = {t:.6g})"
-            errors = {
-                b: BreakdownError(t, math.nan, reason)
+            infos = {
+                b: BreakdownInfo(t, k, reason)
                 for b in range(len(live))
                 if not (np.isfinite(u_hat[b]).all() and np.isfinite(ut_hat[b]).all())
             }
-            u_hat, ut_hat = stop(errors, k, u_hat, ut_hat)
+            if infos:
+                u_hat, ut_hat = stop(infos, u_hat, ut_hat)
         f_hat = None
         if k % config.sample_every == 0 or k == n_steps:
             while live:
                 try:
-                    u, f, f_hat = stepper.force(t, u_hat)
+                    u, f, f_hat, u_min = stepper.force(t, u_hat)
                     break
                 except PointBreakdowns as exc:
-                    u_hat, ut_hat = stop(exc.errors, k, u_hat, ut_hat)
-            overflows = {}
-            for b, trajectory in enumerate(live):
-                params = trajectory.params
-                sample = sample_half_spectrum(
-                    t, u[b], f[b], u_hat[b], ut_hat[b], f_hat[b], params.omega, params.m
-                )
-                bad = [name for name, value in vars(sample).items() if not math.isfinite(value)]
-                if bad:  # a finite state or force whose norms or means overflow
-                    reason = f"the diagnostics overflow at t = {t:.6g}: {', '.join(bad)}"
-                    overflows[b] = BreakdownError(t, sample.u_min, reason)
-                    continue
-                trajectory.samples.append(sample)
-                trajectory.final_state = SolverState(t, u_hat[b], ut_hat[b])
-            if overflows:
-                u_hat, ut_hat, f_hat = stop(overflows, k, u_hat, ut_hat, f_hat)
+                    if pending:  # then retry on the slots that remain
+                        u_hat, ut_hat = flush(u_hat, ut_hat)
+                    else:
+                        u_hat, ut_hat = stop(at_step(exc.errors, k), u_hat, ut_hat)
+            if live:
+                pending.append((k, t, u, f, u_hat, ut_hat, f_hat, u_min))
+                if len(pending) == depth or k == n_steps:
+                    u_hat, ut_hat, f_hat = flush(u_hat, ut_hat, f_hat)
         while live and k < n_steps:
             try:
                 u_hat, ut_hat = stepper.advance(t, u_hat, ut_hat, f_hat)
                 break
             except PointBreakdowns as exc:
-                u_hat, ut_hat, f_hat = stop(exc.errors, k, u_hat, ut_hat, f_hat)
+                if pending:  # then retry on the slots that remain
+                    u_hat, ut_hat, f_hat = flush(u_hat, ut_hat, f_hat)
+                else:
+                    u_hat, ut_hat, f_hat = stop(at_step(exc.errors, k), u_hat, ut_hat, f_hat)
         if not live:
             return
 

@@ -218,7 +218,8 @@ def _power(base: npt.NDArray[np.float64], mu: float) -> npt.NDArray[np.float64]:
 def eval_prepared(t: float, u, params, prepared):
     """F(t, .) = exp(-kappa t) a(t, .) (1 + u)^mu on the grid, for B runs:
     ``u`` is their stack (B, n, n, n) of grid samples, ``params`` and
-    ``prepared`` sequences of B each.
+    ``prepared`` sequences of B each.  Returns F's stack and the B grid
+    minima of u that the checks reduced.
 
     Every run is checked on its own slice (``_power_breakdown``): if any
     fails, nothing is evaluated and ``PointBreakdowns`` names the failing
@@ -251,4 +252,4 @@ def eval_prepared(t: float, u, params, prepared):
         envelope = float(np.exp(-p.kappa * t)) * q.sigma(t)
         np.multiply(envelope, q.profile, out=f[b])
     f *= power
-    return f
+    return f, lows

@@ -6,6 +6,7 @@ the same samples, breakdown and final state, bit for bit, whatever else is in
 its batch, including runs that break down before it, after it or at step 0.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -186,4 +187,166 @@ def test_integer_power_overflow_is_a_breakdown():
     assert trajectory.breakdown.step == 0 and "overflows" in trajectory.breakdown.reason
     assert trajectory.samples == [] and trajectory.final_state is None
     # below the overflow the integer power has no gate: 1 + u < 0 is fine
-    assert np.isfinite(eval_prepared(0.0, wave(1e100)[None], [params], [prepared])).all()
+    assert np.isfinite(eval_prepared(0.0, wave(1e100)[None], [params], [prepared])[0]).all()
+
+
+# Deferred samples: the loop reduces its samples in blocks of up to
+# ``block_depth`` sample times and flushes a block when it is full, at the last
+# step and before any run leaves the batch.  A run must get the same samples,
+# breakdown and final state whatever the block size.
+
+def set_block(monkeypatch, runs, config, whole):
+    """Blocks of one sample time, or one block for every sample of the run."""
+    n = config.grid.n
+    per_time = 48 * runs * n * n * (n // 2 + 1)
+    samples = config.n_steps // config.sample_every + 2
+    monkeypatch.setattr(solver, "SAMPLE_BLOCK_BYTES", per_time * samples if whole else 0)
+    assert solver.block_depth(n, runs) == (samples if whole else 1)
+
+
+def run_both_ways(monkeypatch, runs, config=CONFIG):
+    """The batch of ``runs`` with blocks of one sample time and with one block
+    for the whole run, asserted bit-identical; returns the second."""
+    results = []
+    for whole in (False, True):
+        set_block(monkeypatch, len(runs), config, whole)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results.append(run_batch(runs, config))
+    for got, want in zip(results[1], results[0]):
+        assert_same_run(got, want)
+    return results[1]
+
+
+def slot_of(stepper, params):
+    """The batch slot of the run whose params are the object ``params``, or None."""
+    return next((b for b, p in enumerate(stepper.params) if p is params), None)
+
+
+def patch_force_spectrum(monkeypatch, params, t_at, change):
+    """``change(f_hat slice)`` the force spectrum of the run with ``params`` at t_at,
+    in the sample and in the steps alike."""
+    force = solver._Stepper.force
+
+    def patched(self, t, u_hat):
+        u, f, f_hat, u_min = force(self, t, u_hat)
+        b = slot_of(self, params)
+        if abs(t - t_at) < 1e-9 and b is not None:
+            f_hat = f_hat.copy()
+            change(f_hat[b])
+        return u, f, f_hat, u_min
+
+    monkeypatch.setattr(solver._Stepper, "force", patched)
+
+
+def test_block_depth_defers_small_grids_only():
+    # from n = 16 on every sample is reduced at its own time, as flagship's are
+    assert solver.block_depth(8, 1) > 1
+    assert all(solver.block_depth(n, 1) == 1 for n in (16, 32, 64))
+
+
+def test_deferred_samples_of_a_solo_run_every_step(monkeypatch):
+    config = SolverConfig(grid=GRID, dt=0.05, t_end=1.0, sample_every=1)
+    (trajectory,) = run_both_ways(monkeypatch, [RUNS[1]], config)
+    assert trajectory.breakdown is None and len(trajectory.samples) == config.n_steps + 1
+    assert trajectory.final_state.t == trajectory.samples[-1].t == config.t_end
+
+
+def test_deferred_samples_of_a_batch_with_mixed_orders(monkeypatch):
+    # per-run omega, kappa, mu and m; run 2 breaks down at step 0, run 3 part way
+    runs = [
+        (u0, u1, dataclasses.replace(params, m=m), source)
+        for (u0, u1, params, source), m in zip(RUNS, (3, 1, 3, 2, 0, 1))
+    ]
+    batch = run_both_ways(monkeypatch, runs)
+    monkeypatch.undo()
+    for got, run in zip(batch, runs):
+        assert_same_run(got, run_alone(run))
+    assert batch[2].breakdown.step == 0 and 0 < batch[3].breakdown.step < CONFIG.n_steps
+    assert [t.params.m for t in batch] == [3, 1, 3, 2, 0, 1]
+
+
+def test_overflow_in_the_middle_of_a_block(monkeypatch):
+    # run 1's F gets a Nyquist mode of 1e200 at t = 0.6 (step 12): its H^m norm
+    # overflows, and the dealiased step ignores the mode, so the state stays
+    # finite; run 5 goes non-finite at step 17, later in the same block
+    runs = [RUNS[0], RUNS[1], RUNS[5]]
+    patch_force_spectrum(monkeypatch, RUNS[1][2], 0.6, lambda f_hat: f_hat.__setitem__((4, 0, 0), 1e200))
+    advance = solver._Stepper.advance
+
+    def overflowing(self, t, *args):
+        u_hat, ut_hat = advance(self, t, *args)
+        b = slot_of(self, RUNS[5][2])
+        if abs(t - 16 * CONFIG.dt) < 1e-9 and b is not None:
+            ut_hat = ut_hat.copy()
+            ut_hat[b, 0, 0, 0] = np.inf
+        return u_hat, ut_hat
+
+    monkeypatch.setattr(solver._Stepper, "advance", overflowing)
+    batch = run_both_ways(monkeypatch, runs)
+    assert batch[1].breakdown == solver.BreakdownInfo(
+        0.6000000000000001, 12, "the diagnostics overflow at t = 0.6: f_hm"
+    )
+    assert [s.t for s in batch[1].samples] == [k * CONFIG.dt for k in range(0, 12, 3)]
+    assert batch[1].final_state.t == batch[1].samples[-1].t
+    assert batch[2].breakdown.reason == "state became non-finite at step 17 (t = 0.85)"
+    assert batch[0].breakdown is None
+    monkeypatch.undo()
+    assert_same_run(batch[0], run_alone(runs[0]))
+
+
+def test_overflow_wins_over_a_later_breakdown_in_its_block(monkeypatch):
+    # run 1's sample at t = 0.6 (step 12) overflows as above, and the step from
+    # there shifts its mean to -10, so the force of step 13 fails: in a block
+    # that still defers the sample, that failure comes first
+    runs = [RUNS[0], RUNS[1], RUNS[5]]
+    patch_force_spectrum(monkeypatch, RUNS[1][2], 0.6, lambda f_hat: f_hat.__setitem__((4, 0, 0), 1e200))
+    advance = solver._Stepper.advance
+
+    def shifting(self, t, *args):
+        u_hat, ut_hat = advance(self, t, *args)
+        b = slot_of(self, RUNS[1][2])
+        if abs(t - 12 * CONFIG.dt) < 1e-9 and b is not None:
+            u_hat = u_hat.copy()
+            u_hat[b, 0, 0, 0] -= 10.0 * GRID.n**3
+        return u_hat, ut_hat
+
+    failed = []
+    evaluate = solver.eval_prepared
+
+    def recording(t, u, params, prepared):
+        try:
+            return evaluate(t, u, params, prepared)
+        except PointBreakdowns as exc:
+            failed.extend((t, params[b]) for b in exc.errors)
+            raise
+
+    monkeypatch.setattr(solver._Stepper, "advance", shifting)
+    monkeypatch.setattr(solver, "eval_prepared", recording)
+    batch = run_both_ways(monkeypatch, runs)
+    assert [(round(t / CONFIG.dt), p) for t, p in failed] == [(13, RUNS[1][2])]
+    assert batch[1].breakdown == solver.BreakdownInfo(
+        0.6000000000000001, 12, "the diagnostics overflow at t = 0.6: f_hm"
+    )
+    assert batch[1].samples[-1].t == 9 * CONFIG.dt == batch[1].final_state.t
+    monkeypatch.undo()
+    for i in (0, 2):
+        assert_same_run(batch[i], run_alone(runs[i]))
+
+
+def test_overflow_at_the_last_sample(monkeypatch):
+    runs = [RUNS[0], RUNS[1]]
+    patch_force_spectrum(monkeypatch, RUNS[0][2], CONFIG.t_end, lambda f_hat: f_hat.__setitem__((4, 0, 0), 1e200))
+    batch = run_both_ways(monkeypatch, runs)
+    assert batch[0].breakdown.step == CONFIG.n_steps
+    assert batch[0].breakdown.reason == "the diagnostics overflow at t = 3: f_hm"
+    assert batch[0].final_state.t == batch[0].samples[-1].t == (CONFIG.n_steps - 3) * CONFIG.dt
+    assert batch[1].breakdown is None and batch[1].samples[-1].t == CONFIG.t_end
+
+
+def test_force_returns_the_minima_it_checked():
+    params = [ModelParams(omega=0.5, kappa=0.25, mu=mu) for mu in (0.5, 2.0)]
+    prepared = [prepare_source(SourceSpec(amplitude=0.5), GRID, p.m) for p in params]
+    u = np.stack([wave(0.1), wave(0.4, 0.2)])
+    f, u_min = eval_prepared(0.5, u, params, prepared)
+    assert f.shape == u.shape and u_min == [float(np.min(x)) for x in u]

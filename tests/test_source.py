@@ -79,7 +79,7 @@ class TestPreparation:
         grid = GridSpec(8)
         spec = SourceSpec(amplitude=0.0)
         params = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
-        f = eval_prepared(0.7, zero_field(grid)[None], [params], [prepare_source(spec, grid, 3)])
+        f, _ = eval_prepared(0.7, zero_field(grid)[None], [params], [prepare_source(spec, grid, 3)])
         assert np.all(f[0] == 0.0)
 
     def test_sigma_envelope_bounded(self):
@@ -96,7 +96,7 @@ class TestEvaluation:
         spec = SourceSpec(amplitude=0.6, preset="uniform")
         prepared = prepare_source(spec, grid, m=0)
         u = constant_field(grid, 0.44)
-        f = eval_prepared(2.0, u[None], [params], [prepared])[0]
+        f = eval_prepared(2.0, u[None], [params], [prepared])[0][0]
         profile = prepared.profile[0, 0, 0]
         expected = np.exp(-0.5) * profile * 1.44**0.5
         assert np.allclose(f, expected, rtol=1e-13)
@@ -118,7 +118,7 @@ class TestEvaluation:
         params = ModelParams(omega=0.5, kappa=0.1, mu=2.0)
         spec = SourceSpec(amplitude=1.0, preset="uniform")
         u = constant_field(grid, -3.0)
-        f = eval_prepared(0.0, u[None], [params], [prepare_source(spec, grid, 3)])[0]
+        f = eval_prepared(0.0, u[None], [params], [prepare_source(spec, grid, 3)])[0][0]
         assert np.isfinite(f).all()
         assert np.max(np.abs(f)) > 0.0
 

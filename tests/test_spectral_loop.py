@@ -70,7 +70,7 @@ def reference_simulate(u0, u1, params, spec, config):
     def evaluate(t, u):
         """F(t) of this one run on the grid; raises its ``BreakdownError``."""
         try:
-            return eval_prepared(t, u[None], [params], [prepared])[0]
+            return eval_prepared(t, u[None], [params], [prepared])[0][0]
         except PointBreakdowns as exc:
             raise exc.errors[0] from None
 

@@ -17,16 +17,30 @@ pointwise product of the refined samples of u and v, and on the doubled grid
 no mode of it aliases.  All norms of one spectrum, ||.||_{H^m} and the
 order-k blocks, come from ``fields.hm_norms``, the one product of its |c|^2
 with the weight matrix every norm and energy of the package reduces through.
-At most three refined fields are alive at a time: the first member's and the
-previous one's, for the wrap-around pairs of the product ratio, and the
-current one.  ``verify.check_algebra_final`` measures ||u^2||_{H^m} with the
-same refinement and norms.
+``verify.check_algebra_final`` measures ||u^2||_{H^m} with the same
+refinement and norms.
+
+When the process's CPU affinity allows two CPUs and the grid has at least
+``THREAD_MIN_N`` points per axis (the measured crossover: on smaller grids
+the thread hand-offs cost more than the second core gives), the members are
+split into two contiguous index ranges.  The calling thread measures the
+first and one extra thread the second, each with the same per-member code.
+Every constant is a maximum of per-member ratios, and a maximum is exact
+whatever order it is taken in, so the split gives the constants of one pass
+bit for bit.  Members are seeded by index, so each chunk draws its own; the
+second chunk refines the member before it once more for its first product
+pair, and the closing pair (last member, first member) is taken after both
+chunks have joined.  Per chunk, at most three refined fields are alive at a
+time: the first member's (in the chunk that holds it) and the previous
+one's, for the wrap-around pairs of the product ratio, and the current one.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
+import contextvars
+import os
+import threading
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,7 +48,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .estimates import composition_envelope
-from .fields import GridSpec, _symbol_weight, hm_norms, random_band_limited
+from .fields import GridSpec, _symbol_weight, hm_norms, norm_weights, random_band_limited
 
 SAFETY_MARGIN = 1.5
 FILE_FORMAT = "toruswave-constants-1"
@@ -43,6 +57,18 @@ FILE_FORMAT = "toruswave-constants-1"
 # the mix covers mu < 0, 0 < mu < 1, and a non-integer mu > 1.
 _CALIBRATION_EXPONENTS = (0.5, -0.5, 1.0 / 3.0, 1.25)
 _CALIBRATION_AMPLITUDES = (0.25, 0.5)
+# Blends 1 + b cos(x1) of a constant with one slow mode (b = 0: the constant).
+_PROBE_BLENDS = (0.0, 0.25, 0.5, 0.75)
+
+# Smallest grid whose calibration splits the family over two threads.  numpy
+# releases the GIL in the transforms, powers and reductions, but on small
+# grids a call on the doubled grid takes about 20 us and the hand-offs cost
+# more than the second core gives.  Two chunks against one, medians of 9
+# in-process runs: 0.66x at n = 8, 0.85x at n = 10, 0.85-1.11x at n = 12,
+# 1.20-1.39x at n = 14, 1.61x at n = 16 and 1.7x at n = 20 to 28 (2-vCPU
+# Xeon, OpenBLAS 0.3.31).  At n = 32 it was 1.09x: there the doubled grid's
+# reductions wake an OpenBLAS worker, which spins on the second core.
+THREAD_MIN_N = 14
 
 
 @dataclass(frozen=True)
@@ -87,11 +113,17 @@ def _embedding_extremizer(grid: GridSpec, m: int) -> npt.NDArray[np.float64]:
     return np.fft.irfftn(raw, s=grid.shape, axes=(0, 1, 2))
 
 
+def _family_size(n_fields: int) -> int:
+    """Members of the family: the random fields, the blends and the extremizer."""
+    return n_fields + len(_PROBE_BLENDS) + 1
+
+
 def _field_family(
-    grid: GridSpec, m: int, seed: int, n_fields: int
+    grid: GridSpec, m: int, seed: int, n_fields: int, lo: int = 0, hi: int | None = None
 ) -> Iterator[npt.NDArray[np.float64]]:
     """Grid samples of band-limited fields across the available bands, unit sup
-    norm, plus deterministic probes of the near-constant corner, one at a time.
+    norm, plus deterministic probes of the near-constant corner, one at a time:
+    members ``lo`` to ``hi - 1``, every member by default.
 
     A random band family never produces the fields that maximize the product
     and embedding ratios: constants (product ratio (2 pi)^{-3/2}), blends of a
@@ -100,12 +132,16 @@ def _field_family(
     """
     top = grid.n // 2 - 1  # highest band below Nyquist; 1 on the smallest grid, n = 4
     bands = [b for b in (1, 2, grid.n // 6, grid.n // 4, grid.n // 3, top) if 1 <= b <= top]
-    for i in range(n_fields):
-        yield random_band_limited(grid, seed=seed + 7919 * i, band=bands[i % len(bands)])
-    x1, _, _ = grid.coordinates()
-    wave = np.broadcast_to(np.cos(x1), grid.shape)
-    probes = (1.0 + blend * wave for blend in (0.0, 0.25, 0.5, 0.75))  # blend 0: the constant
-    for values in itertools.chain(probes, [_embedding_extremizer(grid, m)]):
+    for i in range(lo, _family_size(n_fields) if hi is None else hi):
+        if i < n_fields:  # member i is seeded by its index, so any range can start anywhere
+            yield random_band_limited(grid, seed=seed + 7919 * i, band=bands[i % len(bands)])
+            continue
+        if i < n_fields + len(_PROBE_BLENDS):
+            x1, _, _ = grid.coordinates()
+            wave = np.broadcast_to(np.cos(x1), grid.shape)
+            values = 1.0 + _PROBE_BLENDS[i - n_fields] * wave
+        else:
+            values = _embedding_extremizer(grid, m)
         # same unit-sup normalization as the random family; ratios are invariant
         yield values / np.max(np.abs(values))
 
@@ -116,20 +152,29 @@ def _product_ratio(u, v, m: int) -> float:
     return product_norm / (u[1] * v[1])
 
 
-def calibrate(
-    grid: GridSpec, m: int, seed: int = 2024, n_fields: int = 36
-) -> CalibratedConstants:
-    """Measure the embedding, product, and composition constants on ``grid``."""
-    if m < 1:
-        raise ValueError(f"Sobolev order must be >= 1, got {m}")
-    if n_fields < 4:
-        raise ValueError(f"need at least 4 fields for a meaningful family, got {n_fields}")
-    family = _field_family(grid, m, seed, n_fields)
+@dataclass
+class _ChunkMaxima:
+    """The ratio maxima over one contiguous range of members, and the refined
+    fields (samples, H^m norm) that the closing product pair may need."""
 
+    c_sobolev: float
+    c_algebra: float
+    c_moser: dict[int, float]
+    first: tuple | None  # member 0's, if the range holds it
+    last: tuple | None  # the range's last member's
+
+
+def _measure(grid: GridSpec, m: int, seed: int, n_fields: int, lo: int, hi: int) -> _ChunkMaxima:
+    """Maxima over members ``lo`` to ``hi - 1`` and over the product pairs
+    (i - 1, i) they end; the pair (lo - 1, lo) refines member lo - 1 again."""
+    members = _field_family(grid, m, seed, n_fields, max(lo - 1, 0), hi)
     c_sobolev = c_algebra = 0.0
     c_moser = {k: 0.0 for k in range(1, m + 1)}
     first = previous = None  # (refined samples, H^m norm) of members 0 and i - 1
-    for base in family:
+    if lo > 0:
+        raw = np.fft.rfftn(next(members))
+        previous = (_refine(raw, grid.n), hm_norms(raw, m)[0])
+    for i, base in zip(range(lo, hi), members):
         raw = np.fft.rfftn(base)
         norm, *base_blocks = hm_norms(raw, m)
         refined = _refine(raw, grid.n)
@@ -152,10 +197,65 @@ def calibrate(
                         continue
                     denominator = composition_envelope(k, mu, ceiling) * amplitude * base_block
                     c_moser[k] = max(c_moser[k], block / denominator)
-        if first is None:
+        if i == 0:
             first = current
         previous = current
-    c_algebra = max(c_algebra, _product_ratio(previous, first, m))
+    return _ChunkMaxima(c_sobolev, c_algebra, c_moser, first, previous)
+
+
+def _start(fn: Callable, *args) -> Callable:
+    """Start ``fn(*args)`` on one extra thread, under a copy of the caller's
+    context so that its ``np.errstate`` holds there too.  The returned call
+    joins the thread and gives its result, or raises its exception here."""
+    context = contextvars.copy_context()
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((True, context.run(fn, *args)))
+        except BaseException as exc:  # raised again in the caller, by join
+            outcome.append((False, exc))
+
+    thread = threading.Thread(target=run, name="toruswave-calibrate")
+    thread.start()
+
+    def join():
+        thread.join()
+        ok, value = outcome[0]
+        if not ok:
+            raise value
+        return value
+
+    return join
+
+
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where the platform has no affinity call."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def calibrate(
+    grid: GridSpec, m: int, seed: int = 2024, n_fields: int = 36
+) -> CalibratedConstants:
+    """Measure the embedding, product, and composition constants on ``grid``."""
+    if m < 1:
+        raise ValueError(f"Sobolev order must be >= 1, got {m}")
+    if n_fields < 4:
+        raise ValueError(f"need at least 4 fields for a meaningful family, got {n_fields}")
+    count = _family_size(n_fields)
+    if grid.n >= THREAD_MIN_N and _cpus() >= 2:
+        split = (count + 1) // 2  # the second range also refines member split - 1
+        for size in (grid.n, 2 * grid.n):  # build the cached weights once, not in both threads
+            norm_weights(size, m)
+        join_tail = _start(_measure, grid, m, seed, n_fields, split, count)
+        try:
+            head = _measure(grid, m, seed, n_fields, 0, split)
+        finally:
+            tail = join_tail()
+        chunks = [head, tail]
+    else:
+        chunks = [_measure(grid, m, seed, n_fields, 0, count)]
+    closing = _product_ratio(chunks[-1].last, chunks[0].first, m)  # (last member, first)
 
     return CalibratedConstants(
         grid_n=grid.n,
@@ -163,9 +263,9 @@ def calibrate(
         seed=seed,
         n_fields=n_fields,
         safety=SAFETY_MARGIN,
-        c_sobolev=SAFETY_MARGIN * c_sobolev,
-        c_algebra=SAFETY_MARGIN * c_algebra,
-        c_moser={k: SAFETY_MARGIN * v for k, v in c_moser.items()},
+        c_sobolev=SAFETY_MARGIN * max(c.c_sobolev for c in chunks),
+        c_algebra=SAFETY_MARGIN * max(*(c.c_algebra for c in chunks), closing),
+        c_moser={k: SAFETY_MARGIN * max(c.c_moser[k] for c in chunks) for k in chunks[0].c_moser},
     )
 
 

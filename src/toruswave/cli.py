@@ -389,18 +389,18 @@ def _build_initial(
     return u0, u1, _energy("initial.e_m0", u0, u1, params)
 
 
-def _resolve_constants(read: _Reader, grid: GridSpec, m: int) -> CalibratedConstants:
+def _load_constants(read: _Reader, grid: GridSpec, m: int) -> CalibratedConstants | None:
+    """The constants file the config or the environment names, checked against
+    the grid and ``m``; None if there is none and the run calibrates."""
     path = read.entries.get("constants.path") or os.environ.get(CONSTANTS_ENV)
+    if not path:
+        return None
     try:
-        if path:
-            constants = load_constants(path)
-        else:
-            constants = calibrate(grid, m, seed=CALIBRATION_SEED)
+        constants = load_constants(path)
         constants.require_grid(grid, m)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"constants: {exc}") from None
-    if path:
-        read.resolved["constants.path"] = path
+    read.resolved["constants.path"] = path
     return constants
 
 
@@ -436,8 +436,15 @@ def build_scenario(entries: dict[str, str]) -> Scenario:
     seed = read("source.seed")
     read("source.rng")  # likewise
 
+    # a constants file is checked against m before the initial data, whose
+    # energy builds norm_weights(n, m) at a cost cubic in m
+    constants = _load_constants(read, grid, params.m)
     u0, u1, e_actual = _build_initial(read, grid, params)
-    constants = _resolve_constants(read, grid, params.m)
+    if constants is None:
+        try:
+            constants = calibrate(grid, params.m, seed=CALIBRATION_SEED)
+        except ValueError as exc:  # m = 0: no order to measure at
+            raise ConfigError(f"constants: {exc}") from None
 
     # auto bootstrap values follow the actual initial energy; all-zero data
     # gets a nominal unit energy so the trivial run still has finite bounds

@@ -142,6 +142,11 @@ class SolverConfig:
             raise ValueError(
                 f"t_end = {self.t_end} over dt = {self.dt} is not a finite number of steps"
             )
+        if steps >= 2.0**53:  # from there on every float is an integer: no test below can fail
+            raise ValueError(
+                f"t_end = {self.t_end} over dt = {self.dt} is {steps:.3g} steps; "
+                f"a run takes fewer than 2**53"
+            )
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(
                 f"t_end = {self.t_end} is not an integer number of steps of dt = {self.dt}"

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from toruswave import cli
+from toruswave import cli, fields
 from toruswave.calibration import calibrate, load_constants, save_constants
 from toruswave.cli import (
     CHECK_IDS,
@@ -301,6 +301,24 @@ class TestRunScenario:
         cfg = make_cfg(tmp_path, constants_file, **{"grid.n": "16"})
         assert run_scenario(str(cfg), tmp_path / "out") == 3
         assert "calibrated for n = 8" in capsys.readouterr().err
+
+    def test_order_above_the_constants_exits_3_before_the_weights(
+        self, tmp_path, constants_file, capsys, monkeypatch
+    ):
+        # the initial energy would build norm_weights(8, 80), about 1 s of
+        # work cubic in m; the constants file (m <= 3) refuses the run first
+        orders = []
+        symbol_weight = fields._symbol_weight
+
+        def recording(n, m, *args, **kwargs):
+            orders.append(m)
+            return symbol_weight(n, m, *args, **kwargs)
+
+        monkeypatch.setattr(fields, "_symbol_weight", recording)
+        cfg = make_cfg(tmp_path, constants_file, **{"params.m": "80"})
+        assert run_scenario(str(cfg), tmp_path / "out") == 3
+        assert "m <= 3; refusing a run at n = 8, m = 80" in capsys.readouterr().err
+        assert 80 not in orders
 
 
 class TestSweep:

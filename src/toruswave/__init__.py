@@ -23,14 +23,13 @@ from .solver import (
     Trajectory,
     simulate,
 )
-from .source import BreakdownError, ModelParams, SourceSpec, prepare_source
+from .source import ModelParams, SourceSpec, prepare_source
 from .verify import CheckResult, VerificationReport, run_all
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BootstrapParams",
-    "BreakdownError",
     "BreakdownInfo",
     "CalibratedConstants",
     "CheckResult",

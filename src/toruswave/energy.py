@@ -28,7 +28,6 @@ all their densities, both energies among them, with ``out=`` ufuncs into
 arrays of the whole block and reduces them in one stacked product per
 Sobolev order; the loop decides when a block is flushed and how deep it is
 (``solver``).
-``sample_half_spectrum`` is the block of one sample time and one run.
 ``modified_energy`` transforms a pair of grid arrays once each, for the
 initial data a scenario scales to its target E_m.
 """
@@ -170,18 +169,3 @@ class SampleBlock:
         table[7] = [entry[5] for entry in entries]
         return table.transpose(1, 2, 0)
 
-
-def sample_half_spectrum(
-    t: float, u, f, u_hat, ut_hat, f_hat, omega: float, m: int
-) -> EnergySample:
-    """The diagnostic row at one instant, from raw ``np.fft.rfftn`` coefficients:
-    the block of one sample time and one run.
-
-    The time loop keeps its state in this layout and has the grid samples
-    ``u`` and ``f`` of u and F from the force evaluation; they give the
-    minimum and the grid means.  Every other entry is a reduction of the
-    coefficients.
-    """
-    block = SampleBlock(u.shape[0], [omega], [m])
-    entry = (u[None], f[None], u_hat[None], ut_hat[None], f_hat[None], [float(np.min(u))])
-    return EnergySample(float(t), *block.reduce([entry])[0, 0].tolist())

@@ -47,13 +47,16 @@ made for it (no step changes them in place) and the grid minima of u that the
 positivity checks reduced, and ``energy.SampleBlock`` reduces a block of
 sample times for every run of the batch in one stacked pass.  A block is
 flushed when it is full, at the last step, and before any run leaves the
-batch: a non-finite state or a failed force first flushes, then the stage is
-retried on the runs that remain.  A run whose flushed row is not finite keeps
-the samples before it and the state of the last of them, and leaves with that
-overflow as its breakdown, so a failure it would meet later in the block never
-counts.  ``SAMPLE_BLOCK_BYTES`` sets the block's depth, ``block_depth``: it
-spares the per-call overhead of small grids with frequent samples, and from
-n = 14 on a block is one sample time.
+batch.  A force returns the reasons of the runs it fails for beside its
+arrays, so every stage runs on all slots; the runs whose state is not finite
+or whose force failed leave right after the flush, keyed by run, since the
+flush may drop slots itself, and the others go on with the arrays made.  A
+run whose flushed row is not finite keeps the samples before it and the state
+of the last of them, and leaves with that overflow as its breakdown, so a
+failure it would meet later in the block never counts.  ``SAMPLE_BLOCK_BYTES``
+sets the block's depth, ``block_depth``: it spares the per-call overhead of
+small grids with frequent samples, and from n = 14 on a block is one sample
+time.
 """
 
 from __future__ import annotations
@@ -66,16 +69,8 @@ import numpy as np
 import numpy.typing as npt
 
 from .energy import COLUMNS, EnergySample, SampleBlock
-from .estimates import gronwall_bound
 from .fields import GridSpec, laplacian_symbol
-from .source import (
-    BreakdownError,
-    ModelParams,
-    PointBreakdowns,
-    SourceSpec,
-    eval_prepared,
-    prepare_source,
-)
+from .source import ModelParams, SourceSpec, eval_prepared, prepare_source
 
 # Bytes of stacked half spectrum (one complex array of the state) per batch.
 BATCH_BYTES = 512 * 1024
@@ -333,21 +328,28 @@ class _Stepper:
             setattr(self, name, getattr(self, name)[slots])
 
     def force(self, t: float, u_hat):
-        """u and F(t, u) as stacked grid arrays, the raw rfftn coefficients of F
-        and the runs' grid minima of u; raises ``PointBreakdowns`` for the runs
-        whose force fails."""
+        """u and F(t, u) as stacked grid arrays, the raw rfftn coefficients of F,
+        the runs' grid minima of u and the reasons of the slots whose force
+        failed (``eval_prepared``); a failed slot's F is not to be read."""
         u = _irfftn(u_hat)
-        f, u_min = eval_prepared(t, u, self.params, self.prepared)
-        return u, f, _rfftn(f), u_min
+        f, u_min, failed = eval_prepared(t, u, self.params, self.prepared)
+        return u, f, _rfftn(f), u_min, failed
 
     def advance(self, t: float, u_hat, ut_hat, f0_hat=None):
-        """One predictor-corrector step; pass ``f0_hat`` when F(t) is known."""
+        """One predictor-corrector step; pass ``f0_hat`` when F(t) is known.
+        Returns the new (u_hat, ut_hat) and, for each slot whose force failed,
+        that force's time and reason: F(t) comes first, so its failure wins
+        over the predictor's at t + dt.  A failed slot's state is not to be read."""
+        dt, first = self.config.dt, {}
         if f0_hat is None:
-            f0_hat = self.force(t, u_hat)[2]
+            _, _, f0_hat, _, first = self.force(t, u_hat)
         free_u = self.p11 * u_hat + self.p12 * ut_hat
-        f1_hat = self.force(t + self.config.dt, free_u + self.wu * f0_hat)[2]
+        _, _, f1_hat, _, predicted = self.force(t + dt, free_u + self.wu * f0_hat)
+        failed = {b: (t + dt, reason) for b, reason in predicted.items()}
+        failed.update((b, (t, reason)) for b, reason in first.items())
         f_avg = 0.5 * (f0_hat + f1_hat)
-        return free_u + self.wu * f_avg, self.p21 * u_hat + self.p22 * ut_hat + self.wv * f_avg
+        return (free_u + self.wu * f_avg, self.p21 * u_hat + self.p22 * ut_hat + self.wv * f_avg,
+                failed)
 
 
 def batch_size(n: int) -> int:
@@ -378,18 +380,16 @@ def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat)
     pending = []
 
     def stop(infos: dict[int, BreakdownInfo], *arrays):
-        """Record the breakdowns of the slots in ``infos``, drop those slots from
-        the stepper, and return ``arrays`` without them."""
-        for b, info in infos.items():
-            live[b].breakdown = info
-        slots = [b for b in range(len(live)) if b not in infos]
+        """Record the breakdowns in ``infos``, keyed by the ``id`` of the run, of
+        the runs still in the batch, drop those runs from the stepper, and
+        return ``arrays`` without their slots."""
+        for trajectory in live:
+            trajectory.breakdown = infos.get(id(trajectory), trajectory.breakdown)
+        slots = [b for b, trajectory in enumerate(live) if id(trajectory) not in infos]
         live[:] = [live[b] for b in slots]
         stepper.take(slots)
         block.take(slots)
-        return [None if a is None else a[slots] for a in arrays]
-
-    def at_step(errors: dict[int, BreakdownError], k: int) -> dict[int, BreakdownInfo]:
-        return {b: BreakdownInfo(err.t, k, err.reason) for b, err in errors.items()}
+        return [a[slots] for a in arrays]
 
     def flush(*arrays):
         """Reduce the pending samples in one block and record them.  A slot with
@@ -410,7 +410,7 @@ def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat)
                     bad = ", ".join(name for name, value in zip(COLUMNS, row)
                                     if not math.isfinite(value))
                     reason = f"the diagnostics overflow at t = {t:.6g}: {bad}"
-                    overflows[b] = BreakdownInfo(t, k, reason)
+                    overflows[id(trajectory)] = BreakdownInfo(t, k, reason)
                     break
                 trajectory.samples.append(EnergySample(t, *row))
                 last = (t, state_u[b], state_ut[b])
@@ -419,44 +419,39 @@ def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat)
         pending.clear()
         return stop(overflows, *arrays) if overflows else arrays
 
+    def leave(infos: dict[int, BreakdownInfo], *arrays):
+        """Flush, then stop the runs of the slots in ``infos`` that the flush
+        kept; keyed by run, since a flush that drops a slot renumbers the rest."""
+        by_run = {id(live[b]): info for b, info in infos.items()}
+        return stop(by_run, *flush(*arrays))
+
     for k in range(n_steps + 1):  # k = 0 and k = n_steps always sample
         t = k * dt
         if not (np.isfinite(u_hat).all() and np.isfinite(ut_hat).all()):
-            u_hat, ut_hat = flush(u_hat, ut_hat)  # before any slot leaves
             reason = f"state became non-finite at step {k} (t = {t:.6g})"
             infos = {
                 b: BreakdownInfo(t, k, reason)
                 for b in range(len(live))
                 if not (np.isfinite(u_hat[b]).all() and np.isfinite(ut_hat[b]).all())
             }
-            if infos:
-                u_hat, ut_hat = stop(infos, u_hat, ut_hat)
+            u_hat, ut_hat = leave(infos, u_hat, ut_hat)
+        if not live:
+            return
         f_hat = None
         if k % config.sample_every == 0 or k == n_steps:
-            while live:
-                try:
-                    u, f, f_hat, u_min = stepper.force(t, u_hat)
-                    break
-                except PointBreakdowns as exc:
-                    if pending:  # then retry on the slots that remain
-                        u_hat, ut_hat = flush(u_hat, ut_hat)
-                    else:
-                        u_hat, ut_hat = stop(at_step(exc.errors, k), u_hat, ut_hat)
+            u, f, f_hat, u_min, failed = stepper.force(t, u_hat)
+            if failed:
+                infos = {b: BreakdownInfo(t, k, reason) for b, reason in failed.items()}
+                u_hat, ut_hat, u, f, f_hat, u_min = leave(infos, u_hat, ut_hat, u, f, f_hat, u_min)
             if live:
                 pending.append((k, t, u, f, u_hat, ut_hat, f_hat, u_min))
                 if len(pending) == depth or k == n_steps:
                     u_hat, ut_hat, f_hat = flush(u_hat, ut_hat, f_hat)
-        while live and k < n_steps:
-            try:
-                u_hat, ut_hat = stepper.advance(t, u_hat, ut_hat, f_hat)
-                break
-            except PointBreakdowns as exc:
-                if pending:  # then retry on the slots that remain
-                    u_hat, ut_hat, f_hat = flush(u_hat, ut_hat, f_hat)
-                else:
-                    u_hat, ut_hat, f_hat = stop(at_step(exc.errors, k), u_hat, ut_hat, f_hat)
-        if not live:
-            return
+        if live and k < n_steps:
+            u_hat, ut_hat, failed = stepper.advance(t, u_hat, ut_hat, f_hat)
+            if failed:
+                infos = {b: BreakdownInfo(t_f, k, reason) for b, (t_f, reason) in failed.items()}
+                u_hat, ut_hat = leave(infos, u_hat, ut_hat)
 
 
 def simulate_batch(u0, u1, params, sources, config: SolverConfig) -> list[Trajectory]:
@@ -488,7 +483,8 @@ def simulate_batch(u0, u1, params, sources, config: SolverConfig) -> list[Trajec
         stepper = _Stepper(params[batch], prepared[batch], config)
         u_hat = np.fft.rfftn(u0[batch], s=config.grid.shape, axes=(1, 2, 3))
         ut_hat = np.fft.rfftn(u1[batch], s=config.grid.shape, axes=(1, 2, 3))
-        # an overflow in the loop ends its run through the finiteness checks
+        # an overflow in the loop ends its run through the finiteness checks, and
+        # a failed force's slot holds no meaningful values until its run leaves
         with np.errstate(over="ignore", invalid="ignore"):
             _run_batch(trajectories[batch], stepper, u_hat, ut_hat)
     return trajectories
@@ -505,30 +501,3 @@ def simulate(u0, u1, params: ModelParams, source: SourceSpec, config: SolverConf
     """
     return simulate_batch(u0[None], u1[None], [params], [source], config)[0]
 
-
-def mean_mode_reference(trajectory: Trajectory) -> list[tuple[float, float]]:
-    """Duhamel quadrature for the mean: (2 omega)^-1 int (1 - e^{-2 omega (t-s)}) Fbar ds.
-
-    Valid for zero-mean initial data only; the recorded mean of u and the
-    stored mean of u_t at t = 0 must both vanish.
-    """
-    if not trajectory.samples:
-        raise ValueError("trajectory has no samples")
-    first = trajectory.samples[0]
-    tol = 1e-12
-    if abs(first.u_mean) > tol or abs(trajectory.u1_mean) > tol:
-        raise ValueError(
-            f"mean-mode reference needs zero-mean initial data, got means "
-            f"({first.u_mean:.3e}, {trajectory.u1_mean:.3e})"
-        )
-    omega = trajectory.params.omega
-    t = trajectory.times()
-    if t.size == 1:
-        return [(float(t[0]), 0.0)]
-    fbar = trajectory.series("f_mean")
-    # The trapezoid of (1 - e^{-2 omega (t_i - s)}) Fbar splits, trapezoids
-    # being linear, into the plain running integral of Fbar minus the damped
-    # one: the Gronwall recurrence with g0 = 0 and A = 0, then A = -2 omega.
-    plain = gronwall_bound(t, np.zeros(t.shape), fbar, 0.0)
-    damped = gronwall_bound(t, np.full(t.shape, -2.0 * omega), fbar, 0.0)
-    return [(float(ti), float(v)) for ti, v in zip(t, (plain - damped) / (2.0 * omega))]

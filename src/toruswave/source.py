@@ -31,18 +31,6 @@ import numpy.typing as npt
 from .fields import GridSpec, hm_norms, random_band_limited
 
 
-class BreakdownError(RuntimeError):
-    """The run cannot go on at time t: 1 + u > 0 failed, so (1 + u)^mu is
-    undefined, or the power overflows, or (in ``simulate``) the state became
-    non-finite, where u_min is nan, or its sampled norms overflow."""
-
-    def __init__(self, t: float, u_min: float, reason: str = ""):
-        self.t = float(t)
-        self.u_min = float(u_min)
-        self.reason = reason or f"1 + u reached {1.0 + u_min:.6g} at t = {t:.6g}"
-        super().__init__(self.reason)
-
-
 def derive_exponents(k_eos: float, omega: float) -> tuple[float, float]:
     """Decay rate and nonlinearity power implied by the equation of state.
 
@@ -168,22 +156,13 @@ def prepare_source(spec: SourceSpec, grid: GridSpec, m: int) -> PreparedSource:
     return PreparedSource(spec, raw * (spec.amplitude / norm))
 
 
-class PointBreakdowns(RuntimeError):
-    """Some runs of a batched force evaluation cannot go on: batch slot ->
-    that run's ``BreakdownError``.  The other runs are untouched."""
-
-    def __init__(self, errors: dict[int, BreakdownError]):
-        self.errors = errors
-        super().__init__("; ".join(f"slot {b}: {e.reason}" for b, e in errors.items()))
-
-
 def _integer(mu: float) -> bool:
     """mu is a nonnegative integer, whose power is defined for 1 + u of any sign."""
     return mu == int(mu) and mu >= 0.0
 
 
-def _power_breakdown(t: float, u_min: float, u_max: float, mu: float) -> BreakdownError | None:
-    """Why (1 + u)^mu fails for grid values in [u_min, u_max], or None.
+def _power_breakdown(t: float, u_min: float, u_max: float, mu: float) -> str | None:
+    """Why (1 + u)^mu fails at time t for grid values in [u_min, u_max], or None.
 
     For non-integer or negative mu the power needs 1 + u > 0; for mu < 0 it
     is largest where u is smallest, so (1 + u_min)^mu also decides whether it
@@ -198,16 +177,14 @@ def _power_breakdown(t: float, u_min: float, u_max: float, mu: float) -> Breakdo
         except OverflowError:
             largest = math.inf
         if not math.isfinite(largest):
-            reason = f"(1 + u)^mu overflows at t = {t:.6g}: max |1 + u| = {peak:.6g}, mu = {mu:g}"
-            return BreakdownError(t, u_min, reason)
+            return f"(1 + u)^mu overflows at t = {t:.6g}: max |1 + u| = {peak:.6g}, mu = {mu:g}"
         return None
     if 1.0 + u_min <= 0.0:
-        return BreakdownError(t, u_min)
+        return f"1 + u reached {1.0 + u_min:.6g} at t = {t:.6g}"
     try:
         (1.0 + u_min) ** mu  # the largest power if mu < 0; raises if it overflows
     except OverflowError:
-        reason = f"(1 + u)^mu overflows at t = {t:.6g}: 1 + u = {1.0 + u_min:.6g}, mu = {mu:g}"
-        return BreakdownError(t, u_min, reason)
+        return f"(1 + u)^mu overflows at t = {t:.6g}: 1 + u = {1.0 + u_min:.6g}, mu = {mu:g}"
     return None
 
 
@@ -218,31 +195,31 @@ def _power(base: npt.NDArray[np.float64], mu: float) -> npt.NDArray[np.float64]:
 def eval_prepared(t: float, u, params, prepared):
     """F(t, .) = exp(-kappa t) a(t, .) (1 + u)^mu on the grid, for B runs:
     ``u`` is their stack (B, n, n, n) of grid samples, ``params`` and
-    ``prepared`` sequences of B each.  Returns F's stack and the B grid
-    minima of u that the checks reduced.
+    ``prepared`` sequences of B each.  Returns F's stack, the B grid minima
+    of u that the checks reduced, and the reason of each slot whose power
+    fails (``_power_breakdown``), keyed by slot.
 
-    Every run is checked on its own slice (``_power_breakdown``): if any
-    fails, nothing is evaluated and ``PointBreakdowns`` names the failing
-    slots.  Each run's envelope exp(-kappa t) sigma(t) is a scalar, and one
-    power covers the stack when every run has the same mu, so a slice holds
-    the bits its run would get alone.
+    The power covers the whole stack, failing slots too: their base is set
+    to NaN first, which raises no floating-point warning where a negative or
+    overflowing power would, and their F is NaN, never to be read.  Each
+    run's envelope exp(-kappa t) sigma(t) is a scalar, and one power covers
+    the stack when every run has the same mu, so a slice holds the bits its
+    run would get alone.
     """
     if u.shape[1:] != prepared[0].profile.shape:
         raise ValueError(
             f"state shape {u.shape[1:]} does not match source grid {prepared[0].profile.shape[0]}"
         )
     mus = [p.mu for p in params]
-    lows = u.min(axis=(1, 2, 3)).tolist()
+    lows = u.min(axis=(1, 2, 3))
     # max u matters to integer powers only; the others skip that pass over the grid
-    highs = u.max(axis=(1, 2, 3)).tolist() if any(map(_integer, mus)) else lows
-    errors = {}
-    for b, (mu, low, high) in enumerate(zip(mus, lows, highs)):
-        error = _power_breakdown(t, low, high, mu)
-        if error is not None:
-            errors[b] = error
-    if errors:
-        raise PointBreakdowns(errors)
+    highs = u.max(axis=(1, 2, 3)) if any(map(_integer, mus)) else lows
+    reasons = [_power_breakdown(t, low, high, mu)
+               for low, high, mu in zip(lows.tolist(), highs.tolist(), mus)]
+    failed = {b: reason for b, reason in enumerate(reasons) if reason is not None}
     base = 1.0 + u
+    for b in failed:
+        base[b] = np.nan  # its F is never read; NaN goes through the power with no warning
     if mus.count(mus[0]) == len(mus):
         power = _power(base, mus[0])
     else:
@@ -252,4 +229,4 @@ def eval_prepared(t: float, u, params, prepared):
         envelope = float(np.exp(-p.kappa * t)) * q.sigma(t)
         np.multiply(envelope, q.profile, out=f[b])
     f *= power
-    return f, lows
+    return f, lows, failed

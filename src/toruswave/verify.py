@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibratedConstants, _refine
-from .estimates import BootstrapParams, damped_trapezoids, epsilon_budgets
+from .estimates import BootstrapParams, damped_trapezoids, epsilon_budgets, gronwall_bound
 from .fields import hm_norms, reduce_power, spectral_power
-from .solver import Trajectory, dealias_mask, mean_mode_reference
+from .solver import Trajectory, dealias_mask
 from .source import ModelParams
 
 ABS_TOL = 1e-9
@@ -232,6 +232,34 @@ def check_improved_estimates(
     worst_times.append(times[-1])
     tolerances.append(0.0)
     return _finish(check_id, worst_times, margins, tolerances)
+
+
+def mean_mode_reference(trajectory: Trajectory) -> list[tuple[float, float]]:
+    """Duhamel quadrature for the mean: (2 omega)^-1 int (1 - e^{-2 omega (t-s)}) Fbar ds.
+
+    Valid for zero-mean initial data only; the recorded mean of u and the
+    stored mean of u_t at t = 0 must both vanish.
+    """
+    if not trajectory.samples:
+        raise ValueError("trajectory has no samples")
+    first = trajectory.samples[0]
+    tol = 1e-12
+    if abs(first.u_mean) > tol or abs(trajectory.u1_mean) > tol:
+        raise ValueError(
+            f"mean-mode reference needs zero-mean initial data, got means "
+            f"({first.u_mean:.3e}, {trajectory.u1_mean:.3e})"
+        )
+    omega = trajectory.params.omega
+    t = trajectory.times()
+    if t.size == 1:
+        return [(float(t[0]), 0.0)]
+    fbar = trajectory.series("f_mean")
+    # The trapezoid of (1 - e^{-2 omega (t_i - s)}) Fbar splits, trapezoids
+    # being linear, into the plain running integral of Fbar minus the damped
+    # one: the Gronwall recurrence with g0 = 0 and A = 0, then A = -2 omega.
+    plain = gronwall_bound(t, np.zeros(t.shape), fbar, 0.0)
+    damped = gronwall_bound(t, np.full(t.shape, -2.0 * omega), fbar, 0.0)
+    return [(float(ti), float(v)) for ti, v in zip(t, (plain - damped) / (2.0 * omega))]
 
 
 def check_mean_mode(

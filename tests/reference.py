@@ -10,6 +10,9 @@ Two kinds live here, and both should stay dumb.
   package keeps every spectrum in the real-FFT half layout instead; this is
   the layout-free oracle its symbols, weights, norms and energies must
   reproduce.
+
+``block_sample`` is no reference: it is the package's own diagnostic row of
+one run at one sample time, which the oracles above are compared against.
 """
 
 import math
@@ -18,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from toruswave.energy import EnergySample
+from toruswave.energy import EnergySample, SampleBlock
 from toruswave.fields import VOLUME, GridSpec
 
 TWO_PI = 2.0 * np.pi
@@ -198,7 +201,7 @@ def padded_product(u, v):
 
 
 def sample_energies(t, u, ut, f, omega, m):
-    """The diagnostic row of ``energy.sample_half_spectrum`` from full spectra."""
+    """The diagnostic row of ``block_sample`` from full spectra."""
     n = u.shape[0]
     s, d = full_sobolev_weight(n, m), full_derivative_weight(n, m)
     g = full_derivative_weight(n, 1, lowest=1)
@@ -217,6 +220,15 @@ def sample_energies(t, u, ut, f, omega, m):
         f_mean=float(np.mean(f)),
         u_min=float(np.min(u)),
     )
+
+
+def block_sample(t, u, f, u_hat, ut_hat, f_hat, omega, m):
+    """The package's diagnostic row at one instant: an ``energy.SampleBlock`` of
+    one run reducing one entry, from the grid arrays ``u`` and ``f`` and the raw
+    ``np.fft.rfftn`` coefficients of u, u_t and F."""
+    block = SampleBlock(u.shape[0], [omega], [m])
+    entry = (u[None], f[None], u_hat[None], ut_hat[None], f_hat[None], [float(np.min(u))])
+    return EnergySample(float(t), *block.reduce([entry])[0, 0].tolist())
 
 
 def random_band_limited(grid, seed, band, amplitude=1.0, zero_mean=False):

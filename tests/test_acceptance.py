@@ -28,9 +28,14 @@ from toruswave.fields import (
     hm_norms,
     random_band_limited,
 )
-from toruswave.solver import SolverConfig, mean_mode_reference, simulate
+from toruswave.solver import SolverConfig, simulate
 from toruswave.source import ModelParams, SourceSpec
-from toruswave.verify import check_energy_differential, check_energy_integral, run_all
+from toruswave.verify import (
+    check_energy_differential,
+    check_energy_integral,
+    mean_mode_reference,
+    run_all,
+)
 from reference import padded_product, sample_energies, spectrum_norm, transform
 
 GRID16 = GridSpec(16)

@@ -7,6 +7,7 @@ its batch, including runs that break down before it, after it or at step 0.
 """
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -15,14 +16,7 @@ import pytest
 from toruswave import solver
 from toruswave.fields import GridSpec
 from toruswave.solver import SolverConfig, batch_size, simulate, simulate_batch
-from toruswave.source import (
-    BreakdownError,
-    ModelParams,
-    PointBreakdowns,
-    SourceSpec,
-    eval_prepared,
-    prepare_source,
-)
+from toruswave.source import ModelParams, SourceSpec, eval_prepared, prepare_source
 
 GRID = GridSpec(8)
 CONFIG = SolverConfig(grid=GRID, dt=0.05, t_end=3.0, sample_every=3)
@@ -103,11 +97,11 @@ def test_a_non_finite_slot_leaves_the_batch(monkeypatch):
     advance = solver._Stepper.advance
 
     def overflowing(self, t, *args):
-        u_hat, ut_hat = advance(self, t, *args)
+        u_hat, ut_hat, failed = advance(self, t, *args)
         if t == 7 * CONFIG.dt and broken in self.params:
             ut_hat = ut_hat.copy()
             ut_hat[self.params.index(broken), 0, 0, 0] = np.inf
-        return u_hat, ut_hat
+        return u_hat, ut_hat, failed
 
     monkeypatch.setattr(solver._Stepper, "advance", overflowing)
     runs = [RUNS[0], RUNS[1], RUNS[4]]
@@ -161,33 +155,31 @@ def test_batched_force_names_every_failing_slot():
     u = np.stack([wave(0.1), wave(1e110), np.full(GRID.shape, -1.0 + 1e-10), wave(2.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(PointBreakdowns) as info:
-            eval_prepared(0.5, u, params, prepared)
-    errors = info.value.errors
-    assert sorted(errors) == [1, 2, 3]
-    assert all(isinstance(e, BreakdownError) and e.t == 0.5 for e in errors.values())
-    assert "max |1 + u| = 1e+110" in errors[1].reason
-    assert "overflows" in errors[2].reason
-    assert errors[3].reason.startswith("1 + u reached")
+        _, _, failed = eval_prepared(0.5, u, params, prepared)
+    assert sorted(failed) == [1, 2, 3]
+    assert all("at t = 0.5" in reason for reason in failed.values())
+    assert "max |1 + u| = 1e+110" in failed[1]
+    assert "overflows" in failed[2]
+    assert failed[3].startswith("1 + u reached")
 
 
 def test_integer_power_overflow_is_a_breakdown():
-    # max |1 + u| = 1e110 cubed overflows: a BreakdownError naming the
-    # overflow, with no floating-point warning on the way
+    # max |1 + u| = 1e110 cubed overflows: a breakdown naming the overflow,
+    # with no floating-point warning on the way
     params = ModelParams(omega=0.5, kappa=0.5, mu=3.0)
     prepared = prepare_source(SourceSpec(amplitude=0.001), GRID, params.m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         overflow = r"overflows at t = 0\.25: max \|1 \+ u\| = 1e\+110"
-        with pytest.raises(PointBreakdowns, match=overflow) as info:
-            eval_prepared(0.25, wave(1e110)[None], [params], [prepared])
-        assert isinstance(info.value.errors[0], BreakdownError)  # the message is its reason
+        _, _, failed = eval_prepared(0.25, wave(1e110)[None], [params], [prepared])
+        assert list(failed) == [0] and re.search(overflow, failed[0])
         run = (wave(1e110), wave(0.0), params, SourceSpec(amplitude=0.001))
         trajectory = run_alone(run)
     assert trajectory.breakdown.step == 0 and "overflows" in trajectory.breakdown.reason
     assert trajectory.samples == [] and trajectory.final_state is None
     # below the overflow the integer power has no gate: 1 + u < 0 is fine
-    assert np.isfinite(eval_prepared(0.0, wave(1e100)[None], [params], [prepared])[0]).all()
+    f, _, failed = eval_prepared(0.0, wave(1e100)[None], [params], [prepared])
+    assert np.isfinite(f).all() and failed == {}
 
 
 # Deferred samples: the loop reduces its samples in blocks of up to
@@ -229,12 +221,12 @@ def patch_force_spectrum(monkeypatch, params, t_at, change):
     force = solver._Stepper.force
 
     def patched(self, t, u_hat):
-        u, f, f_hat, u_min = force(self, t, u_hat)
+        u, f, f_hat, u_min, failed = force(self, t, u_hat)
         b = slot_of(self, params)
         if abs(t - t_at) < 1e-9 and b is not None:
             f_hat = f_hat.copy()
             change(f_hat[b])
-        return u, f, f_hat, u_min
+        return u, f, f_hat, u_min, failed
 
     monkeypatch.setattr(solver._Stepper, "force", patched)
 
@@ -275,12 +267,12 @@ def test_overflow_in_the_middle_of_a_block(monkeypatch):
     advance = solver._Stepper.advance
 
     def overflowing(self, t, *args):
-        u_hat, ut_hat = advance(self, t, *args)
+        u_hat, ut_hat, failed = advance(self, t, *args)
         b = slot_of(self, RUNS[5][2])
         if abs(t - 16 * CONFIG.dt) < 1e-9 and b is not None:
             ut_hat = ut_hat.copy()
             ut_hat[b, 0, 0, 0] = np.inf
-        return u_hat, ut_hat
+        return u_hat, ut_hat, failed
 
     monkeypatch.setattr(solver._Stepper, "advance", overflowing)
     batch = run_both_ways(monkeypatch, runs)
@@ -304,22 +296,20 @@ def test_overflow_wins_over_a_later_breakdown_in_its_block(monkeypatch):
     advance = solver._Stepper.advance
 
     def shifting(self, t, *args):
-        u_hat, ut_hat = advance(self, t, *args)
+        u_hat, ut_hat, failed = advance(self, t, *args)
         b = slot_of(self, RUNS[1][2])
         if abs(t - 12 * CONFIG.dt) < 1e-9 and b is not None:
             u_hat = u_hat.copy()
             u_hat[b, 0, 0, 0] -= 10.0 * GRID.n**3
-        return u_hat, ut_hat
+        return u_hat, ut_hat, failed
 
     failed = []
     evaluate = solver.eval_prepared
 
     def recording(t, u, params, prepared):
-        try:
-            return evaluate(t, u, params, prepared)
-        except PointBreakdowns as exc:
-            failed.extend((t, params[b]) for b in exc.errors)
-            raise
+        f, u_min, reasons = evaluate(t, u, params, prepared)
+        failed.extend((t, params[b]) for b in reasons)
+        return f, u_min, reasons
 
     monkeypatch.setattr(solver._Stepper, "advance", shifting)
     monkeypatch.setattr(solver, "eval_prepared", recording)
@@ -348,5 +338,101 @@ def test_force_returns_the_minima_it_checked():
     params = [ModelParams(omega=0.5, kappa=0.25, mu=mu) for mu in (0.5, 2.0)]
     prepared = [prepare_source(SourceSpec(amplitude=0.5), GRID, p.m) for p in params]
     u = np.stack([wave(0.1), wave(0.4, 0.2)])
-    f, u_min = eval_prepared(0.5, u, params, prepared)
-    assert f.shape == u.shape and u_min == [float(np.min(x)) for x in u]
+    f, u_min, failed = eval_prepared(0.5, u, params, prepared)
+    assert f.shape == u.shape and u_min.tolist() == [float(np.min(x)) for x in u]
+    assert failed == {}
+
+
+# A failed force is a return value: ``eval_prepared`` evaluates every slot and
+# names the failing ones, ``advance`` reports each failing slot's force time,
+# and the loop flushes before the failing runs leave.
+
+FAILING = {
+    # (mu, grid values of the failing slot)
+    "negative-base": (0.5, wave(2.0)),
+    "zero-base": (-0.5, np.full(GRID.shape, -1.0)),
+    "overflow": (-40.0, np.full(GRID.shape, -1.0 + 1e-10)),
+    "integer-overflow": (3.0, wave(1e110)),
+}
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["one-mu", "three-mus"])
+@pytest.mark.parametrize("kind", sorted(FAILING))
+def test_a_failing_slot_leaves_the_other_slices_alone(kind, shared):
+    mu, bad = FAILING[kind]
+    mus = (mu, mu, mu) if shared else (0.5, mu, 2.0)
+    params = [ModelParams(omega=0.5, kappa=0.25, mu=m) for m in mus]
+    prepared = [prepare_source(SourceSpec(amplitude=0.5, preset="bump"), GRID, p.m) for p in params]
+    u = np.stack([wave(0.1), bad, wave(0.3, 0.2)])
+    assert np.geterr()["over"] == np.geterr()["invalid"] == np.geterr()["divide"] == "warn"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, u_min, failed = eval_prepared(0.5, u, params, prepared)
+        alone = [eval_prepared(0.5, u[b][None], [params[b]], [prepared[b]]) for b in (0, 2)]
+    assert list(failed) == [1] and "at t = 0.5" in failed[1]
+    for b, (f_b, u_min_b, failed_b) in zip((0, 2), alone):
+        assert failed_b == {}
+        assert np.array_equal(f[b], f_b[0]) and u_min[b] == u_min_b[0]
+
+
+def test_failed_forces_and_an_overflow_in_one_step(monkeypatch):
+    # in one batch, at step 13 (no sample step): run 0's sample at step 12 has
+    # overflowed, still deferred in a whole-run block; run 1's F(t_13) fails,
+    # since the step to 13 shifts its mean to -10; run 2's predictor fails at
+    # t_14, since that step gives it a mean velocity of -40; run 3 goes on
+    predictor_run = (wave(0.1), wave(0.0), ModelParams(omega=0.5, kappa=0.25, mu=-0.5),
+                     SourceSpec(amplitude=0.01))
+    runs = [RUNS[1], RUNS[0], predictor_run, RUNS[5]]
+    patch_force_spectrum(monkeypatch, RUNS[1][2], 0.6, lambda f_hat: f_hat.__setitem__((4, 0, 0), 1e200))
+    advance = solver._Stepper.advance
+
+    def kicking(self, t, *args):
+        u_hat, ut_hat, failed = advance(self, t, *args)
+        if abs(t - 12 * CONFIG.dt) < 1e-9:
+            u_hat, ut_hat = u_hat.copy(), ut_hat.copy()
+            for params, state, change in ((RUNS[0][2], u_hat, -10.0), (runs[2][2], ut_hat, -40.0)):
+                b = slot_of(self, params)
+                if b is not None:
+                    state[b, 0, 0, 0] += change * GRID.n**3
+        return u_hat, ut_hat, failed
+
+    monkeypatch.setattr(solver._Stepper, "advance", kicking)
+    batch = run_both_ways(monkeypatch, runs)
+    for got, run in zip(batch, runs):
+        assert_same_run(got, run_alone(run))
+    overflow, at_t, predictor, survivor = (t.breakdown for t in batch)
+    assert overflow == solver.BreakdownInfo(
+        0.6000000000000001, 12, "the diagnostics overflow at t = 0.6: f_hm"
+    )
+    assert (at_t.t, at_t.step) == (13 * CONFIG.dt, 13)
+    assert at_t.reason.startswith("1 + u reached") and at_t.reason.endswith("at t = 0.65")
+    assert (predictor.t, predictor.step) == (14 * CONFIG.dt, 13)
+    assert predictor.reason.startswith("1 + u reached") and predictor.reason.endswith("at t = 0.7")
+    assert survivor is None
+    assert [s.t for s in batch[1].samples] == [k * CONFIG.dt for k in range(0, 13, 3)]
+    monkeypatch.undo()
+    assert_same_run(batch[3], run_alone(runs[3]))
+
+
+def test_a_failed_force_at_t_wins_over_the_predictor(monkeypatch):
+    # max |1 + u| = 1e110 cubed overflows at F(t); the predictor built on that
+    # F is not finite, so it fails too: the step reports F(t)'s time and reason
+    params = ModelParams(omega=0.5, kappa=0.5, mu=3.0)
+    prepared = prepare_source(SourceSpec(amplitude=0.001), GRID, params.m)
+    stepper = solver._Stepper([params], [prepared], CONFIG)
+    calls = []
+    evaluate = solver.eval_prepared
+
+    def recording(t, *args):
+        result = evaluate(t, *args)
+        calls.append((t, result[2]))
+        return result
+
+    monkeypatch.setattr(solver, "eval_prepared", recording)
+    u_hat = np.fft.rfftn(wave(1e110))[None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, failed = stepper.advance(0.25, u_hat, np.zeros_like(u_hat))
+    (t0, first), (t1, predicted) = calls
+    assert (t0, t1) == (0.25, 0.25 + CONFIG.dt) and list(first) == list(predicted) == [0]
+    assert failed == {0: (0.25, first[0])} and "at t = 0.25:" in first[0]

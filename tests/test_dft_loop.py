@@ -96,7 +96,7 @@ def test_first_grid_above_the_crossover_is_numpy_fft_bit_for_bit():
     stepper = solver._Stepper([params, params], [prepared, prepared],
                               SolverConfig(grid=grid, dt=0.05, t_end=1.0))
     u_hat = np.fft.rfftn(0.1 * noise(n, 2), axes=(1, 2, 3))
-    u, f, f_hat, _ = stepper.force(0.3, u_hat)
+    u, f, f_hat, _, _ = stepper.force(0.3, u_hat)
     want_u = np.fft.irfftn(u_hat, s=grid.shape, axes=(1, 2, 3))
     assert np.array_equal(u, want_u)
     assert np.array_equal(f_hat, np.fft.rfftn(f, s=grid.shape, axes=(1, 2, 3)))

@@ -17,7 +17,7 @@ import pytest
 from toruswave import calibration, energy
 from toruswave.calibration import _embedding_extremizer, calibrate
 from toruswave.cli import CONSTANTS_ENV, run_scenario
-from toruswave.energy import modified_energy, sample_half_spectrum
+from toruswave.energy import modified_energy
 from toruswave.fields import (
     GridSpec,
     gradient_symbol,
@@ -27,17 +27,11 @@ from toruswave.fields import (
     random_band_limited,
 )
 from toruswave.solver import SolverConfig, SolverState, Trajectory, dealias_mask, simulate
-from toruswave.source import (
-    BreakdownError,
-    ModelParams,
-    PointBreakdowns,
-    SourceSpec,
-    eval_prepared,
-    prepare_source,
-)
+from toruswave.source import ModelParams, SourceSpec, eval_prepared, prepare_source
 from toruswave.verify import _spectral_tail_fraction, check_algebra_final
 import reference
 from reference import (
+    block_sample,
     full_dealias_mask,
     full_derivative_weight,
     full_laplacian_symbol,
@@ -97,7 +91,7 @@ def test_norm_weights_leave_no_block_arrays_cached():
     raw, raw_t = np.fft.rfftn(u), np.fft.rfftn(ut)
     hm_norms(raw, m)
     modified_energy(u, ut, 0.5, m)
-    sample_half_spectrum(0.0, u, u, raw, raw_t, raw, 0.5, m)
+    block_sample(0.0, u, u, raw, raw_t, raw, 0.5, m)
     assert norm_weights.cache_info().currsize == before + 2
     # and no module outside fields keeps a cache of its own
     for module in (calibration, energy):
@@ -135,7 +129,7 @@ def final_state_trajectory(u, m=3):
     return Trajectory(
         params=ModelParams(omega=0.5, kappa=0.25, mu=0.5, m=m),
         config=SolverConfig(GridSpec(u.shape[0]), dt=0.1, t_end=0.1),
-        samples=[sample_half_spectrum(0.1, u, u, raw, raw, raw, 0.5, m)],
+        samples=[block_sample(0.1, u, u, raw, raw, raw, 0.5, m)],
         final_state=SolverState(0.1, raw, raw),
     )
 
@@ -169,16 +163,14 @@ def overflow_case():
     return grid, params, SourceSpec(amplitude=0.5), u0
 
 
-def test_overflowing_power_raises_breakdown():
+def test_overflowing_power_reports_breakdown():
     grid, params, spec, u0 = overflow_case()
     prepared = prepare_source(spec, grid, params.m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(PointBreakdowns, match="overflow") as info:
-            eval_prepared(0.0, u0[None], [params], [prepared])
-    error = info.value.errors[0]
-    assert isinstance(error, BreakdownError)
-    assert error.t == 0.0 and error.u_min == pytest.approx(-1.0 + 1e-10)
+        _, u_min, failed = eval_prepared(0.0, u0[None], [params], [prepared])
+    assert list(failed) == [0] and "overflow" in failed[0]
+    assert "at t = 0:" in failed[0] and u_min[0] == pytest.approx(-1.0 + 1e-10)
 
 
 def test_overflowing_force_is_a_breakdown_not_an_error():

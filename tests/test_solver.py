@@ -22,10 +22,10 @@ from toruswave.solver import (
     Trajectory,
     _propagator_pieces,
     dealias_mask,
-    mean_mode_reference,
     simulate,
 )
 from toruswave.source import ModelParams, SourceSpec
+from toruswave.verify import mean_mode_reference
 from reference import transform
 
 

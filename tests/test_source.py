@@ -5,9 +5,7 @@ import pytest
 
 from toruswave.fields import GridSpec
 from toruswave.source import (
-    BreakdownError,
     ModelParams,
-    PointBreakdowns,
     SourceSpec,
     derive_exponents,
     eval_prepared,
@@ -79,8 +77,9 @@ class TestPreparation:
         grid = GridSpec(8)
         spec = SourceSpec(amplitude=0.0)
         params = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
-        f, _ = eval_prepared(0.7, zero_field(grid)[None], [params], [prepare_source(spec, grid, 3)])
-        assert np.all(f[0] == 0.0)
+        f, _, failed = eval_prepared(0.7, zero_field(grid)[None], [params],
+                                     [prepare_source(spec, grid, 3)])
+        assert np.all(f[0] == 0.0) and failed == {}
 
     def test_sigma_envelope_bounded(self):
         spec = SourceSpec(amplitude=1.0, sigma="cos", sigma_rate=0.9)
@@ -101,17 +100,15 @@ class TestEvaluation:
         expected = np.exp(-0.5) * profile * 1.44**0.5
         assert np.allclose(f, expected, rtol=1e-13)
 
-    def test_breakdown_raises_with_location_data(self):
+    def test_breakdown_returns_location_data(self):
         grid = GridSpec(8)
         params = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
         spec = SourceSpec(amplitude=1.0, preset="uniform")
         u = constant_field(grid, -1.25)
-        with pytest.raises(PointBreakdowns) as info:
-            eval_prepared(3.0, u[None], [params], [prepare_source(spec, grid, 3)])
-        error = info.value.errors[0]
-        assert isinstance(error, BreakdownError)
-        assert error.t == 3.0
-        assert error.u_min == pytest.approx(-1.25)
+        _, u_min, failed = eval_prepared(3.0, u[None], [params], [prepare_source(spec, grid, 3)])
+        assert list(failed) == [0]
+        assert failed[0] == "1 + u reached -0.25 at t = 3"
+        assert u_min[0] == pytest.approx(-1.25)
 
     def test_integer_power_skips_positivity_gate(self):
         grid = GridSpec(8)

@@ -15,7 +15,6 @@ import pytest
 
 from toruswave import solver
 from toruswave.cli import CONSTANTS_ENV, build_scenario, load_config
-from toruswave.energy import sample_half_spectrum
 from toruswave.fields import (
     GridSpec,
     hm_norms,
@@ -30,16 +29,10 @@ from toruswave.solver import (
     _propagator_pieces,
     simulate,
 )
-from toruswave.source import (
-    BreakdownError,
-    ModelParams,
-    PointBreakdowns,
-    SourceSpec,
-    eval_prepared,
-    prepare_source,
-)
+from toruswave.source import ModelParams, SourceSpec, eval_prepared, prepare_source
 from reference import (
     Spectrum,
+    block_sample,
     full_dealias_mask,
     full_derivative_weight,
     full_laplacian_symbol,
@@ -56,6 +49,14 @@ REL_LOOP = 1e-13
 REL_REDUCE = 1e-14
 
 
+class Breakdown(Exception):
+    """A force of the reference loop failed: its time and reason."""
+
+    def __init__(self, t, reason):
+        super().__init__(reason)
+        self.t, self.reason = t, reason
+
+
 def reference_simulate(u0, u1, params, spec, config):
     """The full-complex predictor-corrector loop: (samples, breakdown, final_state),
     the final state being the last recorded sample's, in the half layout and raw
@@ -68,11 +69,11 @@ def reference_simulate(u0, u1, params, spec, config):
     mask = full_dealias_mask(grid.n) if config.dealias else None
 
     def evaluate(t, u):
-        """F(t) of this one run on the grid; raises its ``BreakdownError``."""
-        try:
-            return eval_prepared(t, u[None], [params], [prepared])[0][0]
-        except PointBreakdowns as exc:
-            raise exc.errors[0] from None
+        """F(t) of this one run on the grid; raises ``Breakdown`` if it fails."""
+        f, _, failed = eval_prepared(t, u[None], [params], [prepared])
+        if failed:
+            raise Breakdown(t, failed[0])
+        return f[0]
 
     def force(t, u_hat):
         u = inverse_transform(Spectrum(grid, u_hat))
@@ -103,17 +104,17 @@ def reference_simulate(u0, u1, params, spec, config):
         if k % config.sample_every == 0:
             try:
                 state = record(k)
-            except BreakdownError as err:
+            except Breakdown as err:
                 return samples, BreakdownInfo(err.t, k, err.reason), state
         try:
             u_hat, ut_hat = advance(k * dt, u_hat, ut_hat)
-        except BreakdownError as err:
+        except Breakdown as err:
             return samples, BreakdownInfo(err.t, k, err.reason), state
         if not (np.isfinite(u_hat).all() and np.isfinite(ut_hat).all()):
             raise AssertionError("the reference runs here stay finite")
     try:
         return samples, None, record(config.n_steps)
-    except BreakdownError as err:
+    except Breakdown as err:
         return samples, BreakdownInfo(err.t, config.n_steps, err.reason), state
 
 
@@ -226,11 +227,11 @@ def test_non_finite_state_is_a_breakdown(monkeypatch, amplitude, step):
     advance = solver._Stepper.advance
 
     def overflowing(self, t, *args):
-        u_hat, ut_hat = advance(self, t, *args)
+        u_hat, ut_hat, failed = advance(self, t, *args)
         if t == (step - 1) * config.dt:
             ut_hat = ut_hat.copy()
             ut_hat[:, 0, 0, 0] = np.inf
-        return u_hat, ut_hat
+        return u_hat, ut_hat, failed
 
     monkeypatch.setattr(solver._Stepper, "advance", overflowing)
     traj = simulate(u0, u1, params, SourceSpec(amplitude=amplitude), config)
@@ -313,7 +314,7 @@ def test_half_layout_reduction_matches_full(n, m, weight):
 def test_half_spectrum_sample_matches_sample_energies(n, m):
     u, ut, f = white_noise(n, 7), white_noise(n, 8), white_noise(n, 9)
     want = sample_energies(0.25, u, ut, f, 0.62, m)
-    got = sample_half_spectrum(
+    got = block_sample(
         0.25, u, f, *(np.fft.rfftn(x) for x in (u, ut, f)), 0.62, m
     )
     assert got.t == want.t

@@ -14,12 +14,19 @@ import pytest
 
 from toruswave import calibration, verify
 from toruswave.calibration import SAFETY_MARGIN, calibrate
-from toruswave.energy import modified_energy, sample_half_spectrum
+from toruswave.energy import modified_energy
 from toruswave.fields import GridSpec, VOLUME, hm_norms, norm_weights
 from toruswave.solver import SolverConfig, SolverState, Trajectory
 from toruswave.source import ModelParams
 from toruswave.verify import check_algebra_final, check_wirtinger_final
-from reference import multi_indices, spectral_derivative, spectrum_norm, transform, white_noise
+from reference import (
+    block_sample,
+    multi_indices,
+    spectral_derivative,
+    spectrum_norm,
+    transform,
+    white_noise,
+)
 
 AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 REL = 1e-14
@@ -74,7 +81,7 @@ class TestMatchesDerivativeLoops:
     def test_standard_energy(self, n, m):
         u, ut = white_noise(n, 3), white_noise(n, 4)
         raw, raw_t = np.fft.rfftn(u), np.fft.rfftn(ut)
-        row = sample_half_spectrum(0.0, u, u, raw, raw_t, raw, OMEGA, m)
+        row = block_sample(0.0, u, u, raw, raw_t, raw, OMEGA, m)
         assert rel_err(row.e_std_sq, loop_standard_energy(u, ut, m)) <= REL
 
     def test_derivative_block_norm(self, n, m):
@@ -96,7 +103,7 @@ def test_wirtinger_gradient_matches_loop(n):
     trajectory = Trajectory(
         params=ModelParams(omega=OMEGA, kappa=0.3, mu=0.5),
         config=SolverConfig(grid, dt=0.1, t_end=0.1),
-        samples=[sample_half_spectrum(0.1, u, u, raw, raw, raw, OMEGA, 1)],
+        samples=[block_sample(0.1, u, u, raw, raw, raw, OMEGA, 1)],
         final_state=SolverState(0.1, raw, raw),
     )
     result = check_wirtinger_final(trajectory)
@@ -113,7 +120,7 @@ def test_one_hm_norm_bit_for_bit(n, m, monkeypatch):
     u = white_noise(n, 10 + m) / 16.0
     raw = np.fft.rfftn(u)
     norm = hm_norms(raw, m)[0]
-    sample = sample_half_spectrum(
+    sample = block_sample(
         0.1, u, f, raw, np.fft.rfftn(ut), np.fft.rfftn(f), OMEGA, m
     )
     assert sample.u_hm == norm

@@ -6,7 +6,7 @@ from .calibration import (
     load_constants,
     save_constants,
 )
-from .energy import EnergySample, modified_energy
+from .energy import modified_energy
 from .estimates import (
     BootstrapParams,
     epsilon_budgets,
@@ -33,7 +33,6 @@ __all__ = [
     "BreakdownInfo",
     "CalibratedConstants",
     "CheckResult",
-    "EnergySample",
     "GridSpec",
     "ModelParams",
     "SolverConfig",

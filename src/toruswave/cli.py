@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import CalibratedConstants, calibrate, load_constants, save_constants
-from .energy import modified_energy
+from .energy import COLUMNS, modified_energy
 from .estimates import BootstrapParams, epsilon_budgets, forcing_constant, h_threshold
 from .fields import GridSpec
 from .solver import SolverConfig, Trajectory, simulate, simulate_batch
@@ -530,13 +530,10 @@ def write_timeseries(path: Path, trajectory: Trajectory, e_m0: float) -> None:
     )
     # same per-sample condition the bootstrap check scores, margin >= -tol
     threshold = e_m0**2 * (1.0 + ABS_TOL)
-    for s in trajectory.samples:
-        ok = 1 if 0.5 * s.u_hm**2 <= threshold else 0
-        writer.writerow(
-            [_fmt(s.t), _fmt(math.sqrt(s.e_m_sq)), _fmt(s.e_m_sq), _fmt(s.e_std_sq),
-             _fmt(s.u_hm), _fmt(s.ut_hm), _fmt(s.f_hm), _fmt(s.u_mean),
-             _fmt(s.f_mean), _fmt(s.u_min), ok]
-        )
+    u_hm = 1 + COLUMNS.index("u_hm")
+    for row in trajectory.table.tolist():  # t, then COLUMNS: the header after Em
+        ok = 1 if 0.5 * row[u_hm] ** 2 <= threshold else 0
+        writer.writerow([_fmt(row[0]), _fmt(math.sqrt(row[1])), *map(_fmt, row[1:]), ok])
     path.write_text(buffer.getvalue())
 
 

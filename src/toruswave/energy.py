@@ -26,42 +26,22 @@ per-mode gradient symbol.  ``SampleBlock`` reads the coefficients the time
 loop keeps for a block of sample times and every run of a batch: it writes
 all their densities, both energies among them, with ``out=`` ufuncs into
 arrays of the whole block and reduces them in one stacked product per
-Sobolev order; the loop decides when a block is flushed and how deep it is
-(``solver``).
+Sobolev order; the loop decides when a block is flushed and how deep it is,
+and appends each run's rows, t first, to that run's table (``solver``).
 ``modified_energy`` transforms a pair of grid arrays once each, for the
 initial data a scenario scales to its target E_m.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import numpy.typing as npt
 
 from .fields import gradient_symbol, reduce_power, spectral_power
 
-
-@dataclass
-class EnergySample:
-    """Diagnostics recorded at one sample time along a trajectory.
-
-    Both energies are stored squared; norms are plain.  ``u_min`` is the grid
-    minimum of u, tracked because the nonlinearity needs 1 + u > 0.
-    """
-
-    t: float
-    e_m_sq: float
-    e_std_sq: float
-    u_hm: float
-    ut_hm: float
-    f_hm: float
-    u_mean: float
-    f_mean: float
-    u_min: float
-
-
-# The diagnostics of a sample after t: the fields of ``EnergySample`` in order.
+# The diagnostics of a sample time: the columns of ``SampleBlock``'s rows, and of
+# ``solver.Trajectory.table`` after t.  Both energies are squared, norms plain;
+# ``u_min`` is the grid minimum of u, since the nonlinearity needs 1 + u > 0.
 COLUMNS = ("e_m_sq", "e_std_sq", "u_hm", "ut_hm", "f_hm", "u_mean", "f_mean", "u_min")
 
 
@@ -78,12 +58,6 @@ def _density(u_hat, ut_hat, pu, pv, omega: float):
     return 0.5 * pv + 0.5 * omega * cross + (0.25 * omega**2 + 0.5 * g) * pu
 
 
-def _modified_sq(density, reduced) -> float:
-    """E_m^2 from the density and its row ``reduce_power(density, m)``: the
-    D_0 = S_0 term plus the blocks D_1 .. D_m."""
-    return float(reduce_power(density, 0)[0] + np.sum(reduced[1:]))
-
-
 def modified_energy(u, ut, omega: float, m: int = 0) -> float:
     """Squared modified energy E_m^2 of the grid arrays ``u`` and ``ut``,
     summed over multi-indices up to m."""
@@ -92,7 +66,8 @@ def modified_energy(u, ut, omega: float, m: int = 0) -> float:
     _check_omega(omega)
     u_hat, ut_hat = np.fft.rfftn(u), np.fft.rfftn(ut)
     density = _density(u_hat, ut_hat, spectral_power(u_hat), spectral_power(ut_hat), omega)
-    return _modified_sq(density, reduce_power(density, m))
+    # the D_0 = S_0 term plus the blocks D_1 .. D_m
+    return float(reduce_power(density, 0)[0] + np.sum(reduce_power(density, m)[1:]))
 
 
 class SampleBlock:

@@ -33,30 +33,30 @@ slice alone (a DFT product is a stack of one matrix product per slot, of the
 same shapes in any batch): a run gets the same bits in any batch,
 ``simulate`` is the batch of one, and ``simulate_batch`` serves a sweep.
 Each run keeps its own finiteness, positivity and overflow tests and its own
-samples; a run that breaks down leaves the batch.
+rows; a run that breaks down leaves the batch.
 ``BATCH_BYTES`` caps a batch, since stacking stops paying on bigger grids.
 
 The nonlinear product may be de-aliased with the standard 2/3-rule mask
 before injection.  The mask is folded into the cached forcing weights, and
 the zero mode is never touched by it, so the mean dynamics are unaffected.
 
-F(t_k) at a sample time serves both the sample and the step that starts
-there, so a run costs two force evaluations per step plus one for the final
-sample.  Samples are deferred: a sample time keeps the arrays force and state
-made for it (no step changes them in place) and the grid minima of u that the
+F(t_k) at a sample time serves both the sample and the step that starts there,
+so a run costs two force evaluations per step plus one for the final sample.
+Samples are deferred: a sample time keeps the arrays force and state made for
+it (no step changes them in place) and the grid minima of u that the
 positivity checks reduced, and ``energy.SampleBlock`` reduces a block of
-sample times for every run of the batch in one stacked pass.  A block is
-flushed when it is full, at the last step, and before any run leaves the
-batch.  A force returns the reasons of the runs it fails for beside its
-arrays, so every stage runs on all slots; the runs whose state is not finite
-or whose force failed leave right after the flush, keyed by run, since the
-flush may drop slots itself, and the others go on with the arrays made.  A
-run whose flushed row is not finite keeps the samples before it and the state
-of the last of them, and leaves with that overflow as its breakdown, so a
-failure it would meet later in the block never counts.  ``SAMPLE_BLOCK_BYTES``
-sets the block's depth, ``block_depth``: it spares the per-call overhead of
-small grids with frequent samples, and from n = 14 on a block is one sample
-time.
+sample times for every run of the batch in one stacked pass; each run's rows
+go to a list, which becomes its ``Trajectory.table`` when the batch is done.
+A block is flushed when it is full, at the last step, and before any run
+leaves the batch.  A force returns the reasons of the runs it fails for beside
+its arrays, so every stage runs on all slots; the runs whose state is not
+finite or whose force failed leave right after the flush, keyed by run, since
+the flush may drop slots itself, and the others go on with the arrays made.  A
+run whose flushed row is not finite keeps the rows before it and the state of
+the last of them, and leaves with that overflow as its breakdown, so a failure
+it would meet later in the block never counts.  ``SAMPLE_BLOCK_BYTES`` sets
+the block's depth, ``block_depth``: it spares the per-call overhead of small
+grids with frequent samples, and from n = 14 on a block is one sample time.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.typing as npt
 
-from .energy import COLUMNS, EnergySample, SampleBlock
+from .energy import COLUMNS, SampleBlock
 from .fields import GridSpec, laplacian_symbol
 from .source import ModelParams, SourceSpec, eval_prepared, prepare_source
 
@@ -165,21 +165,30 @@ class BreakdownInfo:
 
 @dataclass
 class Trajectory:
-    """Sampled diagnostics of one run plus enough context to verify it."""
+    """Sampled diagnostics of one run plus enough context to verify it: ``table``
+    has a row (t, *``energy.COLUMNS``) per sample time and is read-only, and
+    ``times`` and ``series`` are views of its columns."""
 
     params: ModelParams
     config: SolverConfig
-    samples: list[EnergySample]
+    table: npt.NDArray[np.float64]
     breakdown: BreakdownInfo | None = None
     source_amplitude: float = 0.0
     u1_mean: float = 0.0
     final_state: SolverState | None = None
 
     def times(self) -> npt.NDArray[np.float64]:
-        return np.array([s.t for s in self.samples])
+        return self.table[:, 0]
 
     def series(self, name: str) -> npt.NDArray[np.float64]:
-        return np.array([getattr(s, name) for s in self.samples])
+        return self.table[:, 1 + COLUMNS.index(name)]
+
+
+def _table(rows) -> npt.NDArray[np.float64]:
+    """The read-only ``Trajectory.table`` of ``rows``, column major: a series is contiguous."""
+    table = np.array(rows, dtype=np.float64, order="F").reshape(len(rows), 1 + len(COLUMNS))
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -367,11 +376,12 @@ def block_depth(n: int, runs: int) -> int:
 
 
 def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat) -> None:
-    """The time loop: fills the samples, breakdowns and final states of the
+    """The time loop: fills the tables, breakdowns and final states of the
     runs in ``trajectories``, whose stacked raw spectra are ``u_hat``, ``ut_hat``."""
     config = stepper.config
     dt, n_steps = config.dt, config.n_steps
     live = list(trajectories)  # the run in each slot
+    recorded = {id(trajectory): [] for trajectory in live}  # each run's rows [t, *COLUMNS]
     block = SampleBlock(config.grid.n, [p.omega for p in stepper.params],
                         [p.m for p in stepper.params])
     depth = block_depth(config.grid.n, len(live))
@@ -392,8 +402,8 @@ def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat)
         return [a[slots] for a in arrays]
 
     def flush(*arrays):
-        """Reduce the pending samples in one block and record them.  A slot with
-        a non-finite row keeps its samples before it and leaves with that
+        """Reduce the pending samples in one block and record their rows.  A slot
+        with a non-finite row keeps its rows before it and leaves with that
         overflow as its breakdown; returns ``arrays`` without those slots."""
         if not pending:
             return arrays
@@ -401,7 +411,7 @@ def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat)
         rows, finite = table.tolist(), np.isfinite(table).all(axis=-1).tolist()
         overflows = {}
         for b, trajectory in enumerate(live):
-            last = None
+            out, last = recorded[id(trajectory)], None
             for (k, t, _, _, state_u, state_ut, _, _), rows_k, finite_k in zip(
                 pending, rows, finite
             ):
@@ -412,7 +422,7 @@ def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat)
                     reason = f"the diagnostics overflow at t = {t:.6g}: {bad}"
                     overflows[id(trajectory)] = BreakdownInfo(t, k, reason)
                     break
-                trajectory.samples.append(EnergySample(t, *row))
+                out.append([t, *row])
                 last = (t, state_u[b], state_ut[b])
             if last is not None:
                 trajectory.final_state = SolverState(*last)
@@ -436,7 +446,7 @@ def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat)
             }
             u_hat, ut_hat = leave(infos, u_hat, ut_hat)
         if not live:
-            return
+            break
         f_hat = None
         if k % config.sample_every == 0 or k == n_steps:
             u, f, f_hat, u_min, failed = stepper.force(t, u_hat)
@@ -452,6 +462,8 @@ def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat)
             if failed:
                 infos = {b: BreakdownInfo(t_f, k, reason) for b, (t_f, reason) in failed.items()}
                 u_hat, ut_hat = leave(infos, u_hat, ut_hat)
+    for trajectory in trajectories:
+        trajectory.table = _table(recorded[id(trajectory)])
 
 
 def simulate_batch(u0, u1, params, sources, config: SolverConfig) -> list[Trajectory]:
@@ -461,7 +473,7 @@ def simulate_batch(u0, u1, params, sources, config: SolverConfig) -> list[Trajec
     ``sources`` hold B entries each.  The points go through ``_run_batch`` in
     contiguous batches of at most ``batch_size(n)``.  Each point gets the
     trajectory its solo run gets, bit for bit: a point that breaks down keeps
-    its samples, ``BreakdownInfo`` and final state and leaves the batch, the
+    its table, ``BreakdownInfo`` and final state and leaves the batch, the
     others go on.
     """
     u0, u1 = np.asarray(u0, dtype=np.float64), np.asarray(u1, dtype=np.float64)
@@ -473,7 +485,7 @@ def simulate_batch(u0, u1, params, sources, config: SolverConfig) -> list[Trajec
         )
     prepared = [prepare_source(s, config.grid, p.m) for s, p in zip(sources, params, strict=True)]
     trajectories = [
-        Trajectory(params=p, config=config, samples=[], source_amplitude=q.spec.amplitude,
+        Trajectory(params=p, config=config, table=_table([]), source_amplitude=q.spec.amplitude,
                    u1_mean=float(np.mean(v)))
         for p, q, v in zip(params, prepared, u1)
     ]
@@ -496,8 +508,8 @@ def simulate(u0, u1, params: ModelParams, source: SourceSpec, config: SolverConf
 
     A positivity, overflow or non-finite failure does not raise: the partial
     trajectory is returned with ``breakdown`` filled in.  Whether or not the
-    run breaks down, ``final_state`` is the state of the last recorded sample
-    (None if there is none), so its time is ``samples[-1].t``.
+    run breaks down, ``final_state`` is the state of the last row of ``table``
+    (None if there is none), so its time is ``times()[-1]``.
     """
     return simulate_batch(u0[None], u1[None], [params], [source], config)[0]
 

@@ -168,8 +168,10 @@ def _power_breakdown(t: float, u_min: float, u_max: float, mu: float) -> str | N
     is largest where u is smallest, so (1 + u_min)^mu also decides whether it
     overflows.  An integer mu >= 0 admits any sign, and its power is largest
     at max |1 + u|, which is |1 + u_min| or |1 + u_max| (rounding 1 + u keeps
-    the order of u).
+    the order of u).  A NaN in the grid makes u_min NaN: a failure for any mu.
     """
+    if math.isnan(u_min):
+        return f"u is not a number at t = {t:.6g}"
     if _integer(mu):
         peak = max(abs(1.0 + u_min), abs(1.0 + u_max))
         try:

@@ -240,17 +240,17 @@ def mean_mode_reference(trajectory: Trajectory) -> list[tuple[float, float]]:
     Valid for zero-mean initial data only; the recorded mean of u and the
     stored mean of u_t at t = 0 must both vanish.
     """
-    if not trajectory.samples:
+    t = trajectory.times()
+    if not t.size:
         raise ValueError("trajectory has no samples")
-    first = trajectory.samples[0]
+    u0_mean = trajectory.series("u_mean")[0]
     tol = 1e-12
-    if abs(first.u_mean) > tol or abs(trajectory.u1_mean) > tol:
+    if abs(u0_mean) > tol or abs(trajectory.u1_mean) > tol:
         raise ValueError(
             f"mean-mode reference needs zero-mean initial data, got means "
-            f"({first.u_mean:.3e}, {trajectory.u1_mean:.3e})"
+            f"({u0_mean:.3e}, {trajectory.u1_mean:.3e})"
         )
     omega = trajectory.params.omega
-    t = trajectory.times()
     if t.size == 1:
         return [(float(t[0]), 0.0)]
     fbar = trajectory.series("f_mean")
@@ -266,15 +266,14 @@ def check_mean_mode(
     trajectory: Trajectory, bootstrap: BootstrapParams | None = None
 ) -> CheckResult:
     check_id = "mean_mode"
-    first = trajectory.samples[0]
-    if abs(first.u_mean) > 1e-12 or abs(trajectory.u1_mean) > 1e-12:
+    recorded = trajectory.series("u_mean")
+    if abs(recorded[0]) > 1e-12 or abs(trajectory.u1_mean) > 1e-12:
         return _skip(
             check_id,
-            f"nonzero-mean initial data: mean(u0) = {first.u_mean:.3g}, "
+            f"nonzero-mean initial data: mean(u0) = {recorded[0]:.3g}, "
             f"mean(u1) = {trajectory.u1_mean:.3g}",
         )
     times = trajectory.times()
-    recorded = trajectory.series("u_mean")
     reference = np.array([value for _, value in mean_mode_reference(trajectory)])
     scale = max(np.max(np.abs(recorded)), np.max(np.abs(reference)), 1e-12)
 
@@ -381,7 +380,7 @@ def check_wirtinger_final(trajectory: Trajectory) -> CheckResult:
     rhs = hm_norms(u_hat, 1)[1]  # the D_1 block: ||grad u||
     scale = max(rhs, 1e-12)
     return _finish(
-        check_id, [trajectory.samples[-1].t], [(rhs - lhs) / scale], [ABS_TOL / scale]
+        check_id, [trajectory.times()[-1]], [(rhs - lhs) / scale], [ABS_TOL / scale]
     )
 
 
@@ -407,7 +406,7 @@ def check_algebra_final(
     rhs = constants.c_algebra * hm_norms(raw, m)[0] ** 2
     scale = max(rhs, 1e-12)
     return _finish(
-        check_id, [trajectory.samples[-1].t], [(rhs - lhs) / scale], [ABS_TOL / scale]
+        check_id, [trajectory.times()[-1]], [(rhs - lhs) / scale], [ABS_TOL / scale]
     )
 
 
@@ -526,7 +525,7 @@ def run_all(
     breakdown = ""
     if trajectory.breakdown is not None:
         breakdown = f"t = {trajectory.breakdown.t:.17g}: {trajectory.breakdown.reason}"
-    if not trajectory.samples:  # broke down before its first sample: nothing to check
+    if not len(trajectory.table):  # broke down before its first sample: nothing to check
         return VerificationReport(
             scenario=scenario,
             params=params,

@@ -13,18 +13,25 @@ Two kinds live here, and both should stay dumb.
 
 ``block_sample`` is no reference: it is the package's own diagnostic row of
 one run at one sample time, which the oracles above are compared against.
+``trajectory_from_rows`` builds the ``Trajectory`` a check reads from such rows.
 """
 
+import dataclasses
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from toruswave.energy import EnergySample, SampleBlock
+from toruswave.energy import COLUMNS, SampleBlock
 from toruswave.fields import VOLUME, GridSpec
+from toruswave.solver import Trajectory
 
 TWO_PI = 2.0 * np.pi
+
+# One row of ``Trajectory.table`` by name: t, then ``energy.COLUMNS``.
+Sample = namedtuple("Sample", ("t", *COLUMNS))
 
 
 def direct_dft(values):
@@ -209,7 +216,7 @@ def sample_energies(t, u, ut, f, omega, m):
     density = 0.5 * np.abs(vc) ** 2 + 0.5 * omega * (uc * np.conj(vc)).real
     density += (0.25 * omega**2 + 0.5 * g) * np.abs(uc) ** 2
     power = [np.abs(c) ** 2 for c in (uc, vc, fc)]
-    return EnergySample(
+    return Sample(
         t=float(t),
         e_m_sq=float(VOLUME * np.sum(d * density)),
         e_std_sq=0.5 * (VOLUME * np.sum(s * power[1]) + VOLUME * np.sum(s * g * power[0])),
@@ -228,7 +235,18 @@ def block_sample(t, u, f, u_hat, ut_hat, f_hat, omega, m):
     ``np.fft.rfftn`` coefficients of u, u_t and F."""
     block = SampleBlock(u.shape[0], [omega], [m])
     entry = (u[None], f[None], u_hat[None], ut_hat[None], f_hat[None], [float(np.min(u))])
-    return EnergySample(float(t), *block.reduce([entry])[0, 0].tolist())
+    return Sample(float(t), *block.reduce([entry])[0, 0].tolist())
+
+
+def trajectory_from_rows(rows, like=None, **fields):
+    """A ``Trajectory`` whose table holds ``rows`` (``Sample``s, or sequences of
+    t and the ``COLUMNS``), read-only as the loop leaves it; its other fields are
+    ``like``'s, if given, updated by ``fields``."""
+    table = np.array(rows, dtype=np.float64).reshape(len(rows), len(Sample._fields))
+    table.flags.writeable = False
+    if like is not None:
+        return dataclasses.replace(like, table=table, **fields)
+    return Trajectory(table=table, **fields)
 
 
 def random_band_limited(grid, seed, band, amplitude=1.0, zero_mean=False):

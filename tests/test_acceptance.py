@@ -5,7 +5,6 @@ PASSED/FAILED column carries the same information).  Tolerances and runtime
 budgets are part of the gate and must not be loosened to make a run fit.
 """
 
-import dataclasses
 import math
 import time
 
@@ -36,7 +35,14 @@ from toruswave.verify import (
     mean_mode_reference,
     run_all,
 )
-from reference import padded_product, sample_energies, spectrum_norm, transform
+from reference import (
+    Sample,
+    padded_product,
+    sample_energies,
+    spectrum_norm,
+    trajectory_from_rows,
+    transform,
+)
 
 GRID16 = GridSpec(16)
 REL_SLACK = 1e-9  # float headroom on inequalities that hold with real margin
@@ -206,12 +212,12 @@ def test_criterion_4_energy_checks_pass_then_catch_corruption(flagship):
     assert by_id["energy_integral"].passed
 
     omega = trajectory.params.omega
-    doctored = dataclasses.replace(
-        trajectory,
-        samples=[
-            dataclasses.replace(s, e_m_sq=s.e_m_sq * math.exp(omega * s.t))
-            for s in trajectory.samples
+    doctored = trajectory_from_rows(
+        [
+            s._replace(e_m_sq=s.e_m_sq * math.exp(omega * s.t))
+            for s in map(Sample._make, trajectory.table.tolist())
         ],
+        like=trajectory,
     )
     differential = check_energy_differential(doctored)
     integral = check_energy_integral(doctored)

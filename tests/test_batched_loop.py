@@ -58,7 +58,7 @@ def run_alone(run, config=CONFIG):
 
 
 def assert_same_run(got, want):
-    assert got.samples == want.samples  # dataclass equality: every float, exactly
+    assert np.array_equal(got.table, want.table)  # every float, exactly
     assert got.breakdown == want.breakdown
     assert got.source_amplitude == want.source_amplitude and got.u1_mean == want.u1_mean
     if want.final_state is None:
@@ -78,8 +78,8 @@ def test_every_run_of_a_batch_matches_its_solo_run():
         assert_same_run(got, want)
     # the batch covers what it claims: breakdowns at step 0 and part way, and
     # runs that go the distance
-    assert batch[2].breakdown.step == 0 and batch[2].samples == []
-    assert 0 < batch[3].breakdown.step < CONFIG.n_steps and batch[3].samples
+    assert batch[2].breakdown.step == 0 and len(batch[2].table) == 0
+    assert 0 < batch[3].breakdown.step < CONFIG.n_steps and len(batch[3].table)
     assert all(batch[i].breakdown is None for i in (0, 1, 4, 5))
 
 
@@ -176,7 +176,7 @@ def test_integer_power_overflow_is_a_breakdown():
         run = (wave(1e110), wave(0.0), params, SourceSpec(amplitude=0.001))
         trajectory = run_alone(run)
     assert trajectory.breakdown.step == 0 and "overflows" in trajectory.breakdown.reason
-    assert trajectory.samples == [] and trajectory.final_state is None
+    assert len(trajectory.table) == 0 and trajectory.final_state is None
     # below the overflow the integer power has no gate: 1 + u < 0 is fine
     f, _, failed = eval_prepared(0.0, wave(1e100)[None], [params], [prepared])
     assert np.isfinite(f).all() and failed == {}
@@ -240,8 +240,8 @@ def test_block_depth_defers_small_grids_only():
 def test_deferred_samples_of_a_solo_run_every_step(monkeypatch):
     config = SolverConfig(grid=GRID, dt=0.05, t_end=1.0, sample_every=1)
     (trajectory,) = run_both_ways(monkeypatch, [RUNS[1]], config)
-    assert trajectory.breakdown is None and len(trajectory.samples) == config.n_steps + 1
-    assert trajectory.final_state.t == trajectory.samples[-1].t == config.t_end
+    assert trajectory.breakdown is None and len(trajectory.table) == config.n_steps + 1
+    assert trajectory.final_state.t == trajectory.times()[-1] == config.t_end
 
 
 def test_deferred_samples_of_a_batch_with_mixed_orders(monkeypatch):
@@ -279,8 +279,8 @@ def test_overflow_in_the_middle_of_a_block(monkeypatch):
     assert batch[1].breakdown == solver.BreakdownInfo(
         0.6000000000000001, 12, "the diagnostics overflow at t = 0.6: f_hm"
     )
-    assert [s.t for s in batch[1].samples] == [k * CONFIG.dt for k in range(0, 12, 3)]
-    assert batch[1].final_state.t == batch[1].samples[-1].t
+    assert batch[1].times().tolist() == [k * CONFIG.dt for k in range(0, 12, 3)]
+    assert batch[1].final_state.t == batch[1].times()[-1]
     assert batch[2].breakdown.reason == "state became non-finite at step 17 (t = 0.85)"
     assert batch[0].breakdown is None
     monkeypatch.undo()
@@ -289,8 +289,9 @@ def test_overflow_in_the_middle_of_a_block(monkeypatch):
 
 def test_overflow_wins_over_a_later_breakdown_in_its_block(monkeypatch):
     # run 1's sample at t = 0.6 (step 12) overflows as above, and the step from
-    # there shifts its mean to -10, so the force of step 13 fails: in a block
-    # that still defers the sample, that failure comes first
+    # there shifts its mean to -10, so the force of step 13 fails, and the
+    # predictor built on its NaN force with it: in a block that still defers the
+    # sample, those failures come first
     runs = [RUNS[0], RUNS[1], RUNS[5]]
     patch_force_spectrum(monkeypatch, RUNS[1][2], 0.6, lambda f_hat: f_hat.__setitem__((4, 0, 0), 1e200))
     advance = solver._Stepper.advance
@@ -314,11 +315,11 @@ def test_overflow_wins_over_a_later_breakdown_in_its_block(monkeypatch):
     monkeypatch.setattr(solver._Stepper, "advance", shifting)
     monkeypatch.setattr(solver, "eval_prepared", recording)
     batch = run_both_ways(monkeypatch, runs)
-    assert [(round(t / CONFIG.dt), p) for t, p in failed] == [(13, RUNS[1][2])]
+    assert [(round(t / CONFIG.dt), p) for t, p in failed] == [(13, RUNS[1][2]), (14, RUNS[1][2])]
     assert batch[1].breakdown == solver.BreakdownInfo(
         0.6000000000000001, 12, "the diagnostics overflow at t = 0.6: f_hm"
     )
-    assert batch[1].samples[-1].t == 9 * CONFIG.dt == batch[1].final_state.t
+    assert batch[1].times()[-1] == 9 * CONFIG.dt == batch[1].final_state.t
     monkeypatch.undo()
     for i in (0, 2):
         assert_same_run(batch[i], run_alone(runs[i]))
@@ -330,8 +331,8 @@ def test_overflow_at_the_last_sample(monkeypatch):
     batch = run_both_ways(monkeypatch, runs)
     assert batch[0].breakdown.step == CONFIG.n_steps
     assert batch[0].breakdown.reason == "the diagnostics overflow at t = 3: f_hm"
-    assert batch[0].final_state.t == batch[0].samples[-1].t == (CONFIG.n_steps - 3) * CONFIG.dt
-    assert batch[1].breakdown is None and batch[1].samples[-1].t == CONFIG.t_end
+    assert batch[0].final_state.t == batch[0].times()[-1] == (CONFIG.n_steps - 3) * CONFIG.dt
+    assert batch[1].breakdown is None and batch[1].times()[-1] == CONFIG.t_end
 
 
 def test_force_returns_the_minima_it_checked():
@@ -375,6 +376,26 @@ def test_a_failing_slot_leaves_the_other_slices_alone(kind, shared):
         assert np.array_equal(f[b], f_b[0]) and u_min[b] == u_min_b[0]
 
 
+
+@pytest.mark.parametrize("mu", [1.0 / 3.0, 2.0], ids=["fractional-mu", "integer-mu"])
+def test_a_nan_slot_fails_with_one_reason_for_every_mu(mu):
+    # a NaN passes 1 + u <= 0 and a fractional power unnoticed, and reads as
+    # max |1 + u| = nan to an integer one: it is named as such for every mu
+    params = [ModelParams(omega=0.5, kappa=0.25, mu=mu) for _ in range(3)]
+    prepared = [prepare_source(SourceSpec(amplitude=0.5, preset="bump"), GRID, p.m) for p in params]
+    bad = wave(0.2)
+    bad[1, 2, 3] = np.nan
+    u = np.stack([wave(0.1), bad, wave(0.3, 0.2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, u_min, failed = eval_prepared(0.5, u, params, prepared)
+        alone = [eval_prepared(0.5, u[b][None], [params[b]], [prepared[b]]) for b in (0, 2)]
+    assert failed == {1: "u is not a number at t = 0.5"}
+    for b, (f_b, u_min_b, failed_b) in zip((0, 2), alone):
+        assert failed_b == {}
+        assert np.array_equal(f[b], f_b[0]) and u_min[b] == u_min_b[0]
+
+
 def test_failed_forces_and_an_overflow_in_one_step(monkeypatch):
     # in one batch, at step 13 (no sample step): run 0's sample at step 12 has
     # overflowed, still deferred in a whole-run block; run 1's F(t_13) fails,
@@ -409,7 +430,7 @@ def test_failed_forces_and_an_overflow_in_one_step(monkeypatch):
     assert (predictor.t, predictor.step) == (14 * CONFIG.dt, 13)
     assert predictor.reason.startswith("1 + u reached") and predictor.reason.endswith("at t = 0.7")
     assert survivor is None
-    assert [s.t for s in batch[1].samples] == [k * CONFIG.dt for k in range(0, 13, 3)]
+    assert batch[1].times().tolist() == [k * CONFIG.dt for k in range(0, 13, 3)]
     monkeypatch.undo()
     assert_same_run(batch[3], run_alone(runs[3]))
 

@@ -26,7 +26,7 @@ from toruswave.fields import (
     norm_weights,
     random_band_limited,
 )
-from toruswave.solver import SolverConfig, SolverState, Trajectory, dealias_mask, simulate
+from toruswave.solver import SolverConfig, SolverState, dealias_mask, simulate
 from toruswave.source import ModelParams, SourceSpec, eval_prepared, prepare_source
 from toruswave.verify import _spectral_tail_fraction, check_algebra_final
 import reference
@@ -37,6 +37,7 @@ from reference import (
     full_laplacian_symbol,
     full_sobolev_weight,
     spectrum_norm,
+    trajectory_from_rows,
     transform,
     white_noise,
 )
@@ -126,10 +127,10 @@ def test_field_family_is_a_stream():
 
 def final_state_trajectory(u, m=3):
     raw = np.fft.rfftn(u)
-    return Trajectory(
+    return trajectory_from_rows(
+        [block_sample(0.1, u, u, raw, raw, raw, 0.5, m)],
         params=ModelParams(omega=0.5, kappa=0.25, mu=0.5, m=m),
         config=SolverConfig(GridSpec(u.shape[0]), dt=0.1, t_end=0.1),
-        samples=[block_sample(0.1, u, u, raw, raw, raw, 0.5, m)],
         final_state=SolverState(0.1, raw, raw),
     )
 
@@ -183,7 +184,7 @@ def test_overflowing_force_is_a_breakdown_not_an_error():
         trajectory = simulate(u0, np.zeros(grid.shape), params, spec, config)
     assert trajectory.breakdown.t == 0.0 and trajectory.breakdown.step == 0
     assert "overflow" in trajectory.breakdown.reason
-    assert trajectory.samples == [] and trajectory.final_state is None
+    assert len(trajectory.table) == 0 and trajectory.final_state is None
 
 
 def test_no_full_complex_fft_runs(tmp_path, monkeypatch):

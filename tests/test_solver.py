@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from toruswave.energy import EnergySample
-
+from toruswave.energy import COLUMNS
 from toruswave.fields import (
     GridSpec,
     TWO_PI,
@@ -19,14 +18,13 @@ from toruswave.fields import (
 from toruswave.solver import (
     ZERO_MODE_SERIES_X,
     SolverConfig,
-    Trajectory,
     _propagator_pieces,
     dealias_mask,
     simulate,
 )
 from toruswave.source import ModelParams, SourceSpec
 from toruswave.verify import mean_mode_reference
-from reference import transform
+from reference import Sample, trajectory_from_rows, transform
 
 
 def free_mode_exact(v0, v1, n_sq, omega, t):
@@ -295,9 +293,9 @@ class TestMeanModeQuadrature:
         omega, fbar = 0.5, 0.3
         params = ModelParams(omega=omega, kappa=0.25, mu=0.5)
         times = np.linspace(0.0, 2000.0, 20001)
-        samples = [EnergySample(t, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, fbar, 0.0) for t in times]
+        samples = [Sample(t, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, fbar, 0.0) for t in times]
         config = SolverConfig(grid=GridSpec(8), dt=0.1, t_end=2000.0)
-        traj = Trajectory(params=params, config=config, samples=samples)
+        traj = trajectory_from_rows(samples, params=params, config=config)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = np.array([v for _, v in mean_mode_reference(traj)])
@@ -307,8 +305,8 @@ class TestMeanModeQuadrature:
     def test_single_sample(self):
         params = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
         config = SolverConfig(grid=GridSpec(8), dt=0.1, t_end=1.0)
-        sample = EnergySample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3, 0.0)
-        traj = Trajectory(params=params, config=config, samples=[sample])
+        sample = Sample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3, 0.0)
+        traj = trajectory_from_rows([sample], params=params, config=config)
         assert mean_mode_reference(traj) == [(0.0, 0.0)]
 
 
@@ -324,8 +322,43 @@ class TestBreakdown:
         assert traj.breakdown is not None
         # Mean crosses -1 when (1 - e^{-t}) = 1/4.
         assert traj.breakdown.t == pytest.approx(np.log(4.0 / 3.0), abs=0.05)
-        assert traj.samples[-1].t < 2.0
+        assert traj.times()[-1] < 2.0
         assert "1 + u" in traj.breakdown.reason
+
+
+
+class TestTable:
+    """``Trajectory.table``: one read-only row (t, *COLUMNS) per sample time."""
+
+    PARAMS = ModelParams(omega=0.5, kappa=0.25, mu=0.5)
+
+    def test_columns_are_read_only_views(self):
+        grid = GridSpec(8)
+        config = SolverConfig(grid=grid, dt=0.1, t_end=5.0, sample_every=3)
+        u0 = random_band_limited(grid, seed=1, band=2, amplitude=0.1)
+        traj = simulate(u0, np.zeros(grid.shape), self.PARAMS, SourceSpec(amplitude=0.01), config)
+        steps = [*range(0, config.n_steps, 3), config.n_steps]
+        assert traj.table.shape == (len(steps), 1 + len(COLUMNS))
+        assert traj.times().tolist() == [k * config.dt for k in steps]  # exactly
+        for i, name in enumerate(COLUMNS):
+            assert np.shares_memory(traj.series(name), traj.table)
+            assert np.array_equal(traj.series(name), traj.table[:, 1 + i])
+        with pytest.raises(ValueError, match="read-only"):
+            traj.times()[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            traj.series("e_m_sq")[:] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            traj.table[-1, -1] = 0.0
+
+    def test_a_run_without_samples_has_an_empty_table(self):
+        # 1 + u0 < 0: the run breaks down at step 0, before its first sample
+        grid = GridSpec(8)
+        config = SolverConfig(grid=grid, dt=0.1, t_end=1.0)
+        u0, u1 = np.full(grid.shape, -2.0), np.zeros(grid.shape)
+        traj = simulate(u0, u1, self.PARAMS, SourceSpec(amplitude=0.01), config)
+        assert traj.breakdown.step == 0
+        assert traj.table.shape == (0, 1 + len(COLUMNS))
+        assert traj.times().shape == traj.series("u_min").shape == (0,)
 
 
 class TestSamplingAndConfig:

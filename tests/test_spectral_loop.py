@@ -130,7 +130,7 @@ def assert_close(got, want, rel):
 def assert_matches_reference(traj, reference):
     samples, breakdown, final_state = reference
     assert traj.breakdown == breakdown
-    assert [s.t for s in traj.samples] == [s.t for s in samples]
+    assert traj.times().tolist() == [s.t for s in samples]
     for name in SERIES:
         assert_close(traj.series(name), [getattr(s, name) for s in samples], REL_LOOP)
     if final_state is None:
@@ -162,7 +162,7 @@ def test_simulate_matches_full_complex_loop(n, dealias, preset, mu):
     config = SolverConfig(grid=grid, dt=0.05, t_end=1.0, sample_every=3, dealias=dealias)
     u0, u1 = initial_data(grid)
     traj = simulate(u0, u1, params, spec, config)
-    assert traj.breakdown is None and len(traj.samples) == 8
+    assert traj.breakdown is None and len(traj.table) == 8
     assert_matches_reference(traj, reference_simulate(u0, u1, params, spec, config))
 
 
@@ -192,7 +192,7 @@ def test_breakdown_matches_full_complex_loop(kind):
     traj = simulate(u0, u1, params, spec, config)
     assert traj.breakdown.step == 2
     # one rule for every kind: the final state is the last recorded sample's
-    assert traj.final_state.t == traj.samples[-1].t
+    assert traj.final_state.t == traj.times()[-1]
     if kind == "at-sample":
         assert traj.final_state.t == pytest.approx(0.1) and traj.breakdown.t == pytest.approx(0.2)
     elif kind in ("step-start", "closing-sample"):
@@ -210,7 +210,7 @@ def test_breakdown_of_the_initial_data():
     u0 = np.full(grid.shape, -1.5)
     u1 = np.zeros(grid.shape)
     traj = simulate(u0, u1, params, spec, config)
-    assert traj.breakdown.step == 0 and traj.samples == [] and traj.final_state is None
+    assert traj.breakdown.step == 0 and len(traj.table) == 0 and traj.final_state is None
     assert_matches_reference(traj, reference_simulate(u0, u1, params, spec, config))
 
 
@@ -239,8 +239,8 @@ def test_non_finite_state_is_a_breakdown(monkeypatch, amplitude, step):
     assert traj.breakdown == BreakdownInfo(
         t, step, f"state became non-finite at step {step} (t = {t:.6g})"
     )
-    assert [s.t for s in traj.samples] == [k * config.dt for k in range(0, step, 2)]
-    assert traj.final_state.t == traj.samples[-1].t
+    assert traj.times().tolist() == [k * config.dt for k in range(0, step, 2)]
+    assert traj.final_state.t == traj.times()[-1]
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -254,7 +254,7 @@ def test_final_state_norm_is_the_last_sample_norm(monkeypatch, n, part):
     scenario = build_scenario(entries)
     traj = simulate(scenario.u0, scenario.u1, scenario.params, scenario.source, scenario.solver)
     assert traj.breakdown is None
-    assert hm_norms(traj.final_state.u_hat, scenario.params.m)[0] == traj.samples[-1].u_hm
+    assert hm_norms(traj.final_state.u_hat, scenario.params.m)[0] == traj.series("u_hm")[-1]
 
 
 def counted(monkeypatch, module, name, counts):

@@ -16,7 +16,7 @@ from toruswave import calibration, verify
 from toruswave.calibration import SAFETY_MARGIN, calibrate
 from toruswave.energy import modified_energy
 from toruswave.fields import GridSpec, VOLUME, hm_norms, norm_weights
-from toruswave.solver import SolverConfig, SolverState, Trajectory
+from toruswave.solver import SolverConfig, SolverState
 from toruswave.source import ModelParams
 from toruswave.verify import check_algebra_final, check_wirtinger_final
 from reference import (
@@ -24,6 +24,7 @@ from reference import (
     multi_indices,
     spectral_derivative,
     spectrum_norm,
+    trajectory_from_rows,
     transform,
     white_noise,
 )
@@ -100,10 +101,10 @@ def test_wirtinger_gradient_matches_loop(n):
     lhs = math.sqrt(loop_l2_sq(oscillatory))
     grid = GridSpec(u.shape[0])
     raw = np.fft.rfftn(u)
-    trajectory = Trajectory(
+    trajectory = trajectory_from_rows(
+        [block_sample(0.1, u, u, raw, raw, raw, OMEGA, 1)],
         params=ModelParams(omega=OMEGA, kappa=0.3, mu=0.5),
         config=SolverConfig(grid, dt=0.1, t_end=0.1),
-        samples=[block_sample(0.1, u, u, raw, raw, raw, OMEGA, 1)],
         final_state=SolverState(0.1, raw, raw),
     )
     result = check_wirtinger_final(trajectory)
@@ -139,10 +140,10 @@ def test_one_hm_norm_bit_for_bit(n, m, monkeypatch):
         return norms
 
     monkeypatch.setattr(verify, "hm_norms", recording)
-    trajectory = Trajectory(
+    trajectory = trajectory_from_rows(
+        [sample],
         params=ModelParams(omega=OMEGA, kappa=0.3, mu=0.5, m=m),
         config=SolverConfig(GridSpec(u.shape[0]), dt=0.1, t_end=0.1),
-        samples=[sample],
         final_state=SolverState(0.1, raw, np.fft.rfftn(ut)),
     )
     check_algebra_final(trajectory, constants)

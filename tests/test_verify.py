@@ -8,10 +8,10 @@ import pytest
 
 from toruswave import verify
 from toruswave.calibration import calibrate
-from toruswave.energy import EnergySample, modified_energy
+from toruswave.energy import modified_energy
 from toruswave.estimates import BootstrapParams, epsilon_budgets
 from toruswave.fields import VOLUME, GridSpec
-from toruswave.solver import SolverConfig, SolverState, Trajectory, simulate
+from toruswave.solver import SolverConfig, SolverState, simulate
 from toruswave.source import ModelParams, SourceSpec
 from toruswave.verify import (
     CheckResult,
@@ -25,6 +25,7 @@ from toruswave.verify import (
     check_wirtinger_final,
     run_all,
 )
+from reference import Sample, trajectory_from_rows
 
 GRID = GridSpec(8)
 OMEGA = 0.5
@@ -47,8 +48,13 @@ def long_config(dt=0.05):
     return SolverConfig(GRID, dt=dt, t_end=40.0, sample_every=4)
 
 
+def named_rows(trajectory):
+    """The rows of the trajectory's table as ``Sample``s."""
+    return [Sample(*row) for row in trajectory.table.tolist()]
+
+
 def make_bootstrap(trajectory, t1=2.0, eps_prime=0.1, c_delta=2.0):
-    e_m0 = math.sqrt(trajectory.samples[0].e_m_sq)
+    e_m0 = math.sqrt(trajectory.series("e_m_sq")[0])
     bp = BootstrapParams(
         e_m0=e_m0,
         delta=e_m0 / trajectory.params.omega,
@@ -123,10 +129,10 @@ def runaway_traj():
 def corrupted_traj(free_traj):
     omega = free_traj.params.omega
     samples = [
-        dataclasses.replace(s, e_m_sq=s.e_m_sq * math.exp(omega * s.t))
-        for s in free_traj.samples
+        s._replace(e_m_sq=s.e_m_sq * math.exp(omega * s.t))
+        for s in named_rows(free_traj)
     ]
-    return dataclasses.replace(free_traj, samples=samples)
+    return trajectory_from_rows(samples, like=free_traj)
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +162,7 @@ class TestEnergyDifferential:
         assert not result.passed and not result.skipped
 
     def test_skips_below_three_samples(self, free_traj):
-        stub = dataclasses.replace(free_traj, samples=free_traj.samples[:2])
+        stub = trajectory_from_rows(free_traj.table[:2], like=free_traj)
         result = check_energy_differential(stub)
         assert result.skipped and "3 samples" in result.reason
         assert math.isnan(result.worst_margin)
@@ -184,7 +190,7 @@ class TestBootstrap:
         assert t_max is None
 
     def test_skips_when_initial_data_gate_fails(self, mean_traj):
-        u0_norm = mean_traj.samples[0].u_hm
+        u0_norm = mean_traj.series("u_hm")[0]
         bp = BootstrapParams(
             e_m0=u0_norm / 8.0,
             delta=u0_norm,
@@ -220,7 +226,7 @@ class TestImprovedEstimates:
         assert result.skipped and "budget exceeded" in result.reason
 
     def test_skips_when_no_admissible_improvement(self, free_traj):
-        e_m0 = math.sqrt(free_traj.samples[0].e_m_sq)
+        e_m0 = math.sqrt(free_traj.series("e_m_sq")[0])
         # h(omega=1/2, t1=2) ~ 0.316, so 0.4 is past the threshold
         bp = BootstrapParams(
             e_m0=e_m0, delta=e_m0 / OMEGA, delta_prime=0.1,
@@ -237,10 +243,10 @@ class TestImprovedEstimates:
     def test_rejects_tampered_late_energy(self, forced_traj, forced_bp):
         # x16 quadruples E_m, lifting E(t1) ~ E(0)/e past (1 - eps') E(0)
         samples = [
-            dataclasses.replace(s, e_m_sq=16.0 * s.e_m_sq) if s.t >= forced_bp.t1 else s
-            for s in forced_traj.samples
+            s._replace(e_m_sq=16.0 * s.e_m_sq) if s.t >= forced_bp.t1 else s
+            for s in named_rows(forced_traj)
         ]
-        bad = dataclasses.replace(forced_traj, samples=samples)
+        bad = trajectory_from_rows(samples, like=forced_traj)
         result = check_improved_estimates(bad, forced_bp)
         assert not result.passed and not result.skipped
 
@@ -262,11 +268,9 @@ class TestMeanMode:
         assert result.skipped and "nonzero-mean" in result.reason
 
     def test_rejects_tampered_means(self, forced_traj, forced_bp):
-        samples = forced_traj.samples[:1] + [
-            dataclasses.replace(s, u_mean=s.u_mean + 0.05)
-            for s in forced_traj.samples[1:]
-        ]
-        bad = dataclasses.replace(forced_traj, samples=samples)
+        samples = named_rows(forced_traj)
+        samples[1:] = [s._replace(u_mean=s.u_mean + 0.05) for s in samples[1:]]
+        bad = trajectory_from_rows(samples, like=forced_traj)
         result = check_mean_mode(bad, forced_bp)
         assert not result.passed and not result.skipped
 
@@ -289,20 +293,20 @@ class TestAsymptotics:
 
     def test_rejects_non_decaying_velocity(self, free_traj):
         samples = [
-            dataclasses.replace(s, ut_hm=s.ut_hm + 1.0) if s.t >= 36.0 else s
-            for s in free_traj.samples
+            s._replace(ut_hm=s.ut_hm + 1.0) if s.t >= 36.0 else s
+            for s in named_rows(free_traj)
         ]
-        bad = dataclasses.replace(free_traj, samples=samples)
+        bad = trajectory_from_rows(samples, like=free_traj)
         result, _ = check_asymptotics(bad)
         assert not result.passed
 
     def test_rejects_growing_standard_energy(self, free_traj):
         omega = free_traj.params.omega
         samples = [
-            dataclasses.replace(s, e_std_sq=s.e_std_sq * math.exp(4.0 * omega * s.t) + 1.0)
-            for s in free_traj.samples
+            s._replace(e_std_sq=s.e_std_sq * math.exp(4.0 * omega * s.t) + 1.0)
+            for s in named_rows(free_traj)
         ]
-        bad = dataclasses.replace(free_traj, samples=samples)
+        bad = trajectory_from_rows(samples, like=free_traj)
         result, _ = check_asymptotics(bad)
         assert not result.passed
 
@@ -311,7 +315,7 @@ class TestAsymptotics:
         # the bound check_asymptotics compares the final deviation against
         times = trajectory.times()
         kappa = trajectory.params.kappa
-        e_m0 = math.sqrt(trajectory.samples[0].e_m_sq)
+        e_m0 = math.sqrt(trajectory.series("e_m_sq")[0])
         c1 = float(np.max(trajectory.series("f_hm") * np.exp(kappa * times)))
         start = times.size - max(2, int(verify.LATE_WINDOW * times.size))
         elapsed = times[start] - times[0]
@@ -323,8 +327,8 @@ class TestAsymptotics:
         # Subtracting the mean's share from the recorded ||u||^2 leaves a
         # residue of order sqrt(eps) ||u||, far above the threshold here; the
         # check must measure the oscillatory part directly instead.
-        c0 = settled_traj.samples[-1].u_mean
-        u_hm = settled_traj.samples[-1].u_hm
+        c0 = settled_traj.series("u_mean")[-1]
+        u_hm = settled_traj.series("u_hm")[-1]
         subtracted = math.sqrt(max(u_hm**2 - VOLUME * c0**2, 0.0))
         assert subtracted > 10.0 * self._flattening_threshold(settled_traj)
         result, c0_est = check_asymptotics(settled_traj)
@@ -346,7 +350,7 @@ class TestAsymptotics:
         stub = dataclasses.replace(free_traj, final_state=None)
         result, c0 = check_asymptotics(stub)
         assert result.skipped and "final state" in result.reason
-        assert c0 == free_traj.samples[-1].u_mean
+        assert c0 == free_traj.series("u_mean")[-1]
 
 
 class TestFinalStateChecks:
@@ -367,10 +371,10 @@ class TestFinalStateChecks:
         for j in range(8):
             x = grid.coordinates()[j % 3]
             raw = np.fft.rfftn(1.0 + eps * np.cos(x + j * math.pi / 4) + np.zeros(grid.shape))
-            trajectory = Trajectory(
+            trajectory = trajectory_from_rows(
+                [Sample(0.1, *[0.0] * 8)],
                 params=PARAMS,
                 config=SolverConfig(grid, dt=0.1, t_end=0.1),
-                samples=[EnergySample(0.1, *[0.0] * 8)],
                 final_state=SolverState(0.1, raw, raw),
             )
             assert check_wirtinger_final(trajectory).worst_margin >= 0.0

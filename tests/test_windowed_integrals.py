@@ -7,7 +7,6 @@ the recurrence must reproduce every pair's margin and tolerance, and with
 them each check's verdict and binding time.
 """
 
-import dataclasses
 import functools
 import math
 import warnings
@@ -27,11 +26,11 @@ from test_verify import (
     velocity_data,
 )
 from toruswave import verify
-from toruswave.energy import EnergySample
 from toruswave.fields import hm_norms
-from toruswave.solver import SolverConfig, SolverState, Trajectory, simulate
+from toruswave.solver import SolverConfig, SolverState, simulate
 from toruswave.source import ModelParams, SourceSpec
 from toruswave.verify import check_asymptotics, check_energy_integral, run_all
+from reference import Sample, trajectory_from_rows
 
 FORCING = SourceSpec(amplitude=0.0015, preset="uniform")
 REL = 1e-12
@@ -176,7 +175,7 @@ def sized_run(count):
     # P samples spanning at least 20/omega, so check_asymptotics runs as well
     every = -(-80 // (count - 1))
     traj = forced_run(0.5, 0.5 * every * (count - 1), every)
-    assert len(traj.samples) == count
+    assert len(traj.table) == count
     return traj
 
 
@@ -196,7 +195,7 @@ class TestAgainstPerPairQuadrature:
         t = short_last_traj.times()
         assert t[-1] - t[-2] < t[1] - t[0]
         assert breakdown_traj.breakdown is not None
-        assert len(breakdown_traj.samples) >= 3
+        assert len(breakdown_traj.table) >= 3
 
     def test_energy_integral_pairs(self, trajectory):
         expected, _ = loop_energy_integral(trajectory)
@@ -228,13 +227,11 @@ class TestAgainstPerPairQuadrature:
 
     def test_ties_bind_at_the_first_pair(self, free_traj):
         # an all-zero run ties every pair; a flat (i, j) list binds at (0, 10)
-        samples = [
-            EnergySample(s.t, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0) for s in free_traj.samples
-        ]
-        zero = dataclasses.replace(free_traj, samples=samples)
+        samples = [Sample(t, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0) for t in free_traj.times()]
+        zero = trajectory_from_rows(samples, like=free_traj)
         result = check_energy_integral(zero)
         assert result.passed and result.worst_margin == 0.0
-        assert result.worst_time == zero.samples[verify.PAIR_STRIDE].t
+        assert result.worst_time == zero.times()[verify.PAIR_STRIDE]
 
 
 class TestUndampedForcing:
@@ -283,7 +280,7 @@ def long_trajectory(count, t_end, omega=OMEGA, kappa=0.25, amplitude=0.0015):
     f_mean = amplitude * np.exp(-kappa * times)
     u_mean = f_mean / (2.0 * omega) * (1.0 - np.exp(-2.0 * omega * times))
     samples = [
-        EnergySample(*row, -0.01)
+        Sample(*row, -0.01)
         for row in zip(times, e_m_sq, e_std_sq, u_hm, ut_hm, forcing, u_mean, f_mean)
     ]
     params = ModelParams(omega=omega, kappa=kappa, mu=0.5)
@@ -294,9 +291,8 @@ def long_trajectory(count, t_end, omega=OMEGA, kappa=0.25, amplitude=0.0015):
         u_hat=np.fft.rfftn(np.full(GRID.shape, 1e-3) + 1e-30 * np.cos(x1)),
         ut_hat=np.zeros((GRID.n, GRID.n, GRID.n // 2 + 1), dtype=np.complex128),
     )
-    return Trajectory(
-        params=params, config=config, samples=samples, source_amplitude=amplitude,
-        final_state=final,
+    return trajectory_from_rows(
+        samples, params=params, config=config, source_amplitude=amplitude, final_state=final,
     )
 
 

@@ -11,36 +11,35 @@ it.  Anything downstream refuses constants calibrated on a different grid.
 Every transform here is a real FFT in the raw ``np.fft.rfftn`` half layout.
 ``calibrate`` walks the family once, one member at a time as
 ``_field_family`` yields it: each member is transformed and refined to the
-doubled grid once, and every composed field (1 + a u)^mu costs one ``rfftn``.
-``_refine`` is the package's one alias-free product: a product uv is the
-pointwise product of the refined samples of u and v, and on the doubled grid
-no mode of it aliases.  All norms of one spectrum, ||.||_{H^m} and the
-order-k blocks, come from ``fields.hm_norms``, the one product of its |c|^2
-with the weight matrix every norm and energy of the package reduces through.
-``verify.check_algebra_final`` measures ||u^2||_{H^m} with the same
-refinement and norms.
+doubled grid once (``fields.refine``), and every composed field
+(1 + a u)^mu costs one ``rfftn``.  All norms of one spectrum, ||.||_{H^m}
+and the order-k blocks, come from ``fields.hm_norms``, the one product of
+its |c|^2 with the weight matrix every norm and energy of the package
+reduces through.  ``verify.check_algebra_final`` measures ||u^2||_{H^m}
+with the same ``fields.product_norm``.
 
-When the process's CPU affinity allows two CPUs and the grid has at least
-``THREAD_MIN_N`` points per axis (the measured crossover: on smaller grids
-the thread hand-offs cost more than the second core gives), the members are
-split into two contiguous index ranges.  The calling thread measures the
-first and one extra thread the second, each with the same per-member code.
-Every constant is a maximum of per-member ratios, and a maximum is exact
-whatever order it is taken in, so the split gives the constants of one pass
-bit for bit.  Members are seeded by index, so each chunk draws its own; the
-second chunk refines the member before it once more for its first product
-pair, and the closing pair (last member, first member) is taken after both
-chunks have joined.  Per chunk, at most three refined fields are alive at a
-time: the first member's (in the chunk that holds it) and the previous
-one's, for the wrap-around pairs of the product ratio, and the current one.
+The family is measured in contiguous index ranges: one, or two from
+``THREAD_MIN_N`` points per axis when the process's CPU affinity allows two
+CPUs (the measured crossover: below it the thread hand-offs cost more than
+the second core gives).  The calling thread measures the first range and a
+one-worker ``ThreadPoolExecutor`` the second, under a copy of the caller's
+context (so its ``np.errstate``); the worker's exception is raised in the
+caller.  Every constant is a maximum of per-member ratios, and a maximum is
+exact whatever order it is taken in, so the constants are the same bit for
+bit.  Members are seeded by index, so each range draws its own; the second
+refines the member before it once more for its first product pair, and the
+closing pair (last member, first member) is taken after both ranges return.
+Per range, at most three refined fields are alive at a time: member 0's (in
+the range that holds it), the previous member's and the current one.
 """
 
 from __future__ import annotations
 
 import contextvars
+import math
 import os
-import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +48,7 @@ import numpy.typing as npt
 
 from .estimates import composition_envelope
 from .fields import GridSpec, _symbol_weight, hm_norms, norm_weights, random_band_limited
+from .fields import product_norm, refine
 
 SAFETY_MARGIN = 1.5
 FILE_FORMAT = "toruswave-constants-1"
@@ -88,22 +88,6 @@ class CalibratedConstants:
                 f"constants were calibrated for n = {self.grid_n}, m <= {self.m}; "
                 f"refusing a run at n = {grid.n}, m = {m}"
             )
-
-
-def _refine(raw: npt.NDArray[np.complex128], n: int) -> npt.NDArray[np.float64]:
-    """Samples on the 2n grid of the field whose raw ``np.fft.rfftn`` is ``raw``.
-
-    Zero padding in the half layout: the coefficients with |k_i| < n/2 move to
-    the (2n, 2n, n + 1) layout of the fine grid, the unpaired Nyquist index
-    n/2 is dropped on every axis, since it has no +n/2 partner, and the
-    factor 8 = (2n)^3 / n^3 carries the raw normalization to the finer grid.
-    """
-    half = n // 2
-    keep = np.r_[0:half, half + 1 : n]  # coarse indices with |k| < n/2
-    dest = np.r_[0:half, n + half + 1 : 2 * n]  # the same wavenumbers on the 2n grid
-    fine = np.zeros((2 * n, 2 * n, n + 1), dtype=np.complex128)
-    fine[dest[:, None], dest, :half] = 8.0 * raw[keep[:, None], keep, :half]
-    return np.fft.irfftn(fine, s=(2 * n,) * 3, axes=(0, 1, 2))
 
 
 def _embedding_extremizer(grid: GridSpec, m: int) -> npt.NDArray[np.float64]:
@@ -148,8 +132,7 @@ def _field_family(
 
 def _product_ratio(u, v, m: int) -> float:
     """||uv||_{H^m} / (||u||_{H^m} ||v||_{H^m}) for two (refined samples, H^m norm) pairs."""
-    product_norm = hm_norms(np.fft.rfftn(u[0] * v[0]), m)[0]
-    return product_norm / (u[1] * v[1])
+    return product_norm(u[0], v[0], m) / (u[1] * v[1])
 
 
 @dataclass
@@ -173,11 +156,11 @@ def _measure(grid: GridSpec, m: int, seed: int, n_fields: int, lo: int, hi: int)
     first = previous = None  # (refined samples, H^m norm) of members 0 and i - 1
     if lo > 0:
         raw = np.fft.rfftn(next(members))
-        previous = (_refine(raw, grid.n), hm_norms(raw, m)[0])
+        previous = (refine(raw, grid.n), hm_norms(raw, m)[0])
     for i, base in zip(range(lo, hi), members):
         raw = np.fft.rfftn(base)
         norm, *base_blocks = hm_norms(raw, m)
-        refined = _refine(raw, grid.n)
+        refined = refine(raw, grid.n)
         current = (refined, norm)
         sup = float(np.max(np.abs(base)))
         c_sobolev = max(c_sobolev, sup / norm)
@@ -203,32 +186,6 @@ def _measure(grid: GridSpec, m: int, seed: int, n_fields: int, lo: int, hi: int)
     return _ChunkMaxima(c_sobolev, c_algebra, c_moser, first, previous)
 
 
-def _start(fn: Callable, *args) -> Callable:
-    """Start ``fn(*args)`` on one extra thread, under a copy of the caller's
-    context so that its ``np.errstate`` holds there too.  The returned call
-    joins the thread and gives its result, or raises its exception here."""
-    context = contextvars.copy_context()
-    outcome = []
-
-    def run():
-        try:
-            outcome.append((True, context.run(fn, *args)))
-        except BaseException as exc:  # raised again in the caller, by join
-            outcome.append((False, exc))
-
-    thread = threading.Thread(target=run, name="toruswave-calibrate")
-    thread.start()
-
-    def join():
-        thread.join()
-        ok, value = outcome[0]
-        if not ok:
-            raise value
-        return value
-
-    return join
-
-
 def _cpus() -> int:
     """CPUs this process may run on; 1 where the platform has no affinity call."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -243,18 +200,17 @@ def calibrate(
     if n_fields < 4:
         raise ValueError(f"need at least 4 fields for a meaningful family, got {n_fields}")
     count = _family_size(n_fields)
-    if grid.n >= THREAD_MIN_N and _cpus() >= 2:
-        split = (count + 1) // 2  # the second range also refines member split - 1
-        for size in (grid.n, 2 * grid.n):  # build the cached weights once, not in both threads
-            norm_weights(size, m)
-        join_tail = _start(_measure, grid, m, seed, n_fields, split, count)
-        try:
-            head = _measure(grid, m, seed, n_fields, 0, split)
-        finally:
-            tail = join_tail()
-        chunks = [head, tail]
-    else:
-        chunks = [_measure(grid, m, seed, n_fields, 0, count)]
+    split = [(count + 1) // 2] if grid.n >= THREAD_MIN_N and _cpus() >= 2 else []
+    bounds = [0, *split, count]  # a later range also refines the member before it
+    for size in (grid.n, 2 * grid.n):  # build the cached weights once, before any worker
+        norm_weights(size, m)
+    with ThreadPoolExecutor(1, thread_name_prefix="toruswave-calibrate") as pool:
+        later = [
+            pool.submit(contextvars.copy_context().run, _measure, grid, m, seed, n_fields, lo, hi)
+            for lo, hi in zip(bounds[1:-1], bounds[2:])
+        ]
+        chunks = [_measure(grid, m, seed, n_fields, bounds[0], bounds[1])]
+        chunks += [future.result() for future in later]
     closing = _product_ratio(chunks[-1].last, chunks[0].first, m)  # (last member, first)
 
     return CalibratedConstants(
@@ -301,16 +257,13 @@ def load_constants(path: str | Path) -> CalibratedConstants:
         )
     try:
         m = int(entries["m"])
-        moser = {k: float(entries[f"c_moser_{k}"]) for k in range(1, m + 1)}
-        return CalibratedConstants(
-            grid_n=int(entries["grid_n"]),
-            m=m,
-            seed=int(entries["seed"]),
-            n_fields=int(entries["n_fields"]),
-            safety=float(entries["safety"]),
-            c_sobolev=float(entries["c_sobolev"]),
-            c_algebra=float(entries["c_algebra"]),
-            c_moser=moser,
-        )
+        keys = ["safety", "c_sobolev", "c_algebra", *(f"c_moser_{k}" for k in range(1, m + 1))]
+        scales = {key: float(entries[key]) for key in keys}
+        header = {key: int(entries[key]) for key in ("grid_n", "m", "seed", "n_fields")}
     except KeyError as exc:
         raise ValueError(f"{path}: missing required key {exc.args[0]!r}") from exc
+    for key, value in scales.items():
+        if not 0.0 < value < math.inf:  # NaN fails it too
+            raise ValueError(f"{path}: {key} must be a finite number > 0, got {entries[key]!r}")
+    moser = {k: scales.pop(f"c_moser_{k}") for k in range(1, m + 1)}
+    return CalibratedConstants(**header, **scales, c_moser=moser)

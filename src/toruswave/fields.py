@@ -41,6 +41,11 @@ density by density, so a norm has the same bits whichever stack it is in.
 The conventions stay apart because moving S_m would move the embedding
 extremizer, hence ``c_sobolev`` and every ``budget:``-scaled amplitude; both
 agree on fields without Nyquist content.
+
+``refine`` is the package's one alias-free product: a product uv is the
+pointwise product of the refined samples of u and v, and on the doubled grid
+no mode of it aliases.  ``product_norm`` takes its H^m norm, for the
+calibrated algebra constant and for the final-state check against it.
 """
 
 from __future__ import annotations
@@ -165,6 +170,28 @@ def hm_norms(raw: npt.NDArray[np.complex128], m: int) -> list[float]:
     """[||u||_{H^m}, ||D_1 u||, ..., ||D_m u||] of the field whose raw
     ``np.fft.rfftn`` is ``raw``; ||D_k u||^2 is the sum of ||d^a u||^2 over |a| = k."""
     return np.sqrt(reduce_power(spectral_power(raw), m)).tolist()
+
+
+def refine(raw: npt.NDArray[np.complex128], n: int) -> npt.NDArray[np.float64]:
+    """Samples on the 2n grid of the field whose raw ``np.fft.rfftn`` is ``raw``.
+
+    Zero padding in the half layout: the coefficients with |k_i| < n/2 move to
+    the (2n, 2n, n + 1) layout of the fine grid, the unpaired Nyquist index
+    n/2 is dropped on every axis, since it has no +n/2 partner, and the
+    factor 8 = (2n)^3 / n^3 carries the raw normalization to the finer grid.
+    """
+    half = n // 2
+    keep = np.r_[0:half, half + 1 : n]  # coarse indices with |k| < n/2
+    dest = np.r_[0:half, n + half + 1 : 2 * n]  # the same wavenumbers on the 2n grid
+    fine = np.zeros((2 * n, 2 * n, n + 1), dtype=np.complex128)
+    fine[dest[:, None], dest, :half] = 8.0 * raw[keep[:, None], keep, :half]
+    return np.fft.irfftn(fine, s=(2 * n,) * 3, axes=(0, 1, 2))
+
+
+def product_norm(u: npt.NDArray[np.float64], v: npt.NDArray[np.float64], m: int) -> float:
+    """||uv||_{H^m} for samples ``u``, ``v`` on one grid; alias-free when both
+    come from ``refine``."""
+    return hm_norms(np.fft.rfftn(u * v), m)[0]
 
 
 def random_band_limited(

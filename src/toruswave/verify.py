@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CalibratedConstants, _refine
+from .calibration import CalibratedConstants
 from .estimates import BootstrapParams, damped_trapezoids, epsilon_budgets, gronwall_bound
-from .fields import hm_norms, reduce_power, spectral_power
+from .fields import hm_norms, product_norm, reduce_power, refine, spectral_power
 from .solver import Trajectory, dealias_mask
 from .source import ModelParams
 
@@ -234,7 +234,7 @@ def check_improved_estimates(
     return _finish(check_id, worst_times, margins, tolerances)
 
 
-def mean_mode_reference(trajectory: Trajectory) -> list[tuple[float, float]]:
+def mean_mode_reference(trajectory: Trajectory) -> np.ndarray:
     """Duhamel quadrature for the mean: (2 omega)^-1 int (1 - e^{-2 omega (t-s)}) Fbar ds.
 
     Valid for zero-mean initial data only; the recorded mean of u and the
@@ -252,14 +252,14 @@ def mean_mode_reference(trajectory: Trajectory) -> list[tuple[float, float]]:
         )
     omega = trajectory.params.omega
     if t.size == 1:
-        return [(float(t[0]), 0.0)]
+        return np.zeros(1)
     fbar = trajectory.series("f_mean")
     # The trapezoid of (1 - e^{-2 omega (t_i - s)}) Fbar splits, trapezoids
     # being linear, into the plain running integral of Fbar minus the damped
     # one: the Gronwall recurrence with g0 = 0 and A = 0, then A = -2 omega.
     plain = gronwall_bound(t, np.zeros(t.shape), fbar, 0.0)
     damped = gronwall_bound(t, np.full(t.shape, -2.0 * omega), fbar, 0.0)
-    return [(float(ti), float(v)) for ti, v in zip(t, (plain - damped) / (2.0 * omega))]
+    return (plain - damped) / (2.0 * omega)
 
 
 def check_mean_mode(
@@ -274,7 +274,7 @@ def check_mean_mode(
             f"mean(u1) = {trajectory.u1_mean:.3g}",
         )
     times = trajectory.times()
-    reference = np.array([value for _, value in mean_mode_reference(trajectory)])
+    reference = mean_mode_reference(trajectory)
     scale = max(np.max(np.abs(recorded)), np.max(np.abs(reference)), 1e-12)
 
     omega = trajectory.params.omega
@@ -401,8 +401,8 @@ def check_algebra_final(
         )
     # measured as calibrate measures c_algebra: refined once, u^2 on the doubled grid
     raw = trajectory.final_state.u_hat
-    refined = _refine(raw, n)
-    lhs = hm_norms(np.fft.rfftn(refined * refined), m)[0]
+    refined = refine(raw, n)
+    lhs = product_norm(refined, refined, m)
     rhs = constants.c_algebra * hm_norms(raw, m)[0] ** 2
     scale = max(rhs, 1e-12)
     return _finish(

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from toruswave import fields
 from toruswave.calibration import (
     SAFETY_MARGIN,
     CalibratedConstants,
     _embedding_extremizer,
-    _refine,
     calibrate,
     load_constants,
     save_constants,
@@ -18,8 +18,8 @@ from reference import padded_product, spectrum_norm, transform
 
 
 def refine(u):
-    """``u`` sampled on the doubled grid, through ``calibration._refine``."""
-    return _refine(np.fft.rfftn(u), u.shape[0])
+    """``u`` sampled on the doubled grid, through ``fields.refine``."""
+    return fields.refine(np.fft.rfftn(u), u.shape[0])
 
 
 def sup(u):

@@ -16,13 +16,12 @@ import numpy as np
 import pytest
 
 from test_cli import make_cfg
-from toruswave import calibration
+from toruswave import calibration, fields
 from toruswave.calibration import (
     _CALIBRATION_AMPLITUDES,
     _CALIBRATION_EXPONENTS,
     SAFETY_MARGIN,
     _embedding_extremizer,
-    _refine,
     calibrate,
 )
 from toruswave.cli import CONSTANTS_ENV, run_scenario
@@ -163,8 +162,8 @@ def test_smallest_grid_runs_without_constants_file(tmp_path, monkeypatch):
 
 
 def refine(u):
-    """``u`` sampled on the doubled grid, through ``calibration._refine``."""
-    return _refine(np.fft.rfftn(u), u.shape[0])
+    """``u`` sampled on the doubled grid, through ``fields.refine``."""
+    return fields.refine(np.fft.rfftn(u), u.shape[0])
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])

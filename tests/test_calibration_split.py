@@ -109,14 +109,14 @@ def test_worker_exception_reaches_the_caller(monkeypatch, started):
     class Boom(Exception):
         pass
 
-    refine = calibration._refine
+    refine = calibration.refine
 
     def failing(raw, n):
         if in_worker():
             raise Boom("in the extra thread")
         return refine(raw, n)
 
-    monkeypatch.setattr(calibration, "_refine", failing)
+    monkeypatch.setattr(calibration, "refine", failing)
     monkeypatch.setattr(calibration, "THREAD_MIN_N", 4)
     set_cpus(monkeypatch, 2)
     with pytest.raises(Boom, match="in the extra thread"):
@@ -124,15 +124,35 @@ def test_worker_exception_reaches_the_caller(monkeypatch, started):
     assert len(started) == 1 and not started[0].is_alive()
 
 
+def test_caller_exception_reaches_the_caller_after_the_worker_ends(monkeypatch, started):
+    class Boom(Exception):
+        pass
+
+    refine = calibration.refine
+
+    def failing(raw, n):
+        if not in_worker():
+            raise Boom("in the calling thread")
+        return refine(raw, n)
+
+    monkeypatch.setattr(calibration, "refine", failing)
+    monkeypatch.setattr(calibration, "THREAD_MIN_N", 4)
+    set_cpus(monkeypatch, 2)
+    with pytest.raises(Boom, match="in the calling thread"):
+        calibrate(GridSpec(8), 2)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert not [t for t in threading.enumerate() if t.name.startswith("toruswave-calibrate")]
+
+
 def test_worker_runs_under_the_callers_errstate(monkeypatch, started):
     seen = []
-    refine = calibration._refine
+    refine = calibration.refine
 
     def recording(raw, n):
         seen.append((in_worker(), np.geterr()))
         return refine(raw, n)
 
-    monkeypatch.setattr(calibration, "_refine", recording)
+    monkeypatch.setattr(calibration, "refine", recording)
     monkeypatch.setattr(calibration, "THREAD_MIN_N", 4)
     set_cpus(monkeypatch, 2)
     with np.errstate(all="raise", under="ignore"):

@@ -302,6 +302,24 @@ class TestRunScenario:
         assert run_scenario(str(cfg), tmp_path / "out") == 3
         assert "calibrated for n = 8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value", [("c_moser_2", "nan"), ("c_algebra", "inf"), ("safety", "0"), ("c_sobolev", "-inf")]
+    )
+    def test_constant_not_finite_and_positive_exits_3(
+        self, tmp_path, constants_file, capsys, key, value
+    ):
+        # a NaN c_moser_2 once passed every check: max() skips it in fractional_constant
+        lines = [
+            f"{key} = {value}" if line.startswith(f"{key} =") else line
+            for line in constants_file.read_text().splitlines()
+        ]
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        cfg = make_cfg(tmp_path, bad)
+        assert run_scenario(str(cfg), tmp_path / "out") == 3
+        assert f"{key} must be a finite number > 0, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_order_above_the_constants_exits_3_before_the_weights(
         self, tmp_path, constants_file, capsys, monkeypatch
     ):

@@ -9,7 +9,6 @@ that toolkit.
 import numpy as np
 import pytest
 
-from toruswave.calibration import _refine
 from toruswave.cli import _initial_field
 from toruswave.fields import (
     GridSpec,
@@ -18,6 +17,7 @@ from toruswave.fields import (
     hm_norms,
     norm_weights,
     random_band_limited,
+    refine,
 )
 from toruswave.verify import _oscillatory
 from reference import (
@@ -242,7 +242,7 @@ class TestPadding:
         x1, x2, _ = grid.coordinates()
         u = np.broadcast_to(np.cos(3 * x1), grid.shape)
         v = np.broadcast_to(np.cos(2 * x1) * np.sin(x2), grid.shape)
-        product = _refine(np.fft.rfftn(u), 8) * _refine(np.fft.rfftn(v), 8)
+        product = refine(np.fft.rfftn(u), 8) * refine(np.fft.rfftn(v), 8)
         assert product.shape == GridSpec(16).shape
         y1, y2, _ = GridSpec(16).coordinates()
         expected = np.cos(3 * y1) * np.cos(2 * y1) * np.sin(y2)

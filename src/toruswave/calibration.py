@@ -4,9 +4,15 @@ The discrete embedding sup|u| <= C ||u||_{H^m}, the product bound
 ||uv||_{H^m} <= C ||u||_{H^m} ||v||_{H^m}, and the per-order composition
 bounds behind the fractional-power estimate all hold on a fixed grid with
 constants nobody should guess.  This module measures them: take the worst
-ratio over a seeded family of band-limited fields, inflate by a safety
-margin, and write the result next to the grid size and seed that produced
-it.  Anything downstream refuses constants calibrated on a different grid.
+ratio over a family of probe fields, inflate by a safety margin, and write
+the result next to the grid size that produced it.  Anything downstream
+refuses constants calibrated on a different grid.
+
+The family is five deterministic probes: four blends 1 + b cos(x1) of a
+constant with one slow mode, and the aligned-phase embedding extremizer.
+They set every constant.  ``n_fields`` seeded random band-limited members,
+measured before the probes, are opt-in; the tests require that 36 of them
+move no constant for m <= 6.
 
 Every transform here is a real FFT in the raw ``np.fft.rfftn`` half layout.
 ``calibrate`` walks the family once, one member at a time as
@@ -17,29 +23,12 @@ and the order-k blocks, come from ``fields.hm_norms``, the one product of
 its |c|^2 with the weight matrix every norm and energy of the package
 reduces through.  ``verify.check_algebra_final`` measures ||u^2||_{H^m}
 with the same ``fields.product_norm``.
-
-The family is measured in contiguous index ranges: one, or two from
-``THREAD_MIN_N`` points per axis when the process's CPU affinity allows two
-CPUs (the measured crossover: below it the thread hand-offs cost more than
-the second core gives).  The calling thread measures the first range and a
-one-worker ``ThreadPoolExecutor`` the second, under a copy of the caller's
-context (so its ``np.errstate``); the worker's exception is raised in the
-caller.  Every constant is a maximum of per-member ratios, and a maximum is
-exact whatever order it is taken in, so the constants are the same bit for
-bit.  Members are seeded by index, so each range draws its own; the second
-refines the member before it once more for its first product pair, and the
-closing pair (last member, first member) is taken after both ranges return.
-Per range, at most three refined fields are alive at a time: member 0's (in
-the range that holds it), the previous member's and the current one.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,8 +36,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .estimates import composition_envelope
-from .fields import GridSpec, _symbol_weight, hm_norms, norm_weights, random_band_limited
-from .fields import product_norm, refine
+from .fields import GridSpec, _symbol_weight, hm_norms, product_norm, random_band_limited, refine
 
 SAFETY_MARGIN = 1.5
 FILE_FORMAT = "toruswave-constants-1"
@@ -59,16 +47,6 @@ _CALIBRATION_EXPONENTS = (0.5, -0.5, 1.0 / 3.0, 1.25)
 _CALIBRATION_AMPLITUDES = (0.25, 0.5)
 # Blends 1 + b cos(x1) of a constant with one slow mode (b = 0: the constant).
 _PROBE_BLENDS = (0.0, 0.25, 0.5, 0.75)
-
-# Smallest grid whose calibration splits the family over two threads.  numpy
-# releases the GIL in the transforms, powers and reductions, but on small
-# grids a call on the doubled grid takes about 20 us and the hand-offs cost
-# more than the second core gives.  Two chunks against one, medians of 9
-# in-process runs: 0.66x at n = 8, 0.85x at n = 10, 0.85-1.11x at n = 12,
-# 1.20-1.39x at n = 14, 1.61x at n = 16 and 1.7x at n = 20 to 28 (2-vCPU
-# Xeon, OpenBLAS 0.3.31).  At n = 32 it was 1.09x: there the doubled grid's
-# reductions wake an OpenBLAS worker, which spins on the second core.
-THREAD_MIN_N = 14
 
 
 @dataclass(frozen=True)
@@ -97,17 +75,12 @@ def _embedding_extremizer(grid: GridSpec, m: int) -> npt.NDArray[np.float64]:
     return np.fft.irfftn(raw, s=grid.shape, axes=(0, 1, 2))
 
 
-def _family_size(n_fields: int) -> int:
-    """Members of the family: the random fields, the blends and the extremizer."""
-    return n_fields + len(_PROBE_BLENDS) + 1
-
-
 def _field_family(
-    grid: GridSpec, m: int, seed: int, n_fields: int, lo: int = 0, hi: int | None = None
+    grid: GridSpec, m: int, seed: int, n_fields: int
 ) -> Iterator[npt.NDArray[np.float64]]:
-    """Grid samples of band-limited fields across the available bands, unit sup
-    norm, plus deterministic probes of the near-constant corner, one at a time:
-    members ``lo`` to ``hi - 1``, every member by default.
+    """Grid samples of the family, unit sup norm, one at a time: ``n_fields``
+    random band-limited fields across the available bands, then the probes of
+    the near-constant corner.
 
     A random band family never produces the fields that maximize the product
     and embedding ratios: constants (product ratio (2 pi)^{-3/2}), blends of a
@@ -116,16 +89,12 @@ def _field_family(
     """
     top = grid.n // 2 - 1  # highest band below Nyquist; 1 on the smallest grid, n = 4
     bands = [b for b in (1, 2, grid.n // 6, grid.n // 4, grid.n // 3, top) if 1 <= b <= top]
-    for i in range(lo, _family_size(n_fields) if hi is None else hi):
-        if i < n_fields:  # member i is seeded by its index, so any range can start anywhere
-            yield random_band_limited(grid, seed=seed + 7919 * i, band=bands[i % len(bands)])
-            continue
-        if i < n_fields + len(_PROBE_BLENDS):
-            x1, _, _ = grid.coordinates()
-            wave = np.broadcast_to(np.cos(x1), grid.shape)
-            values = 1.0 + _PROBE_BLENDS[i - n_fields] * wave
-        else:
-            values = _embedding_extremizer(grid, m)
+    for i in range(n_fields):
+        yield random_band_limited(grid, seed=seed + 7919 * i, band=bands[i % len(bands)])
+    x1, _, _ = grid.coordinates()
+    wave = np.broadcast_to(np.cos(x1), grid.shape)
+    for blend in (*_PROBE_BLENDS, None):
+        values = _embedding_extremizer(grid, m) if blend is None else 1.0 + blend * wave
         # same unit-sup normalization as the random family; ratios are invariant
         yield values / np.max(np.abs(values))
 
@@ -135,36 +104,26 @@ def _product_ratio(u, v, m: int) -> float:
     return product_norm(u[0], v[0], m) / (u[1] * v[1])
 
 
-@dataclass
-class _ChunkMaxima:
-    """The ratio maxima over one contiguous range of members, and the refined
-    fields (samples, H^m norm) that the closing product pair may need."""
-
-    c_sobolev: float
-    c_algebra: float
-    c_moser: dict[int, float]
-    first: tuple | None  # member 0's, if the range holds it
-    last: tuple | None  # the range's last member's
-
-
-def _measure(grid: GridSpec, m: int, seed: int, n_fields: int, lo: int, hi: int) -> _ChunkMaxima:
-    """Maxima over members ``lo`` to ``hi - 1`` and over the product pairs
-    (i - 1, i) they end; the pair (lo - 1, lo) refines member lo - 1 again."""
-    members = _field_family(grid, m, seed, n_fields, max(lo - 1, 0), hi)
+def _measure(
+    grid: GridSpec, m: int, seed: int, n_fields: int
+) -> tuple[float, float, dict[int, float]]:
+    """The ratio maxima (c_sobolev, c_algebra, c_moser) over the family's members
+    and its product pairs: each member with the one before it, and the closing
+    pair (last, first).  At most three refined fields are alive at a time: the
+    first member's, the previous one's and the current one's."""
     c_sobolev = c_algebra = 0.0
     c_moser = {k: 0.0 for k in range(1, m + 1)}
-    first = previous = None  # (refined samples, H^m norm) of members 0 and i - 1
-    if lo > 0:
-        raw = np.fft.rfftn(next(members))
-        previous = (refine(raw, grid.n), hm_norms(raw, m)[0])
-    for i, base in zip(range(lo, hi), members):
+    first = previous = None  # (refined samples, H^m norm) of the first and the previous member
+    for base in _field_family(grid, m, seed, n_fields):
         raw = np.fft.rfftn(base)
         norm, *base_blocks = hm_norms(raw, m)
         refined = refine(raw, grid.n)
         current = (refined, norm)
         sup = float(np.max(np.abs(base)))
         c_sobolev = max(c_sobolev, sup / norm)
-        if previous is not None:
+        if previous is None:
+            first = current
+        else:
             c_algebra = max(c_algebra, _product_ratio(previous, current, m))
         # refinement is linear and the amplitudes are powers of two, so
         # amplitude * refined is exactly the refinement of amplitude * base
@@ -180,48 +139,31 @@ def _measure(grid: GridSpec, m: int, seed: int, n_fields: int, lo: int, hi: int)
                         continue
                     denominator = composition_envelope(k, mu, ceiling) * amplitude * base_block
                     c_moser[k] = max(c_moser[k], block / denominator)
-        if i == 0:
-            first = current
         previous = current
-    return _ChunkMaxima(c_sobolev, c_algebra, c_moser, first, previous)
-
-
-def _cpus() -> int:
-    """CPUs this process may run on; 1 where the platform has no affinity call."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    c_algebra = max(c_algebra, _product_ratio(previous, first, m))
+    return c_sobolev, c_algebra, c_moser
 
 
 def calibrate(
-    grid: GridSpec, m: int, seed: int = 2024, n_fields: int = 36
+    grid: GridSpec, m: int, seed: int = 2024, n_fields: int = 0
 ) -> CalibratedConstants:
-    """Measure the embedding, product, and composition constants on ``grid``."""
+    """Measure the embedding, product, and composition constants on ``grid``:
+    the worst ratios over the probes, after ``n_fields`` random members seeded
+    by ``seed``, times the safety margin."""
     if m < 1:
         raise ValueError(f"Sobolev order must be >= 1, got {m}")
-    if n_fields < 4:
-        raise ValueError(f"need at least 4 fields for a meaningful family, got {n_fields}")
-    count = _family_size(n_fields)
-    split = [(count + 1) // 2] if grid.n >= THREAD_MIN_N and _cpus() >= 2 else []
-    bounds = [0, *split, count]  # a later range also refines the member before it
-    for size in (grid.n, 2 * grid.n):  # build the cached weights once, before any worker
-        norm_weights(size, m)
-    with ThreadPoolExecutor(1, thread_name_prefix="toruswave-calibrate") as pool:
-        later = [
-            pool.submit(contextvars.copy_context().run, _measure, grid, m, seed, n_fields, lo, hi)
-            for lo, hi in zip(bounds[1:-1], bounds[2:])
-        ]
-        chunks = [_measure(grid, m, seed, n_fields, bounds[0], bounds[1])]
-        chunks += [future.result() for future in later]
-    closing = _product_ratio(chunks[-1].last, chunks[0].first, m)  # (last member, first)
-
+    if n_fields < 0:
+        raise ValueError(f"need n_fields >= 0 random fields, got {n_fields}")
+    c_sobolev, c_algebra, c_moser = _measure(grid, m, seed, n_fields)
     return CalibratedConstants(
         grid_n=grid.n,
         m=m,
         seed=seed,
         n_fields=n_fields,
         safety=SAFETY_MARGIN,
-        c_sobolev=SAFETY_MARGIN * max(c.c_sobolev for c in chunks),
-        c_algebra=SAFETY_MARGIN * max(*(c.c_algebra for c in chunks), closing),
-        c_moser={k: SAFETY_MARGIN * max(c.c_moser[k] for c in chunks) for k in chunks[0].c_moser},
+        c_sobolev=SAFETY_MARGIN * c_sobolev,
+        c_algebra=SAFETY_MARGIN * c_algebra,
+        c_moser={k: SAFETY_MARGIN * c for k, c in c_moser.items()},
     )
 
 

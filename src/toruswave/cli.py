@@ -49,7 +49,6 @@ CONFIG_FORMAT = "toruswave-scenario-1"
 TIMESERIES_FORMAT = "toruswave-timeseries-1"
 SWEEP_FORMAT = "toruswave-sweep-1"
 CONSTANTS_ENV = "TORUSWAVE_CONSTANTS"
-CALIBRATION_SEED = 2024
 
 SWEEP_AXES = ("params.omega", "params.k_eos", "source.amplitude", "initial.e_m0")
 
@@ -442,7 +441,7 @@ def build_scenario(entries: dict[str, str]) -> Scenario:
     u0, u1, e_actual = _build_initial(read, grid, params)
     if constants is None:
         try:
-            constants = calibrate(grid, params.m, seed=CALIBRATION_SEED)
+            constants = calibrate(grid, params.m)
         except ValueError as exc:  # m = 0: no order to measure at
             raise ConfigError(f"constants: {exc}") from None
 
@@ -665,8 +664,8 @@ def sweep(
 
     # one contiguous batch per worker; the Pool is the only fan-out
     tasks = [(scenario, str(root / f"point-{index:03d}")) for index, scenario in valid]
-    if jobs is None:
-        jobs = os.cpu_count() or 1
+    if jobs is None:  # the CPUs this process may run on
+        jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     jobs = max(1, min(jobs, len(tasks)))
     # contiguous batches whose sizes differ by at most one
     bounds = [len(tasks) * part // jobs for part in range(jobs + 1)]
@@ -728,7 +727,7 @@ def main(argv: list[str] | None = None) -> int:
         help="sweep axis; give once or twice, keys from " + ", ".join(SWEEP_AXES),
     )
     sweep_p.add_argument(
-        "--jobs", type=int, help="worker processes (default: all cores)"
+        "--jobs", type=int, help="worker processes (default: the CPUs this process may run on)"
     )
 
     args = parser.parse_args(argv)

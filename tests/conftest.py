@@ -7,4 +7,4 @@ from toruswave.fields import GridSpec
 @pytest.fixture(scope="session")
 def constants16():
     """Calibrated constants for the 16^3 grid at m = 3, shared across tests."""
-    return calibrate(GridSpec(16), m=3, seed=2024)
+    return calibrate(GridSpec(16), m=3)

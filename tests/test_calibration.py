@@ -91,7 +91,7 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="order"):
             calibrate(GridSpec(8), m=0)
         with pytest.raises(ValueError, match="fields"):
-            calibrate(GridSpec(8), m=1, n_fields=2)
+            calibrate(GridSpec(8), m=1, n_fields=-1)
 
     def test_embedding_holds_on_fresh_fields(self, constants16):
         grid = GridSpec(16)

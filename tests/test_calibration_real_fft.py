@@ -109,7 +109,7 @@ def assert_constants_match(new, reference):
 @pytest.mark.parametrize("n", [6, 8])
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("seed", [2024, 7])
-@pytest.mark.parametrize("n_fields", [4, 12, 36])
+@pytest.mark.parametrize("n_fields", [0, 4, 12, 36])
 def test_constants_match_reference_small_grids(n, m, seed, n_fields):
     grid = GridSpec(n)
     assert_constants_match(
@@ -120,7 +120,8 @@ def test_constants_match_reference_small_grids(n, m, seed, n_fields):
 
 # on n = 16 every order, seed and family size appears, without the full product
 @pytest.mark.parametrize(
-    "m, seed, n_fields", [(1, 2024, 12), (2, 7, 4), (3, 7, 12), (1, 7, 36), (2, 2024, 4)]
+    "m, seed, n_fields",
+    [(1, 2024, 12), (2, 7, 4), (3, 7, 12), (1, 7, 36), (2, 2024, 4), (2, 7, 0)],
 )
 def test_constants_match_reference_n16(m, seed, n_fields):
     grid = GridSpec(16)
@@ -131,8 +132,8 @@ def test_constants_match_reference_n16(m, seed, n_fields):
 
 
 def test_session_constants_match_reference(constants16):
-    # the default n = 16, m = 3 family every on-the-fly flagship run measures
-    assert_constants_match(constants16, reference_calibrate(GridSpec(16), 3, 2024, 36))
+    # the default n = 16, m = 3 probes every on-the-fly flagship run measures
+    assert_constants_match(constants16, reference_calibrate(GridSpec(16), 3, 2024, 0))
 
 
 @pytest.mark.parametrize("n", [6, 8, 16, 32])
@@ -229,13 +230,14 @@ def test_calibrate_uses_only_real_ffts(monkeypatch):
 
 
 def test_calibrate_streams_the_family():
-    # warm the weight caches, then measure one pass; keeping all 41 refined
-    # 32-cube fields alive would read about 14.5 MB
+    # warm the weight caches, then measure one pass over the 36 random members
+    # and the probes; keeping all 41 refined 32-cube fields alive would read
+    # about 14.5 MB
     grid = GridSpec(16)
     calibrate(grid, 3)
     tracemalloc.start()
     try:
-        calibrate(grid, 3)
+        calibrate(grid, 3, n_fields=36)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

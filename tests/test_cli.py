@@ -390,6 +390,37 @@ class TestSweep:
                 echo, **{"constants.path": str((parallel / point / "constants.txt").resolve())}
             )
 
+    @pytest.mark.parametrize("cpus, workers", [({0}, None), ({0, 1}, 2), (None, None)])
+    def test_default_jobs_follow_the_affinity(
+        self, tmp_path, constants_file, monkeypatch, cpus, workers
+    ):
+        # the CPUs this process may run on, not the machine's (as under
+        # `taskset -c 0`); 1 where the platform has no affinity call
+        if cpus is None:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        pools = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                pools.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, function, items):
+                return [function(item) for item in items]
+
+        monkeypatch.setattr(cli, "Pool", InlinePool)
+        cfg = make_cfg(tmp_path, constants_file)
+        assert sweep(str(cfg), ["initial.e_m0=0.05,0.1,0.2"], tmp_path / "sweep") == 0
+        assert pools == ([] if workers is None else [workers])
+
     def test_single_point_matches_plain_run(self, tmp_path, constants_file):
         cfg = make_cfg(tmp_path, constants_file)
         run_out = tmp_path / "run"

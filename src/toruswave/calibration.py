@@ -9,20 +9,27 @@ the result next to the grid size that produced it.  Anything downstream
 refuses constants calibrated on a different grid.
 
 The family is five deterministic probes: four blends 1 + b cos(x1) of a
-constant with one slow mode, and the aligned-phase embedding extremizer.
-They set every constant.  ``n_fields`` seeded random band-limited members,
-measured before the probes, are opt-in; the tests require that 36 of them
-move no constant for m <= 6.
+constant with one slow mode (b = 0 is the constant itself), and the
+aligned-phase embedding extremizer.  They set every constant.  ``n_fields``
+seeded random band-limited members, measured before the probes, are opt-in;
+the tests require that 36 of them move no constant for m <= 6.
 
-Every transform here is a real FFT in the raw ``np.fft.rfftn`` half layout.
 ``calibrate`` walks the family once, one member at a time as
 ``_field_family`` yields it: each member is transformed and refined to the
-doubled grid once (``fields.refine``), and every composed field
-(1 + a u)^mu costs one ``rfftn``.  All norms of one spectrum, ||.||_{H^m}
-and the order-k blocks, come from ``fields.hm_norms``, the one product of
-its |c|^2 with the weight matrix every norm and energy of the package
-reduces through.  ``verify.check_algebra_final`` measures ||u^2||_{H^m}
-with the same ``fields.product_norm``.
+doubled grid once (``fields.refine``, or its line form), and every composed
+field (1 + a u)^mu costs one forward transform.  The extremizer and the random
+members are real FFTs of the cube in the raw ``np.fft.rfftn`` half layout.
+A blend depends on x1 alone, so its spectrum is zero off the
+(k2, k3) = (0, 0) line: it goes through ``_line_rfftn`` and
+``_line_irfftn``, the 1-D calls ``rfftn``/``irfftn`` make restricted to that
+line, O(n^2 log n) work each in place of O(n^3 log n), with bit for bit the
+same values.  Products of two blends and their compositions stay on the
+line; a product with a cube member broadcasts the line.  All norms of one
+spectrum, ||.||_{H^m} and the order-k blocks, come from one
+``fields.reduce_power`` of its |c|^2 in the half layout, a line's embedded
+there, so each reduction sees the same vector whichever path made it.
+``verify.check_algebra_final`` measures ||u^2||_{H^m} with
+``fields.product_norm``, the same reduction.
 """
 
 from __future__ import annotations
@@ -36,7 +43,15 @@ import numpy as np
 import numpy.typing as npt
 
 from .estimates import composition_envelope
-from .fields import GridSpec, _symbol_weight, hm_norms, product_norm, random_band_limited, refine
+from .fields import (
+    GridSpec,
+    _symbol_weight,
+    hm_norms,
+    random_band_limited,
+    reduce_power,
+    refine,
+    spectral_power,
+)
 
 SAFETY_MARGIN = 1.5
 FILE_FORMAT = "toruswave-constants-1"
@@ -45,8 +60,8 @@ FILE_FORMAT = "toruswave-constants-1"
 # the mix covers mu < 0, 0 < mu < 1, and a non-integer mu > 1.
 _CALIBRATION_EXPONENTS = (0.5, -0.5, 1.0 / 3.0, 1.25)
 _CALIBRATION_AMPLITUDES = (0.25, 0.5)
-# Blends 1 + b cos(x1) of a constant with one slow mode (b = 0: the constant).
-_PROBE_BLENDS = (0.0, 0.25, 0.5, 0.75)
+# Blends 1 + b cos(x1) of the constant with one slow mode.
+_PROBE_BLENDS = (0.25, 0.5, 0.75)
 
 
 @dataclass(frozen=True)
@@ -86,22 +101,99 @@ def _field_family(
     and embedding ratios: constants (product ratio (2 pi)^{-3/2}), blends of a
     constant with one slow mode (the product extremizer direction), and the
     aligned-phase embedding extremizer.  Those go in explicitly.
+
+    The probes of x1 alone are read-only broadcasts, so their strides say by
+    construction which axes they vary along: (s, 0, 0) for a blend of its x1
+    profile, (0, 0, 0) for the constant, a broadcast of one number.
     """
     top = grid.n // 2 - 1  # highest band below Nyquist; 1 on the smallest grid, n = 4
     bands = [b for b in (1, 2, grid.n // 6, grid.n // 4, grid.n // 3, top) if 1 <= b <= top]
     for i in range(n_fields):
         yield random_band_limited(grid, seed=seed + 7919 * i, band=bands[i % len(bands)])
+    yield np.broadcast_to(1.0, grid.shape)
     x1, _, _ = grid.coordinates()
-    wave = np.broadcast_to(np.cos(x1), grid.shape)
-    for blend in (*_PROBE_BLENDS, None):
-        values = _embedding_extremizer(grid, m) if blend is None else 1.0 + blend * wave
+    for blend in _PROBE_BLENDS:
+        profile = 1.0 + blend * np.cos(x1)
         # same unit-sup normalization as the random family; ratios are invariant
-        yield values / np.max(np.abs(values))
+        yield np.broadcast_to(profile / np.max(np.abs(profile)), grid.shape)
+    extremizer = _embedding_extremizer(grid, m)
+    yield extremizer / np.max(np.abs(extremizer))
+
+
+def _line_rfftn(values: npt.NDArray[np.float64]) -> npt.NDArray[np.complex128]:
+    """The (k2, k3) = (0, 0) line of ``np.fft.rfftn`` of the N-cube whose samples
+    depend on x1 alone, given as ``values`` of shape (N, 1, 1), bit for bit.
+
+    These are the 1-D calls ``rfftn`` makes, in its order, restricted to the
+    line: ``rfft`` over x3 of the constant rows, ``fft`` over x2 of the
+    constant rows of their k3 = 0 entries, ``fft`` over x1.
+    """
+    n = len(values)
+    rows = np.fft.rfft(np.broadcast_to(values[:, :, 0], (n, n)))[:, :1]
+    return np.fft.fft(np.fft.fft(np.broadcast_to(rows, (n, n)))[:, 0])
+
+
+def _line_irfftn(line: npt.NDArray[np.complex128]) -> npt.NDArray[np.float64]:
+    """Samples, shape (N, 1, 1), of ``np.fft.irfftn`` on the N-cube of the half
+    spectrum whose only non-zero entries are the (k2, k3) = (0, 0) line
+    ``line``, bit for bit: ``ifft`` over x1, ``ifft`` over x2 of the rows with
+    one non-zero entry, ``irfft`` over x3; every output row is constant."""
+    n = len(line)
+    rows = np.zeros((n, n), dtype=np.complex128)
+    rows[:, 0] = np.fft.ifft(line)
+    rows[:, 0] = np.fft.ifft(rows)[:, 0]
+    return np.fft.irfft(rows[:, : n // 2 + 1], n)[:, :1, None]
+
+
+def _rfftn(values: npt.NDArray[np.float64]) -> npt.NDArray[np.complex128]:
+    """The raw spectrum of samples on the N-cube: the half spectrum, or the
+    (k2, k3) = (0, 0) line of a field of x1 alone, shape (N, 1, 1)."""
+    return _line_rfftn(values) if values.shape[1] == 1 else np.fft.rfftn(values)
+
+
+def _refine(raw: npt.NDArray[np.complex128], n: int) -> npt.NDArray[np.float64]:
+    """``fields.refine`` of an ``_rfftn`` spectrum; a line's zero padding
+    follows the line and gives samples of shape (2n, 1, 1)."""
+    if raw.ndim == 3:
+        return refine(raw, n)
+    half = n // 2
+    fine = np.zeros(2 * n, dtype=np.complex128)  # unpaired Nyquist index dropped
+    fine[:half] = 8.0 * raw[:half]
+    fine[n + half + 1 :] = 8.0 * raw[half + 1 :]
+    return _line_irfftn(fine)
+
+
+def _norms(raw: npt.NDArray[np.complex128], m: int) -> list[float]:
+    """``fields.hm_norms`` of an ``_rfftn`` spectrum; a line's |c|^2 is embedded
+    in the half layout, so its reduction sees the vector of the cube."""
+    if raw.ndim == 3:
+        return hm_norms(raw, m)
+    n = len(raw)
+    power = np.zeros((n, n, n // 2 + 1))
+    power[:, 0, 0] = spectral_power(raw)
+    return np.sqrt(reduce_power(power, m)).tolist()
 
 
 def _product_ratio(u, v, m: int) -> float:
     """||uv||_{H^m} / (||u||_{H^m} ||v||_{H^m}) for two (refined samples, H^m norm) pairs."""
-    return product_norm(u[0], v[0], m) / (u[1] * v[1])
+    return _norms(_rfftn(u[0] * v[0]), m)[0] / (u[1] * v[1])
+
+
+def _composition_ratios(
+    refined: npt.NDArray[np.float64], peak: float, base_blocks: list[float], m: int
+) -> Iterator[tuple[int, float]]:
+    """(k, ratio) of ||D_k (1 + a u)^mu|| to its Moser envelope for every
+    calibration amplitude a and exponent mu, u the member refined to ``refined``."""
+    # refinement is linear and the amplitudes are powers of two, so
+    # amplitude * refined is exactly the refinement of amplitude * base
+    for amplitude in _CALIBRATION_AMPLITUDES:
+        ceiling = amplitude * peak
+        shifted = 1.0 + amplitude * refined
+        for mu in _CALIBRATION_EXPONENTS:
+            _, *blocks = _norms(_rfftn(shifted**mu), m)
+            for k, (block, base_block) in enumerate(zip(blocks, base_blocks), start=1):
+                denominator = composition_envelope(k, mu, ceiling) * amplitude * base_block
+                yield k, block / denominator
 
 
 def _measure(
@@ -110,14 +202,21 @@ def _measure(
     """The ratio maxima (c_sobolev, c_algebra, c_moser) over the family's members
     and its product pairs: each member with the one before it, and the closing
     pair (last, first).  At most three refined fields are alive at a time: the
-    first member's, the previous one's and the current one's."""
+    first member's, the previous one's and the current one's.
+
+    The constant takes no composition ratio: it has no derivatives, and on a
+    grid with a prime factor >= 5 its transforms leave roundoff in the blocks,
+    so a ratio would divide roundoff by roundoff."""
     c_sobolev = c_algebra = 0.0
     c_moser = {k: 0.0 for k in range(1, m + 1)}
     first = previous = None  # (refined samples, H^m norm) of the first and the previous member
     for base in _field_family(grid, m, seed, n_fields):
-        raw = np.fft.rfftn(base)
-        norm, *base_blocks = hm_norms(raw, m)
-        refined = refine(raw, grid.n)
+        composes = any(base.strides)  # not the constant (see _field_family)
+        if base.strides[1:] == (0, 0):  # a field of x1 alone: measure its line
+            base = base[:, :1, :1]
+        raw = _rfftn(base)
+        norm, *base_blocks = _norms(raw, m)
+        refined = _refine(raw, grid.n)
         current = (refined, norm)
         sup = float(np.max(np.abs(base)))
         c_sobolev = max(c_sobolev, sup / norm)
@@ -125,20 +224,10 @@ def _measure(
             first = current
         else:
             c_algebra = max(c_algebra, _product_ratio(previous, current, m))
-        # refinement is linear and the amplitudes are powers of two, so
-        # amplitude * refined is exactly the refinement of amplitude * base
-        peak = max(sup, float(np.max(np.abs(refined))))
-        for amplitude in _CALIBRATION_AMPLITUDES:
-            ceiling = amplitude * peak
-            shifted = 1.0 + amplitude * refined
-            for mu in _CALIBRATION_EXPONENTS:
-                composed = np.fft.rfftn(shifted**mu)
-                _, *blocks = hm_norms(composed, m)
-                for k, (block, base_block) in enumerate(zip(blocks, base_blocks), start=1):
-                    if base_block == 0.0:  # constant probes carry no derivatives
-                        continue
-                    denominator = composition_envelope(k, mu, ceiling) * amplitude * base_block
-                    c_moser[k] = max(c_moser[k], block / denominator)
+        if composes:
+            peak = max(sup, float(np.max(np.abs(refined))))
+            for k, ratio in _composition_ratios(refined, peak, base_blocks, m):
+                c_moser[k] = max(c_moser[k], ratio)
         previous = current
     c_algebra = max(c_algebra, _product_ratio(previous, first, m))
     return c_sobolev, c_algebra, c_moser

@@ -50,6 +50,15 @@ TIMESERIES_FORMAT = "toruswave-timeseries-1"
 SWEEP_FORMAT = "toruswave-sweep-1"
 CONSTANTS_ENV = "TORUSWAVE_CONSTANTS"
 
+# timeseries.csv columns: t, Em = sqrt(Em_sq), energy.COLUMNS in their order
+# under these names, then the bootstrap flag; one row is one % format
+_CSV_NAMES = {
+    "e_m_sq": "Em_sq", "e_std_sq": "E_std_sq", "u_hm": "u_Hm", "ut_hm": "ut_Hm",
+    "f_hm": "F_Hm", "u_mean": "u_mean", "f_mean": "F_mean", "u_min": "u_min",
+}
+TIMESERIES_COLUMNS = ("t", "Em", *(_CSV_NAMES[name] for name in COLUMNS), "bootstrap_ok")
+_TIMESERIES_ROW = ",".join(["%.17g"] * (len(TIMESERIES_COLUMNS) - 1) + ["%d"]) + "\n"
+
 SWEEP_AXES = ("params.omega", "params.k_eos", "source.amplitude", "initial.e_m0")
 
 # The scenario schema, in resolved.cfg order: key -> (type, default).  A type
@@ -520,20 +529,14 @@ def write_echo(path: Path, echo: dict[str, str]) -> None:
 
 
 def write_timeseries(path: Path, trajectory: Trajectory, e_m0: float) -> None:
-    buffer = io.StringIO()
-    buffer.write(f"# {TIMESERIES_FORMAT}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["t", "Em", "Em_sq", "E_std_sq", "u_Hm", "ut_Hm", "F_Hm",
-         "u_mean", "F_mean", "u_min", "bootstrap_ok"]
-    )
+    lines = [f"# {TIMESERIES_FORMAT}\n", ",".join(TIMESERIES_COLUMNS) + "\n"]
     # same per-sample condition the bootstrap check scores, margin >= -tol
     threshold = e_m0**2 * (1.0 + ABS_TOL)
     u_hm = 1 + COLUMNS.index("u_hm")
-    for row in trajectory.table.tolist():  # t, then COLUMNS: the header after Em
+    for row in trajectory.table.tolist():  # t, then COLUMNS
         ok = 1 if 0.5 * row[u_hm] ** 2 <= threshold else 0
-        writer.writerow([_fmt(row[0]), _fmt(math.sqrt(row[1])), *map(_fmt, row[1:]), ok])
-    path.write_text(buffer.getvalue())
+        lines.append(_TIMESERIES_ROW % (row[0], math.sqrt(row[1]), *row[1:], ok))
+    path.write_text("".join(lines))
 
 
 def _finish(

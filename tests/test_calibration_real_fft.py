@@ -207,7 +207,7 @@ def test_calibrate_uses_only_real_ffts(monkeypatch):
     monkeypatch.setattr(calibration, "_field_family", lambda *args: iter(family))
     counts = {}
 
-    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
         original = getattr(np.fft, name)
         counts[name] = 0
 
@@ -219,13 +219,23 @@ def test_calibrate_uses_only_real_ffts(monkeypatch):
 
     constants = calibrate(grid, m, seed=seed, n_fields=n_fields)
     assert constants.n_fields == n_fields
-    n_probe = len(family)
-    per_probe = 3 + len(_CALIBRATION_AMPLITUDES) * len(_CALIBRATION_EXPONENTS)
+    compositions = len(_CALIBRATION_AMPLITUDES) * len(_CALIBRATION_EXPONENTS)
+    # the random members and the extremizer are cubes; their products are the
+    # random members' consecutive pairs, (last random, constant), (blend 0.75,
+    # extremizer) and the closing (extremizer, first random)
+    n_cube, cube_products = n_fields + 1, n_fields + 2
+    # the constant and three blends go through their lines, the constant with
+    # no compositions; line products: (constant, 0.25), (0.25, 0.5), (0.5, 0.75)
+    line_forward = 4 + 3 * compositions + 3
     assert counts == {
         "fftn": 0,
         "ifftn": 0,
-        "rfftn": n_probe * (per_probe - 1),
-        "irfftn": n_probe,
+        "rfftn": n_cube * (1 + compositions) + cube_products,
+        "irfftn": n_cube,
+        "rfft": line_forward,
+        "fft": 2 * line_forward,
+        "ifft": 2 * 4,
+        "irfft": 4,
     }
 
 

@@ -18,7 +18,8 @@ the tests require that 36 of them move no constant for m <= 6.
 ``_field_family`` yields it: each member is transformed and refined to the
 doubled grid once (``fields.refine``, or its line form), and every composed
 field (1 + a u)^mu costs one forward transform.  The extremizer and the random
-members are real FFTs of the cube in the raw ``np.fft.rfftn`` half layout.
+members are real FFTs of the cube in the raw ``np.fft.rfftn`` half layout,
+made in place by ``fields.rfftn`` and ``fields.refine``.
 A blend depends on x1 alone, so its spectrum is zero off the
 (k2, k3) = (0, 0) line: it goes through ``_line_rfftn`` and
 ``_line_irfftn``, the 1-D calls ``rfftn``/``irfftn`` make restricted to that
@@ -28,8 +29,8 @@ line; a product with a cube member broadcasts the line.  All norms of one
 spectrum, ||.||_{H^m} and the order-k blocks, come from one
 ``fields.reduce_power`` of its |c|^2 in the half layout, a line's embedded
 there, so each reduction sees the same vector whichever path made it.
-``verify.check_algebra_final`` measures ||u^2||_{H^m} with
-``fields.product_norm``, the same reduction.
+``verify.check_algebra_final`` measures ||u^2||_{H^m} of the refined final
+state through the same transforms and reduction.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .fields import (
     random_band_limited,
     reduce_power,
     refine,
+    rfftn,
     spectral_power,
 )
 
@@ -148,7 +150,7 @@ def _line_irfftn(line: npt.NDArray[np.complex128]) -> npt.NDArray[np.float64]:
 def _rfftn(values: npt.NDArray[np.float64]) -> npt.NDArray[np.complex128]:
     """The raw spectrum of samples on the N-cube: the half spectrum, or the
     (k2, k3) = (0, 0) line of a field of x1 alone, shape (N, 1, 1)."""
-    return _line_rfftn(values) if values.shape[1] == 1 else np.fft.rfftn(values)
+    return _line_rfftn(values) if values.shape[1] == 1 else rfftn(values)
 
 
 def _refine(raw: npt.NDArray[np.complex128], n: int) -> npt.NDArray[np.float64]:

@@ -534,7 +534,9 @@ def write_timeseries(path: Path, trajectory: Trajectory, e_m0: float) -> None:
     threshold = e_m0**2 * (1.0 + ABS_TOL)
     u_hm = 1 + COLUMNS.index("u_hm")
     for row in trajectory.table.tolist():  # t, then COLUMNS
-        ok = 1 if 0.5 * row[u_hm] ** 2 <= threshold else 0
+        # u * u, as numpy squares the column in check_bootstrap: a finite norm
+        # past 1.34e154 squares to inf, where ** 2 (C pow) raises OverflowError
+        ok = 1 if 0.5 * (row[u_hm] * row[u_hm]) <= threshold else 0
         lines.append(_TIMESERIES_ROW % (row[0], math.sqrt(row[1]), *row[1:], ok))
     path.write_text("".join(lines))
 

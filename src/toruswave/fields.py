@@ -44,8 +44,17 @@ agree on fields without Nyquist content.
 
 ``refine`` is the package's one alias-free product: a product uv is the
 pointwise product of the refined samples of u and v, and on the doubled grid
-no mode of it aliases.  ``product_norm`` takes its H^m norm, for the
-calibrated algebra constant and for the final-state check against it.
+no mode of it aliases.  ``product_norm`` takes its H^m norm; calibration
+measures the algebra constant the same way, and the final-state check squares
+its refined samples in place.
+
+The doubled-grid transforms run in place, so a (2n)^3 pass holds one complex
+array, not numpy's fresh one per axis.  ``rfftn`` is ``np.fft.rfftn``'s
+``rfft`` over the last axis followed by its two ``fft`` passes with ``out=``
+the same array; ``refine`` runs ``np.fft.irfftn``'s two ``ifft`` passes with
+``out=`` its own zero-padded buffer, then the ``irfft``; ``spectral_power``
+adds |Im c|^2 into |Re c|^2.  The 1-D calls and their order are numpy's, so
+every value is bit for bit the same.
 """
 
 from __future__ import annotations
@@ -150,8 +159,10 @@ def norm_weights(n: int, m: int) -> npt.NDArray[np.float64]:
 
 
 def spectral_power(raw: npt.NDArray[np.complex128]) -> npt.NDArray[np.float64]:
-    """|c|^2 per mode."""
-    return np.square(raw.real) + np.square(raw.imag)
+    """|c|^2 per mode: the squared imaginary part is added in place."""
+    power = np.square(raw.real)
+    power += np.square(raw.imag)
+    return power
 
 
 def reduce_power(power: npt.NDArray[np.float64], m: int) -> npt.NDArray[np.float64]:
@@ -185,13 +196,26 @@ def refine(raw: npt.NDArray[np.complex128], n: int) -> npt.NDArray[np.float64]:
     dest = np.r_[0:half, n + half + 1 : 2 * n]  # the same wavenumbers on the 2n grid
     fine = np.zeros((2 * n, 2 * n, n + 1), dtype=np.complex128)
     fine[dest[:, None], dest, :half] = 8.0 * raw[keep[:, None], keep, :half]
-    return np.fft.irfftn(fine, s=(2 * n,) * 3, axes=(0, 1, 2))
+    # np.fft.irfftn's calls in its order, the two complex passes in place
+    for axis in (0, 1):
+        np.fft.ifft(fine, axis=axis, out=fine)
+    return np.fft.irfft(fine, 2 * n, axis=2)
+
+
+def rfftn(values: npt.NDArray[np.float64]) -> npt.NDArray[np.complex128]:
+    """``np.fft.rfftn(values)`` of a cube of samples, bit for bit, in one
+    complex array: numpy's ``rfft`` over axis 2, then its ``fft`` over axes 1
+    and 0 in place."""
+    raw = np.fft.rfft(values)
+    for axis in (1, 0):
+        np.fft.fft(raw, axis=axis, out=raw)
+    return raw
 
 
 def product_norm(u: npt.NDArray[np.float64], v: npt.NDArray[np.float64], m: int) -> float:
     """||uv||_{H^m} for samples ``u``, ``v`` on one grid; alias-free when both
     come from ``refine``."""
-    return hm_norms(np.fft.rfftn(u * v), m)[0]
+    return hm_norms(rfftn(u * v), m)[0]
 
 
 def random_band_limited(

@@ -224,18 +224,21 @@ def test_calibrate_uses_only_real_ffts(monkeypatch):
     # random members' consecutive pairs, (last random, constant), (blend 0.75,
     # extremizer) and the closing (extremizer, first random)
     n_cube, cube_products = n_fields + 1, n_fields + 2
+    # a cube's forward transform is fields.rfftn's rfft and two in-place ffts;
+    # its refinement is two in-place iffts and an irfft
+    cube_forward = n_cube * (1 + compositions) + cube_products
     # the constant and three blends go through their lines, the constant with
     # no compositions; line products: (constant, 0.25), (0.25, 0.5), (0.5, 0.75)
     line_forward = 4 + 3 * compositions + 3
     assert counts == {
         "fftn": 0,
         "ifftn": 0,
-        "rfftn": n_cube * (1 + compositions) + cube_products,
-        "irfftn": n_cube,
-        "rfft": line_forward,
-        "fft": 2 * line_forward,
-        "ifft": 2 * 4,
-        "irfft": 4,
+        "rfftn": 0,
+        "irfftn": 0,
+        "rfft": line_forward + cube_forward,
+        "fft": 2 * line_forward + 2 * cube_forward,
+        "ifft": 2 * 4 + 2 * n_cube,
+        "irfft": 4 + n_cube,
     }
 
 

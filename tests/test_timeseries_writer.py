@@ -51,3 +51,19 @@ def test_rows_match_the_csv_writer_byte_for_byte(tmp_path):
     assert text == csv_writer_reference(trajectory, 0.25)
     assert text.splitlines()[1] == ",".join(TIMESERIES_COLUMNS)
     assert {line.rsplit(",", 1)[1] for line in text.splitlines()[2:]} == {"0", "1"}
+
+
+def test_a_norm_whose_square_overflows_fails_the_bootstrap_flag(tmp_path):
+    # 1e200 ** 2 raises OverflowError on a Python float; the writer squares it to inf
+    row = np.zeros(1 + len(COLUMNS))
+    row[1 + COLUMNS.index("u_hm")] = 1e200
+    trajectory = trajectory_from_rows(
+        [row],
+        params=ModelParams(omega=0.5, kappa=0.25, mu=0.5, m=3),
+        config=SolverConfig(GridSpec(8), dt=0.1, t_end=4.0),
+    )
+    path = tmp_path / "timeseries.csv"
+    write_timeseries(path, trajectory, 0.25)
+    (line,) = path.read_text().splitlines()[2:]
+    assert float(line.split(",")[TIMESERIES_COLUMNS.index("u_Hm")]) == 1e200
+    assert line.rsplit(",", 1)[1] == "0"

@@ -288,13 +288,19 @@ def load_constants(path: str | Path) -> CalibratedConstants:
         raise ValueError(
             f"{path}: unsupported constants format {entries.get('format')!r}"
         )
-    try:
-        m = int(entries["m"])
-        keys = ["safety", "c_sobolev", "c_algebra", *(f"c_moser_{k}" for k in range(1, m + 1))]
-        scales = {key: float(entries[key]) for key in keys}
-        header = {key: int(entries[key]) for key in ("grid_n", "m", "seed", "n_fields")}
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing required key {exc.args[0]!r}") from exc
+
+    def read(key: str, kind: type):
+        if key not in entries:
+            raise ValueError(f"{path}: missing required key {key!r}")
+        try:
+            return kind(entries[key])
+        except ValueError:
+            raise ValueError(f"{path}: {key} is not a valid {kind.__name__}: {entries[key]!r}") from None
+
+    m = read("m", int)
+    keys = ["safety", "c_sobolev", "c_algebra", *(f"c_moser_{k}" for k in range(1, m + 1))]
+    scales = {key: read(key, float) for key in keys}
+    header = {key: read(key, int) for key in ("grid_n", "m", "seed", "n_fields")}
     for key, value in scales.items():
         if not 0.0 < value < math.inf:  # NaN fails it too
             raise ValueError(f"{path}: {key} must be a finite number > 0, got {entries[key]!r}")

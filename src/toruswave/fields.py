@@ -44,9 +44,9 @@ agree on fields without Nyquist content.
 
 ``refine`` is the package's one alias-free product: a product uv is the
 pointwise product of the refined samples of u and v, and on the doubled grid
-no mode of it aliases.  ``product_norm`` takes its H^m norm; calibration
-measures the algebra constant the same way, and the final-state check squares
-its refined samples in place.
+no mode of it aliases.  Calibration measures the algebra constant as the
+H^m norm of such a product, and the final-state check squares its refined
+samples in place.
 
 The doubled-grid transforms run in place, so a (2n)^3 pass holds one complex
 array, not numpy's fresh one per axis.  ``rfftn`` is ``np.fft.rfftn``'s
@@ -210,12 +210,6 @@ def rfftn(values: npt.NDArray[np.float64]) -> npt.NDArray[np.complex128]:
     for axis in (1, 0):
         np.fft.fft(raw, axis=axis, out=raw)
     return raw
-
-
-def product_norm(u: npt.NDArray[np.float64], v: npt.NDArray[np.float64], m: int) -> float:
-    """||uv||_{H^m} for samples ``u``, ``v`` on one grid; alias-free when both
-    come from ``refine``."""
-    return hm_norms(rfftn(u * v), m)[0]
 
 
 def random_band_limited(

@@ -31,7 +31,8 @@ pieces and the forcing weights have shape (B, n, n, n/2+1), the grid arrays
 each transform call and its Python overhead.  Every operation acts on each
 slice alone (a DFT product is a stack of one matrix product per slot, of the
 same shapes in any batch): a run gets the same bits in any batch,
-``simulate`` is the batch of one, and ``simulate_batch`` serves a sweep.
+``simulate`` is the batch of one, and ``simulate_batch`` serves a sweep,
+whose points share one Sobolev order, as a sweep cannot vary it.
 Each run keeps its own finiteness, positivity and overflow tests and its own
 rows; a run that breaks down leaves the batch.
 ``BATCH_BYTES`` caps a batch, since stacking stops paying on bigger grids.
@@ -382,8 +383,7 @@ def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat)
     dt, n_steps = config.dt, config.n_steps
     live = list(trajectories)  # the run in each slot
     recorded = {id(trajectory): [] for trajectory in live}  # each run's rows [t, *COLUMNS]
-    block = SampleBlock(config.grid.n, [p.omega for p in stepper.params],
-                        [p.m for p in stepper.params])
+    block = SampleBlock(config.grid.n, [p.omega for p in stepper.params], stepper.params[0].m)
     depth = block_depth(config.grid.n, len(live))
     # the deferred sample times: (k, t, u, f, u_hat, ut_hat, f_hat, u_min), the
     # arrays force and state produced, which no step changes in place
@@ -470,14 +470,16 @@ def simulate_batch(u0, u1, params, sources, config: SolverConfig) -> list[Trajec
     """Run B points that share ``config`` (grid, dt, horizon, sampling) in one loop.
 
     ``u0`` and ``u1`` are stacked grid arrays (B, n, n, n); ``params`` and
-    ``sources`` hold B entries each.  The points go through ``_run_batch`` in
-    contiguous batches of at most ``batch_size(n)``.  Each point gets the
-    trajectory its solo run gets, bit for bit: a point that breaks down keeps
-    its table, ``BreakdownInfo`` and final state and leaves the batch, the
-    others go on.
+    ``sources`` hold B entries each, and the points share one Sobolev order m.
+    The points go through ``_run_batch`` in contiguous batches of at most
+    ``batch_size(n)``.  Each point gets the trajectory its solo run gets, bit
+    for bit: a point that breaks down keeps its table, ``BreakdownInfo`` and
+    final state and leaves the batch, the others go on.
     """
     u0, u1 = np.asarray(u0, dtype=np.float64), np.asarray(u1, dtype=np.float64)
     count = len(params)
+    if len({p.m for p in params}) > 1:
+        raise ValueError(f"a batch runs one Sobolev order, got m = {[p.m for p in params]}")
     if u0.shape != (count, *config.grid.shape) or u1.shape != u0.shape:
         raise ValueError(
             f"initial data of shape {u0.shape} and {u1.shape} do not match the configured "

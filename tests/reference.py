@@ -233,7 +233,7 @@ def block_sample(t, u, f, u_hat, ut_hat, f_hat, omega, m):
     """The package's diagnostic row at one instant: an ``energy.SampleBlock`` of
     one run reducing one entry, from the grid arrays ``u`` and ``f`` and the raw
     ``np.fft.rfftn`` coefficients of u, u_t and F."""
-    block = SampleBlock(u.shape[0], [omega], [m])
+    block = SampleBlock(u.shape[0], [omega], m)
     entry = (u[None], f[None], u_hat[None], ut_hat[None], f_hat[None], [float(np.min(u))])
     return Sample(float(t), *block.reduce([entry])[0, 0].tolist())
 

@@ -244,18 +244,24 @@ def test_deferred_samples_of_a_solo_run_every_step(monkeypatch):
     assert trajectory.final_state.t == trajectory.times()[-1] == config.t_end
 
 
-def test_deferred_samples_of_a_batch_with_mixed_orders(monkeypatch):
-    # per-run omega, kappa, mu and m; run 2 breaks down at step 0, run 3 part way
-    runs = [
-        (u0, u1, dataclasses.replace(params, m=m), source)
-        for (u0, u1, params, source), m in zip(RUNS, (3, 1, 3, 2, 0, 1))
-    ]
+def test_deferred_samples_of_a_batch_with_mixed_rates(monkeypatch):
+    # per-run omega, kappa and mu at one order m = 2; run 2 breaks down at
+    # step 0, run 3 part way
+    runs = [(u0, u1, dataclasses.replace(params, m=2), source) for u0, u1, params, source in RUNS]
     batch = run_both_ways(monkeypatch, runs)
     monkeypatch.undo()
     for got, run in zip(batch, runs):
         assert_same_run(got, run_alone(run))
     assert batch[2].breakdown.step == 0 and 0 < batch[3].breakdown.step < CONFIG.n_steps
-    assert [t.params.m for t in batch] == [3, 1, 3, 2, 0, 1]
+    assert [t.params.m for t in batch] == [2] * len(RUNS)
+
+
+def test_a_batch_of_two_orders_is_refused():
+    # a batch reduces its samples at one Sobolev order; a sweep cannot vary m
+    runs = [(u0, u1, dataclasses.replace(params, m=m), source)
+            for (u0, u1, params, source), m in zip(RUNS, (3, 2))]
+    with pytest.raises(ValueError, match=re.escape("a batch runs one Sobolev order, got m = [3, 2]")):
+        run_batch(runs)
 
 
 def test_overflow_in_the_middle_of_a_block(monkeypatch):

@@ -66,6 +66,17 @@ def make_cfg(tmp_path, constants_file=None, drop=(), **overrides):
     return path
 
 
+def with_constant(tmp_path, constants_file, key, value):
+    """A copy of ``constants_file`` whose ``key`` line reads ``value``."""
+    lines = [
+        f"{key} = {value}" if line.startswith(f"{key} =") else line
+        for line in constants_file.read_text().splitlines()
+    ]
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    return bad
+
+
 def read_echo(out_dir):
     entries = {}
     for line in (out_dir / "resolved.cfg").read_text().splitlines():
@@ -309,15 +320,24 @@ class TestRunScenario:
         self, tmp_path, constants_file, capsys, key, value
     ):
         # a NaN c_moser_2 once passed every check: max() skips it in fractional_constant
-        lines = [
-            f"{key} = {value}" if line.startswith(f"{key} =") else line
-            for line in constants_file.read_text().splitlines()
-        ]
-        bad = tmp_path / "bad.txt"
-        bad.write_text("\n".join(lines) + "\n")
+        bad = with_constant(tmp_path, constants_file, key, value)
         cfg = make_cfg(tmp_path, bad)
         assert run_scenario(str(cfg), tmp_path / "out") == 3
         assert f"{key} must be a finite number > 0, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [("c_algebra", "abc", "float"), ("grid_n", "8.0", "int"), ("m", "three", "int")],
+    )
+    def test_constant_that_does_not_parse_names_file_and_key(
+        self, tmp_path, constants_file, capsys, key, value, kind
+    ):
+        # float() and int() errors once reached the user without either
+        bad = with_constant(tmp_path, constants_file, key, value)
+        cfg = make_cfg(tmp_path, bad)
+        assert run_scenario(str(cfg), tmp_path / "out") == 3
+        assert f"{bad}: {key} is not a valid {kind}: {value!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_order_above_the_constants_exits_3_before_the_weights(

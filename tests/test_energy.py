@@ -5,6 +5,8 @@ import pytest
 
 from toruswave.energy import modified_energy
 from toruswave.fields import GridSpec, VOLUME, hm_norms, random_band_limited
+from toruswave.solver import SolverConfig, simulate
+from toruswave.source import ModelParams, SourceSpec
 from reference import (
     block_sample,
     full_laplacian_symbol,
@@ -150,14 +152,30 @@ class TestValidation:
             modified_energy(z, z, omega=0.0)
 
 
-def test_sample_row_is_consistent():
-    grid = GridSpec(8)
+@pytest.mark.parametrize("omega", [1e-3, 0.5, 3.0])
+@pytest.mark.parametrize("m", range(7))
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_sample_row_is_consistent(n, m, omega):
+    # the loop's E_m and modified_energy run one density pass and one reduction
+    grid = GridSpec(n)
     u, ut = random_pair(grid, seed=3, amplitude=0.3)
-    f = random_band_limited(grid, seed=8, band=2, amplitude=0.1)
+    f = random_band_limited(grid, seed=8, band=min(2, n // 2 - 1), amplitude=0.1)
     raw = [np.fft.rfftn(x) for x in (u, ut, f)]
-    row = block_sample(1.5, u, f, *raw, omega=0.5, m=2)
+    row = block_sample(1.5, u, f, *raw, omega=omega, m=m)
     assert row.t == 1.5
-    assert row.e_m_sq == pytest.approx(modified_energy(u, ut, 0.5, 2), rel=1e-14)
-    assert row.u_hm == pytest.approx(hm_norms(raw[0], 2)[0], rel=1e-14)
+    assert row.e_m_sq == modified_energy(u, ut, omega, m)
+    assert row.u_hm == pytest.approx(hm_norms(raw[0], m)[0], rel=1e-14)
     assert row.u_min == pytest.approx(float(np.min(u)))
     assert row.f_mean == pytest.approx(f.mean())
+
+
+@pytest.mark.parametrize("n, m, omega", [(8, 0, 0.5), (8, 3, 3.0), (16, 6, 1e-3), (32, 3, 0.5)])
+def test_first_sample_of_simulate_is_modified_energy(n, m, omega):
+    # the initial data a scenario scales with modified_energy start the table
+    # at the same E_m, bit for bit
+    grid = GridSpec(n)
+    u0, u1 = random_pair(grid, seed=11, amplitude=0.2)
+    params = ModelParams(omega=omega, kappa=0.25, mu=0.5, m=m)
+    config = SolverConfig(grid=grid, dt=0.05, t_end=0.05)
+    trajectory = simulate(u0, u1, params, SourceSpec(amplitude=0.01), config)
+    assert trajectory.series("e_m_sq")[0] == modified_energy(u0, u1, omega, m)

@@ -24,7 +24,7 @@ from toruswave.calibration import (
     calibrate,
 )
 from toruswave.estimates import composition_envelope
-from toruswave.fields import GridSpec, hm_norms, product_norm, refine
+from toruswave.fields import GridSpec, hm_norms, refine, rfftn
 
 LINE_GRIDS = [4, 6, 8, 10, 12, 14, 16, 20, 32]
 
@@ -54,7 +54,7 @@ def cube_measure(grid, m):
         if previous is None:
             first = current
         else:
-            ratio = product_norm(previous[0], refined, m) / (previous[1] * norm)
+            ratio = hm_norms(rfftn(previous[0] * refined), m)[0] / (previous[1] * norm)
             c_algebra = max(c_algebra, ratio)
         if composes:
             peak = max(sup, float(np.max(np.abs(refined))))
@@ -66,7 +66,7 @@ def cube_measure(grid, m):
                         envelope = composition_envelope(k, mu, amplitude * peak)
                         c_moser[k] = max(c_moser[k], block / (envelope * amplitude * base_block))
         previous = current
-    ratio = product_norm(previous[0], first[0], m) / (previous[1] * first[1])
+    ratio = hm_norms(rfftn(previous[0] * first[0]), m)[0] / (previous[1] * first[1])
     return c_sobolev, max(c_algebra, ratio), c_moser
 
 

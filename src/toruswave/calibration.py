@@ -29,8 +29,8 @@ line; a product with a cube member broadcasts the line.  All norms of one
 spectrum, ||.||_{H^m} and the order-k blocks, come from one
 ``fields.reduce_power`` of its |c|^2 in the half layout, a line's embedded
 there, so each reduction sees the same vector whichever path made it.
-``verify.check_algebra_final`` measures ||u^2||_{H^m} of the refined final
-state through the same transforms and reduction.
+The composed fields read the blocks D_k on the doubled grid, so calibration
+keeps that grid's cached matrix and reads its product norms from it too.
 """
 
 from __future__ import annotations
@@ -283,7 +283,10 @@ def load_constants(path: str | Path) -> CalibratedConstants:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key in entries:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        entries[key] = value.strip()
     if entries.get("format") != FILE_FORMAT:
         raise ValueError(
             f"{path}: unsupported constants format {entries.get('format')!r}"

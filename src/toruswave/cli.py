@@ -529,16 +529,17 @@ def write_echo(path: Path, echo: dict[str, str]) -> None:
 
 
 def write_timeseries(path: Path, trajectory: Trajectory, e_m0: float) -> None:
-    lines = [f"# {TIMESERIES_FORMAT}\n", ",".join(TIMESERIES_COLUMNS) + "\n"]
     # same per-sample condition the bootstrap check scores, margin >= -tol
     threshold = e_m0**2 * (1.0 + ABS_TOL)
     u_hm = 1 + COLUMNS.index("u_hm")
-    for row in trajectory.table.tolist():  # t, then COLUMNS
-        # u * u, as numpy squares the column in check_bootstrap: a finite norm
-        # past 1.34e154 squares to inf, where ** 2 (C pow) raises OverflowError
-        ok = 1 if 0.5 * (row[u_hm] * row[u_hm]) <= threshold else 0
-        lines.append(_TIMESERIES_ROW % (row[0], math.sqrt(row[1]), *row[1:], ok))
-    path.write_text("".join(lines))
+    with path.open("w") as out:  # row by row: no copy of the whole table or text
+        out.write(f"# {TIMESERIES_FORMAT}\n" + ",".join(TIMESERIES_COLUMNS) + "\n")
+        for values in trajectory.table:  # t, then COLUMNS
+            row = values.tolist()
+            # u * u, as numpy squares the column in check_bootstrap: a finite norm
+            # past 1.34e154 squares to inf, where ** 2 (C pow) raises OverflowError
+            ok = 1 if 0.5 * (row[u_hm] * row[u_hm]) <= threshold else 0
+            out.write(_TIMESERIES_ROW % (row[0], math.sqrt(row[1]), *row[1:], ok))
 
 
 def _finish(

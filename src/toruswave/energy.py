@@ -113,15 +113,17 @@ class SampleBlock:
         F, the raw half spectra of u, u_t and F, and the B minima of u.
         The E_m density, the standard energy row |v|^2 + g |u|^2 and the
         powers of u, u_t and F go through one stacked ``reduce_power``; the
-        means are each run's grid sum over n^3.  Every row is reduced alone,
-        so a run gets the same bits in any block."""
+        means are each run's grid sum, taken from the entry's own arrays,
+        over n^3.  Every row is reduced alone, so a run gets the same bits in
+        any block."""
         n, b, j = self.n, len(self.half_omega), len(entries)
         shape = (j, b, n, n, n // 2 + 1)
         spectra = np.empty((3, *shape), dtype=np.complex128)
-        grids = np.empty((2, j, b, n**3))
+        table = np.empty((len(COLUMNS), j, b))
         for i, (u, f, u_hat, ut_hat, f_hat, _) in enumerate(entries):
             spectra[0, i], spectra[1, i], spectra[2, i] = u_hat, ut_hat, f_hat
-            grids[0, i], grids[1, i] = u.reshape(b, -1), f.reshape(b, -1)
+            np.add.reduce(u.reshape(b, -1), axis=-1, out=table[5, i])
+            np.add.reduce(f.reshape(b, -1), axis=-1, out=table[6, i])
         rows = np.empty((5, *shape))
         density, standard, pu, pv, pf = rows
         # (re, im) interleaved on the last axis; F's parts are squared in place,
@@ -133,11 +135,10 @@ class SampleBlock:
         np.multiply(gradient_symbol(n), pu, out=standard)
         np.add(pv, standard, out=standard)
 
-        table = np.empty((len(COLUMNS), j, b))
         reduced = reduce_power(rows, self.m)
         table[0] = _e_m_sq(density, reduced[0])
         table[1] = 0.5 * reduced[1, ..., 0]
         table[2:5] = np.sqrt(reduced[2:, ..., 0])
-        np.divide(np.add.reduce(grids, axis=-1), float(n**3), out=table[5:7])
+        np.divide(table[5:7], float(n**3), out=table[5:7])
         table[7] = [entry[5] for entry in entries]
         return table.transpose(1, 2, 0)

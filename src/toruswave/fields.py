@@ -19,12 +19,21 @@ spectrum with c(0) set to zero, and Parseval splits ||u||^2 into
 Per-mode symbols (``laplacian_symbol`` |k|^2, ``gradient_symbol`` g) multiply
 coefficients.
 
-Every norm and energy goes through one reduction, ``reduce_power``: a real
-per-mode density (|c|^2, or the energy density) times ``norm_weights(n, m)``,
-the cached (n * n * (n/2 + 1), m + 1) matrix [S_m | D_1 ... D_m], times
-VOLUME n^-6.  The columns carry the plane multiplicity 1, 2, ..., 2, 1,
-so the product sums over the full spectrum; a stack of densities reduces
-density by density, so a norm has the same bits whichever stack it is in.
+Every loop, energy and calibration norm goes through one reduction,
+``reduce_power``: a real per-mode density (|c|^2, or the energy density)
+times ``norm_weights(n, m)``, the cached (n * n * (n/2 + 1), m + 1) matrix
+[S_m | D_1 ... D_m], times VOLUME n^-6.  The columns carry the plane
+multiplicity 1, 2, ..., 2, 1, so the product sums over the full spectrum; a
+stack of densities reduces density by density, so a norm has the same bits
+whichever stack it is in.
+
+``reduce_sobolev`` is column 0 of that product alone, for the two
+verification norms that read nothing else: ||u^2||_{H^m} of the final state
+on the doubled grid and the order-(m + 1) totals of the spectral tail.  Its
+S_m weight is built on demand and dropped, so no (2n)^3 matrix of m + 1
+columns is cached for one number, and it sums without BLAS, whose threads
+change a single-column product's bits from n = 28.  It agrees with
+``reduce_power(power, m)[0]`` to roundoff, not bit for bit.
 
 * Column 0, S_m(k) = sum_{|a| <= m} k^2a, keeps the Nyquist planes k_i = -n/2
   at full weight.  It gives the H^m norm ``hm_norms(raw, m)[0]`` (every
@@ -175,6 +184,18 @@ def reduce_power(power: npt.NDArray[np.float64], m: int) -> npt.NDArray[np.float
     n = power.shape[-3]
     rows = power.reshape(power.shape[:-3] + (1, -1))
     return VOLUME * float(n) ** -6 * (rows @ norm_weights(n, m))[..., 0, :]
+
+
+def reduce_sobolev(power: npt.NDArray[np.float64], m: int) -> float:
+    """VOLUME n^-6 sum_k power(k) S_m(k) for one per-mode density on the half
+    layout: ``reduce_power(power, m)[0]`` to roundoff.  The S_m weight is built
+    for this call, multiplied by ``power`` in place and summed by
+    ``np.add.reduce``, so no BLAS runs."""
+    n = power.shape[-3]
+    weighted = _symbol_weight(n, m, hermitian=True)
+    weighted.flags.writeable = True  # a fresh array, not a cached one
+    np.multiply(weighted, power, out=weighted)
+    return VOLUME * float(n) ** -6 * float(np.add.reduce(weighted, axis=None))
 
 
 def hm_norms(raw: npt.NDArray[np.complex128], m: int) -> list[float]:

@@ -20,9 +20,12 @@ is O(P + starts * ends), never more than O(P * starts), memory O(starts),
 and no factor e^{+rate t} that could overflow on a long horizon is formed.
 
 The final-state checks (flattening, Wirtinger, algebra, spectral tail) read
-the loop's own raw half spectrum ``final_state.u_hat`` and reduce it through
-``fields.hm_norms``/``reduce_power``; the mean is removed by zeroing the
-coefficient k = 0, so the oscillatory part carries no grid roundoff in it.
+the loop's own raw half spectrum ``final_state.u_hat``; the mean is removed by
+zeroing the coefficient k = 0, so the oscillatory part carries no grid
+roundoff in it.  Norms of u on its own grid go through ``fields.hm_norms``.
+The two that read only the S_m column, ||u^2||_{H^m} on the doubled grid and
+the spectral tail's order-(m + 1) totals, go through ``fields.reduce_sobolev``:
+no weight matrix is cached for them, and no BLAS thread count moves their bits.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from .calibration import CalibratedConstants
 from .estimates import BootstrapParams, damped_trapezoids, epsilon_budgets, gronwall_bound
-from .fields import hm_norms, reduce_power, refine, rfftn, spectral_power
+from .fields import hm_norms, reduce_sobolev, refine, rfftn, spectral_power
 from .solver import Trajectory, dealias_mask
 from .source import ModelParams
 
@@ -401,12 +404,15 @@ def check_algebra_final(
         )
     # measured as calibrate measures c_algebra: refined once, u^2 on the doubled
     # grid; the check owns the refined samples, so it squares them in place and
-    # drops them before the |c|^2 pass: two (2n)^3 arrays alive at a time
+    # drops them before the |c|^2 pass, and drops the spectrum before the S_m
+    # weight is built: two (2n)^3 arrays alive at a time
     raw = trajectory.final_state.u_hat
     squared = refine(raw, n)
     spectrum = rfftn(np.square(squared, out=squared))
     del squared
-    lhs = hm_norms(spectrum, m)[0]
+    power = spectral_power(spectrum)
+    del spectrum
+    lhs = math.sqrt(reduce_sobolev(power, m))
     rhs = constants.c_algebra * hm_norms(raw, m)[0] ** 2
     scale = max(rhs, 1e-12)
     return _finish(
@@ -420,7 +426,8 @@ def _spectral_tail_fraction(trajectory: Trajectory) -> float:
         return math.nan
     power = spectral_power(trajectory.final_state.u_hat)
     tail = np.where(dealias_mask(trajectory.config.grid.n), 0.0, power)
-    total, beyond = reduce_power(np.stack([power, tail]), trajectory.params.m + 1)[:, 0].tolist()
+    order = trajectory.params.m + 1
+    total, beyond = reduce_sobolev(power, order), reduce_sobolev(tail, order)
     if total == 0.0:
         return 0.0
     return math.sqrt(beyond / total)

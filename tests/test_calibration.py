@@ -182,6 +182,20 @@ class TestConstantsFile:
         with pytest.raises(ValueError, match="key = value"):
             load_constants(path)
 
+    def test_load_rejects_duplicate_key(self, tmp_path):
+        # the n = 32 constants with c_algebra given a second time: the last
+        # value used to win silently
+        path = tmp_path / "constants.txt"
+        path.write_text(
+            "format = toruswave-constants-1\ngrid_n = 32\nm = 3\nseed = 2024\n"
+            "n_fields = 0\nsafety = 1.5\nc_sobolev = 0.21034923881474032\n"
+            "c_algebra = 0.13098745194911449\nc_moser_1 = 1.4847293127201195\n"
+            "c_moser_2 = 1.4847897613650942\nc_moser_3 = 1.4850315805808645\n"
+            "c_algebra = 5\n"
+        )
+        with pytest.raises(ValueError, match=r"constants.txt:12: duplicate key 'c_algebra'"):
+            load_constants(path)
+
     def test_grid_mismatch_refused(self, constants16):
         with pytest.raises(ValueError, match="refusing"):
             constants16.require_grid(GridSpec(8), 3)

@@ -5,10 +5,10 @@
 ``fields.refine`` runs ``np.fft.irfftn``'s complex passes in its own
 zero-padded buffer; ``fields.spectral_power`` adds |Im c|^2 in place.  The
 formulas they replaced are kept here as references.  Peaks are measured with
-``tracemalloc`` in units of one real (2n)^3 array, after the weight caches are
-warm.
+``tracemalloc`` in units of one real (2n)^3 array.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -75,14 +75,15 @@ def test_spectral_power_matches_the_sum_of_squares_bit_for_bit(n):
 @pytest.mark.parametrize("n", [8, 16])
 def test_algebra_check_measures_the_product_norm_bit_for_bit(n):
     # the check squares its refined samples in place; the reference multiplies
-    # two refined copies, as calibrate's pairs do
+    # two refined copies, as calibrate's pairs do, and sums their S_m power
     u = 0.5 * white_noise(n, 70 + n)
     constants = constants_for(n, c_algebra=1.0)
     result = check_algebra_final(final_state_trajectory(u), constants)
     raw = np.fft.rfftn(u)
     refined = fields.refine(raw, n)
     rhs = fields.hm_norms(raw, 3)[0] ** 2
-    lhs = fields.hm_norms(fields.rfftn(refined * refined), 3)[0]
+    power = fields.spectral_power(fields.rfftn(refined * refined))
+    lhs = math.sqrt(fields.reduce_sobolev(power, 3))
     assert result.worst_margin == (rhs - lhs) / rhs
 
 
@@ -115,9 +116,9 @@ def test_spectral_power_holds_two_outputs(n):
 def test_algebra_check_holds_two_doubled_grid_arrays(n):
     # refine, u^2 beside the refined samples and np.fft.rfftn of it read 4.1
     # real (2n)^3 arrays; in place, the padded buffer and the samples, then the
-    # samples and their spectrum, then the spectrum and its |c|^2, about 2.1
+    # samples and their spectrum, then the spectrum and its |c|^2, about 2.1;
+    # the S_m weight, built in the call, comes after the spectrum is dropped
     u = 0.5 * white_noise(n, 110 + n)
     trajectory, constants = final_state_trajectory(u), constants_for(n, c_algebra=1.0)
-    check_algebra_final(trajectory, constants)  # warms the (2n)^3 weight cache
     _, peak = peak_bytes(lambda: check_algebra_final(trajectory, constants))
     assert peak < 2.5 * 8 * (2 * n) ** 3

@@ -43,6 +43,12 @@ from .fields import gradient_symbol, reduce_power
 COLUMNS = ("e_m_sq", "e_std_sq", "u_hm", "ut_hm", "f_hm", "u_mean", "f_mean", "u_min")
 
 
+def grid_sums(grids) -> npt.NDArray[np.float64]:
+    """The B grid sums of a stack (B, n, n, n) of grid arrays, each run's
+    summed alone (n^3 times the means ``SampleBlock.reduce`` records)."""
+    return np.add.reduce(grids.reshape(len(grids), -1), axis=-1)
+
+
 def _coefficients(omegas, n: int):
     """omega/2 and omega^2/4 + g/2, the coefficients of E^2's density, of each
     damping rate in ``omegas``, stacked to broadcast over (B, n, n, n/2 + 1)."""
@@ -109,21 +115,19 @@ class SampleBlock:
 
     def reduce(self, entries) -> npt.NDArray[np.float64]:
         """Rows (j, B, 8) of ``COLUMNS`` for j sample times, each an entry
-        (u, f, u_hat, ut_hat, f_hat, u_min): the stacked grid arrays of u and
-        F, the raw half spectra of u, u_t and F, and the B minima of u.
-        The E_m density, the standard energy row |v|^2 + g |u|^2 and the
-        powers of u, u_t and F go through one stacked ``reduce_power``; the
-        means are each run's grid sum, taken from the entry's own arrays,
-        over n^3.  Every row is reduced alone, so a run gets the same bits in
-        any block."""
+        (u_sum, f_sum, u_hat, ut_hat, f_hat, u_min): the B grid sums of u and
+        F (``grid_sums``), the raw half spectra of u, u_t and F, and the B
+        minima of u.  The E_m density, the standard energy row
+        |v|^2 + g |u|^2 and the powers of u, u_t and F go through one stacked
+        ``reduce_power``; the means are the sums over n^3.  Every row is
+        reduced alone, so a run gets the same bits in any block."""
         n, b, j = self.n, len(self.half_omega), len(entries)
         shape = (j, b, n, n, n // 2 + 1)
         spectra = np.empty((3, *shape), dtype=np.complex128)
         table = np.empty((len(COLUMNS), j, b))
-        for i, (u, f, u_hat, ut_hat, f_hat, _) in enumerate(entries):
+        for i, (u_sum, f_sum, u_hat, ut_hat, f_hat, _) in enumerate(entries):
             spectra[0, i], spectra[1, i], spectra[2, i] = u_hat, ut_hat, f_hat
-            np.add.reduce(u.reshape(b, -1), axis=-1, out=table[5, i])
-            np.add.reduce(f.reshape(b, -1), axis=-1, out=table[6, i])
+            table[5, i], table[6, i] = u_sum, f_sum
         rows = np.empty((5, *shape))
         density, standard, pu, pv, pf = rows
         # (re, im) interleaved on the last axis; F's parts are squared in place,

@@ -13,7 +13,10 @@ loop keeps (u, u_t) as raw ``np.fft.rfftn`` coefficients, the n x n x (n/2+1)
 half spectrum with no normalization that every symbol and weight of
 ``fields`` is laid out on.  The propagator is linear, so the raw scale
 cancels; each force is one inverse transform to a grid array,
-``eval_prepared`` on that array and one forward transform back.  Every
+``eval_prepared`` on that array and one forward transform back.  No force
+keeps u or F on the grid, so F is written over the inverse transform's own
+array, the one grid array a force allocates; a sample's force takes the grid
+sums of u and F on the way, which is all its sample reads of them.  Every
 diagnostic is a reduction of these coefficients (``energy.SampleBlock``),
 and the final state a run hands to verification is the same pair of arrays.
 
@@ -43,11 +46,12 @@ the zero mode is never touched by it, so the mean dynamics are unaffected.
 
 F(t_k) at a sample time serves both the sample and the step that starts there,
 so a run costs two force evaluations per step plus one for the final sample.
-Samples are deferred: a sample time keeps the arrays force and state made for
-it (no step changes them in place) and the grid minima of u that the
-positivity checks reduced, and ``energy.SampleBlock`` reduces a block of
-sample times for every run of the batch in one stacked pass; each run's rows
-go to a list, which becomes its ``Trajectory.table`` when the batch is done.
+Samples are deferred: a sample time keeps the spectra force and state made
+for it (no step changes them in place), the grid sums of u and F and the grid
+minima of u that the positivity checks reduced, and ``energy.SampleBlock``
+reduces a block of sample times for every run of the batch in one stacked
+pass; each run's rows go to a list, which becomes its ``Trajectory.table``
+when the batch is done.
 A block is flushed when it is full, at the last step, and before any run
 leaves the batch.  A force returns the reasons of the runs it fails for beside
 its arrays, so every stage runs on all slots; the runs whose state is not
@@ -69,7 +73,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.typing as npt
 
-from .energy import COLUMNS, SampleBlock
+from .energy import COLUMNS, SampleBlock, grid_sums
 from .fields import GridSpec, laplacian_symbol
 from .source import ModelParams, SourceSpec, eval_prepared, prepare_source
 
@@ -337,13 +341,17 @@ class _Stepper:
         for name in ("p11", "p12", "p21", "p22", "wu", "wv"):
             setattr(self, name, getattr(self, name)[slots])
 
-    def force(self, t: float, u_hat):
-        """u and F(t, u) as stacked grid arrays, the raw rfftn coefficients of F,
-        the runs' grid minima of u and the reasons of the slots whose force
-        failed (``eval_prepared``); a failed slot's F is not to be read."""
+    def force(self, t: float, u_hat, sums: bool = False):
+        """F(t, u) for the stacked raw half spectra ``u_hat``: with ``sums`` the
+        runs' grid sums of u and of F (``energy.grid_sums``, else None twice),
+        the raw rfftn coefficients of F, the runs' grid minima of u and the
+        reasons of the slots whose force failed (``eval_prepared``); a failed
+        slot's F is not to be read.  F is written over the inverse transform's
+        grid array, the one grid array a force allocates."""
         u = _irfftn(u_hat)
-        f, u_min, failed = eval_prepared(t, u, self.params, self.prepared)
-        return u, f, _rfftn(f), u_min, failed
+        u_sum = grid_sums(u) if sums else None
+        f, u_min, failed = eval_prepared(t, u, self.params, self.prepared, out=u)
+        return u_sum, grid_sums(f) if sums else None, _rfftn(f), u_min, failed
 
     def advance(self, t: float, u_hat, ut_hat, f0_hat=None):
         """One predictor-corrector step; pass ``f0_hat`` when F(t) is known.
@@ -385,8 +393,8 @@ def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat)
     recorded = {id(trajectory): [] for trajectory in live}  # each run's rows [t, *COLUMNS]
     block = SampleBlock(config.grid.n, [p.omega for p in stepper.params], stepper.params[0].m)
     depth = block_depth(config.grid.n, len(live))
-    # the deferred sample times: (k, t, u, f, u_hat, ut_hat, f_hat, u_min), the
-    # arrays force and state produced, which no step changes in place
+    # the deferred sample times: (k, t, u_sum, f_sum, u_hat, ut_hat, f_hat, u_min),
+    # the arrays force and state produced, which no step changes in place
     pending = []
 
     def stop(infos: dict[int, BreakdownInfo], *arrays):
@@ -449,12 +457,13 @@ def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat)
             break
         f_hat = None
         if k % config.sample_every == 0 or k == n_steps:
-            u, f, f_hat, u_min, failed = stepper.force(t, u_hat)
+            u_sum, f_sum, f_hat, u_min, failed = stepper.force(t, u_hat, sums=True)
             if failed:
                 infos = {b: BreakdownInfo(t, k, reason) for b, reason in failed.items()}
-                u_hat, ut_hat, u, f, f_hat, u_min = leave(infos, u_hat, ut_hat, u, f, f_hat, u_min)
+                u_hat, ut_hat, u_sum, f_sum, f_hat, u_min = leave(
+                    infos, u_hat, ut_hat, u_sum, f_sum, f_hat, u_min)
             if live:
-                pending.append((k, t, u, f, u_hat, ut_hat, f_hat, u_min))
+                pending.append((k, t, u_sum, f_sum, u_hat, ut_hat, f_hat, u_min))
                 if len(pending) == depth or k == n_steps:
                     u_hat, ut_hat, f_hat = flush(u_hat, ut_hat, f_hat)
         if live and k < n_steps:

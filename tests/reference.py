@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from toruswave.energy import COLUMNS, SampleBlock
+from toruswave.energy import COLUMNS, SampleBlock, grid_sums
 from toruswave.fields import VOLUME, GridSpec
 from toruswave.solver import Trajectory
 
@@ -234,7 +234,8 @@ def block_sample(t, u, f, u_hat, ut_hat, f_hat, omega, m):
     one run reducing one entry, from the grid arrays ``u`` and ``f`` and the raw
     ``np.fft.rfftn`` coefficients of u, u_t and F."""
     block = SampleBlock(u.shape[0], [omega], m)
-    entry = (u[None], f[None], u_hat[None], ut_hat[None], f_hat[None], [float(np.min(u))])
+    entry = (grid_sums(u[None]), grid_sums(f[None]), u_hat[None], ut_hat[None], f_hat[None],
+             [float(np.min(u))])
     return Sample(float(t), *block.reduce([entry])[0, 0].tolist())
 
 

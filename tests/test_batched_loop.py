@@ -220,13 +220,13 @@ def patch_force_spectrum(monkeypatch, params, t_at, change):
     in the sample and in the steps alike."""
     force = solver._Stepper.force
 
-    def patched(self, t, u_hat):
-        u, f, f_hat, u_min, failed = force(self, t, u_hat)
+    def patched(self, t, u_hat, **kwargs):
+        u_sum, f_sum, f_hat, u_min, failed = force(self, t, u_hat, **kwargs)
         b = slot_of(self, params)
         if abs(t - t_at) < 1e-9 and b is not None:
             f_hat = f_hat.copy()
             change(f_hat[b])
-        return u, f, f_hat, u_min, failed
+        return u_sum, f_sum, f_hat, u_min, failed
 
     monkeypatch.setattr(solver._Stepper, "force", patched)
 
@@ -313,8 +313,8 @@ def test_overflow_wins_over_a_later_breakdown_in_its_block(monkeypatch):
     failed = []
     evaluate = solver.eval_prepared
 
-    def recording(t, u, params, prepared):
-        f, u_min, reasons = evaluate(t, u, params, prepared)
+    def recording(t, u, params, prepared, **kwargs):
+        f, u_min, reasons = evaluate(t, u, params, prepared, **kwargs)
         failed.extend((t, params[b]) for b in reasons)
         return f, u_min, reasons
 
@@ -450,8 +450,8 @@ def test_a_failed_force_at_t_wins_over_the_predictor(monkeypatch):
     calls = []
     evaluate = solver.eval_prepared
 
-    def recording(t, *args):
-        result = evaluate(t, *args)
+    def recording(t, *args, **kwargs):
+        result = evaluate(t, *args, **kwargs)
         calls.append((t, result[2]))
         return result
 

@@ -881,6 +881,22 @@ class TestKeyTable:
             entries = parse_config(text.replace("<out>/constants.txt", str(golden_constants)))
             assert build_scenario(entries).echo["source.kind"] == "analytic-preset"
 
+    def test_resolved_file_of_the_float_exponent_rule_reruns_its_exponents(
+        self, tmp_path, golden_constants
+    ):
+        # K = 0.66666666666666663 once resolved to (2K - 1)/K and (1 - K) omega/K
+        # in floats; such a file keeps its explicit exponents, which pass the
+        # cross-check against the exact ones (0.25, 0.5)
+        text = (GOLDEN_DIR / "flagship-grid8.cfg").read_text()
+        old = text.replace("params.kappa = 0.25\n", "params.kappa = 0.25000000000000006\n")
+        old = old.replace("params.mu = 0.5\n", "params.mu = 0.49999999999999989\n")
+        assert old.count("0.25000000000000006") == old.count("0.49999999999999989") == 1
+        scenario = build_scenario(parse_config(
+            old.replace("<out>/constants.txt", str(golden_constants))))
+        assert (scenario.params.kappa, scenario.params.mu) == (0.25000000000000006,
+                                                               0.49999999999999989)
+        assert scenario.echo["params.mu"] == "0.49999999999999989"
+
 
 # flagship at grid.n = 8 and t_end = 2 with some keys set (None drops one):
 # a non-finite number, or a run shorter than one step or of no finite step

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from toruswave import solver
+from toruswave.energy import grid_sums
 from toruswave.fields import GridSpec
 from toruswave.solver import DFT_MAX_N, SolverConfig, simulate, simulate_batch
-from toruswave.source import ModelParams, SourceSpec, prepare_source
+from toruswave.source import ModelParams, SourceSpec, eval_prepared, prepare_source
 
 DFT_GRIDS = range(4, DFT_MAX_N + 1, 2)
 # the largest error over 40 white-noise stacks per grid was 1.26e-15 of the
@@ -96,10 +97,12 @@ def test_first_grid_above_the_crossover_is_numpy_fft_bit_for_bit():
     stepper = solver._Stepper([params, params], [prepared, prepared],
                               SolverConfig(grid=grid, dt=0.05, t_end=1.0))
     u_hat = np.fft.rfftn(0.1 * noise(n, 2), axes=(1, 2, 3))
-    u, f, f_hat, _, _ = stepper.force(0.3, u_hat)
+    u_sum, f_sum, f_hat, _, _ = stepper.force(0.3, u_hat, sums=True)
     want_u = np.fft.irfftn(u_hat, s=grid.shape, axes=(1, 2, 3))
-    assert np.array_equal(u, want_u)
-    assert np.array_equal(f_hat, np.fft.rfftn(f, s=grid.shape, axes=(1, 2, 3)))
+    assert np.array_equal(solver._irfftn(u_hat), want_u)
+    want_f = eval_prepared(0.3, want_u, stepper.params, stepper.prepared)[0]
+    assert np.array_equal(u_sum, grid_sums(want_u)) and np.array_equal(f_sum, grid_sums(want_f))
+    assert np.array_equal(f_hat, np.fft.rfftn(want_f, s=grid.shape, axes=(1, 2, 3)))
 
 
 def test_every_slot_of_a_batch_at_n16_matches_its_solo_run():

@@ -3,9 +3,9 @@
 ``fields.reduce_sobolev`` is column 0 of ``reduce_power`` alone, with its
 weight built for the call: verification reads ||u^2||_{H^m} on the doubled
 grid and the spectral tail's order-(m + 1) totals through it, so it leaves no
-weight matrix cached for them.  ``SampleBlock.reduce`` sums each run's grid
-means straight from the entry's arrays; the stacked copy it replaced is kept
-here as the reference.
+weight matrix cached for them.  The grid means of ``SampleBlock.reduce`` are
+each run's ``grid_sums`` over n^3, summed straight from the force's arrays;
+the stacked copy they replaced is kept here as the reference.
 """
 
 import math
@@ -16,7 +16,7 @@ import pytest
 from reference import white_noise
 from toruswave.calibration import CalibratedConstants, save_constants
 from toruswave.cli import run_scenario
-from toruswave.energy import COLUMNS, SampleBlock
+from toruswave.energy import COLUMNS, SampleBlock, grid_sums
 from toruswave.fields import hm_norms, norm_weights, reduce_sobolev, spectral_power
 
 
@@ -65,13 +65,14 @@ def test_verification_caches_no_doubled_grid_or_higher_order_weights(tmp_path):
     assert norm_weights.cache_info().misses == misses + len(lookups)
 
 
-def stacked_means(entries, n, b):
-    """The grid means as ``SampleBlock.reduce`` took them before: every u and F
-    copied into one (2, j, b, n^3) stack, summed along its last axis, over n^3."""
-    grids = np.empty((2, len(entries), b, n**3))
-    for i, (u, f, *_) in enumerate(entries):
-        grids[0, i], grids[1, i] = u.reshape(b, -1), f.reshape(b, -1)
-    return np.add.reduce(grids, axis=-1) / float(n**3)
+def stacked_means(grids, n, b):
+    """The grid means as ``SampleBlock.reduce`` once took them: every u and F
+    of ``grids`` copied into one (2, j, b, n^3) stack, summed along its last
+    axis, over n^3."""
+    stack = np.empty((2, len(grids), b, n**3))
+    for i, (u, f) in enumerate(grids):
+        stack[0, i], stack[1, i] = u.reshape(b, -1), f.reshape(b, -1)
+    return np.add.reduce(stack, axis=-1) / float(n**3)
 
 
 @pytest.mark.parametrize("depth", [1, 4])
@@ -79,13 +80,15 @@ def stacked_means(entries, n, b):
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_sample_means_match_the_stacked_copy_bit_for_bit(n, b, depth):
     rng = np.random.default_rng(100 * n + 10 * b + depth)
-    entries = []
+    grids, entries = [], []
     for _ in range(depth):
         u = 0.3 * rng.standard_normal((b, n, n, n)) + 0.01
         f = 0.1 * rng.standard_normal((b, n, n, n))
         u_hat, ut_hat, f_hat = (np.fft.rfftn(x, axes=(1, 2, 3)) for x in (u, u, f))
-        entries.append((u, f, u_hat, ut_hat, f_hat, list(u.reshape(b, -1).min(axis=-1))))
+        grids.append((u, f))
+        entries.append((grid_sums(u), grid_sums(f), u_hat, ut_hat, f_hat,
+                        list(u.reshape(b, -1).min(axis=-1))))
     rows = SampleBlock(n, [0.5] * b, 3).reduce(entries)  # (j, b, columns)
     means = rows[..., [COLUMNS.index("u_mean"), COLUMNS.index("f_mean")]]
-    assert means.transpose(2, 0, 1).tobytes() == stacked_means(entries, n, b).tobytes()
+    assert means.transpose(2, 0, 1).tobytes() == stacked_means(grids, n, b).tobytes()
 

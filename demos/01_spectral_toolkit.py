@@ -12,7 +12,7 @@ products) is built on that layout.
 import numpy as np
 
 from toruswave import GridSpec
-from toruswave.fields import hm_norms, norm_weights
+from toruswave.fields import hm_norms, norm_weights, spectral_power, weighted_sums
 from toruswave.solver import dealias_mask
 
 grid = GridSpec(16)
@@ -42,21 +42,26 @@ print("round-trip error  :", np.max(np.abs(back - u)))
 # k^(2a) and include the (2*pi)^3 volume factor, so a pure constant c has
 # L2 norm c*(2*pi)^(3/2).  On the half spectrum the weight also counts each
 # k3 plane strictly between 0 and n/2 twice, once for k and once for -k.
-# Every norm and energy reduces through one cached matrix per grid size and
-# order, norm_weights(n, m) = [S_m | D_1 ... D_m], D_k summing the squared
-# derivative symbols of order k.  hm_norms(raw, m) reduces the raw rfftn
-# spectrum through it: [|u|_Hm, |D_1 u|, ..., |D_m u|].
+# Every norm and energy is one weighted sum, weighted_sums(density, rows): a
+# per-mode density times each weight row, summed by np.add.reduce along the
+# half layout, with no BLAS call.  The rows are cached per grid size and
+# order, norm_weights(n, m) = [S_m, D_1, ..., D_m], D_k summing the squared
+# derivative symbols of order k.  hm_norms(raw, m) sums the power of the raw
+# rfftn spectrum against them: [|u|_Hm, |D_1 u|, ..., |D_m u|].
 c = np.full(grid.shape, 0.3)
 print("|const 0.3|_L2    :", hm_norms(np.fft.rfftn(c), 0)[0],
       "expected", 0.3 * (2.0 * np.pi) ** 1.5)
-weights = norm_weights(grid.n, 1)
-print("norm_weights shape:", weights.shape, "(one row per half-layout mode: S_1 | D_1)")
-columns = weights.reshape(grid.n, grid.n, grid.n // 2 + 1, 2)
-print("S_1 at k=(1,0,0)  :", columns[1, 0, 0, 0], "(k3 = 0 plane: once)")
-print("S_1 at k=(0,0,1)  :", columns[0, 0, 1, 0], "(k3 = 1 plane: twice)")
+s_1, d_1 = weights = norm_weights(grid.n, 1)
+print("norm_weights shape:", weights.shape, "(rows S_1 and D_1 on the half layout)")
+print("S_1 at k=(1,0,0)  :", s_1[1, 0, 0], "(k3 = 0 plane: once)")
+print("S_1 at k=(0,0,1)  :", s_1[0, 0, 1], "(k3 = 1 plane: twice)")
 # k = (-8, 0, 0) sits on the Nyquist plane: S_1 counts it in full, while the
 # derivative block D_1 zeroes it, as a first spectral derivative does
-print("S_1, D_1 at k=(-8,0,0):", columns[8, 0, 0])
+print("S_1, D_1 at k=(-8,0,0):", s_1[8, 0, 0], d_1[8, 0, 0])
+# a norm is the square root of the weighted sum of |c|^2 against its row
+wave_hat = np.fft.rfftn(full + np.sin(x1))
+print("|sin x1|_H1       :", np.sqrt(weighted_sums(spectral_power(wave_hat), weights[:1]))[0],
+      "=", hm_norms(wave_hat, 1)[0])
 
 for m in range(4):
     print(f"|u|_H{m} =", hm_norms(np.fft.rfftn(u), m)[0])

@@ -25,12 +25,12 @@ A blend depends on x1 alone, so its spectrum is zero off the
 ``_line_irfftn``, the 1-D calls ``rfftn``/``irfftn`` make restricted to that
 line, O(n^2 log n) work each in place of O(n^3 log n), with bit for bit the
 same values.  Products of two blends and their compositions stay on the
-line; a product with a cube member broadcasts the line.  All norms of one
-spectrum, ||.||_{H^m} and the order-k blocks, come from one
-``fields.reduce_power`` of its |c|^2 in the half layout, a line's embedded
-there, so each reduction sees the same vector whichever path made it.
-The composed fields read the blocks D_k on the doubled grid, so calibration
-keeps that grid's cached matrix and reads its product norms from it too.
+line; a product with a cube member broadcasts the line.  Every norm is a
+``fields.weighted_sums`` of |c|^2 against the rows of ``fields.norm_weights``
+it reads: a member's ||.||_{H^m} and blocks D_1 .. D_m on its grid, a
+product's S_m and a composed field's blocks on the doubled grid, whose
+weights calibration caches.  A line's n entries are summed against the
+weights' (k2, k3) = (0, 0) line.
 """
 
 from __future__ import annotations
@@ -47,12 +47,12 @@ from .estimates import composition_envelope
 from .fields import (
     GridSpec,
     _symbol_weight,
-    hm_norms,
+    norm_weights,
     random_band_limited,
-    reduce_power,
     refine,
     rfftn,
     spectral_power,
+    weighted_sums,
 )
 
 SAFETY_MARGIN = 1.5
@@ -165,20 +165,18 @@ def _refine(raw: npt.NDArray[np.complex128], n: int) -> npt.NDArray[np.float64]:
     return _line_irfftn(fine)
 
 
-def _norms(raw: npt.NDArray[np.complex128], m: int) -> list[float]:
-    """``fields.hm_norms`` of an ``_rfftn`` spectrum; a line's |c|^2 is embedded
-    in the half layout, so its reduction sees the vector of the cube."""
-    if raw.ndim == 3:
-        return hm_norms(raw, m)
-    n = len(raw)
-    power = np.zeros((n, n, n // 2 + 1))
-    power[:, 0, 0] = spectral_power(raw)
-    return np.sqrt(reduce_power(power, m)).tolist()
+def _norms(raw: npt.NDArray[np.complex128], m: int, rows: slice) -> list[float]:
+    """The norms of an ``_rfftn`` spectrum against ``norm_weights(N, m)[rows]``;
+    a line's |c|^2 is summed against the rows' (k2, k3) = (0, 0) line."""
+    weights, power = norm_weights(len(raw), m)[rows], spectral_power(raw)
+    if raw.ndim == 1:
+        weights, power = weights[:, :, 0, 0], power[:, None, None]
+    return np.sqrt(weighted_sums(power, weights)).tolist()
 
 
 def _product_ratio(u, v, m: int) -> float:
     """||uv||_{H^m} / (||u||_{H^m} ||v||_{H^m}) for two (refined samples, H^m norm) pairs."""
-    return _norms(_rfftn(u[0] * v[0]), m)[0] / (u[1] * v[1])
+    return _norms(_rfftn(u[0] * v[0]), m, np.s_[:1])[0] / (u[1] * v[1])  # S_m
 
 
 def _composition_ratios(
@@ -192,7 +190,7 @@ def _composition_ratios(
         ceiling = amplitude * peak
         shifted = 1.0 + amplitude * refined
         for mu in _CALIBRATION_EXPONENTS:
-            _, *blocks = _norms(_rfftn(shifted**mu), m)
+            blocks = _norms(_rfftn(shifted**mu), m, np.s_[1:])  # D_1 .. D_m
             for k, (block, base_block) in enumerate(zip(blocks, base_blocks), start=1):
                 denominator = composition_envelope(k, mu, ceiling) * amplitude * base_block
                 yield k, block / denominator
@@ -217,7 +215,7 @@ def _measure(
         if base.strides[1:] == (0, 0):  # a field of x1 alone: measure its line
             base = base[:, :1, :1]
         raw = _rfftn(base)
-        norm, *base_blocks = _norms(raw, m)
+        norm, *base_blocks = _norms(raw, m, np.s_[:])  # S_m, D_1 .. D_m
         refined = _refine(raw, grid.n)
         current = (refined, norm)
         sup = float(np.max(np.abs(base)))

@@ -445,7 +445,7 @@ def build_scenario(entries: dict[str, str]) -> Scenario:
     read("source.rng")  # likewise
 
     # a constants file is checked against m before the initial data, whose
-    # energy builds norm_weights(n, m) at a cost cubic in m
+    # energy builds the m + 2 rows of norm_weights(n, m) at a cost cubic in m
     constants = _load_constants(read, grid, params.m)
     u0, u1, e_actual = _build_initial(read, grid, params)
     if constants is None:

@@ -17,17 +17,18 @@ late-time decay statements:
 
     Estd^2 = 1/2 (||u_t||_{H^m}^2 + ||grad u||_{H^m}^2).
 
-Every integral reduces a per-mode density of the raw ``np.fft.rfftn`` half
-spectrum through ``fields.reduce_power``, that is through the cached weight
-matrix [S_m | D_1 ... D_m] of ``fields.norm_weights`` (Parseval).  Estd^2 is
-the S_m column applied to |v_hat|^2 + g |u_hat|^2, with g the per-mode
-gradient symbol.  E_m is written once: ``_density`` writes the density above
-and ``_e_m_sq`` adds its D_0 = S_0 term to the block columns, for
-``modified_energy``'s one pair of spectra (the initial data a scenario scales
-to its target E_m) and for ``SampleBlock``'s stack: the coefficients the time
-loop keeps for a block of sample times and every run of a batch, of one
-Sobolev order, reduced with the other columns in one stacked product.  The
-loop decides when a block is flushed and how deep it is (``solver``).
+Every integral is a ``fields.weighted_sums`` of a per-mode density of the
+raw ``np.fft.rfftn`` half spectrum against rows of ``fields.norm_weights``
+(Parseval), and each diagnostic takes only the rows it reads.  Estd^2 is the
+S_m sum of |v_hat|^2 + g |u_hat|^2, with g the per-mode gradient symbol,
+and the H^m norms of u, u_t and F are the S_m sums of their powers.  E_m is
+written once: ``_density`` writes the density above and ``_e_m_sq`` adds its
+sums against D_1 .. D_m and D_0 = S_0, for ``modified_energy``'s one pair of
+spectra (the initial data a scenario scales to its target E_m) and for
+``SampleBlock``'s stack: the coefficients the time loop keeps for a block of
+sample times and every run of a batch, of one Sobolev order.  The products
+of a block's sums are written into its spent spectra.  The loop decides when
+a block is flushed and how deep it is (``solver``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
-from .fields import gradient_symbol, reduce_power
+from .fields import gradient_symbol, norm_weights, weighted_sums
 
 # The diagnostics of a sample time: the columns of ``SampleBlock``'s rows, and of
 # ``solver.Trajectory.table`` after t.  Both energies are squared, norms plain;
@@ -78,10 +79,12 @@ def _density(floats, cross, rows, half_omega, coef) -> None:
     np.add(density, scratch, out=density)
 
 
-def _e_m_sq(density, reduced):
-    """E_m^2 from its density and ``reduced``, the density's
-    ``reduce_power(., m)``: the D_0 = S_0 term plus the blocks D_1 .. D_m."""
-    return reduce_power(density, 0)[..., 0] + np.add.reduce(reduced[..., 1:], axis=-1)
+def _e_m_sq(density, n: int, m: int, scratch=None):
+    """E_m^2 from its density: its sums against D_1 .. D_m, rows [1:] of
+    ``norm_weights(n, m)``, then D_0 = S_0, the row of ``norm_weights(n, 0)``,
+    added in that order."""
+    rows = [*norm_weights(n, m)[1:], *norm_weights(n, 0)]
+    return np.add.reduce(weighted_sums(density, rows, scratch), axis=-1)
 
 
 def modified_energy(u, ut, omega: float, m: int = 0) -> float:
@@ -97,7 +100,7 @@ def modified_energy(u, ut, omega: float, m: int = 0) -> float:
     floats = spectra.view(np.float64)
     rows = np.empty((4, 1, n, n, n // 2 + 1))
     _density(floats, np.empty_like(floats[0]), rows, half_omega, coef)
-    return float(_e_m_sq(rows[0], reduce_power(rows[0], m))[0])
+    return float(_e_m_sq(rows[0], n, m, floats)[0])
 
 
 class SampleBlock:
@@ -117,9 +120,9 @@ class SampleBlock:
         """Rows (j, B, 8) of ``COLUMNS`` for j sample times, each an entry
         (u_sum, f_sum, u_hat, ut_hat, f_hat, u_min): the B grid sums of u and
         F (``grid_sums``), the raw half spectra of u, u_t and F, and the B
-        minima of u.  The E_m density, the standard energy row
-        |v|^2 + g |u|^2 and the powers of u, u_t and F go through one stacked
-        ``reduce_power``; the means are the sums over n^3.  Every row is
+        minima of u.  The standard energy row |v|^2 + g |u|^2 and the powers
+        of u, u_t and F take their S_m sums, the E_m density its sums against
+        D_1 .. D_m and D_0; the means are the sums over n^3.  Every row is
         reduced alone, so a run gets the same bits in any block."""
         n, b, j = self.n, len(self.half_omega), len(entries)
         shape = (j, b, n, n, n // 2 + 1)
@@ -131,7 +134,8 @@ class SampleBlock:
         rows = np.empty((5, *shape))
         density, standard, pu, pv, pf = rows
         # (re, im) interleaved on the last axis; F's parts are squared in place,
-        # then its buffer takes the cross products of u and u_t
+        # then its buffer takes the cross products of u and u_t; once the rows
+        # are written, the spectra's floats take the products of every sum
         floats = spectra.view(np.float64)
         np.square(floats[2], out=floats[2])
         np.add(floats[2, ..., 0::2], floats[2, ..., 1::2], out=pf)
@@ -139,10 +143,10 @@ class SampleBlock:
         np.multiply(gradient_symbol(n), pu, out=standard)
         np.add(pv, standard, out=standard)
 
-        reduced = reduce_power(rows, self.m)
-        table[0] = _e_m_sq(density, reduced[0])
-        table[1] = 0.5 * reduced[1, ..., 0]
-        table[2:5] = np.sqrt(reduced[2:, ..., 0])
+        table[0] = _e_m_sq(density, n, self.m, floats)
+        sobolev = weighted_sums(rows[1:], norm_weights(n, self.m)[:1], floats)[..., 0]
+        table[1] = 0.5 * sobolev[0]
+        table[2:5] = np.sqrt(sobolev[1:])
         np.divide(table[5:7], float(n**3), out=table[5:7])
         table[7] = [entry[5] for entry in entries]
         return table.transpose(1, 2, 0)

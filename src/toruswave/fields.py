@@ -1,4 +1,4 @@
-"""Real fields as grid arrays on the 3-torus, and the one weight matrix of their norms.
+"""Real fields as grid arrays on the 3-torus, and the one weighted sum of their norms.
 
 The domain is the periodic box [0, 2pi)^3 sampled on a uniform n^3 grid; a
 real field is its float array of samples, shape (n, n, n).
@@ -19,33 +19,27 @@ spectrum with c(0) set to zero, and Parseval splits ||u||^2 into
 Per-mode symbols (``laplacian_symbol`` |k|^2, ``gradient_symbol`` g) multiply
 coefficients.
 
-Every loop, energy and calibration norm goes through one reduction,
-``reduce_power``: a real per-mode density (|c|^2, or the energy density)
-times ``norm_weights(n, m)``, the cached (n * n * (n/2 + 1), m + 1) matrix
-[S_m | D_1 ... D_m], times VOLUME n^-6.  The columns carry the plane
-multiplicity 1, 2, ..., 2, 1, so the product sums over the full spectrum; a
-stack of densities reduces density by density, so a norm has the same bits
-whichever stack it is in.
+Every norm and energy is one weighted sum, ``weighted_sums``: VOLUME n^-6
+times ``np.add.reduce`` of a real per-mode density (|c|^2, or the energy
+density) times a weight row, along the flattened half layout.  The rows
+carry the plane multiplicity 1, 2, ..., 2, 1, so each sum runs over the full
+spectrum; ``np.add.reduce`` sums pairwise in an order fixed by the layout,
+so a density has the same bits whichever stack it is in, and no BLAS runs.
+``norm_weights(n, m)`` caches the rows [S_m, D_1, ..., D_m] of one grid and
+order, and each caller passes only the rows it reads; the two
+verification sums on the doubled grid and of order m + 1 pass an S_m row
+built for the call and dropped, so no (2n)^3 weight is cached for one number.
 
-``reduce_sobolev`` is column 0 of that product alone, for the two
-verification norms that read nothing else: ||u^2||_{H^m} of the final state
-on the doubled grid and the order-(m + 1) totals of the spectral tail.  Its
-S_m weight is built on demand and dropped, so no (2n)^3 matrix of m + 1
-columns is cached for one number, and it sums without BLAS, whose threads
-change a single-column product's bits from n = 28.  It agrees with
-``reduce_power(power, m)[0]`` to roundoff, not bit for bit.
-
-* Column 0, S_m(k) = sum_{|a| <= m} k^2a, keeps the Nyquist planes k_i = -n/2
+* Row S_m(k) = sum_{|a| <= m} k^2a keeps the Nyquist planes k_i = -n/2
   at full weight.  It gives the H^m norm ``hm_norms(raw, m)[0]`` (every
   recorded H^m norm, the source amplitude, the embedding extremizer and the
   constants measured with it) and, applied to |v|^2 + g |u|^2, the standard
   energy.
-* Column k >= 1, the block D_k, sums the squared symbols of d^a over |a| = k;
+* Row D_k, k >= 1, sums the squared symbols of d^a over |a| = k;
   the Nyquist plane of axis i has no +n/2 partner and is zeroed for odd a_i,
   as an odd-order spectral derivative zeroes it.  D_1 is the Wirtinger
   gradient; the blocks give the composition constants.  The modified energy
-  E_m^2 is the D_0 = S_0 term (column 0 of the m = 0 matrix) plus the blocks,
-  applied to its density.
+  E_m^2 is the sum of its density against D_1, ..., D_m and D_0 = S_0.
 
 The conventions stay apart because moving S_m would move the embedding
 extremizer, hence ``c_sobolev`` and every ``budget:``-scaled amplitude; both
@@ -156,15 +150,17 @@ def gradient_symbol(n: int) -> npt.NDArray[np.float64]:
 
 @lru_cache(maxsize=None)
 def norm_weights(n: int, m: int) -> npt.NDArray[np.float64]:
-    """The (n * n * (n/2 + 1), m + 1) reduction weights [S_m | D_1 ... D_m]:
-    S_m with Nyquist planes at full weight, then the blocks D_k over |a| = k
-    with odd-order Nyquist planes zeroed.  The only cached reduction weight."""
-    matrix = np.empty((n * n * (n // 2 + 1), m + 1))
-    matrix[:, 0] = _symbol_weight(n, m, hermitian=True).ravel()  # raises first if m < 0
+    """The (m + 1, n, n, n/2 + 1) reduction weights [S_m, D_1, ..., D_m]: S_m
+    with Nyquist planes at full weight, then the blocks D_k over |a| = k with
+    odd-order Nyquist planes zeroed, each row contiguous.  The only cached
+    reduction weight; E_m's D_0 = S_0 is the one row of ``norm_weights(n, 0)``."""
+    s_m = _symbol_weight(n, m, hermitian=True)  # raises first if m < 0
+    weights = np.empty((m + 1, *s_m.shape))
+    weights[0] = s_m
     for k in range(1, m + 1):
-        matrix[:, k] = _symbol_weight(n, k, lowest=k, zero_nyquist=True, hermitian=True).ravel()
-    matrix.flags.writeable = False  # cached and shared by every caller
-    return matrix
+        weights[k] = _symbol_weight(n, k, lowest=k, zero_nyquist=True, hermitian=True)
+    weights.flags.writeable = False  # cached and shared by every caller
+    return weights
 
 
 def spectral_power(raw: npt.NDArray[np.complex128]) -> npt.NDArray[np.float64]:
@@ -174,34 +170,32 @@ def spectral_power(raw: npt.NDArray[np.complex128]) -> npt.NDArray[np.float64]:
     return power
 
 
-def reduce_power(power: npt.NDArray[np.float64], m: int) -> npt.NDArray[np.float64]:
-    """VOLUME n^-6 (power @ ``norm_weights(n, m)``) for a per-mode density on the
-    half layout, or a stack of them: [S_m, D_1, ..., D_m] norms squared.
+def weighted_sums(
+    density: npt.NDArray[np.float64], rows, scratch: npt.NDArray[np.float64] | None = None
+) -> npt.NDArray[np.float64]:
+    """VOLUME n^-6 sum_k density(k) w(k), shape (..., r), for a per-mode
+    density on the (n, n, n/2 + 1) half layout, or a stack of them, and each
+    of the r weight rows w in ``rows``, each on that layout.
 
-    Each density is its own vector-matrix product, so its result does not
-    depend on what else is in the stack.
+    Each row's products are written into ``scratch``, a float buffer of at
+    least the stack's size (``density`` itself, for one row), or a fresh array,
+    and summed by ``np.add.reduce`` along the flattened layout, density by
+    density.
     """
-    n = power.shape[-3]
-    rows = power.reshape(power.shape[:-3] + (1, -1))
-    return VOLUME * float(n) ** -6 * (rows @ norm_weights(n, m))[..., 0, :]
-
-
-def reduce_sobolev(power: npt.NDArray[np.float64], m: int) -> float:
-    """VOLUME n^-6 sum_k power(k) S_m(k) for one per-mode density on the half
-    layout: ``reduce_power(power, m)[0]`` to roundoff.  The S_m weight is built
-    for this call, multiplied by ``power`` in place and summed by
-    ``np.add.reduce``, so no BLAS runs."""
-    n = power.shape[-3]
-    weighted = _symbol_weight(n, m, hermitian=True)
-    weighted.flags.writeable = True  # a fresh array, not a cached one
-    np.multiply(weighted, power, out=weighted)
-    return VOLUME * float(n) ** -6 * float(np.add.reduce(weighted, axis=None))
+    n = density.shape[-3]
+    flat = density.reshape(density.shape[:-3] + (-1,))
+    products = np.empty_like(flat) if scratch is None else scratch.reshape(-1)[: flat.size]
+    products = products.reshape(flat.shape)
+    sums = np.empty(flat.shape[:-1] + (len(rows),))
+    for i, row in enumerate(rows):
+        sums[..., i] = np.add.reduce(np.multiply(flat, row.reshape(-1), out=products), axis=-1)
+    return VOLUME * float(n) ** -6 * sums
 
 
 def hm_norms(raw: npt.NDArray[np.complex128], m: int) -> list[float]:
     """[||u||_{H^m}, ||D_1 u||, ..., ||D_m u||] of the field whose raw
     ``np.fft.rfftn`` is ``raw``; ||D_k u||^2 is the sum of ||d^a u||^2 over |a| = k."""
-    return np.sqrt(reduce_power(spectral_power(raw), m)).tolist()
+    return np.sqrt(weighted_sums(spectral_power(raw), norm_weights(len(raw), m))).tolist()
 
 
 def refine(raw: npt.NDArray[np.complex128], n: int) -> npt.NDArray[np.float64]:

@@ -23,9 +23,9 @@ The final-state checks (flattening, Wirtinger, algebra, spectral tail) read
 the loop's own raw half spectrum ``final_state.u_hat``; the mean is removed by
 zeroing the coefficient k = 0, so the oscillatory part carries no grid
 roundoff in it.  Norms of u on its own grid go through ``fields.hm_norms``.
-The two that read only the S_m column, ||u^2||_{H^m} on the doubled grid and
-the spectral tail's order-(m + 1) totals, go through ``fields.reduce_sobolev``:
-no weight matrix is cached for them, and no BLAS thread count moves their bits.
+The two that read only S_m, ||u^2||_{H^m} on the doubled grid and the
+spectral tail's order-(m + 1) totals, are ``fields.weighted_sums`` against an
+S_m row built for the call and dropped, so no weight is cached for them.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .calibration import CalibratedConstants
 from .estimates import BootstrapParams, damped_trapezoids, epsilon_budgets, gronwall_bound
-from .fields import hm_norms, reduce_sobolev, refine, rfftn, spectral_power
+from .fields import _symbol_weight, hm_norms, refine, rfftn, spectral_power, weighted_sums
 from .solver import Trajectory, dealias_mask
 from .source import ModelParams
 
@@ -404,15 +404,16 @@ def check_algebra_final(
         )
     # measured as calibrate measures c_algebra: refined once, u^2 on the doubled
     # grid; the check owns the refined samples, so it squares them in place and
-    # drops them before the |c|^2 pass, and drops the spectrum before the S_m
-    # weight is built: two (2n)^3 arrays alive at a time
+    # drops them before the |c|^2 pass, drops the spectrum before the S_m
+    # weight is built, and takes the products in the power's own array: two
+    # (2n)^3 arrays alive at a time
     raw = trajectory.final_state.u_hat
     squared = refine(raw, n)
     spectrum = rfftn(np.square(squared, out=squared))
     del squared
     power = spectral_power(spectrum)
     del spectrum
-    lhs = math.sqrt(reduce_sobolev(power, m))
+    lhs = math.sqrt(weighted_sums(power, [_symbol_weight(2 * n, m, hermitian=True)], power)[0])
     rhs = constants.c_algebra * hm_norms(raw, m)[0] ** 2
     scale = max(rhs, 1e-12)
     return _finish(
@@ -424,10 +425,11 @@ def _spectral_tail_fraction(trajectory: Trajectory) -> float:
     """H^{m+1}-weighted mass fraction beyond the dealias band of the final u."""
     if trajectory.final_state is None:
         return math.nan
+    n = trajectory.config.grid.n
     power = spectral_power(trajectory.final_state.u_hat)
-    tail = np.where(dealias_mask(trajectory.config.grid.n), 0.0, power)
-    order = trajectory.params.m + 1
-    total, beyond = reduce_sobolev(power, order), reduce_sobolev(tail, order)
+    tail = np.where(dealias_mask(n), 0.0, power)
+    weight = [_symbol_weight(n, trajectory.params.m + 1, hermitian=True)]
+    total, beyond = (weighted_sums(density, weight)[0] for density in (power, tail))
     if total == 0.0:
         return 0.0
     return math.sqrt(beyond / total)

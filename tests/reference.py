@@ -173,6 +173,23 @@ def weighted_norm_sq(spectrum, weight):
     return float(VOLUME * np.sum(weight * np.abs(spectrum.coeffs) ** 2))
 
 
+def half_sobolev_weight(n, m):
+    """``full_sobolev_weight`` on the half layout k3 = 0 .. n/2, each plane
+    times its multiplicity 1, 2, ..., 2, 1: a reduction weight."""
+    multiplicity = np.full(n // 2 + 1, 2.0)
+    multiplicity[[0, -1]] = 1.0
+    return full_sobolev_weight(n, m)[..., : n // 2 + 1] * multiplicity
+
+
+def sobolev_sum(power, m):
+    """VOLUME n^-6 sum_k power(k) S_m(k) of one half-layout density, summed as
+    the package once did for its verification norms: the weight times the
+    density, then one ``np.add.reduce`` over every axis."""
+    n = power.shape[-3]
+    weighted = half_sobolev_weight(n, m) * power
+    return VOLUME * float(n) ** -6 * float(np.add.reduce(weighted, axis=None))
+
+
 def spectrum_norm(spectrum, m=0):
     """H^m norm of a full spectrum; m = 0 is the L2 norm."""
     return math.sqrt(weighted_norm_sq(spectrum, full_sobolev_weight(spectrum.grid.n, m)))

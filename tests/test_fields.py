@@ -185,7 +185,7 @@ class TestSobolevNorm:
         # Hand-enumerated multi-index sums for small wave vectors, indexed in
         # the (8, 8, 5) half layout: the k3 = 0 and k3 = 4 planes count once,
         # the planes between them twice (for k and -k).
-        weight = norm_weights(8, m)[:, 0].reshape(8, 8, 5)
+        weight = norm_weights(8, m)[0]
         assert weight[k] == pytest.approx(expected, rel=1e-14)
 
     def test_rejects_negative_order(self):

@@ -54,9 +54,8 @@ def folded(full):
 
 
 def columns(n, m):
-    """The columns S_m, D_1, ..., D_m of ``norm_weights(n, m)`` on the half layout."""
-    matrix = norm_weights(n, m)
-    return [matrix[:, k].reshape(n, n, n // 2 + 1) for k in range(m + 1)]
+    """The rows S_m, D_1, ..., D_m of ``norm_weights(n, m)`` on the half layout."""
+    return list(norm_weights(n, m))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 16, 32])
@@ -80,14 +79,15 @@ def test_norm_weights_leave_no_block_arrays_cached():
     # a grid size no other test uses, so the cache of fields starts without it
     n, m = 14, 2
     before = norm_weights.cache_info().currsize
-    matrix = norm_weights(n, m)
+    weights = norm_weights(n, m)
     assert norm_weights.cache_info().currsize == before + 1
-    assert not matrix.flags.writeable
-    assert matrix.shape == (n * n * (n // 2 + 1), m + 1)
-    assert np.array_equal(matrix[:, 0], folded(full_sobolev_weight(n, m)).ravel())
+    assert not weights.flags.writeable
+    assert weights.flags.c_contiguous
+    assert weights.shape == (m + 1, n, n, n // 2 + 1)
+    assert np.array_equal(weights[0], folded(full_sobolev_weight(n, m)))
     for k in range(1, m + 1):
-        assert np.array_equal(matrix[:, k], folded(full_derivative_weight(n, k, lowest=k)).ravel())
-    # norms and energies add only the m = 0 matrix, whose S_0 column is E_m's D_0 term
+        assert np.array_equal(weights[k], folded(full_derivative_weight(n, k, lowest=k)))
+    # norms and energies add only the m = 0 weights, whose S_0 row is E_m's D_0 term
     u, ut = white_noise(n, 1), white_noise(n, 2)
     raw, raw_t = np.fft.rfftn(u), np.fft.rfftn(ut)
     hm_norms(raw, m)

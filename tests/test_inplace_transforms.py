@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference import white_noise
+from reference import sobolev_sum, white_noise
 from toruswave import fields
 from toruswave.calibration import CalibratedConstants
 from toruswave.verify import check_algebra_final
@@ -75,7 +75,8 @@ def test_spectral_power_matches_the_sum_of_squares_bit_for_bit(n):
 @pytest.mark.parametrize("n", [8, 16])
 def test_algebra_check_measures_the_product_norm_bit_for_bit(n):
     # the check squares its refined samples in place; the reference multiplies
-    # two refined copies, as calibrate's pairs do, and sums their S_m power
+    # two refined copies, as calibrate's pairs do, and sums their S_m power as
+    # the check did before its sum became a ``fields.weighted_sums``
     u = 0.5 * white_noise(n, 70 + n)
     constants = constants_for(n, c_algebra=1.0)
     result = check_algebra_final(final_state_trajectory(u), constants)
@@ -83,7 +84,7 @@ def test_algebra_check_measures_the_product_norm_bit_for_bit(n):
     refined = fields.refine(raw, n)
     rhs = fields.hm_norms(raw, 3)[0] ** 2
     power = fields.spectral_power(fields.rfftn(refined * refined))
-    lhs = math.sqrt(fields.reduce_sobolev(power, 3))
+    lhs = math.sqrt(sobolev_sum(power, 3))
     assert result.worst_margin == (rhs - lhs) / rhs
 
 

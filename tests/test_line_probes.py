@@ -2,13 +2,16 @@
 
 ``calibrate`` sends the four blends 1 + b cos(x1) through ``_line_rfftn`` and
 ``_line_irfftn``, the 1-D calls of ``np.fft.rfftn``/``irfftn`` restricted to
-the one line where their spectra can be non-zero.  The cube measurement it
-replaced is kept here as the reference: on grids whose size is 2^a 3^b the
-cube transforms are exactly zero off the line, so the constants must agree
-bit for bit; with a prime factor 5 or 7 they leave roundoff there, which the
-line drops, so the constants agree to roundoff.  Both sides take no
-composition ratio from the constant probe.  Reference and package run on the
-same machine, so no golden bits are stored.
+the one line where their spectra can be non-zero, and sums a line's norms
+over its n entries.  The cube measurement it replaced is kept here as the
+reference: on grids whose size is 2^a 3^b the cube transforms are exactly
+zero off the line, so a reference that sums such a spectrum over its line
+must give the same constants bit for bit, and one that sums it over the
+whole cube, in another order, the same to roundoff; with a prime factor 5 or
+7 the cube transforms leave roundoff off the line, which the line drops, so
+the constants agree to roundoff.  Both sides take no composition ratio from
+the constant probe.  Reference and package run on the same machine, so no
+golden bits are stored.
 """
 
 import numpy as np
@@ -24,7 +27,7 @@ from toruswave.calibration import (
     calibrate,
 )
 from toruswave.estimates import composition_envelope
-from toruswave.fields import GridSpec, hm_norms, refine, rfftn
+from toruswave.fields import GridSpec, refine, rfftn
 
 LINE_GRIDS = [4, 6, 8, 10, 12, 14, 16, 20, 32]
 
@@ -37,7 +40,15 @@ def three_smooth(n):
     return n == 1
 
 
-def cube_measure(grid, m):
+def cube_norms(raw, m, rows, lines):
+    """``calibration._norms`` of a cube spectrum; with ``lines``, one that is
+    exactly zero off the (k2, k3) = (0, 0) line is summed over that line."""
+    off_line = raw.copy()
+    off_line[:, 0, 0] = 0.0
+    return calibration._norms(raw[:, 0, 0] if lines and not off_line.any() else raw, m, rows)
+
+
+def cube_measure(grid, m, lines=True):
     """``calibration._measure`` on the five probes with every member a cube."""
     c_sobolev = c_algebra = 0.0
     c_moser = {k: 0.0 for k in range(1, m + 1)}
@@ -46,7 +57,7 @@ def cube_measure(grid, m):
         composes = any(member.strides)  # the constant takes no composition ratio
         base = np.array(member)
         raw = np.fft.rfftn(base)
-        norm, *base_blocks = hm_norms(raw, m)
+        norm, *base_blocks = cube_norms(raw, m, np.s_[:], lines)
         refined = refine(raw, grid.n)
         current = (refined, norm)
         sup = float(np.max(np.abs(base)))
@@ -54,20 +65,20 @@ def cube_measure(grid, m):
         if previous is None:
             first = current
         else:
-            ratio = hm_norms(rfftn(previous[0] * refined), m)[0] / (previous[1] * norm)
-            c_algebra = max(c_algebra, ratio)
+            product = cube_norms(rfftn(previous[0] * refined), m, np.s_[:1], lines)[0]
+            c_algebra = max(c_algebra, product / (previous[1] * norm))
         if composes:
             peak = max(sup, float(np.max(np.abs(refined))))
             for amplitude in _CALIBRATION_AMPLITUDES:
                 shifted = 1.0 + amplitude * refined
                 for mu in _CALIBRATION_EXPONENTS:
-                    _, *blocks = hm_norms(np.fft.rfftn(shifted**mu), m)
+                    blocks = cube_norms(np.fft.rfftn(shifted**mu), m, np.s_[1:], lines)
                     for k, (block, base_block) in enumerate(zip(blocks, base_blocks), start=1):
                         envelope = composition_envelope(k, mu, amplitude * peak)
                         c_moser[k] = max(c_moser[k], block / (envelope * amplitude * base_block))
         previous = current
-    ratio = hm_norms(rfftn(previous[0] * first[0]), m)[0] / (previous[1] * first[1])
-    return c_sobolev, max(c_algebra, ratio), c_moser
+    product = cube_norms(rfftn(previous[0] * first[0]), m, np.s_[:1], lines)[0]
+    return c_sobolev, max(c_algebra, product / (previous[1] * first[1])), c_moser
 
 
 def flat(measured):
@@ -128,6 +139,7 @@ def test_constants_match_the_cube_bit_for_bit(n, m):
     grid = GridSpec(n)
     line, cube = flat(_measure(grid, m, 2024, 0)), flat(cube_measure(grid, m))
     assert [v.hex() for v in line] == [v.hex() for v in cube]
+    assert line == pytest.approx(flat(cube_measure(grid, m, lines=False)), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [10, 14])

@@ -1,11 +1,14 @@
-"""The S_m sum of the two verification norms, and the in-place sample means.
+"""The one weighted sum of every norm and energy, and the in-place sample means.
 
-``fields.reduce_sobolev`` is column 0 of ``reduce_power`` alone, with its
-weight built for the call: verification reads ||u^2||_{H^m} on the doubled
-grid and the spectral tail's order-(m + 1) totals through it, so it leaves no
-weight matrix cached for them.  The grid means of ``SampleBlock.reduce`` are
-each run's ``grid_sums`` over n^3, summed straight from the force's arrays;
-the stacked copy they replaced is kept here as the reference.
+``fields.weighted_sums`` reduces each density of a stack against explicit
+weight rows: the rows of the cached ``norm_weights(n, m)`` in the loop, the
+energies and calibration, and an S_m row built for the call and dropped for
+verification's ||u^2||_{H^m} on the doubled grid and its spectral tail's
+order-(m + 1) totals.  ``reference.sobolev_sum`` is the formula those two
+verification sums had before, kept to show their bits did not move.  The grid
+means of ``SampleBlock.reduce`` are each run's ``grid_sums`` over n^3, summed
+straight from the force's arrays; the stacked copy they replaced is kept here
+as the reference.
 """
 
 import math
@@ -13,24 +16,61 @@ import math
 import numpy as np
 import pytest
 
-from reference import white_noise
+from reference import sobolev_sum, white_noise
+from test_half_layout import final_state_trajectory
 from toruswave.calibration import CalibratedConstants, save_constants
 from toruswave.cli import run_scenario
 from toruswave.energy import COLUMNS, SampleBlock, grid_sums
-from toruswave.fields import hm_norms, norm_weights, reduce_sobolev, spectral_power
+from toruswave.fields import _symbol_weight, hm_norms, norm_weights, spectral_power, weighted_sums
+from toruswave.solver import dealias_mask
+from toruswave.verify import _spectral_tail_fraction
 
 
 @pytest.mark.parametrize("m", [1, 3, 6])
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_sobolev_sum_matches_the_h_m_norm(n, m):
+    # an S_m row built for the call, as verification builds it: the formula
+    # that sum replaced, bit for bit, with a fresh product array or with the
+    # density's own, and the cached row's H^m norm to roundoff
     raw = np.fft.rfftn(white_noise(n, 10 * n + m))
     power = spectral_power(raw)
     kept = power.copy()
-    misses = norm_weights.cache_info().misses
-    got = math.sqrt(reduce_sobolev(power, m))
-    assert norm_weights.cache_info().misses == misses  # no weight matrix looked up
+    weight = [_symbol_weight(n, m, hermitian=True)]
+    got = weighted_sums(power, weight)
     assert power.tobytes() == kept.tobytes()
-    assert got == pytest.approx(hm_norms(raw, m)[0], rel=1e-13, abs=0.0)
+    assert got.shape == (1,)
+    assert float(got[0]).hex() == sobolev_sum(power, m).hex()
+    assert weighted_sums(kept, weight, kept).tobytes() == got.tobytes()
+    assert math.sqrt(got[0]) == pytest.approx(hm_norms(raw, m)[0], rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_spectral_tail_keeps_the_sums_it_had_bit_for_bit(n):
+    u = white_noise(n, 90 + n)
+    power = spectral_power(np.fft.rfftn(u))
+    tail = np.where(dealias_mask(n), 0.0, power)
+    want = math.sqrt(sobolev_sum(tail, 4) / sobolev_sum(power, 4))  # order m + 1
+    assert _spectral_tail_fraction(final_state_trajectory(u, m=3)).hex() == want.hex()
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_a_density_gets_the_same_sums_alone_in_a_block_and_in_a_batch(n):
+    # every density is summed alone along its own flattened layout, so its
+    # sums have the same bits in any stack, with or without a scratch buffer
+    rng = np.random.default_rng(n)
+    densities = rng.standard_normal((3, 4, n, n, n // 2 + 1))  # (times, runs, layout)
+    weights = norm_weights(n, 3)
+    stacked = weighted_sums(densities, weights)
+    assert stacked.shape == (3, 4, 4)
+    scratch = np.empty(2 * densities.size)
+    assert weighted_sums(densities, weights, scratch).tobytes() == stacked.tobytes()
+    for j in range(3):
+        assert weighted_sums(densities[j], weights).tobytes() == stacked[j].tobytes()  # a batch
+        for b in range(4):
+            alone = weighted_sums(densities[j, b], weights[1:3])
+            assert alone.tobytes() == stacked[j, b, 1:3].tobytes()
+    for b in range(4):  # a block of sample times of one run
+        assert weighted_sums(densities[:, b], weights).tobytes() == stacked[:, b].tobytes()
 
 
 def test_verification_caches_no_doubled_grid_or_higher_order_weights(tmp_path):

@@ -18,9 +18,10 @@ from toruswave.cli import CONSTANTS_ENV, build_scenario, load_config
 from toruswave.fields import (
     GridSpec,
     hm_norms,
+    norm_weights,
     random_band_limited,
-    reduce_power,
     spectral_power,
+    weighted_sums,
 )
 from toruswave.solver import (
     BreakdownInfo,
@@ -292,12 +293,13 @@ def test_loop_costs_two_forces_per_step_and_no_full_transforms(monkeypatch, samp
 @pytest.mark.parametrize(
     "weight",
     [
-        # (the squared norm through the half-layout weight matrix, the same
-        # weight on the full lattice); D_0 is S_0, column 0 of the m = 0 matrix
-        lambda p, m: (reduce_power(p, m)[0], full_sobolev_weight),  # Nyquist at full weight
-        lambda p, m: (reduce_power(p, 0)[0] + sum(reduce_power(p, m)[1:]),
+        # (the squared norm through rows of the half-layout weights, the same
+        # weight on the full lattice); D_0 is S_0, the row of the m = 0 weights
+        lambda p, m: (weighted_sums(p, norm_weights(len(p), m)[:1])[0],
+                      full_sobolev_weight),  # Nyquist at full weight
+        lambda p, m: (sum(weighted_sums(p, [*norm_weights(len(p), 0), *norm_weights(len(p), m)[1:]])),
                       full_derivative_weight),  # odd Nyquist zeroed
-        lambda p, m: (sum(reduce_power(p, m)[1:]),
+        lambda p, m: (sum(weighted_sums(p, norm_weights(len(p), m)[1:])),
                       lambda n, m: full_derivative_weight(n, m, lowest=1)),
     ],
     ids=["sobolev", "derivative", "derivative-lowest-1"],

@@ -86,7 +86,7 @@ class TestMatchesDerivativeLoops:
         assert rel_err(row.e_std_sq, loop_standard_energy(u, ut, m)) <= REL
 
     def test_derivative_block_norm(self, n, m):
-        # calibration's blocks: column m of its weight matrix (S_0 when m = 0)
+        # calibration's blocks: row m of its weights (S_0 when m = 0)
         u = white_noise(n, 5)
         got = hm_norms(np.fft.rfftn(u), m)[m]
         assert rel_err(got, loop_block_norm(transform(u), m)) <= REL
@@ -151,20 +151,20 @@ def test_one_hm_norm_bit_for_bit(n, m, monkeypatch):
 
 
 def column(m, k):
-    """Column k of ``norm_weights(8, m)`` on the (8, 8, 5) half layout: S_m for
+    """Row k of ``norm_weights(8, m)`` on the (8, 8, 5) half layout: S_m for
     k = 0, the block D_k otherwise."""
-    return norm_weights(8, m)[:, k].reshape(8, 8, 5)
+    return norm_weights(8, m)[k]
 
 
 def derivative_weight(m, lowest=0):
-    """D_lowest + ... + D_m from the columns, with D_0 = S_0."""
+    """D_lowest + ... + D_m from the rows, with D_0 = S_0."""
     return sum(column(0 if k == 0 else m, k) for k in range(lowest, m + 1))
 
 
 class TestNyquistConventions:
     """At n = 8 the wave vector (-4, 0, 0) sits on the Nyquist plane of axis 1.
 
-    The weights are the columns of ``norm_weights``, laid out on the (8, 8, 5)
+    The weights are the rows of ``norm_weights``, laid out on the (8, 8, 5)
     half grid: index 4 of the last axis is the k3 = 4 Nyquist plane, and they
     count each k3 plane strictly between 0 and 4 twice, once for k and once
     for -k.

@@ -47,6 +47,7 @@ from .estimates import composition_envelope
 from .fields import (
     GridSpec,
     _symbol_weight,
+    hm_norms,
     norm_weights,
     random_band_limited,
     refine,
@@ -166,12 +167,12 @@ def _refine(raw: npt.NDArray[np.complex128], n: int) -> npt.NDArray[np.float64]:
 
 
 def _norms(raw: npt.NDArray[np.complex128], m: int, rows: slice) -> list[float]:
-    """The norms of an ``_rfftn`` spectrum against ``norm_weights(N, m)[rows]``;
-    a line's |c|^2 is summed against the rows' (k2, k3) = (0, 0) line."""
-    weights, power = norm_weights(len(raw), m)[rows], spectral_power(raw)
-    if raw.ndim == 1:
-        weights, power = weights[:, :, 0, 0], power[:, None, None]
-    return np.sqrt(weighted_sums(power, weights)).tolist()
+    """``fields.hm_norms`` of an ``_rfftn`` spectrum; a line's |c|^2 is summed
+    against the rows' (k2, k3) = (0, 0) line."""
+    if raw.ndim == 3:
+        return hm_norms(raw, m, rows)
+    weights = norm_weights(len(raw), m)[rows, :, 0, 0]
+    return np.sqrt(weighted_sums(spectral_power(raw)[:, None, None], weights)).tolist()
 
 
 def _product_ratio(u, v, m: int) -> float:

@@ -106,15 +106,11 @@ def modified_energy(u, ut, omega: float, m: int = 0) -> float:
 class SampleBlock:
     """The diagnostics of blocks of sample times of B runs of Sobolev order
     ``m`` on one n^3 grid, each block reduced in one stacked pass; ``omegas``
-    holds each run's damping rate, and ``take`` drops runs as they leave."""
+    holds each run's damping rate, one per slot of the batch."""
 
     def __init__(self, n: int, omegas, m: int):
         self.n, self.m = n, m
         self.half_omega, self.coef = _coefficients(omegas, n)
-
-    def take(self, slots: list[int]) -> None:
-        """Keep only the runs in ``slots``, in that order."""
-        self.half_omega, self.coef = self.half_omega[slots], self.coef[slots]
 
     def reduce(self, entries) -> npt.NDArray[np.float64]:
         """Rows (j, B, 8) of ``COLUMNS`` for j sample times, each an entry

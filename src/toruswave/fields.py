@@ -31,7 +31,7 @@ verification sums on the doubled grid and of order m + 1 pass an S_m row
 built for the call and dropped, so no (2n)^3 weight is cached for one number.
 
 * Row S_m(k) = sum_{|a| <= m} k^2a keeps the Nyquist planes k_i = -n/2
-  at full weight.  It gives the H^m norm ``hm_norms(raw, m)[0]`` (every
+  at full weight.  It gives the H^m norm ``hm_norms(raw, m, np.s_[:1])`` (every
   recorded H^m norm, the source amplitude, the embedding extremizer and the
   constants measured with it) and, applied to |v|^2 + g |u|^2, the standard
   energy.
@@ -192,10 +192,12 @@ def weighted_sums(
     return VOLUME * float(n) ** -6 * sums
 
 
-def hm_norms(raw: npt.NDArray[np.complex128], m: int) -> list[float]:
-    """[||u||_{H^m}, ||D_1 u||, ..., ||D_m u||] of the field whose raw
-    ``np.fft.rfftn`` is ``raw``; ||D_k u||^2 is the sum of ||d^a u||^2 over |a| = k."""
-    return np.sqrt(weighted_sums(spectral_power(raw), norm_weights(len(raw), m))).tolist()
+def hm_norms(raw: npt.NDArray[np.complex128], m: int, rows: slice = slice(None)) -> list[float]:
+    """The ``rows`` of [||u||_{H^m}, ||D_1 u||, ..., ||D_m u||] (default all) of
+    the field whose raw ``np.fft.rfftn`` is ``raw``; ||D_k u||^2 is the sum of
+    ||d^a u||^2 over |a| = k.  Each row is summed alone, so a norm has the
+    same bits whichever rows are asked for."""
+    return np.sqrt(weighted_sums(spectral_power(raw), norm_weights(len(raw), m)[rows])).tolist()
 
 
 def refine(raw: npt.NDArray[np.complex128], n: int) -> npt.NDArray[np.float64]:

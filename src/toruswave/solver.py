@@ -37,7 +37,10 @@ same shapes in any batch): a run gets the same bits in any batch,
 ``simulate`` is the batch of one, and ``simulate_batch`` serves a sweep,
 whose points share one Sobolev order, as a sweep cannot vary it.
 Each run keeps its own finiteness, positivity and overflow tests and its own
-rows; a run that breaks down leaves the batch.
+rows, and its slot for the life of the batch: a run that breaks down marks
+its slot dead, and the dead slot is stepped on with the others, its values
+never read again.  Its final state is copied out of the stacked arrays, so
+runs that end at different steps do not keep a stack each.
 ``BATCH_BYTES`` caps a batch, since stacking stops paying on bigger grids.
 
 The nonlinear product may be de-aliased with the standard 2/3-rule mask
@@ -52,16 +55,16 @@ minima of u that the positivity checks reduced, and ``energy.SampleBlock``
 reduces a block of sample times for every run of the batch in one stacked
 pass; each run's rows go to a list, which becomes its ``Trajectory.table``
 when the batch is done.
-A block is flushed when it is full, at the last step, and before any run
-leaves the batch.  A force returns the reasons of the runs it fails for beside
-its arrays, so every stage runs on all slots; the runs whose state is not
-finite or whose force failed leave right after the flush, keyed by run, since
-the flush may drop slots itself, and the others go on with the arrays made.  A
-run whose flushed row is not finite keeps the rows before it and the state of
-the last of them, and leaves with that overflow as its breakdown, so a failure
-it would meet later in the block never counts.  ``SAMPLE_BLOCK_BYTES`` sets
-the block's depth, ``block_depth``: it spares the per-call overhead of small
-grids with frequent samples, and from n = 14 on a block is one sample time.
+A block is flushed when it is full, at the last step, and before any live run
+breaks down.  A force returns the reasons of the slots it fails for beside its
+arrays, so every stage runs on all slots; a live run whose state is not finite
+or whose force failed breaks down right after the flush, and a dead slot's
+failures are dropped unread, so they cost no flush.  A run whose flushed row
+is not finite keeps the rows before it and the state of the last of them, and
+that overflow is its breakdown, so a failure it would meet later in the block
+never counts.  ``SAMPLE_BLOCK_BYTES`` sets the block's depth, ``block_depth``:
+it spares the per-call overhead of small grids with frequent samples, and from
+n = 14 on a block is one sample time.
 """
 
 from __future__ import annotations
@@ -334,13 +337,6 @@ class _Stepper:
             piece.astype(np.complex128) for piece in (p11, p12, p21, p22, wu, wv)
         )
 
-    def take(self, slots: list[int]) -> None:
-        """Keep only the runs in ``slots``, in that order."""
-        self.params = [self.params[b] for b in slots]
-        self.prepared = [self.prepared[b] for b in slots]
-        for name in ("p11", "p12", "p21", "p22", "wu", "wv"):
-            setattr(self, name, getattr(self, name)[slots])
-
     def force(self, t: float, u_hat, sums: bool = False):
         """F(t, u) for the stacked raw half spectra ``u_hat``: with ``sums`` the
         runs' grid sums of u and of F (``energy.grid_sums``, else None twice),
@@ -389,37 +385,35 @@ def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat)
     runs in ``trajectories``, whose stacked raw spectra are ``u_hat``, ``ut_hat``."""
     config = stepper.config
     dt, n_steps = config.dt, config.n_steps
-    live = list(trajectories)  # the run in each slot
-    recorded = {id(trajectory): [] for trajectory in live}  # each run's rows [t, *COLUMNS]
+    live = [True] * len(trajectories)  # per slot: its run has not broken down
+    recorded = [[] for _ in trajectories]  # each run's rows [t, *COLUMNS]
     block = SampleBlock(config.grid.n, [p.omega for p in stepper.params], stepper.params[0].m)
-    depth = block_depth(config.grid.n, len(live))
+    depth = block_depth(config.grid.n, len(trajectories))
     # the deferred sample times: (k, t, u_sum, f_sum, u_hat, ut_hat, f_hat, u_min),
     # the arrays force and state produced, which no step changes in place
     pending = []
 
-    def stop(infos: dict[int, BreakdownInfo], *arrays):
-        """Record the breakdowns in ``infos``, keyed by the ``id`` of the run, of
-        the runs still in the batch, drop those runs from the stepper, and
-        return ``arrays`` without their slots."""
-        for trajectory in live:
-            trajectory.breakdown = infos.get(id(trajectory), trajectory.breakdown)
-        slots = [b for b, trajectory in enumerate(live) if id(trajectory) not in infos]
-        live[:] = [live[b] for b in slots]
-        stepper.take(slots)
-        block.take(slots)
-        return [a[slots] for a in arrays]
+    def end(b: int, info: BreakdownInfo) -> None:
+        """Mark slot ``b`` dead with its run's breakdown.  Its final state is
+        copied out of the stack it views, so a run that ends early does not
+        keep a whole stack alive."""
+        trajectory = trajectories[b]
+        trajectory.breakdown, live[b] = info, False
+        if (state := trajectory.final_state) is not None:
+            trajectory.final_state = SolverState(state.t, state.u_hat.copy(), state.ut_hat.copy())
 
-    def flush(*arrays):
-        """Reduce the pending samples in one block and record their rows.  A slot
-        with a non-finite row keeps its rows before it and leaves with that
-        overflow as its breakdown; returns ``arrays`` without those slots."""
+    def flush() -> None:
+        """Reduce the pending samples in one block and record the live runs'
+        rows.  A run with a non-finite row keeps its rows before it, and that
+        overflow is its breakdown."""
         if not pending:
-            return arrays
+            return
         table = block.reduce([entry[2:] for entry in pending])
         rows, finite = table.tolist(), np.isfinite(table).all(axis=-1).tolist()
-        overflows = {}
-        for b, trajectory in enumerate(live):
-            out, last = recorded[id(trajectory)], None
+        for b, trajectory in enumerate(trajectories):
+            if not live[b]:
+                continue
+            last = overflow = None
             for (k, t, _, _, state_u, state_ut, _, _), rows_k, finite_k in zip(
                 pending, rows, finite
             ):
@@ -428,51 +422,49 @@ def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat)
                     bad = ", ".join(name for name, value in zip(COLUMNS, row)
                                     if not math.isfinite(value))
                     reason = f"the diagnostics overflow at t = {t:.6g}: {bad}"
-                    overflows[id(trajectory)] = BreakdownInfo(t, k, reason)
+                    overflow = BreakdownInfo(t, k, reason)
                     break
-                out.append([t, *row])
+                recorded[b].append([t, *row])
                 last = (t, state_u[b], state_ut[b])
             if last is not None:
                 trajectory.final_state = SolverState(*last)
+            if overflow is not None:
+                end(b, overflow)
         pending.clear()
-        return stop(overflows, *arrays) if overflows else arrays
 
-    def leave(infos: dict[int, BreakdownInfo], *arrays):
-        """Flush, then stop the runs of the slots in ``infos`` that the flush
-        kept; keyed by run, since a flush that drops a slot renumbers the rest."""
-        by_run = {id(live[b]): info for b, info in infos.items()}
-        return stop(by_run, *flush(*arrays))
+    def stop(failed: dict[int, tuple[float, str]], k: int) -> None:
+        """End the live runs of the slots in ``failed``, each with the (time,
+        reason) of its failure at step k: flush first, and skip the runs the
+        flush ended.  A dead slot's failures are dropped unread, so they cost
+        no flush."""
+        failed = {b: failure for b, failure in failed.items() if live[b]}
+        if failed:
+            flush()
+        for b, (t_f, reason) in failed.items():
+            if live[b]:
+                end(b, BreakdownInfo(t_f, k, reason))
 
     for k in range(n_steps + 1):  # k = 0 and k = n_steps always sample
         t = k * dt
-        if not (np.isfinite(u_hat).all() and np.isfinite(ut_hat).all()):
+        finite = np.isfinite(u_hat).all(axis=(1, 2, 3)) & np.isfinite(ut_hat).all(axis=(1, 2, 3))
+        if not finite.all():
             reason = f"state became non-finite at step {k} (t = {t:.6g})"
-            infos = {
-                b: BreakdownInfo(t, k, reason)
-                for b in range(len(live))
-                if not (np.isfinite(u_hat[b]).all() and np.isfinite(ut_hat[b]).all())
-            }
-            u_hat, ut_hat = leave(infos, u_hat, ut_hat)
-        if not live:
+            stop(dict.fromkeys(np.flatnonzero(~finite).tolist(), (t, reason)), k)
+        if not any(live):
             break
         f_hat = None
         if k % config.sample_every == 0 or k == n_steps:
             u_sum, f_sum, f_hat, u_min, failed = stepper.force(t, u_hat, sums=True)
-            if failed:
-                infos = {b: BreakdownInfo(t, k, reason) for b, reason in failed.items()}
-                u_hat, ut_hat, u_sum, f_sum, f_hat, u_min = leave(
-                    infos, u_hat, ut_hat, u_sum, f_sum, f_hat, u_min)
-            if live:
+            stop({b: (t, reason) for b, reason in failed.items()}, k)
+            if any(live):
                 pending.append((k, t, u_sum, f_sum, u_hat, ut_hat, f_hat, u_min))
                 if len(pending) == depth or k == n_steps:
-                    u_hat, ut_hat, f_hat = flush(u_hat, ut_hat, f_hat)
-        if live and k < n_steps:
+                    flush()
+        if any(live) and k < n_steps:
             u_hat, ut_hat, failed = stepper.advance(t, u_hat, ut_hat, f_hat)
-            if failed:
-                infos = {b: BreakdownInfo(t_f, k, reason) for b, (t_f, reason) in failed.items()}
-                u_hat, ut_hat = leave(infos, u_hat, ut_hat)
-    for trajectory in trajectories:
-        trajectory.table = _table(recorded[id(trajectory)])
+            stop(failed, k)
+    for trajectory, rows in zip(trajectories, recorded):
+        trajectory.table = _table(rows)
 
 
 def simulate_batch(u0, u1, params, sources, config: SolverConfig) -> list[Trajectory]:
@@ -483,7 +475,7 @@ def simulate_batch(u0, u1, params, sources, config: SolverConfig) -> list[Trajec
     The points go through ``_run_batch`` in contiguous batches of at most
     ``batch_size(n)``.  Each point gets the trajectory its solo run gets, bit
     for bit: a point that breaks down keeps its table, ``BreakdownInfo`` and
-    final state and leaves the batch, the others go on.
+    final state, and its slot goes on dead beside the others.
     """
     u0, u1 = np.asarray(u0, dtype=np.float64), np.asarray(u1, dtype=np.float64)
     count = len(params)
@@ -507,7 +499,7 @@ def simulate_batch(u0, u1, params, sources, config: SolverConfig) -> list[Trajec
         u_hat = np.fft.rfftn(u0[batch], s=config.grid.shape, axes=(1, 2, 3))
         ut_hat = np.fft.rfftn(u1[batch], s=config.grid.shape, axes=(1, 2, 3))
         # an overflow in the loop ends its run through the finiteness checks, and
-        # a failed force's slot holds no meaningful values until its run leaves
+        # a failed force's or a dead run's slot holds no meaningful values
         with np.errstate(over="ignore", invalid="ignore"):
             _run_batch(trajectories[batch], stepper, u_hat, ut_hat)
     return trajectories

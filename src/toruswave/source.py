@@ -183,7 +183,7 @@ def prepare_source(spec: SourceSpec, grid: GridSpec, m: int) -> PreparedSource:
     if spec.amplitude == 0.0:
         return PreparedSource(spec, np.zeros(grid.shape))
     raw = _raw_profile(spec, grid)
-    norm = hm_norms(np.fft.rfftn(raw), m)[0]
+    (norm,) = hm_norms(np.fft.rfftn(raw), m, np.s_[:1])
     if norm == 0.0:
         raise ValueError("source profile vanishes, cannot scale it to a positive amplitude")
     return PreparedSource(spec, raw * (spec.amplitude / norm))

@@ -356,7 +356,7 @@ def check_asymptotics(trajectory: Trajectory) -> tuple[CheckResult, float]:
 
     # spatial flattening: u(t_end) is H^m-close to its own mean (measured directly;
     # ||u||^2 - VOLUME c0^2 would leave a roundoff residue of order sqrt(eps) ||u||)
-    deviation = hm_norms(_oscillatory(trajectory.final_state.u_hat), params.m)[0]
+    (deviation,) = hm_norms(_oscillatory(trajectory.final_state.u_hat), params.m, np.s_[:1])
     margins.append((threshold - deviation) / threshold)
     worst_times.append(times[-1])
     tolerances.append(ABS_TOL)
@@ -379,8 +379,8 @@ def check_wirtinger_final(trajectory: Trajectory) -> CheckResult:
     if trajectory.final_state is None:
         return _skip(check_id, "no final state recorded")
     u_hat = trajectory.final_state.u_hat
-    lhs = hm_norms(_oscillatory(u_hat), 0)[0]
-    rhs = hm_norms(u_hat, 1)[1]  # the D_1 block: ||grad u||
+    (lhs,) = hm_norms(_oscillatory(u_hat), 0)
+    (rhs,) = hm_norms(u_hat, 1, np.s_[1:])  # the D_1 block: ||grad u||
     scale = max(rhs, 1e-12)
     return _finish(
         check_id, [trajectory.times()[-1]], [(rhs - lhs) / scale], [ABS_TOL / scale]
@@ -414,7 +414,7 @@ def check_algebra_final(
     power = spectral_power(spectrum)
     del spectrum
     lhs = math.sqrt(weighted_sums(power, [_symbol_weight(2 * n, m, hermitian=True)], power)[0])
-    rhs = constants.c_algebra * hm_norms(raw, m)[0] ** 2
+    rhs = constants.c_algebra * hm_norms(raw, m, np.s_[:1])[0] ** 2
     scale = max(rhs, 1e-12)
     return _finish(
         check_id, [trajectory.times()[-1]], [(rhs - lhs) / scale], [ABS_TOL / scale]

@@ -112,6 +112,14 @@ def test_a_non_finite_slot_leaves_the_batch(monkeypatch):
     assert batch[0].breakdown is None and batch[2].breakdown is None
 
 
+def test_a_run_that_breaks_down_keeps_its_state_not_the_stack():
+    # run 3 breaks down part way: its final state owns its arrays, so runs that
+    # end at different steps do not each keep a stacked (B, n, n, n/2 + 1) array
+    state = run_batch(RUNS)[3].final_state
+    assert state.u_hat.base is None and state.ut_hat.base is None
+    assert state.u_hat.shape == state.ut_hat.shape == (8, 8, 5)
+
+
 def test_shared_mu_takes_one_power_over_the_stack():
     runs = [RUNS[0], RUNS[2], RUNS[4]]  # mu = 0.5 for all three
     for got, run in zip(run_batch(runs), runs):
@@ -184,7 +192,7 @@ def test_integer_power_overflow_is_a_breakdown():
 
 # Deferred samples: the loop reduces its samples in blocks of up to
 # ``block_depth`` sample times and flushes a block when it is full, at the last
-# step and before any run leaves the batch.  A run must get the same samples,
+# step and before any run breaks down.  A run must get the same samples,
 # breakdown and final state whatever the block size.
 
 def set_block(monkeypatch, runs, config, whole):
@@ -297,7 +305,8 @@ def test_overflow_wins_over_a_later_breakdown_in_its_block(monkeypatch):
     # run 1's sample at t = 0.6 (step 12) overflows as above, and the step from
     # there shifts its mean to -10, so the force of step 13 fails, and the
     # predictor built on its NaN force with it: in a block that still defers the
-    # sample, those failures come first
+    # sample, those failures come first.  The dead slot is stepped on, NaN, and
+    # fails at every later force; those failures are ignored
     runs = [RUNS[0], RUNS[1], RUNS[5]]
     patch_force_spectrum(monkeypatch, RUNS[1][2], 0.6, lambda f_hat: f_hat.__setitem__((4, 0, 0), 1e200))
     advance = solver._Stepper.advance
@@ -310,18 +319,25 @@ def test_overflow_wins_over_a_later_breakdown_in_its_block(monkeypatch):
             u_hat[b, 0, 0, 0] -= 10.0 * GRID.n**3
         return u_hat, ut_hat, failed
 
-    failed = []
-    evaluate = solver.eval_prepared
+    passes = []  # per batch loop: (step, params) of each failing slot
+    evaluate, run_batch_loop = solver.eval_prepared, solver._run_batch
 
     def recording(t, u, params, prepared, **kwargs):
         f, u_min, reasons = evaluate(t, u, params, prepared, **kwargs)
-        failed.extend((t, params[b]) for b in reasons)
+        passes[-1].extend((round(t / CONFIG.dt), params[b]) for b in reasons)
         return f, u_min, reasons
+
+    def counted(*args):
+        passes.append([])
+        return run_batch_loop(*args)
 
     monkeypatch.setattr(solver._Stepper, "advance", shifting)
     monkeypatch.setattr(solver, "eval_prepared", recording)
+    monkeypatch.setattr(solver, "_run_batch", counted)
     batch = run_both_ways(monkeypatch, runs)
-    assert [(round(t / CONFIG.dt), p) for t, p in failed] == [(13, RUNS[1][2]), (14, RUNS[1][2])]
+    # the whole-run block: the failures seen before the run ends at the flush of step 13
+    assert passes[1][:2] == [(13, RUNS[1][2]), (14, RUNS[1][2])]
+    assert all(p is RUNS[1][2] for failed in passes for _, p in failed)
     assert batch[1].breakdown == solver.BreakdownInfo(
         0.6000000000000001, 12, "the diagnostics overflow at t = 0.6: f_hm"
     )
@@ -329,6 +345,33 @@ def test_overflow_wins_over_a_later_breakdown_in_its_block(monkeypatch):
     monkeypatch.undo()
     for i in (0, 2):
         assert_same_run(batch[i], run_alone(runs[i]))
+
+
+def test_a_dead_slot_costs_no_flush(monkeypatch):
+    # run 1 with a NaN in u0 breaks down at step 0 and stays NaN in its slot,
+    # which is stepped on: the batch reduces as many blocks as with run 1
+    # healthy, and the runs around it keep their solo bits
+    reduce, calls = solver.SampleBlock.reduce, []
+
+    def counted(self, entries):
+        calls.append(len(entries))
+        return reduce(self, entries)
+
+    monkeypatch.setattr(solver.SampleBlock, "reduce", counted)
+    u0, u1, params, source = RUNS[1]
+    nan_u0 = u0.copy()
+    nan_u0[1, 2, 3] = np.nan
+    counts = []
+    for first in (u0, nan_u0):
+        calls.clear()
+        batch = run_batch([RUNS[0], (first, u1, params, source), RUNS[5]])
+        counts.append(list(calls))
+    assert counts[0] == counts[1] and len(counts[0]) > 1
+    assert batch[1].breakdown == solver.BreakdownInfo(0.0, 0, "state became non-finite at step 0 (t = 0)")
+    assert len(batch[1].table) == 0 and batch[1].final_state is None
+    monkeypatch.undo()
+    for got, run in zip((batch[0], batch[2]), (RUNS[0], RUNS[5])):
+        assert_same_run(got, run_alone(run))
 
 
 def test_overflow_at_the_last_sample(monkeypatch):
@@ -352,7 +395,7 @@ def test_force_returns_the_minima_it_checked():
 
 # A failed force is a return value: ``eval_prepared`` evaluates every slot and
 # names the failing ones, ``advance`` reports each failing slot's force time,
-# and the loop flushes before the failing runs leave.
+# and the loop flushes before the failing runs break down.
 
 FAILING = {
     # (mu, grid values of the failing slot)

@@ -81,6 +81,21 @@ class TestCalibrate:
         exact = sup(ext) / norm(ext, 2)
         assert a.c_sobolev == b.c_sobolev == pytest.approx(SAFETY_MARGIN * exact, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "m, values, growth",
+        [(1, (0.631, 0.972, 1.433), (1.4, math.inf)), (2, (0.301, 0.324, 0.336), (1.0, 1.1))],
+        ids=["m1-diverges", "m2-converges"],
+    )
+    def test_embedding_constant_has_a_continuum_limit_only_above_order_one(
+        self, m, values, growth
+    ):
+        # H^1 does not embed in L^inf on the 3-torus: at m = 1 c_sobolev grows
+        # by about sqrt(2) per grid doubling, at m = 2 it settles
+        got = [calibrate(GridSpec(n), m).c_sobolev for n in (8, 16, 32)]
+        assert got == pytest.approx(values, abs=5e-4)
+        low, high = growth  # per doubling
+        assert all(low < fine / coarse < high for coarse, fine in zip(got, got[1:]))
+
     def test_constants_are_positive_and_finite(self, constants16):
         values = [constants16.c_sobolev, constants16.c_algebra]
         values += list(constants16.c_moser.values())

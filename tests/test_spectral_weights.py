@@ -133,8 +133,8 @@ def test_one_hm_norm_bit_for_bit(n, m, monkeypatch):
 
     taken = []
 
-    def recording(raw_in, order):
-        norms = hm_norms(raw_in, order)
+    def recording(raw_in, order, *rows):
+        norms = hm_norms(raw_in, order, *rows)
         if np.array_equal(raw_in, raw):
             taken.append(norms[0])
         return norms

@@ -12,7 +12,7 @@ constants.txt (the calibration actually used), and resolved.cfg, the config
 echoed with every auto value substituted at full precision; re-running
 resolved.cfg reproduces timeseries.csv byte for byte.  Exit codes: 0 all
 non-skipped checks pass, 1 a check failed, 2 the run broke down, 3 the
-config is invalid (the message lists every unknown key).
+config (the message lists every unknown key) or the command line is invalid.
 
 ``sweep`` varies one or two of params.omega, params.k_eos, source.amplitude,
 initial.e_m0 over explicit value lists, builds every grid point, runs the
@@ -709,8 +709,17 @@ def sweep(
     return worst
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose command-line errors exit 3, as a config
+    error does; argparse's own 2 is the code of a breakdown."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toruswave",
         description="Simulate damped torus waves and verify the decay estimates.",
     )
@@ -737,6 +746,8 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    if args.command == "sweep" and args.jobs is not None and args.jobs < 1:
+        sweep_p.error(f"--jobs: expected at least 1 worker process, got {args.jobs}")
     if args.command == "run":
         return run_scenario(
             args.config, args.out, seed=args.seed, dt=args.dt, grid_n=args.grid

@@ -21,7 +21,9 @@ Every integral is a ``fields.weighted_sums`` of a per-mode density of the
 raw ``np.fft.rfftn`` half spectrum against rows of ``fields.norm_weights``
 (Parseval), and each diagnostic takes only the rows it reads.  Estd^2 is the
 S_m sum of |v_hat|^2 + g |u_hat|^2, with g the per-mode gradient symbol,
-and the H^m norms of u, u_t and F are the S_m sums of their powers.  E_m is
+the H^m norms of u, u_t and F are the S_m sums of their powers, and the
+means of u and F are the real parts of their k = 0 coefficients over n^3,
+the paper's u_hat(0) in the raw scale.  E_m is
 written once: ``_density`` writes the density above and ``_e_m_sq`` adds its
 sums against D_1 .. D_m and D_0 = S_0, for ``modified_energy``'s one pair of
 spectra (the initial data a scenario scales to its target E_m) and for
@@ -42,12 +44,6 @@ from .fields import gradient_symbol, norm_weights, weighted_sums
 # ``solver.Trajectory.table`` after t.  Both energies are squared, norms plain;
 # ``u_min`` is the grid minimum of u, since the nonlinearity needs 1 + u > 0.
 COLUMNS = ("e_m_sq", "e_std_sq", "u_hm", "ut_hm", "f_hm", "u_mean", "f_mean", "u_min")
-
-
-def grid_sums(grids) -> npt.NDArray[np.float64]:
-    """The B grid sums of a stack (B, n, n, n) of grid arrays, each run's
-    summed alone (n^3 times the means ``SampleBlock.reduce`` records)."""
-    return np.add.reduce(grids.reshape(len(grids), -1), axis=-1)
 
 
 def _coefficients(omegas, n: int):
@@ -114,19 +110,20 @@ class SampleBlock:
 
     def reduce(self, entries) -> npt.NDArray[np.float64]:
         """Rows (j, B, 8) of ``COLUMNS`` for j sample times, each an entry
-        (u_sum, f_sum, u_hat, ut_hat, f_hat, u_min): the B grid sums of u and
-        F (``grid_sums``), the raw half spectra of u, u_t and F, and the B
-        minima of u.  The standard energy row |v|^2 + g |u|^2 and the powers
-        of u, u_t and F take their S_m sums, the E_m density its sums against
-        D_1 .. D_m and D_0; the means are the sums over n^3.  Every row is
-        reduced alone, so a run gets the same bits in any block."""
+        (u_hat, ut_hat, f_hat, u_min): the raw half spectra of u, u_t and F
+        and the B minima of u.  The standard energy row |v|^2 + g |u|^2 and
+        the powers of u, u_t and F take their S_m sums, the E_m density its
+        sums against D_1 .. D_m and D_0; the means of u and F are the real
+        parts of their k = 0 coefficients over n^3.  Every row is reduced
+        alone, so a run gets the same bits in any block."""
         n, b, j = self.n, len(self.half_omega), len(entries)
         shape = (j, b, n, n, n // 2 + 1)
         spectra = np.empty((3, *shape), dtype=np.complex128)
         table = np.empty((len(COLUMNS), j, b))
-        for i, (u_sum, f_sum, u_hat, ut_hat, f_hat, _) in enumerate(entries):
+        for i, (u_hat, ut_hat, f_hat, _) in enumerate(entries):
             spectra[0, i], spectra[1, i], spectra[2, i] = u_hat, ut_hat, f_hat
-            table[5, i], table[6, i] = u_sum, f_sum
+        # the means, read before the spectra are squared in place below
+        np.divide(spectra[::2, ..., 0, 0, 0].real, float(n**3), out=table[5:7])
         rows = np.empty((5, *shape))
         density, standard, pu, pv, pf = rows
         # (re, im) interleaved on the last axis; F's parts are squared in place,
@@ -143,6 +140,5 @@ class SampleBlock:
         sobolev = weighted_sums(rows[1:], norm_weights(n, self.m)[:1], floats)[..., 0]
         table[1] = 0.5 * sobolev[0]
         table[2:5] = np.sqrt(sobolev[1:])
-        np.divide(table[5:7], float(n**3), out=table[5:7])
-        table[7] = [entry[5] for entry in entries]
+        table[7] = [entry[3] for entry in entries]
         return table.transpose(1, 2, 0)

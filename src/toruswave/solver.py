@@ -15,10 +15,9 @@ half spectrum with no normalization that every symbol and weight of
 cancels; each force is one inverse transform to a grid array,
 ``eval_prepared`` on that array and one forward transform back.  No force
 keeps u or F on the grid, so F is written over the inverse transform's own
-array, the one grid array a force allocates; a sample's force takes the grid
-sums of u and F on the way, which is all its sample reads of them.  Every
-diagnostic is a reduction of these coefficients (``energy.SampleBlock``),
-and the final state a run hands to verification is the same pair of arrays.
+array, the one grid array a force allocates.  Every diagnostic is a reduction
+of these coefficients (``energy.SampleBlock``), and the final state a run
+hands to verification is the same pair of arrays.
 
 Transforms: up to ``DFT_MAX_N`` points per axis a force's two transforms
 are products with cached dense DFT tables (``_dft_tables``), since at those
@@ -47,14 +46,15 @@ The nonlinear product may be de-aliased with the standard 2/3-rule mask
 before injection.  The mask is folded into the cached forcing weights, and
 the zero mode is never touched by it, so the mean dynamics are unaffected.
 
-F(t_k) at a sample time serves both the sample and the step that starts there,
-so a run costs two force evaluations per step plus one for the final sample.
+The loop evaluates F(t_k) once per time level, for the sample (at a sample
+time) and for the step that starts there, so a run costs two force
+evaluations per step plus one for the final sample.  A run whose F(t_k)
+fails ends before that step, so the step's predictor never names it.
 Samples are deferred: a sample time keeps the spectra force and state made
-for it (no step changes them in place), the grid sums of u and F and the grid
-minima of u that the positivity checks reduced, and ``energy.SampleBlock``
-reduces a block of sample times for every run of the batch in one stacked
-pass; each run's rows go to a list, which becomes its ``Trajectory.table``
-when the batch is done.
+for it (no step changes them in place) and the grid minima of u that the
+positivity checks reduced, and ``energy.SampleBlock`` reduces a block of
+sample times for every run of the batch in one stacked pass; each run's rows
+go to a list, which becomes its ``Trajectory.table`` when the batch is done.
 A block is flushed when it is full, at the last step, and before any live run
 breaks down.  A force returns the reasons of the slots it fails for beside its
 arrays, so every stage runs on all slots; a live run whose state is not finite
@@ -76,7 +76,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.typing as npt
 
-from .energy import COLUMNS, SampleBlock, grid_sums
+from .energy import COLUMNS, SampleBlock
 from .fields import GridSpec, laplacian_symbol
 from .source import ModelParams, SourceSpec, eval_prepared, prepare_source
 
@@ -337,30 +337,22 @@ class _Stepper:
             piece.astype(np.complex128) for piece in (p11, p12, p21, p22, wu, wv)
         )
 
-    def force(self, t: float, u_hat, sums: bool = False):
-        """F(t, u) for the stacked raw half spectra ``u_hat``: with ``sums`` the
-        runs' grid sums of u and of F (``energy.grid_sums``, else None twice),
-        the raw rfftn coefficients of F, the runs' grid minima of u and the
-        reasons of the slots whose force failed (``eval_prepared``); a failed
-        slot's F is not to be read.  F is written over the inverse transform's
-        grid array, the one grid array a force allocates."""
+    def force(self, t: float, u_hat):
+        """F(t, u) for the stacked raw half spectra ``u_hat``: the raw rfftn
+        coefficients of F, the runs' grid minima of u and the reasons of the
+        slots whose force failed (``eval_prepared``); a failed slot's F is not
+        to be read.  F is written over the inverse transform's grid array, the
+        one grid array a force allocates."""
         u = _irfftn(u_hat)
-        u_sum = grid_sums(u) if sums else None
         f, u_min, failed = eval_prepared(t, u, self.params, self.prepared, out=u)
-        return u_sum, grid_sums(f) if sums else None, _rfftn(f), u_min, failed
+        return _rfftn(f), u_min, failed
 
-    def advance(self, t: float, u_hat, ut_hat, f0_hat=None):
-        """One predictor-corrector step; pass ``f0_hat`` when F(t) is known.
-        Returns the new (u_hat, ut_hat) and, for each slot whose force failed,
-        that force's time and reason: F(t) comes first, so its failure wins
-        over the predictor's at t + dt.  A failed slot's state is not to be read."""
-        dt, first = self.config.dt, {}
-        if f0_hat is None:
-            _, _, f0_hat, _, first = self.force(t, u_hat)
+    def advance(self, t: float, u_hat, ut_hat, f0_hat):
+        """One predictor-corrector step from F(t) = ``f0_hat``.  Returns the new
+        (u_hat, ut_hat) and the reasons of the slots whose force at the
+        predicted t + dt failed; a failed slot's state is not to be read."""
         free_u = self.p11 * u_hat + self.p12 * ut_hat
-        _, _, f1_hat, _, predicted = self.force(t + dt, free_u + self.wu * f0_hat)
-        failed = {b: (t + dt, reason) for b, reason in predicted.items()}
-        failed.update((b, (t, reason)) for b, reason in first.items())
+        f1_hat, _, failed = self.force(t + self.config.dt, free_u + self.wu * f0_hat)
         f_avg = 0.5 * (f0_hat + f1_hat)
         return (free_u + self.wu * f_avg, self.p21 * u_hat + self.p22 * ut_hat + self.wv * f_avg,
                 failed)
@@ -389,8 +381,8 @@ def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat)
     recorded = [[] for _ in trajectories]  # each run's rows [t, *COLUMNS]
     block = SampleBlock(config.grid.n, [p.omega for p in stepper.params], stepper.params[0].m)
     depth = block_depth(config.grid.n, len(trajectories))
-    # the deferred sample times: (k, t, u_sum, f_sum, u_hat, ut_hat, f_hat, u_min),
-    # the arrays force and state produced, which no step changes in place
+    # the deferred sample times: (k, t, u_hat, ut_hat, f_hat, u_min), the
+    # arrays force and state produced, which no step changes in place
     pending = []
 
     def end(b: int, info: BreakdownInfo) -> None:
@@ -414,7 +406,7 @@ def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat)
             if not live[b]:
                 continue
             last = overflow = None
-            for (k, t, _, _, state_u, state_ut, _, _), rows_k, finite_k in zip(
+            for (k, t, state_u, state_ut, _, _), rows_k, finite_k in zip(
                 pending, rows, finite
             ):
                 row = rows_k[b]
@@ -432,15 +424,15 @@ def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat)
                 end(b, overflow)
         pending.clear()
 
-    def stop(failed: dict[int, tuple[float, str]], k: int) -> None:
-        """End the live runs of the slots in ``failed``, each with the (time,
-        reason) of its failure at step k: flush first, and skip the runs the
-        flush ended.  A dead slot's failures are dropped unread, so they cost
-        no flush."""
-        failed = {b: failure for b, failure in failed.items() if live[b]}
+    def stop(failed: dict[int, str], t_f: float, k: int) -> None:
+        """End the live runs of the slots in ``failed``, each with the reason
+        of its failure at time ``t_f`` of step k: flush first, and skip the
+        runs the flush ended.  A dead slot's failures are dropped unread, so
+        they cost no flush."""
+        failed = {b: reason for b, reason in failed.items() if live[b]}
         if failed:
             flush()
-        for b, (t_f, reason) in failed.items():
+        for b, reason in failed.items():
             if live[b]:
                 end(b, BreakdownInfo(t_f, k, reason))
 
@@ -449,20 +441,19 @@ def _run_batch(trajectories: list[Trajectory], stepper: _Stepper, u_hat, ut_hat)
         finite = np.isfinite(u_hat).all(axis=(1, 2, 3)) & np.isfinite(ut_hat).all(axis=(1, 2, 3))
         if not finite.all():
             reason = f"state became non-finite at step {k} (t = {t:.6g})"
-            stop(dict.fromkeys(np.flatnonzero(~finite).tolist(), (t, reason)), k)
+            stop(dict.fromkeys(np.flatnonzero(~finite).tolist(), reason), t, k)
         if not any(live):
             break
-        f_hat = None
-        if k % config.sample_every == 0 or k == n_steps:
-            u_sum, f_sum, f_hat, u_min, failed = stepper.force(t, u_hat, sums=True)
-            stop({b: (t, reason) for b, reason in failed.items()}, k)
-            if any(live):
-                pending.append((k, t, u_sum, f_sum, u_hat, ut_hat, f_hat, u_min))
-                if len(pending) == depth or k == n_steps:
-                    flush()
+        f_hat, u_min, failed = stepper.force(t, u_hat)
+        stop(failed, t, k)
+        if (k % config.sample_every == 0 or k == n_steps) and any(live):
+            pending.append((k, t, u_hat, ut_hat, f_hat, u_min))
+            if len(pending) == depth or k == n_steps:
+                flush()
         if any(live) and k < n_steps:
             u_hat, ut_hat, failed = stepper.advance(t, u_hat, ut_hat, f_hat)
-            stop(failed, k)
+            stop(failed, t + dt, k)
+        del f_hat  # held through the next force, F(t) lifted peak RSS 1.3 MB at n = 32
     for trajectory, rows in zip(trajectories, recorded):
         trajectory.table = _table(rows)
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from toruswave.energy import COLUMNS, SampleBlock, grid_sums
+from toruswave.energy import COLUMNS, SampleBlock
 from toruswave.fields import VOLUME, GridSpec
 from toruswave.solver import Trajectory
 
@@ -225,7 +225,8 @@ def padded_product(u, v):
 
 
 def sample_energies(t, u, ut, f, omega, m):
-    """The diagnostic row of ``block_sample`` from full spectra."""
+    """The diagnostic row of ``block_sample`` from full spectra; the means are
+    the k = 0 coefficients u_hat(0) and F_hat(0)."""
     n = u.shape[0]
     s, d = full_sobolev_weight(n, m), full_derivative_weight(n, m)
     g = full_derivative_weight(n, 1, lowest=1)
@@ -240,19 +241,18 @@ def sample_energies(t, u, ut, f, omega, m):
         u_hm=math.sqrt(VOLUME * np.sum(s * power[0])),
         ut_hm=math.sqrt(VOLUME * np.sum(s * power[1])),
         f_hm=math.sqrt(VOLUME * np.sum(s * power[2])),
-        u_mean=float(np.mean(u)),
-        f_mean=float(np.mean(f)),
+        u_mean=float(uc[0, 0, 0].real),
+        f_mean=float(fc[0, 0, 0].real),
         u_min=float(np.min(u)),
     )
 
 
-def block_sample(t, u, f, u_hat, ut_hat, f_hat, omega, m):
+def block_sample(t, u, u_hat, ut_hat, f_hat, omega, m):
     """The package's diagnostic row at one instant: an ``energy.SampleBlock`` of
-    one run reducing one entry, from the grid arrays ``u`` and ``f`` and the raw
-    ``np.fft.rfftn`` coefficients of u, u_t and F."""
+    one run reducing one entry, from the grid array ``u`` (for its minimum) and
+    the raw ``np.fft.rfftn`` coefficients of u, u_t and F."""
     block = SampleBlock(u.shape[0], [omega], m)
-    entry = (grid_sums(u[None]), grid_sums(f[None]), u_hat[None], ut_hat[None], f_hat[None],
-             [float(np.min(u))])
+    entry = (u_hat[None], ut_hat[None], f_hat[None], [float(np.min(u))])
     return Sample(float(t), *block.reduce([entry])[0, 0].tolist())
 
 

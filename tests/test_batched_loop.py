@@ -228,13 +228,13 @@ def patch_force_spectrum(monkeypatch, params, t_at, change):
     in the sample and in the steps alike."""
     force = solver._Stepper.force
 
-    def patched(self, t, u_hat, **kwargs):
-        u_sum, f_sum, f_hat, u_min, failed = force(self, t, u_hat, **kwargs)
+    def patched(self, t, u_hat):
+        f_hat, u_min, failed = force(self, t, u_hat)
         b = slot_of(self, params)
         if abs(t - t_at) < 1e-9 and b is not None:
             f_hat = f_hat.copy()
             change(f_hat[b])
-        return u_sum, f_sum, f_hat, u_min, failed
+        return f_hat, u_min, failed
 
     monkeypatch.setattr(solver._Stepper, "force", patched)
 
@@ -394,8 +394,8 @@ def test_force_returns_the_minima_it_checked():
 
 
 # A failed force is a return value: ``eval_prepared`` evaluates every slot and
-# names the failing ones, ``advance`` reports each failing slot's force time,
-# and the loop flushes before the failing runs break down.
+# names the failing ones, the loop gives each failing slot its force's time,
+# and it flushes before the failing runs break down.
 
 FAILING = {
     # (mu, grid values of the failing slot)
@@ -485,24 +485,39 @@ def test_failed_forces_and_an_overflow_in_one_step(monkeypatch):
 
 
 def test_a_failed_force_at_t_wins_over_the_predictor(monkeypatch):
-    # max |1 + u| = 1e110 cubed overflows at F(t); the predictor built on that
-    # F is not finite, so it fails too: the step reports F(t)'s time and reason
-    params = ModelParams(omega=0.5, kappa=0.5, mu=3.0)
-    prepared = prepare_source(SourceSpec(amplitude=0.001), GRID, params.m)
-    stepper = solver._Stepper([params], [prepared], CONFIG)
-    calls = []
+    # the step to 13 (no sample step) sets the run's u to 1e110 cos(...): cubed,
+    # it overflows at F(t_13), and the predictor built on that failed F is not
+    # a number, so it fails too; the run ends with F(t_13)'s time and reason,
+    # and the run beside it goes on
+    failing = (wave(0.1), wave(0.0), ModelParams(omega=0.5, kappa=0.5, mu=3.0),
+               SourceSpec(amplitude=0.001))
+    runs = [RUNS[0], failing]
+    advance = solver._Stepper.advance
+
+    def blowing_up(self, t, *args):
+        u_hat, ut_hat, failed = advance(self, t, *args)
+        b = slot_of(self, failing[2])
+        if abs(t - 12 * CONFIG.dt) < 1e-9 and b is not None:
+            u_hat = u_hat.copy()
+            u_hat[b] = np.fft.rfftn(wave(1e110))
+        return u_hat, ut_hat, failed
+
+    failures = []  # (step of the force time, reason) of each failure of the failing run
     evaluate = solver.eval_prepared
 
-    def recording(t, *args, **kwargs):
-        result = evaluate(t, *args, **kwargs)
-        calls.append((t, result[2]))
+    def recording(t, u, params, prepared, **kwargs):
+        result = evaluate(t, u, params, prepared, **kwargs)
+        failures.extend((round(t / CONFIG.dt), reason) for b, reason in result[2].items()
+                        if params[b] is failing[2])
         return result
 
+    monkeypatch.setattr(solver._Stepper, "advance", blowing_up)
     monkeypatch.setattr(solver, "eval_prepared", recording)
-    u_hat = np.fft.rfftn(wave(1e110))[None]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _, _, failed = stepper.advance(0.25, u_hat, np.zeros_like(u_hat))
-    (t0, first), (t1, predicted) = calls
-    assert (t0, t1) == (0.25, 0.25 + CONFIG.dt) and list(first) == list(predicted) == [0]
-    assert failed == {0: (0.25, first[0])} and "at t = 0.25:" in first[0]
+    batch = run_both_ways(monkeypatch, runs)
+    (step, at_t), (next_step, predicted) = failures[:2]
+    assert (step, next_step) == (13, 14)
+    assert "overflows at t = 0.65:" in at_t and predicted.endswith("at t = 0.7")
+    assert batch[1].breakdown == solver.BreakdownInfo(13 * CONFIG.dt, 13, at_t)
+    assert batch[1].times()[-1] == 12 * CONFIG.dt == batch[1].final_state.t
+    monkeypatch.undo()
+    assert_same_run(batch[0], run_alone(runs[0]))

@@ -675,8 +675,28 @@ class TestMainEntry:
         assert "initial.mode" in capsys.readouterr().err
 
     def test_sweep_requires_axis(self, capsys):
-        with pytest.raises(SystemExit):
+        # a command-line error exits 3, as a config error does: 2 is a breakdown
+        with pytest.raises(SystemExit) as exc:
             main(["sweep", "zero"])
+        assert exc.value.code == 3
+        assert "--axis" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_sweep_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "zero", "--axis", "params.omega=0.5", f"--jobs={jobs}",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 3
+        assert f"--jobs: expected at least 1 worker process, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["run", "flagship", "--grid", "x"], ["run"]],
+                             ids=["grid-not-an-integer", "no-config"])
+    def test_run_command_line_error_exits_3(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "usage: toruswave run" in capsys.readouterr().err
 
 
 # Constants with fixed digits, so the golden echoes below pin the echo and

@@ -36,7 +36,7 @@ def sampled(u, ut, m):
     """The package's diagnostic row of (u, u_t) with no forcing."""
     zero = np.zeros(u.shape)
     raw = [np.fft.rfftn(x) for x in (u, ut, zero)]
-    return block_sample(0.0, u, zero, *raw, omega=0.5, m=m)
+    return block_sample(0.0, u, *raw, omega=0.5, m=m)
 
 
 def l2(u):
@@ -161,7 +161,7 @@ def test_sample_row_is_consistent(n, m, omega):
     u, ut = random_pair(grid, seed=3, amplitude=0.3)
     f = random_band_limited(grid, seed=8, band=min(2, n // 2 - 1), amplitude=0.1)
     raw = [np.fft.rfftn(x) for x in (u, ut, f)]
-    row = block_sample(1.5, u, f, *raw, omega=omega, m=m)
+    row = block_sample(1.5, u, *raw, omega=omega, m=m)
     assert row.t == 1.5
     assert row.e_m_sq == modified_energy(u, ut, omega, m)
     assert row.u_hm == pytest.approx(hm_norms(raw[0], m)[0], rel=1e-14)

@@ -1,13 +1,14 @@
 """One grid buffer per force: ``eval_prepared`` builds 1 + u, the power, the
 profile and the envelope in one array, and every force of the loop writes F
-over the grid array of its inverse transform; a sample's force hands its
-sample the grid sums of u and F instead of the arrays.
+over the grid array of its inverse transform; a sample reads only the force's
+spectrum and minima, never the grid arrays.
 
 F written into a reused buffer must hold the bits of a fresh evaluation, a
 batch's slice those of its solo run, and a force must allocate one n^3 grid
 array, the inverse transform's (``tracemalloc``).
 """
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from toruswave import solver
-from toruswave.energy import grid_sums
+from toruswave.energy import COLUMNS
 from toruswave.fields import GridSpec
 from toruswave.solver import SolverConfig, simulate, simulate_batch
 from toruswave.source import ModelParams, SourceSpec, eval_prepared, prepare_source
@@ -60,13 +61,9 @@ def test_a_force_is_eval_prepared_between_the_two_transforms(n):
     want_u = solver._irfftn(u_hat)
     want_f, want_min, _ = eval_prepared(0.3, want_u, params, prepared)
     want_f_hat = solver._rfftn(want_f)
-    for sums in (False, True):
-        u_sum, f_sum, f_hat, u_min, failed = stepper.force(0.3, u_hat, sums=sums)
-        assert failed == {} and u_min.tobytes() == want_min.tobytes()
-        assert f_hat.tobytes() == want_f_hat.tobytes()
-    assert u_sum.tobytes() == grid_sums(want_u).tobytes()
-    assert f_sum.tobytes() == grid_sums(want_f).tobytes()
-    assert stepper.force(0.3, u_hat)[:2] == (None, None)
+    f_hat, u_min, failed = stepper.force(0.3, u_hat)
+    assert failed == {} and u_min.tobytes() == want_min.tobytes()
+    assert f_hat.tobytes() == want_f_hat.tobytes()
 
 
 @pytest.mark.parametrize("n", [8, 20])
@@ -89,6 +86,37 @@ def test_a_slice_of_a_mixed_mu_batch_is_its_solo_run(n):
         assert got.final_state.ut_hat.tobytes() == want.final_state.ut_hat.tobytes()
 
 
+@pytest.mark.parametrize("n", [8, 20])  # dense DFT products and np.fft
+def test_recorded_means_are_the_zero_coefficients_over_n_cubed(n):
+    # each run's u_mean and f_mean at t_k are, bit for bit, the real parts of the
+    # k = 0 coefficients of its state at t_k (the final state of its run to t_k)
+    # and of its force there, over n^3, in its solo run and in a batch
+    grid = GridSpec(n)
+    config = SolverConfig(grid=grid, dt=0.05, t_end=0.3, sample_every=2)
+    params = [ModelParams.from_equation_of_state(2.0 / 3.0, 0.5),
+              ModelParams(omega=0.4, kappa=0.3, mu=2.0)]
+    sources = [SourceSpec(amplitude=0.05, preset=preset, seed=1) for preset in ("bump", "uniform")]
+    u0 = np.stack([noise(grid, 10 + b, 0.05) + 0.01 for b in range(2)])
+    u1 = np.stack([noise(grid, 20 + b, 0.05) for b in range(2)])
+    batch = simulate_batch(u0, u1, params, sources, config)
+    columns = [1 + COLUMNS.index("u_mean"), 1 + COLUMNS.index("f_mean")]
+    for b, in_batch in enumerate(batch):
+        solo = simulate(u0[b], u1[b], params[b], sources[b], config)
+        prepared = prepare_source(sources[b], grid, params[b].m)
+        stepper = solver._Stepper([params[b]], [prepared], config)
+        assert solo.breakdown is None and len(solo.table) == 4  # t = 0, 0.1, 0.2, 0.3
+        for row_solo, row_batch in zip(solo.table, in_batch.table):
+            t = row_solo[0]
+            if t == 0.0:
+                u_hat = np.fft.rfftn(u0[b])
+            else:
+                to_t = dataclasses.replace(config, t_end=t)
+                u_hat = simulate(u0[b], u1[b], params[b], sources[b], to_t).final_state.u_hat
+            f_hat = stepper.force(t, u_hat[None])[0][0]
+            want = [u_hat[0, 0, 0].real / n**3, f_hat[0, 0, 0].real / n**3]
+            assert row_solo[columns].tolist() == row_batch[columns].tolist() == want
+
+
 def traced_peak(call):
     """``call()`` and the peak of traced memory above what was traced at its start."""
     tracemalloc.start()
@@ -100,15 +128,24 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("sums", [False, True], ids=["step", "sample"])
-def test_a_force_allocates_one_grid_array_at_n32(monkeypatch, sums):
+@pytest.mark.parametrize("at", ["step", "sample"])
+def test_a_force_allocates_one_grid_array_at_n32(monkeypatch, at):
     # the force's peak is its transforms' own: the inverse transform's output,
-    # which then holds F, beside the forward transform's working set
+    # which then holds F, beside the forward transform's working set.  The loop
+    # forces twice per step: F(t) at the state, which its sample and its step
+    # share ("sample"), and F(t + dt) at the predicted state in ``advance`` ("step")
     n = 32
     grid = GridSpec(n)
     u, params, prepared = force_inputs(grid, (0.5,))
     stepper = solver._Stepper(params, prepared, SolverConfig(grid=grid, dt=0.05, t_end=1.0))
     u_hat = np.fft.rfftn(u, axes=(1, 2, 3))
+    t = 0.3
+    if at == "step":
+        ut_hat = np.fft.rfftn(noise(grid, 7)[None], axes=(1, 2, 3))
+        f0_hat = stepper.force(t, u_hat)[0]
+        u_hat = stepper.p11 * u_hat + stepper.p12 * ut_hat + stepper.wu * f0_hat
+        t += stepper.config.dt
+        del ut_hat, f0_hat
     grid_bytes = u.nbytes
     inverse, inverse_peak = traced_peak(lambda: solver._irfftn(u_hat))
     _, forward_peak = traced_peak(lambda: solver._rfftn(inverse))
@@ -126,6 +163,6 @@ def test_a_force_allocates_one_grid_array_at_n32(monkeypatch, sums):
 
     monkeypatch.setattr(solver, "_irfftn", recorded_irfftn)
     monkeypatch.setattr(solver, "eval_prepared", recorded_eval)
-    (_, _, _, _, failed), peak = traced_peak(lambda: stepper.force(0.3, u_hat, sums=sums))
+    (_, _, failed), peak = traced_peak(lambda: stepper.force(t, u_hat))
     assert failed == {} and forces[0] is inverses[0]  # F went into the inverse's array
     assert peak <= max(inverse_peak, grid_bytes + forward_peak) + grid_bytes // 8

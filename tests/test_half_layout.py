@@ -92,7 +92,7 @@ def test_norm_weights_leave_no_block_arrays_cached():
     raw, raw_t = np.fft.rfftn(u), np.fft.rfftn(ut)
     hm_norms(raw, m)
     modified_energy(u, ut, 0.5, m)
-    block_sample(0.0, u, u, raw, raw_t, raw, 0.5, m)
+    block_sample(0.0, u, raw, raw_t, raw, 0.5, m)
     assert norm_weights.cache_info().currsize == before + 2
     # and no module outside fields keeps a cache of its own
     for module in (calibration, energy):
@@ -128,7 +128,7 @@ def test_field_family_is_a_stream():
 def final_state_trajectory(u, m=3):
     raw = np.fft.rfftn(u)
     return trajectory_from_rows(
-        [block_sample(0.1, u, u, raw, raw, raw, 0.5, m)],
+        [block_sample(0.1, u, raw, raw, raw, 0.5, m)],
         params=ModelParams(omega=0.5, kappa=0.25, mu=0.5, m=m),
         config=SolverConfig(GridSpec(u.shape[0]), dt=0.1, t_end=0.1),
         final_state=SolverState(0.1, raw, raw),

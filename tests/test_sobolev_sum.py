@@ -5,10 +5,10 @@ weight rows: the rows of the cached ``norm_weights(n, m)`` in the loop, the
 energies and calibration, and an S_m row built for the call and dropped for
 verification's ||u^2||_{H^m} on the doubled grid and its spectral tail's
 order-(m + 1) totals.  ``reference.sobolev_sum`` is the formula those two
-verification sums had before, kept to show their bits did not move.  The grid
-means of ``SampleBlock.reduce`` are each run's ``grid_sums`` over n^3, summed
-straight from the force's arrays; the stacked copy they replaced is kept here
-as the reference.
+verification sums had before, kept to show their bits did not move.  The
+means of ``SampleBlock.reduce`` are the real parts of the k = 0 coefficients
+of each run's u and F spectra over n^3, read from a stacked copy of the
+spectra here as the reference.
 """
 
 import math
@@ -20,7 +20,7 @@ from reference import sobolev_sum, white_noise
 from test_half_layout import final_state_trajectory
 from toruswave.calibration import CalibratedConstants, save_constants
 from toruswave.cli import run_scenario
-from toruswave.energy import COLUMNS, SampleBlock, grid_sums
+from toruswave.energy import COLUMNS, SampleBlock
 from toruswave.fields import _symbol_weight, hm_norms, norm_weights, spectral_power, weighted_sums
 from toruswave.solver import dealias_mask
 from toruswave.verify import _spectral_tail_fraction
@@ -105,14 +105,12 @@ def test_verification_caches_no_doubled_grid_or_higher_order_weights(tmp_path):
     assert norm_weights.cache_info().misses == misses + len(lookups)
 
 
-def stacked_means(grids, n, b):
-    """The grid means as ``SampleBlock.reduce`` once took them: every u and F
-    of ``grids`` copied into one (2, j, b, n^3) stack, summed along its last
-    axis, over n^3."""
-    stack = np.empty((2, len(grids), b, n**3))
-    for i, (u, f) in enumerate(grids):
-        stack[0, i], stack[1, i] = u.reshape(b, -1), f.reshape(b, -1)
-    return np.add.reduce(stack, axis=-1) / float(n**3)
+def stacked_means(spectra, n):
+    """The means of the pairs (u_hat, f_hat) of raw half spectra in
+    ``spectra``, each of shape (b, n, n, n/2 + 1): the real parts of their
+    k = 0 coefficients over n^3, read from one (2, j, b, ...) stacked copy."""
+    stack = np.stack([np.stack(pair) for pair in spectra], axis=1)
+    return stack[..., 0, 0, 0].real / float(n**3)
 
 
 @pytest.mark.parametrize("depth", [1, 4])
@@ -120,15 +118,14 @@ def stacked_means(grids, n, b):
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_sample_means_match_the_stacked_copy_bit_for_bit(n, b, depth):
     rng = np.random.default_rng(100 * n + 10 * b + depth)
-    grids, entries = [], []
+    spectra, entries = [], []
     for _ in range(depth):
         u = 0.3 * rng.standard_normal((b, n, n, n)) + 0.01
         f = 0.1 * rng.standard_normal((b, n, n, n))
         u_hat, ut_hat, f_hat = (np.fft.rfftn(x, axes=(1, 2, 3)) for x in (u, u, f))
-        grids.append((u, f))
-        entries.append((grid_sums(u), grid_sums(f), u_hat, ut_hat, f_hat,
-                        list(u.reshape(b, -1).min(axis=-1))))
+        spectra.append((u_hat, f_hat))
+        entries.append((u_hat, ut_hat, f_hat, list(u.reshape(b, -1).min(axis=-1))))
     rows = SampleBlock(n, [0.5] * b, 3).reduce(entries)  # (j, b, columns)
     means = rows[..., [COLUMNS.index("u_mean"), COLUMNS.index("f_mean")]]
-    assert means.transpose(2, 0, 1).tobytes() == stacked_means(grids, n, b).tobytes()
+    assert means.transpose(2, 0, 1).tobytes() == stacked_means(spectra, n).tobytes()
 

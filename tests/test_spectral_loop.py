@@ -317,7 +317,7 @@ def test_half_spectrum_sample_matches_sample_energies(n, m):
     u, ut, f = white_noise(n, 7), white_noise(n, 8), white_noise(n, 9)
     want = sample_energies(0.25, u, ut, f, 0.62, m)
     got = block_sample(
-        0.25, u, f, *(np.fft.rfftn(x) for x in (u, ut, f)), 0.62, m
+        0.25, u, *(np.fft.rfftn(x) for x in (u, ut, f)), 0.62, m
     )
     assert got.t == want.t
     for name in SERIES:

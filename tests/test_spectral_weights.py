@@ -82,7 +82,7 @@ class TestMatchesDerivativeLoops:
     def test_standard_energy(self, n, m):
         u, ut = white_noise(n, 3), white_noise(n, 4)
         raw, raw_t = np.fft.rfftn(u), np.fft.rfftn(ut)
-        row = block_sample(0.0, u, u, raw, raw_t, raw, OMEGA, m)
+        row = block_sample(0.0, u, raw, raw_t, raw, OMEGA, m)
         assert rel_err(row.e_std_sq, loop_standard_energy(u, ut, m)) <= REL
 
     def test_derivative_block_norm(self, n, m):
@@ -102,7 +102,7 @@ def test_wirtinger_gradient_matches_loop(n):
     grid = GridSpec(u.shape[0])
     raw = np.fft.rfftn(u)
     trajectory = trajectory_from_rows(
-        [block_sample(0.1, u, u, raw, raw, raw, OMEGA, 1)],
+        [block_sample(0.1, u, raw, raw, raw, OMEGA, 1)],
         params=ModelParams(omega=OMEGA, kappa=0.3, mu=0.5),
         config=SolverConfig(grid, dt=0.1, t_end=0.1),
         final_state=SolverState(0.1, raw, raw),
@@ -122,7 +122,7 @@ def test_one_hm_norm_bit_for_bit(n, m, monkeypatch):
     raw = np.fft.rfftn(u)
     norm = hm_norms(raw, m)[0]
     sample = block_sample(
-        0.1, u, f, raw, np.fft.rfftn(ut), np.fft.rfftn(f), OMEGA, m
+        0.1, u, raw, np.fft.rfftn(ut), np.fft.rfftn(f), OMEGA, m
     )
     assert sample.u_hm == norm
 

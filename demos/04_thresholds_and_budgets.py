@@ -36,15 +36,13 @@ for t in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
     print(f"  t = {t:5.2f}   g = {g_function(t, omega, eps_prime):+.6f}{marker}")
 
 # Both budgets are linear in E_m(0): double the initial energy, double
-# the admissible amplitude.  The c_delta and delta' knobs come from the
-# forcing estimate and are held fixed here.
+# the admissible amplitude.  The forcing constant c_delta comes from the
+# forcing estimate and is held fixed here.
 print("\nbudgets against initial energy (omega = 0.5):")
 print("  E_m(0)     eps1          eps2")
 for e_m0 in (0.01, 0.02, 0.05, 0.1):
     bootstrap = BootstrapParams(
         e_m0=e_m0,
-        delta=e_m0 / omega,
-        delta_prime=0.1,
         t1=t1,
         eps_prime=eps_prime,
         c_delta=2.0,
@@ -55,9 +53,6 @@ for e_m0 in (0.01, 0.02, 0.05, 0.1):
 print("\nratio eps1/E_m(0) is constant:", end=" ")
 vals = []
 for e_m0 in (0.01, 0.1):
-    bootstrap = BootstrapParams(
-        e_m0=e_m0, delta=e_m0 / omega, delta_prime=0.1,
-        t1=t1, eps_prime=eps_prime, c_delta=2.0,
-    )
+    bootstrap = BootstrapParams(e_m0=e_m0, t1=t1, eps_prime=eps_prime, c_delta=2.0)
     vals.append(epsilon_budgets(bootstrap, omega)[0] / e_m0)
 print(np.allclose(vals[0], vals[1], rtol=1e-14))

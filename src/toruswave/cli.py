@@ -75,7 +75,7 @@ _KEYS = {
     "params.k_eos": ("float", None),  # equation-of-state index in (1/2, 1); sets kappa, mu
     "params.kappa": ("float", None),  # forcing decay rate (give with mu if no k_eos)
     "params.mu": ("float", None),  # nonlinearity exponent
-    "params.m": ("int", "3"),  # Sobolev order
+    "params.m": ("int", "3"),  # Sobolev order, >= 2: H^m embeds in L^inf for m > 3/2
     "source.kind": (("analytic-preset",), "analytic-preset"),  # the only kind
     "source.preset": (("uniform", "single-mode", "bump", "band"), "uniform"),
     # a number >= 0, or budget:F for F * min(eps1, eps2)
@@ -98,12 +98,16 @@ _KEYS = {
     "solver.dealias": ("bool", "true"),
     "bootstrap.t1": ("auto", "auto"),  # auto = 1/omega
     "bootstrap.eps_prime": ("auto", "auto"),  # auto = h(t1)/2
-    "bootstrap.delta": ("auto", "auto"),  # auto = E_m(0)/omega
-    "bootstrap.delta_prime": ("auto", "auto"),  # auto = c_sobolev sqrt(2) E_m(0)
-    "bootstrap.c_delta": ("auto", "auto"),  # auto from the calibrated constants
+    # auto = forcing_constant at the ceiling delta' = c_sobolev sqrt(2) E_m(0)
+    "bootstrap.c_delta": ("auto", "auto"),
     # calibration file; else $TORUSWAVE_CONSTANTS, else calibrate on the fly
     "constants.path": ("text", None),
 }
+
+# Keys that older resolved.cfg files state and that no run reads any more:
+# parse_config accepts and drops them, whatever their value.  The small-data
+# radius E_m(0)/omega and the sup-norm ceiling follow from E_m(0).
+_RETIRED_KEYS = ("bootstrap.delta", "bootstrap.delta_prime")
 
 
 class ConfigError(ValueError):
@@ -194,6 +198,8 @@ def parse_config(text: str, origin: str = "<config>") -> dict[str, str]:
             continue
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in _RETIRED_KEYS:
+            continue
         if key not in _KEYS:
             problems.append(f"line {lineno}: unknown key {key!r}")
         elif key in entries:
@@ -321,6 +327,8 @@ class Scenario:
 def _build_params(read: _Reader) -> ModelParams:
     omega = read("params.omega")
     m = read("params.m")
+    if m < 2:  # the bootstrap's sup-norm bound needs the H^m embedding in L^inf
+        raise ConfigError(f"params.m: the estimates need m > 3/2 for H^m in L^inf, got {m}")
     k_eos = read("params.k_eos") if "params.k_eos" in read else None
     # explicit exponents, alone or next to k_eos (the constructor cross-checks)
     explicit = k_eos is None or "params.kappa" in read or "params.mu" in read
@@ -449,10 +457,7 @@ def build_scenario(entries: dict[str, str]) -> Scenario:
     constants = _load_constants(read, grid, params.m)
     u0, u1, e_actual = _build_initial(read, grid, params)
     if constants is None:
-        try:
-            constants = calibrate(grid, params.m)
-        except ValueError as exc:  # m = 0: no order to measure at
-            raise ConfigError(f"constants: {exc}") from None
+        constants = calibrate(grid, params.m)
 
     # auto bootstrap values follow the actual initial energy; all-zero data
     # gets a nominal unit energy so the trivial run still has finite bounds
@@ -460,34 +465,25 @@ def build_scenario(entries: dict[str, str]) -> Scenario:
 
     t1 = read("bootstrap.t1")
     eps_prime = read("bootstrap.eps_prime")
-    delta = read("bootstrap.delta")
-    delta_prime = read("bootstrap.delta_prime")
     c_delta = read("bootstrap.c_delta")
     try:
         if t1 is None:
             t1 = 1.0 / params.omega
         if eps_prime is None:
             eps_prime = 0.5 * h_threshold(params.omega, t1)
-        if delta is None:
-            delta = e_check / params.omega
-        if c_delta is None or delta_prime is None:
-            auto_c, _, auto_dp = forcing_constant(
+        if c_delta is None:
+            c_delta = forcing_constant(
                 e_check, params.omega, params.mu, params.m,
                 constants.c_sobolev, constants.c_algebra, constants.c_moser,
             )
-            c_delta = auto_c if c_delta is None else c_delta
-            delta_prime = auto_dp if delta_prime is None else delta_prime
-        bootstrap = BootstrapParams(
-            e_m0=e_check, delta=delta, delta_prime=delta_prime,
-            t1=t1, eps_prime=eps_prime, c_delta=c_delta,
-        )
+        bootstrap = BootstrapParams(e_m0=e_check, t1=t1, eps_prime=eps_prime, c_delta=c_delta)
     except ValueError as exc:
         raise ConfigError(f"bootstrap: {exc}") from None
     except OverflowError:  # only the auto c_delta raises it, in a power (1 -+ delta')^mu
         raise ConfigError(
             f"bootstrap.c_delta: the auto value overflows at mu = {params.mu:g}"
         ) from None
-    for field in ("t1", "eps_prime", "delta", "delta_prime", "c_delta"):
+    for field in ("t1", "eps_prime", "c_delta"):
         read.resolved[f"bootstrap.{field}"] = getattr(bootstrap, field)
 
     budget_error: str | None = None

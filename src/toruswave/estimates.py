@@ -33,15 +33,13 @@ from .fields import VOLUME
 class BootstrapParams:
     """Resolved quantities steering one bootstrap verification.
 
-    ``e_m0`` is E_m(0) (not squared).  ``delta`` is the small-data radius
-    E_m(0) / omega, ``delta_prime`` the sup-norm ceiling fed to the
-    composition estimate, ``c_delta`` the profile-to-forcing constant, and
-    ``eps1`` / ``eps2`` the resolved budgets.
+    ``e_m0`` is E_m(0) (not squared), ``c_delta`` the profile-to-forcing
+    constant, and ``eps1`` / ``eps2`` the resolved budgets.  The small-data
+    radius E_m(0) / omega and the sup-norm ceiling are not stored: both follow
+    from E_m(0), and ``forcing_constant`` derives the ceiling it needs.
     """
 
     e_m0: float
-    delta: float
-    delta_prime: float
     t1: float
     eps_prime: float
     c_delta: float
@@ -55,10 +53,6 @@ class BootstrapParams:
             raise ValueError(f"bootstrap horizon t1 must be positive, got {self.t1}")
         if not 0.0 < self.eps_prime < 1.0:
             raise ValueError(f"improvement factor must lie in (0, 1), got {self.eps_prime}")
-        if not self.delta > 0.0:
-            raise ValueError(f"small-data radius delta must be positive, got {self.delta}")
-        if not 0.0 <= self.delta_prime < 1.0:
-            raise ValueError(f"sup-norm ceiling must lie in [0, 1), got {self.delta_prime}")
         if not self.c_delta > 0.0:
             raise ValueError(f"forcing constant must be positive, got {self.c_delta}")
 
@@ -259,8 +253,8 @@ def forcing_constant(
     c_sobolev: float,
     c_algebra: float,
     moser: Mapping[int, float],
-) -> tuple[float, float, float]:
-    """A priori profile-to-forcing constant C and the radii backing it.
+) -> float:
+    """A priori profile-to-forcing constant C.
 
     Along any trajectory obeying the bootstrap bound ||u||_{H^m} <= sqrt(2) E0
     the forcing satisfies ||F||_{H^m} <= C e^{-kappa t} * amplitude, with
@@ -268,17 +262,16 @@ def forcing_constant(
         C = c_algebra (C_frac sqrt(2) E0 + (2 pi)^{3/2}),
 
     where C_frac is the composition constant at the sup ceiling
-    delta' = c_sobolev sqrt(2) E0.  Returns (C, delta, delta_prime).
+    delta' = c_sobolev sqrt(2) E0, the bound the H^m embedding (m > 3/2) puts
+    on ||u||_inf along such a trajectory; the estimate needs delta' < 1.
     """
     if not e_m0 > 0.0:
         raise ValueError(f"initial energy must be positive, got {e_m0}")
     _check_omega_window(omega)
-    delta = e_m0 / omega
     delta_prime = c_sobolev * math.sqrt(2.0) * e_m0
     if delta_prime >= 1.0:
         raise ValueError(
             f"sup ceiling {delta_prime:.6g} >= 1: data too large for the composition estimate"
         )
     c_frac = fractional_constant(m, mu, delta_prime, moser)
-    c_delta = c_algebra * (c_frac * math.sqrt(2.0) * e_m0 + VOLUME**0.5)
-    return c_delta, delta, delta_prime
+    return c_algebra * (c_frac * math.sqrt(2.0) * e_m0 + VOLUME**0.5)

@@ -182,7 +182,7 @@ class Trajectory:
     table: npt.NDArray[np.float64]
     breakdown: BreakdownInfo | None = None
     source_amplitude: float = 0.0
-    u1_mean: float = 0.0
+    u1_mean: float = 0.0  # c(0)/n^3 of the initial u_t spectrum, like u_mean
     final_state: SolverState | None = None
 
     def times(self) -> npt.NDArray[np.float64]:
@@ -479,9 +479,8 @@ def simulate_batch(u0, u1, params, sources, config: SolverConfig) -> list[Trajec
         )
     prepared = [prepare_source(s, config.grid, p.m) for s, p in zip(sources, params, strict=True)]
     trajectories = [
-        Trajectory(params=p, config=config, table=_table([]), source_amplitude=q.spec.amplitude,
-                   u1_mean=float(np.mean(v)))
-        for p, q, v in zip(params, prepared, u1)
+        Trajectory(params=p, config=config, table=_table([]), source_amplitude=q.spec.amplitude)
+        for p, q in zip(params, prepared)
     ]
     size = batch_size(config.grid.n)
     for lo in range(0, count, size):
@@ -489,6 +488,8 @@ def simulate_batch(u0, u1, params, sources, config: SolverConfig) -> list[Trajec
         stepper = _Stepper(params[batch], prepared[batch], config)
         u_hat = np.fft.rfftn(u0[batch], s=config.grid.shape, axes=(1, 2, 3))
         ut_hat = np.fft.rfftn(u1[batch], s=config.grid.shape, axes=(1, 2, 3))
+        for trajectory, c0 in zip(trajectories[batch], ut_hat[:, 0, 0, 0].real.tolist()):
+            trajectory.u1_mean = c0 / config.grid.n**3
         # an overflow in the loop ends its run through the finiteness checks, and
         # a failed force's or a dead run's slot holds no meaningful values
         with np.errstate(over="ignore", invalid="ignore"):

@@ -473,8 +473,6 @@ class VerificationReport:
             "",
             "[bootstrap]",
             f"e_m0 = {f(self.bootstrap.e_m0)}",
-            f"delta = {f(self.bootstrap.delta)}",
-            f"delta_prime = {f(self.bootstrap.delta_prime)}",
             f"t1 = {f(self.bootstrap.t1)}",
             f"eps_prime = {f(self.bootstrap.eps_prime)}",
             f"c_delta = {f(self.bootstrap.c_delta)}",

@@ -322,10 +322,7 @@ def test_criterion_7_threshold_algebra():
             checked += 1
 
     def budgets(e_m0: float) -> tuple[float, float]:
-        params = BootstrapParams(
-            e_m0=e_m0, delta=e_m0 / 0.5, delta_prime=0.1,
-            t1=2.0, eps_prime=0.1, c_delta=2.0,
-        )
+        params = BootstrapParams(e_m0=e_m0, t1=2.0, eps_prime=0.1, c_delta=2.0)
         return epsilon_budgets(params, 0.5)
 
     base = budgets(0.05)

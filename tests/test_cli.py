@@ -1,7 +1,6 @@
 """Config parsing, artifact layout, exit codes, and sweep behavior."""
 
 import dataclasses
-import math
 import subprocess
 import sys
 import warnings
@@ -22,7 +21,7 @@ from toruswave.cli import (
     run_scenario,
     sweep,
 )
-from toruswave.estimates import BootstrapParams, epsilon_budgets, h_threshold
+from toruswave.estimates import epsilon_budgets, forcing_constant, h_threshold
 from toruswave.fields import GridSpec
 
 
@@ -183,9 +182,9 @@ class TestBuildScenario:
         assert e0 == pytest.approx(0.05, rel=1e-12)
         assert bp.t1 == pytest.approx(2.0)
         assert bp.eps_prime == pytest.approx(0.5 * h_threshold(0.5, bp.t1))
-        assert bp.delta == pytest.approx(e0 / 0.5)
-        assert bp.delta_prime == pytest.approx(
-            constants.c_sobolev * math.sqrt(2.0) * e0
+        assert bp.c_delta == forcing_constant(
+            e0, 0.5, scenario.params.mu, 3,
+            constants.c_sobolev, constants.c_algebra, constants.c_moser,
         )
 
     def test_budget_amplitude_is_fraction_of_min_budget(self, tmp_path, constants_file):
@@ -264,7 +263,6 @@ class TestRunScenario:
                 "initial.u0_coeffs": "0,0,0,-0.9,0",
                 "initial.u1_coeffs": "0,0,0,-0.5,0",
                 "bootstrap.c_delta": "2.0",
-                "bootstrap.delta_prime": "0.9",
                 "solver.t_end": "10",
             },
         )
@@ -512,7 +510,6 @@ class TestBatchedSweep:
                 "initial.preset": "coefficients",
                 "initial.u0_coeffs": "1,0,0,0.3,0",
                 "initial.u1_coeffs": "1,0,0,1,0",
-                "bootstrap.delta_prime": "0.5",
                 "bootstrap.c_delta": "1",
             },
         )
@@ -548,8 +545,7 @@ class TestEveryConfigEndsInAnExitCode:
         # 1 + 2 cos(x1) < 0 at t = 0: the run breaks down before its first sample
         cfg = self.coefficients(
             tmp_path, constants_file,
-            **{"initial.u0_coeffs": "1,0,0,2,0", "bootstrap.delta_prime": "0.5",
-               "bootstrap.c_delta": "1"},
+            **{"initial.u0_coeffs": "1,0,0,2,0", "bootstrap.c_delta": "1"},
         )
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -567,7 +563,7 @@ class TestEveryConfigEndsInAnExitCode:
         cfg = self.coefficients(
             tmp_path, constants_file, drop=("params.k_eos",),
             **{"params.kappa": "0.5", "params.mu": "3", "initial.u0_coeffs": "1,0,0,1e110,0",
-               "bootstrap.delta_prime": "0.5", "bootstrap.c_delta": "1"},
+               "bootstrap.c_delta": "1"},
         )
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -642,7 +638,7 @@ class TestEveryConfigEndsInAnExitCode:
             tmp_path, constants_file, drop=("params.k_eos", "initial.mode", "initial.e_m0"),
             **{"params.kappa": "0.3", "params.mu": "2", "source.preset": "single-mode",
                "source.amplitude": "1e150", "initial.preset": "zero", "solver.dt": "0.1",
-               "solver.t_end": "0.5", "bootstrap.delta_prime": "0.5", "bootstrap.c_delta": "1"},
+               "solver.t_end": "0.5", "bootstrap.c_delta": "1"},
         )
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -861,9 +857,6 @@ MALFORMED = {
     "bootstrap.t1": ("soon", {}, "bootstrap.t1: expected a number or 'auto', got 'soon'"),
     "bootstrap.eps_prime": ("tiny", {},
                             "bootstrap.eps_prime: expected a number or 'auto', got 'tiny'"),
-    "bootstrap.delta": ("wide", {}, "bootstrap.delta: expected a number or 'auto', got 'wide'"),
-    "bootstrap.delta_prime": ("low", {},
-                              "bootstrap.delta_prime: expected a number or 'auto', got 'low'"),
     "bootstrap.c_delta": ("large", {},
                           "bootstrap.c_delta: expected a number or 'auto', got 'large'"),
     "constants.path": ("{tmp}/missing.txt", {},
@@ -895,11 +888,18 @@ class TestKeyTable:
         assert malformed_message(tmp_path, golden_constants, key) == expected
 
     def test_old_resolved_files_rerun(self, tmp_path, golden_constants):
-        # source.kind and source.rng stay accepted, so every echo is a config
+        # source.kind and source.rng stay accepted, so every echo is a config;
+        # an echo that still states the retired bootstrap.delta and
+        # bootstrap.delta_prime, as every resolved.cfg once did, resolves alike
         for case in GOLDEN_CASES:
             text = (GOLDEN_DIR / f"{case}.cfg").read_text()
-            entries = parse_config(text.replace("<out>/constants.txt", str(golden_constants)))
-            assert build_scenario(entries).echo["source.kind"] == "analytic-preset"
+            text = text.replace("<out>/constants.txt", str(golden_constants))
+            echo = build_scenario(parse_config(text)).echo
+            assert echo["source.kind"] == "analytic-preset"
+            retired = "bootstrap.delta = 0.1\nbootstrap.delta_prime = 0.9\nbootstrap.c_delta"
+            old = text.replace("bootstrap.c_delta", retired)
+            assert old.count("bootstrap.delta_prime = 0.9") == 1
+            assert build_scenario(parse_config(old)).echo == echo
 
     def test_resolved_file_of_the_float_exponent_rule_reruns_its_exponents(
         self, tmp_path, golden_constants
@@ -916,6 +916,75 @@ class TestKeyTable:
         assert (scenario.params.kappa, scenario.params.mu) == (0.25000000000000006,
                                                                0.49999999999999989)
         assert scenario.echo["params.mu"] == "0.49999999999999989"
+
+
+# Keys whose value no two runs can differ in, each with its reason.
+UNREAD_KEYS = {
+    "format": "one accepted value, the file format's name",
+    "name": "a label, written to report.txt only",
+    "constants.path": "where the constants come from; the same file gives the same run",
+    "source.kind": "one accepted value, stated so resolved.cfg names it",
+    "source.rng": "one accepted value, stated so resolved.cfg names it",
+}
+
+# key -> (the base lines both runs set, None dropping one; the value the second
+# run gives the key).  A key that acts only under another setting gets that
+# setting in its base.
+COEFFICIENTS = {"initial.preset": "coefficients", "initial.mode": None, "initial.e_m0": None,
+                "initial.u0_coeffs": "1,0,0,0.01,0", "initial.u1_coeffs": "2,1,0,0.02,0"}
+EXPONENTS = {"params.k_eos": None, "params.kappa": "0.25", "params.mu": "0.5"}
+BUDGET = {"source.amplitude": "budget:0.5"}
+KEY_EFFECTS = {
+    "grid.n": ({"constants.path": None}, "10"),  # both calibrate on the fly
+    "params.omega": ({}, "0.4"),
+    "params.k_eos": ({}, "0.6"),
+    "params.kappa": (EXPONENTS, "0.3"),
+    "params.mu": (EXPONENTS, "1"),
+    "params.m": ({}, "2"),
+    "source.preset": ({}, "bump"),
+    "source.amplitude": ({}, "0.002"),
+    "source.sigma": ({}, "cos"),
+    "source.sigma_rate": ({"source.sigma": "cos"}, "2"),
+    "source.seed": ({"source.preset": "band"}, "1"),
+    "initial.preset": ({}, "bump"),
+    "initial.part": ({}, "displacement"),
+    "initial.mode": ({}, "1,0,0"),
+    "initial.e_m0": ({}, "0.04"),
+    "initial.u0_coeffs": (COEFFICIENTS, "1,0,0,0.02,0"),
+    "initial.u1_coeffs": (COEFFICIENTS, "2,1,0,0.01,0"),
+    "solver.dt": ({}, "0.1"),
+    "solver.t_end": ({}, "0.6"),
+    "solver.sample_every": ({}, "1"),
+    "solver.dealias": ({}, "false"),
+    "bootstrap.t1": ({}, "1.5"),
+    # the runs end before T1, where the improved-estimates check would read
+    # eps' and c_delta, so they act through the budget that scales F
+    "bootstrap.eps_prime": (BUDGET, "0.1"),
+    "bootstrap.c_delta": (BUDGET, "3"),
+}
+
+
+class TestEveryKeyActs:
+    @pytest.mark.parametrize("key", [key for key in cli._KEYS if key not in UNREAD_KEYS])
+    def test_changing_the_key_changes_the_outputs(
+        self, tmp_path, constants_file, monkeypatch, key
+    ):
+        # a key that no output reads is surface without a use
+        assert key in KEY_EFFECTS, f"{key} has no case that shows what it changes"
+        monkeypatch.delenv(CONSTANTS_ENV, raising=False)
+        base, value = KEY_EFFECTS[key]
+        lines = {k: v.split(" = ", 1)[1] for k, v in BASE_LINES.items()}
+        lines.update({"solver.t_end": "0.4", "solver.sample_every": "2",
+                      "constants.path": str(constants_file), **base})
+        outputs = []
+        for run in ({}, {key: value}):
+            config = tmp_path / f"run{len(outputs)}.cfg"
+            entries = {k: v for k, v in {**lines, **run}.items() if v is not None}
+            config.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+            out = tmp_path / f"out{len(outputs)}"
+            assert main(["run", str(config), "--out", str(out)]) in (0, 1)
+            outputs.append([(out / f).read_bytes() for f in ("timeseries.csv", "report.csv")])
+        assert outputs[0] != outputs[1]
 
 
 # flagship at grid.n = 8 and t_end = 2 with some keys set (None drops one):

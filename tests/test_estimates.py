@@ -24,7 +24,7 @@ LN2 = math.log(2.0)
 
 
 def make_params(**overrides):
-    base = dict(e_m0=0.1, delta=0.2, delta_prime=0.05, t1=2 * LN2, eps_prime=0.1, c_delta=2.0)
+    base = dict(e_m0=0.1, t1=2 * LN2, eps_prime=0.1, c_delta=2.0)
     base.update(overrides)
     return BootstrapParams(**base)
 
@@ -118,10 +118,6 @@ class TestBootstrapParams:
             make_params(t1=-1.0)
         with pytest.raises(ValueError, match="improvement factor"):
             make_params(eps_prime=1.0)
-        with pytest.raises(ValueError, match="delta"):
-            make_params(delta=0.0)
-        with pytest.raises(ValueError, match="ceiling"):
-            make_params(delta_prime=1.0)
         with pytest.raises(ValueError, match="forcing constant"):
             make_params(c_delta=-2.0)
 
@@ -266,12 +262,8 @@ class TestCompositionConstants:
     def test_forcing_constant_chain(self):
         e_m0, omega, mu = 0.1, 0.5, 0.5
         c_sob, c_alg = 0.2, 0.3
-        c_delta, delta, delta_prime = forcing_constant(
-            e_m0, omega, mu, 1, c_sob, c_alg, {1: 1.0}
-        )
-        assert delta == pytest.approx(0.2)
-        dp = c_sob * math.sqrt(2.0) * e_m0
-        assert delta_prime == pytest.approx(dp, rel=1e-14)
+        c_delta = forcing_constant(e_m0, omega, mu, 1, c_sob, c_alg, {1: 1.0})
+        dp = c_sob * math.sqrt(2.0) * e_m0  # the sup ceiling delta'
         c1 = 0.5 * (1.0 - dp) ** (0.5 - 1.0)
         expected = c_alg * (c1 * math.sqrt(2.0) * e_m0 + VOLUME**0.5)
         assert c_delta == pytest.approx(expected, rel=1e-14)

@@ -25,11 +25,11 @@ EXTREMES = ("0", "1e-300", "-1e-300", "1e200", "-1e200", "inf", "nan")
 FLOAT_KEYS = (
     "params.omega", "params.k_eos", "params.kappa", "params.mu", "source.amplitude",
     "source.sigma_rate", "initial.e_m0", "solver.dt", "solver.t_end", "bootstrap.t1",
-    "bootstrap.eps_prime", "bootstrap.delta", "bootstrap.delta_prime", "bootstrap.c_delta",
+    "bootstrap.eps_prime", "bootstrap.c_delta",
 )
 INVALID_INTS = {
     "grid.n": ("2", "5", "0"),
-    "params.m": ("0", "-1", "4"),
+    "params.m": ("1", "0", "-1", "4"),
     "solver.sample_every": ("0", "-3"),
     "source.seed": ("-1",),
 }
@@ -84,7 +84,7 @@ def random_config(index, constants):
         entries["params.kappa"] = _number(rng, 0.1, 1.0)
         entries["params.mu"] = rng.choice(("-0.5", "0.5", "1", "2", "3", "1.25"))
     if rng.random() < 0.3:
-        entries["params.m"] = rng.choice(("1", "2", "3"))
+        entries["params.m"] = rng.choice(("2", "3"))
 
     preset = entries["initial.preset"]
     if preset in ("single-mode", "bump"):
@@ -107,7 +107,6 @@ def random_config(index, constants):
 
     valid_bootstrap = {
         "bootstrap.t1": (0.5, 4.0), "bootstrap.eps_prime": (0.01, 0.3),
-        "bootstrap.delta": (0.05, 1.0), "bootstrap.delta_prime": (0.05, 0.9),
         "bootstrap.c_delta": (0.5, 5.0),
     }
     for key, (lo, hi) in valid_bootstrap.items():
@@ -178,3 +177,17 @@ def test_step_counts_from_2_to_the_53_exit_3(solver, constants, tmp_path, capsys
     config.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
     assert "2**53" in capsys.readouterr().err
+
+
+# the bootstrap bounds ||u||_inf through the embedding of H^m in L^inf, which
+# holds for m > 3/2 only
+@pytest.mark.parametrize("m", ["0", "1"])
+def test_sobolev_order_below_two_exits_3(m, constants, tmp_path, capsys):
+    entries = {**random_config(0, constants), "params.m": m}
+    config = tmp_path / "config.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        f"config error: params.m: the estimates need m > 3/2 for H^m in L^inf, got {m}\n"
+    )
+    assert not (tmp_path / "out").exists()

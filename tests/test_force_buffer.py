@@ -117,6 +117,24 @@ def test_recorded_means_are_the_zero_coefficients_over_n_cubed(n):
             assert row_solo[columns].tolist() == row_batch[columns].tolist() == want
 
 
+@pytest.mark.parametrize("n", [8, 20])
+def test_initial_velocity_mean_is_the_zero_coefficient_over_n_cubed(n):
+    # u1_mean, which gates the mean-mode check, takes the convention of the
+    # recorded means: the real part of c(0) of rfftn(u1) over n^3, not a grid
+    # mean, bit for bit in a solo run and in a batch
+    grid = GridSpec(n)
+    config = SolverConfig(grid=grid, dt=0.05, t_end=0.1)
+    params = [ModelParams(omega=0.5, kappa=0.25, mu=0.5)] * 3
+    sources = [SourceSpec(amplitude=0.0)] * 3
+    u0 = np.zeros((3, *grid.shape))
+    u1 = np.stack([noise(grid, 30 + b, 0.05) + 0.01 * b for b in range(3)])
+    batch = simulate_batch(u0, u1, params, sources, config)
+    for b, in_batch in enumerate(batch):
+        solo = simulate(u0[b], u1[b], params[b], sources[b], config)
+        want = np.fft.rfftn(u1[b])[0, 0, 0].real / n**3
+        assert solo.u1_mean == in_batch.u1_mean == want
+
+
 def traced_peak(call):
     """``call()`` and the peak of traced memory above what was traced at its start."""
     tracemalloc.start()

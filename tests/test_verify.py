@@ -57,8 +57,6 @@ def make_bootstrap(trajectory, t1=2.0, eps_prime=0.1, c_delta=2.0):
     e_m0 = math.sqrt(trajectory.series("e_m_sq")[0])
     bp = BootstrapParams(
         e_m0=e_m0,
-        delta=e_m0 / trajectory.params.omega,
-        delta_prime=0.1,
         t1=t1,
         eps_prime=eps_prime,
         c_delta=c_delta,
@@ -193,8 +191,6 @@ class TestBootstrap:
         u0_norm = mean_traj.series("u_hm")[0]
         bp = BootstrapParams(
             e_m0=u0_norm / 8.0,
-            delta=u0_norm,
-            delta_prime=0.1,
             t1=2.0,
             eps_prime=0.1,
             c_delta=2.0,
@@ -229,8 +225,7 @@ class TestImprovedEstimates:
         e_m0 = math.sqrt(free_traj.series("e_m_sq")[0])
         # h(omega=1/2, t1=2) ~ 0.316, so 0.4 is past the threshold
         bp = BootstrapParams(
-            e_m0=e_m0, delta=e_m0 / OMEGA, delta_prime=0.1,
-            t1=2.0, eps_prime=0.4, c_delta=2.0,
+            e_m0=e_m0, t1=2.0, eps_prime=0.4, c_delta=2.0,
         )
         result = check_improved_estimates(free_traj, bp)
         assert result.skipped and "no admissible improvement factor" in result.reason

@@ -20,6 +20,7 @@ import time
 
 from toruswave import run_all, simulate
 from toruswave.cli import build_scenario, load_config
+from toruswave.estimates import epsilon_budgets
 
 entries = load_config("flagship")
 scenario = build_scenario(entries)
@@ -29,7 +30,7 @@ print("  kappa        =", scenario.params.kappa)
 print("  mu           =", scenario.params.mu)
 print("  t1           =", scenario.bootstrap.t1)
 print("  eps_prime    =", scenario.bootstrap.eps_prime)
-print("  eps1, eps2   =", scenario.bootstrap.eps1, scenario.bootstrap.eps2)
+print("  eps1, eps2   =", *epsilon_budgets(scenario.bootstrap, scenario.params.omega))
 print("  amplitude    =", scenario.source.amplitude)
 print("  E_3(0)       =", scenario.bootstrap.e_m0)
 

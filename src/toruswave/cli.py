@@ -43,7 +43,7 @@ from .estimates import BootstrapParams, epsilon_budgets, forcing_constant, h_thr
 from .fields import GridSpec
 from .solver import SolverConfig, Trajectory, simulate, simulate_batch
 from .source import ModelParams, SourceSpec, bump_profile
-from .verify import ABS_TOL, CHECK_IDS, VerificationReport, run_all
+from .verify import CHECK_IDS, VerificationReport, bootstrap_ok, run_all
 
 CONFIG_FORMAT = "toruswave-scenario-1"
 TIMESERIES_FORMAT = "toruswave-timeseries-1"
@@ -292,11 +292,8 @@ def _initial_field(key: str, values: np.ndarray) -> np.ndarray:
 
 def _energy(key: str, u0: np.ndarray, u1: np.ndarray, params: ModelParams) -> float:
     """E_m of the initial data; one that overflows is a config error of ``key``."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            e_sq = modified_energy(u0, u1, params.omega, params.m)
-    except OverflowError:  # a Python float, such as omega^2, out of range
-        e_sq = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_sq = modified_energy(u0, u1, params.omega, params.m)
     if not math.isfinite(e_sq):
         raise ConfigError(f"{key}: the initial energy E_m overflows")
     return math.sqrt(e_sq)
@@ -326,6 +323,8 @@ class Scenario:
 
 def _build_params(read: _Reader) -> ModelParams:
     omega = read("params.omega")
+    if not 0.0 < omega < 1.0:  # h(t), g(t) and the budgets are built for this window
+        raise ConfigError(f"params.omega: the threshold algebra needs omega in (0, 1), got {omega}")
     m = read("params.m")
     if m < 2:  # the bootstrap's sup-norm bound needs the H^m embedding in L^inf
         raise ConfigError(f"params.m: the estimates need m > 3/2 for H^m in L^inf, got {m}")
@@ -473,7 +472,7 @@ def build_scenario(entries: dict[str, str]) -> Scenario:
             eps_prime = 0.5 * h_threshold(params.omega, t1)
         if c_delta is None:
             c_delta = forcing_constant(
-                e_check, params.omega, params.mu, params.m,
+                e_check, params.mu, params.m,
                 constants.c_sobolev, constants.c_algebra, constants.c_moser,
             )
         bootstrap = BootstrapParams(e_m0=e_check, t1=t1, eps_prime=eps_prime, c_delta=c_delta)
@@ -486,23 +485,19 @@ def build_scenario(entries: dict[str, str]) -> Scenario:
     for field in ("t1", "eps_prime", "c_delta"):
         read.resolved[f"bootstrap.{field}"] = getattr(bootstrap, field)
 
-    budget_error: str | None = None
-    try:
-        bootstrap.eps1, bootstrap.eps2 = epsilon_budgets(bootstrap, params.omega)
-    except ValueError as exc:
-        budget_error = str(exc)  # only fatal if the amplitude needs the budget
-
     raw_amplitude = read("source.amplitude")
     if raw_amplitude.startswith("budget:"):
-        if budget_error is not None:
-            raise ConfigError(f"source.amplitude: no budget to scale by ({budget_error})")
+        try:
+            budget = min(epsilon_budgets(bootstrap, params.omega))
+        except ValueError as exc:
+            raise ConfigError(f"source.amplitude: no budget to scale by ({exc})") from None
         fraction = _finite(
             "source.amplitude", raw_amplitude[len("budget:"):],
             "budget:F with F a number", shown=raw_amplitude,
         )
         if fraction < 0.0:
             raise ConfigError(f"source.amplitude: budget fraction must be >= 0, got {fraction}")
-        amplitude = fraction * min(bootstrap.eps1, bootstrap.eps2)
+        amplitude = fraction * budget
     else:
         amplitude = _finite("source.amplitude", raw_amplitude, "a number")
     read.resolved["source.amplitude"] = _fmt(amplitude)
@@ -525,16 +520,12 @@ def write_echo(path: Path, echo: dict[str, str]) -> None:
 
 
 def write_timeseries(path: Path, trajectory: Trajectory, e_m0: float) -> None:
-    # same per-sample condition the bootstrap check scores, margin >= -tol
-    threshold = e_m0**2 * (1.0 + ABS_TOL)
-    u_hm = 1 + COLUMNS.index("u_hm")
+    with np.errstate(over="ignore"):  # a norm past 1.34e154 squares to inf: not ok
+        flags = bootstrap_ok(trajectory, e_m0).tolist()
     with path.open("w") as out:  # row by row: no copy of the whole table or text
         out.write(f"# {TIMESERIES_FORMAT}\n" + ",".join(TIMESERIES_COLUMNS) + "\n")
-        for values in trajectory.table:  # t, then COLUMNS
+        for values, ok in zip(trajectory.table, flags):  # t, then COLUMNS
             row = values.tolist()
-            # u * u, as numpy squares the column in check_bootstrap: a finite norm
-            # past 1.34e154 squares to inf, where ** 2 (C pow) raises OverflowError
-            ok = 1 if 0.5 * (row[u_hm] * row[u_hm]) <= threshold else 0
             out.write(_TIMESERIES_ROW % (row[0], math.sqrt(row[1]), *row[1:], ok))
 
 

@@ -33,18 +33,16 @@ from .fields import VOLUME
 class BootstrapParams:
     """Resolved quantities steering one bootstrap verification.
 
-    ``e_m0`` is E_m(0) (not squared), ``c_delta`` the profile-to-forcing
-    constant, and ``eps1`` / ``eps2`` the resolved budgets.  The small-data
-    radius E_m(0) / omega and the sup-norm ceiling are not stored: both follow
-    from E_m(0), and ``forcing_constant`` derives the ceiling it needs.
+    ``e_m0`` is E_m(0) (not squared) and ``c_delta`` the profile-to-forcing
+    constant.  Nothing derived is stored: the budgets (eps1, eps2) a report
+    prints are ``epsilon_budgets(self, omega)``, the small-data radius is
+    E_m(0) / omega, and ``forcing_constant`` derives its sup-norm ceiling.
     """
 
     e_m0: float
     t1: float
     eps_prime: float
     c_delta: float
-    eps1: float = 0.0
-    eps2: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.e_m0 > 0.0:
@@ -246,13 +244,7 @@ def fractional_constant(
 
 
 def forcing_constant(
-    e_m0: float,
-    omega: float,
-    mu: float,
-    m: int,
-    c_sobolev: float,
-    c_algebra: float,
-    moser: Mapping[int, float],
+    e_m0: float, mu: float, m: int, c_sobolev: float, c_algebra: float, moser: Mapping[int, float]
 ) -> float:
     """A priori profile-to-forcing constant C.
 
@@ -267,7 +259,6 @@ def forcing_constant(
     """
     if not e_m0 > 0.0:
         raise ValueError(f"initial energy must be positive, got {e_m0}")
-    _check_omega_window(omega)
     delta_prime = c_sobolev * math.sqrt(2.0) * e_m0
     if delta_prime >= 1.0:
         raise ValueError(

@@ -26,11 +26,17 @@ roundoff in it.  Norms of u on its own grid go through ``fields.hm_norms``.
 The two that read only S_m, ||u^2||_{H^m} on the doubled grid and the
 spectral tail's order-(m + 1) totals, are ``fields.weighted_sums`` against an
 S_m row built for the call and dropped, so no weight is cached for them.
+
+Checks return verdicts alone; ``run_all`` derives each report value once:
+c0_estimate is the last mean, t_max_empirical the first sample failing
+``bootstrap_ok`` (none if that check skips), c_delta_measured the asymptotic
+check's C1 over the amplitude, (eps1, eps2) ``epsilon_budgets``, or 0 if it raises.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 from dataclasses import dataclass
@@ -104,6 +110,14 @@ def _quadrature_budget(integrand, spacing: float) -> float:
     return float(np.sum(second)) * spacing / 12.0
 
 
+def _forcing_profile(trajectory: Trajectory):
+    """omega^2/sqrt(2) ||u||_{H^m} + sqrt(2) ||F||_{H^m}: the energy inequality's forcing."""
+    omega = trajectory.params.omega
+    profile = (omega**2 / math.sqrt(2.0)) * trajectory.series("u_hm")
+    profile += math.sqrt(2.0) * trajectory.series("f_hm")
+    return profile
+
+
 def check_energy_differential(trajectory: Trajectory) -> CheckResult:
     check_id = "energy_differential"
     times = trajectory.times()
@@ -112,9 +126,7 @@ def check_energy_differential(trajectory: Trajectory) -> CheckResult:
     omega = trajectory.params.omega
     e_sq = trajectory.series("e_m_sq")
     e_m = np.sqrt(e_sq)
-    forcing = (omega**2 / math.sqrt(2.0)) * trajectory.series("u_hm")
-    forcing += math.sqrt(2.0) * trajectory.series("f_hm")
-    rhs = -omega * e_sq + forcing * e_m
+    rhs = -omega * e_sq + _forcing_profile(trajectory) * e_m
 
     lhs = np.gradient(e_sq, times)
     third = np.gradient(np.gradient(lhs, times), times)
@@ -171,16 +183,24 @@ def check_energy_integral(trajectory: Trajectory) -> CheckResult:
         return _skip(check_id, f"needs at least 3 samples, have {times.size}")
     omega = trajectory.params.omega
     e_m = np.sqrt(trajectory.series("e_m_sq"))
-    profile = (omega**2 / math.sqrt(2.0)) * trajectory.series("u_hm")
-    profile += math.sqrt(2.0) * trajectory.series("f_hm")
+    profile = _forcing_profile(trajectory)
 
     starts = np.array(_decimated_indices(times.size)[:-1])
     return _finish(check_id, *_binding_windows(times, omega, profile, e_m, starts))
 
 
-def check_bootstrap(
-    trajectory: Trajectory, bootstrap: BootstrapParams
-) -> tuple[CheckResult, float | None]:
+def _bootstrap_margins(u_hm, e_m0: float):
+    """(E_m(0)^2 - ||u||_{H^m}^2 / 2) / E_m(0)^2: the bootstrap bound's margin."""
+    return (e_m0**2 - 0.5 * u_hm**2) / e_m0**2
+
+
+def bootstrap_ok(trajectory: Trajectory, e_m0: float) -> np.ndarray:
+    """Per sample, whether ||u||_{H^m}^2 / 2 <= E_m(0)^2 holds to ``ABS_TOL``:
+    the bound ``check_bootstrap`` scores, and timeseries.csv's bootstrap_ok."""
+    return _bootstrap_margins(trajectory.series("u_hm"), e_m0) >= -ABS_TOL
+
+
+def check_bootstrap(trajectory: Trajectory, bootstrap: BootstrapParams) -> CheckResult:
     check_id = "bootstrap"
     times = trajectory.times()
     u_hm = trajectory.series("u_hm")
@@ -188,12 +208,9 @@ def check_bootstrap(
         reason = (
             f"precondition ||u0||/4 <= E_m(0) fails: {0.25 * u_hm[0]:.6g} > {bootstrap.e_m0:.6g}"
         )
-        return _skip(check_id, reason), None
+        return _skip(check_id, reason)
 
-    margins = (bootstrap.e_m0**2 - 0.5 * u_hm**2) / bootstrap.e_m0**2
-    violations = np.nonzero(margins < -ABS_TOL)[0]
-    t_max = float(times[violations[0]]) if violations.size else None
-
+    margins = _bootstrap_margins(u_hm, bootstrap.e_m0)
     early = times <= bootstrap.t1 + 1e-12
     half = 0.5 * bootstrap.e_m0
     step_margins = (half - u_hm[early]) / half
@@ -201,7 +218,7 @@ def check_bootstrap(
     all_margins = np.concatenate([margins, step_margins])
     all_times = np.concatenate([times, times[early]])
     tolerances = np.full(all_margins.shape, ABS_TOL)
-    return _finish(check_id, all_times, all_margins, tolerances), t_max
+    return _finish(check_id, all_times, all_margins, tolerances)
 
 
 def check_improved_estimates(
@@ -230,8 +247,7 @@ def check_improved_estimates(
     tolerances = [ABS_TOL] * len(margins)
 
     # the endpoint inequality is strict, so it gets no tolerance at all
-    u_final = trajectory.series("u_hm")[-1]
-    margins.append((bootstrap.e_m0**2 - 0.5 * u_final**2) / bootstrap.e_m0**2)
+    margins.append(_bootstrap_margins(trajectory.series("u_hm")[-1], bootstrap.e_m0))
     worst_times.append(times[-1])
     tolerances.append(0.0)
     return _finish(check_id, worst_times, margins, tolerances)
@@ -240,18 +256,16 @@ def check_improved_estimates(
 def mean_mode_reference(trajectory: Trajectory) -> np.ndarray:
     """Duhamel quadrature for the mean: (2 omega)^-1 int (1 - e^{-2 omega (t-s)}) Fbar ds.
 
-    Valid for zero-mean initial data only; the recorded mean of u and the
-    stored mean of u_t at t = 0 must both vanish.
+    Valid for zero-mean initial data only: the recorded mean of u and the
+    stored mean of u_t at t = 0 must both vanish, else ``ValueError`` says why.
     """
     t = trajectory.times()
     if not t.size:
         raise ValueError("trajectory has no samples")
-    u0_mean = trajectory.series("u_mean")[0]
-    tol = 1e-12
-    if abs(u0_mean) > tol or abs(trajectory.u1_mean) > tol:
+    u0_mean, u1_mean = trajectory.series("u_mean")[0], trajectory.u1_mean
+    if abs(u0_mean) > 1e-12 or abs(u1_mean) > 1e-12:
         raise ValueError(
-            f"mean-mode reference needs zero-mean initial data, got means "
-            f"({u0_mean:.3e}, {trajectory.u1_mean:.3e})"
+            f"nonzero-mean initial data: mean(u0) = {u0_mean:.3g}, mean(u1) = {u1_mean:.3g}"
         )
     omega = trajectory.params.omega
     if t.size == 1:
@@ -269,15 +283,12 @@ def check_mean_mode(
     trajectory: Trajectory, bootstrap: BootstrapParams | None = None
 ) -> CheckResult:
     check_id = "mean_mode"
+    try:
+        reference = mean_mode_reference(trajectory)
+    except ValueError as exc:  # nonzero-mean initial data
+        return _skip(check_id, str(exc))
     recorded = trajectory.series("u_mean")
-    if abs(recorded[0]) > 1e-12 or abs(trajectory.u1_mean) > 1e-12:
-        return _skip(
-            check_id,
-            f"nonzero-mean initial data: mean(u0) = {recorded[0]:.3g}, "
-            f"mean(u1) = {trajectory.u1_mean:.3g}",
-        )
     times = trajectory.times()
-    reference = mean_mode_reference(trajectory)
     scale = max(np.max(np.abs(recorded)), np.max(np.abs(reference)), 1e-12)
 
     omega = trajectory.params.omega
@@ -319,25 +330,34 @@ def _oscillatory(raw):
     return oscillatory
 
 
-def check_asymptotics(trajectory: Trajectory) -> tuple[CheckResult, float]:
+def _forcing_c1(trajectory: Trajectory) -> float:
+    """C1 = max over the samples of e^{kappa t} ||F(t)||_{H^m}."""
+    f_hm = trajectory.series("f_hm")
+    return float(np.max(_undamped(f_hm, trajectory.params.kappa, trajectory.times())))
+
+
+def _gradient_sq(trajectory: Trajectory):
+    """||grad u||_{H^m}^2 = 2 E_std^2 - ||u_t||_{H^m}^2 per sample, clipped at 0."""
+    return np.maximum(2.0 * trajectory.series("e_std_sq") - trajectory.series("ut_hm") ** 2, 0.0)
+
+
+def check_asymptotics(trajectory: Trajectory) -> CheckResult:
     check_id = "asymptotics"
     params = trajectory.params
     omega, kappa = params.omega, params.kappa
     times = trajectory.times()
-    c0 = float(trajectory.series("u_mean")[-1])
     horizon = times[-1] - times[0]
     if horizon < MIN_HORIZON / omega - 1e-9:
         reason = f"horizon {horizon:.6g} shorter than {MIN_HORIZON:.0f}/omega = {MIN_HORIZON / omega:.6g}"
-        return _skip(check_id, reason), c0
+        return _skip(check_id, reason)
 
     if trajectory.final_state is None:
-        return _skip(check_id, "no final state recorded"), c0
+        return _skip(check_id, "no final state recorded")
 
     ut_hm = trajectory.series("ut_hm")
-    f_hm = trajectory.series("f_hm")
     e_std_sq = trajectory.series("e_std_sq")
     e_m0 = math.sqrt(trajectory.series("e_m_sq")[0])
-    c1 = float(np.max(_undamped(f_hm, kappa, times)))
+    c1 = _forcing_c1(trajectory)
     c2 = float(np.max(ut_hm))
 
     window_start = times.size - max(2, int(LATE_WINDOW * times.size))
@@ -362,8 +382,7 @@ def check_asymptotics(trajectory: Trajectory) -> tuple[CheckResult, float]:
     tolerances.append(ABS_TOL)
 
     # standard-energy bound from t = 0 with measured C1, C2 and trapezoid integrals
-    grad_sq = np.maximum(2.0 * e_std_sq - ut_hm**2, 0.0)
-    profile = 2.0 * omega * grad_sq + c1 * c2 * np.exp(-kappa * times)
+    profile = 2.0 * omega * _gradient_sq(trajectory) + c1 * c2 * np.exp(-kappa * times)
     ends, window_margins, window_tolerances = _binding_windows(
         times, 4.0 * omega, profile, e_std_sq, np.array([0])
     )
@@ -371,7 +390,13 @@ def check_asymptotics(trajectory: Trajectory) -> tuple[CheckResult, float]:
     worst_times.extend(ends)
     tolerances.extend(window_tolerances)
 
-    return _finish(check_id, worst_times, margins, tolerances), c0
+    return _finish(check_id, worst_times, margins, tolerances)
+
+
+def _final_inequality(check_id: str, trajectory: Trajectory, lhs: float, rhs: float) -> CheckResult:
+    """The final-state inequality lhs <= rhs, its margin relative to rhs."""
+    scale = max(rhs, 1e-12)
+    return _finish(check_id, [trajectory.times()[-1]], [(rhs - lhs) / scale], [ABS_TOL / scale])
 
 
 def check_wirtinger_final(trajectory: Trajectory) -> CheckResult:
@@ -381,10 +406,7 @@ def check_wirtinger_final(trajectory: Trajectory) -> CheckResult:
     u_hat = trajectory.final_state.u_hat
     (lhs,) = hm_norms(_oscillatory(u_hat), 0)
     (rhs,) = hm_norms(u_hat, 1, np.s_[1:])  # the D_1 block: ||grad u||
-    scale = max(rhs, 1e-12)
-    return _finish(
-        check_id, [trajectory.times()[-1]], [(rhs - lhs) / scale], [ABS_TOL / scale]
-    )
+    return _final_inequality(check_id, trajectory, lhs, rhs)
 
 
 def check_algebra_final(
@@ -396,12 +418,10 @@ def check_algebra_final(
     if trajectory.final_state is None:
         return _skip(check_id, "no final state recorded")
     n, m = trajectory.config.grid.n, trajectory.params.m
-    if constants.grid_n != n or constants.m < m:
-        return _skip(
-            check_id,
-            f"constants calibrated for n = {constants.grid_n}, m <= {constants.m}; "
-            f"state has n = {n}, m = {m}",
-        )
+    try:
+        constants.require_grid(trajectory.config.grid, m)
+    except ValueError as exc:
+        return _skip(check_id, str(exc))
     # measured as calibrate measures c_algebra: refined once, u^2 on the doubled
     # grid; the check owns the refined samples, so it squares them in place and
     # drops them before the |c|^2 pass, drops the spectrum before the S_m
@@ -415,10 +435,7 @@ def check_algebra_final(
     del spectrum
     lhs = math.sqrt(weighted_sums(power, [_symbol_weight(2 * n, m, hermitian=True)], power)[0])
     rhs = constants.c_algebra * hm_norms(raw, m, np.s_[:1])[0] ** 2
-    scale = max(rhs, 1e-12)
-    return _finish(
-        check_id, [trajectory.times()[-1]], [(rhs - lhs) / scale], [ABS_TOL / scale]
-    )
+    return _final_inequality(check_id, trajectory, lhs, rhs)
 
 
 def _spectral_tail_fraction(trajectory: Trajectory) -> float:
@@ -437,8 +454,7 @@ def _spectral_tail_fraction(trajectory: Trajectory) -> float:
 
 def _gradient_oscillation(trajectory: Trajectory) -> float:
     """Spread of ||grad u||_{H^m} over the final window (limit existence proxy)."""
-    ut_hm = trajectory.series("ut_hm")
-    grad = np.sqrt(np.maximum(2.0 * trajectory.series("e_std_sq") - ut_hm**2, 0.0))
+    grad = np.sqrt(_gradient_sq(trajectory))
     window = grad[-max(2, int(LATE_WINDOW * grad.size)):]
     return float(np.max(window) - np.min(window))
 
@@ -448,6 +464,8 @@ class VerificationReport:
     scenario: str
     params: ModelParams
     bootstrap: BootstrapParams
+    eps1: float
+    eps2: float
     results: list[CheckResult]
     c0_estimate: float
     t_max_empirical: float | None
@@ -462,22 +480,12 @@ class VerificationReport:
     def to_text(self) -> str:
         f = _format_value
         lines = [f"scenario = {self.scenario}"]
+        for name, values in (("params", self.params), ("bootstrap", self.bootstrap)):
+            lines += ["", f"[{name}]"]
+            lines += [f"{x.name} = {f(getattr(values, x.name))}" for x in dataclasses.fields(values)]
         lines += [
-            "",
-            "[params]",
-            f"omega = {f(self.params.omega)}",
-            f"kappa = {f(self.params.kappa)}",
-            f"mu = {f(self.params.mu)}",
-            f"k_eos = {f(self.params.k_eos)}",
-            f"m = {self.params.m}",
-            "",
-            "[bootstrap]",
-            f"e_m0 = {f(self.bootstrap.e_m0)}",
-            f"t1 = {f(self.bootstrap.t1)}",
-            f"eps_prime = {f(self.bootstrap.eps_prime)}",
-            f"c_delta = {f(self.bootstrap.c_delta)}",
-            f"eps1 = {f(self.bootstrap.eps1)}",
-            f"eps2 = {f(self.bootstrap.eps2)}",
+            f"eps1 = {f(self.eps1)}",
+            f"eps2 = {f(self.eps2)}",
             "",
             "[summary]",
             f"all_passed = {str(self.all_passed()).lower()}",
@@ -532,47 +540,45 @@ def run_all(
     constants: CalibratedConstants | None = None,
     scenario: str = "scenario",
 ) -> VerificationReport:
-    params = trajectory.params
     breakdown = ""
     if trajectory.breakdown is not None:
         breakdown = f"t = {trajectory.breakdown.t:.17g}: {trajectory.breakdown.reason}"
-    if not len(trajectory.table):  # broke down before its first sample: nothing to check
-        return VerificationReport(
-            scenario=scenario,
-            params=params,
-            bootstrap=bootstrap,
-            results=[_skip(check_id, "no samples") for check_id in CHECK_IDS],
-            c0_estimate=math.nan,
-            t_max_empirical=None,
-            grad_oscillation=math.nan,
-            spectral_tail=math.nan,
-            c_delta_measured=math.nan,
-            breakdown=breakdown,
-        )
-    bootstrap_result, t_max = check_bootstrap(trajectory, bootstrap)
-    asymptotics_result, c0 = check_asymptotics(trajectory)
-    results = [
-        check_energy_differential(trajectory),
-        check_energy_integral(trajectory),
-        bootstrap_result,
-        check_improved_estimates(trajectory, bootstrap),
-        check_mean_mode(trajectory, bootstrap),
-        asymptotics_result,
-        check_wirtinger_final(trajectory),
-        check_algebra_final(trajectory, constants),
-    ]
+    try:
+        eps1, eps2 = epsilon_budgets(bootstrap, trajectory.params.omega)
+    except ValueError:  # no admissible factor; check_improved_estimates says why
+        eps1 = eps2 = 0.0
     times = trajectory.times()
-    f_scaled = _undamped(trajectory.series("f_hm"), params.kappa, times)
-    amplitude = trajectory.source_amplitude
-    measured = float(np.max(f_scaled)) / amplitude if amplitude > 0.0 else 0.0
+    results = [_skip(check_id, "no samples") for check_id in CHECK_IDS]
+    c0, t_max, grad_oscillation, measured = math.nan, None, math.nan, math.nan
+    if times.size:  # else the run broke down before its first sample: nothing to check
+        bootstrap_result = check_bootstrap(trajectory, bootstrap)
+        results = [
+            check_energy_differential(trajectory),
+            check_energy_integral(trajectory),
+            bootstrap_result,
+            check_improved_estimates(trajectory, bootstrap),
+            check_mean_mode(trajectory, bootstrap),
+            check_asymptotics(trajectory),
+            check_wirtinger_final(trajectory),
+            check_algebra_final(trajectory, constants),
+        ]
+        c0 = float(trajectory.series("u_mean")[-1])
+        if not bootstrap_result.skipped:
+            failing = np.flatnonzero(~bootstrap_ok(trajectory, bootstrap.e_m0))
+            t_max = float(times[failing[0]]) if failing.size else None
+        grad_oscillation = _gradient_oscillation(trajectory)
+        amplitude = trajectory.source_amplitude
+        measured = _forcing_c1(trajectory) / amplitude if amplitude > 0.0 else 0.0
     return VerificationReport(
         scenario=scenario,
-        params=params,
+        params=trajectory.params,
         bootstrap=bootstrap,
+        eps1=eps1,
+        eps2=eps2,
         results=results,
         c0_estimate=c0,
         t_max_empirical=t_max,
-        grad_oscillation=_gradient_oscillation(trajectory),
+        grad_oscillation=grad_oscillation,
         spectral_tail=_spectral_tail_fraction(trajectory),
         c_delta_measured=measured,
         breakdown=breakdown,

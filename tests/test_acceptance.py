@@ -176,7 +176,7 @@ def test_criterion_3_flagship_bootstrap_and_improvement(flagship):
     assert params.mu == pytest.approx(0.5)
     assert bootstrap.e_m0 == pytest.approx(0.05, rel=1e-12)
     assert scenario.source.amplitude == pytest.approx(
-        0.5 * min(bootstrap.eps1, bootstrap.eps2), rel=1e-12
+        0.5 * min(epsilon_budgets(bootstrap, params.omega)), rel=1e-12
     )
     assert scenario.u0.mean() == pytest.approx(0.0, abs=1e-15)
     assert scenario.u1.mean() == pytest.approx(0.0, abs=1e-15)

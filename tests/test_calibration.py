@@ -31,6 +31,29 @@ def norm(u, m=3):
     return spectrum_norm(transform(u), m)
 
 
+def composition_adversaries(grid):
+    """Fields at sup 0.4 built to strain the composition constants: periodic
+    bumps of width 0.1 to 1, cos(k x1) and cos(k (x1 + x2 + x3)) for odd k up
+    to 7, power-law spectra |k|^-p on the resolved modes, and white noise."""
+    x = grid.coordinates()
+    shapes = [
+        np.exp(-sum(2.0 - 2.0 * np.cos(xi) for xi in x) / (2.0 * width**2))
+        for width in (0.1, 0.25, 0.5, 1.0)
+    ]
+    for k in (1, 3, 5, 7):
+        shapes += [np.cos(k * x[0]) + np.zeros(grid.shape), np.cos(k * (x[0] + x[1] + x[2]))]
+    wavenumbers = np.fft.fftfreq(grid.n, 1.0 / grid.n)
+    k1, k2, k3 = np.meshgrid(wavenumbers, wavenumbers, wavenumbers, indexing="ij")
+    size = np.sqrt(k1**2 + k2**2 + k3**2)
+    resolved = np.maximum(np.maximum(abs(k1), abs(k2)), abs(k3)) < grid.n // 2
+    for p in (1, 2, 3):
+        spectrum = np.zeros(grid.shape)
+        np.divide(1.0, size**p, out=spectrum, where=resolved & (size > 0))
+        shapes.append(np.fft.ifftn(spectrum).real)
+    shapes.append(np.random.default_rng(0).standard_normal(grid.shape))
+    return [0.4 * u / sup(u) for u in shapes]
+
+
 class TestAliasFreeProduct:
     def test_matches_coarse_product_when_no_aliasing(self):
         grid = GridSpec(16)
@@ -137,12 +160,15 @@ class TestCalibrate:
 
     def test_composition_blocks_hold_on_fresh_fields(self, constants16):
         grid = GridSpec(16)
-        for i in range(8):
-            u = random_band_limited(grid, seed=93_000 + i, band=(i % 5) + 1, amplitude=0.4)
+        fresh = [
+            random_band_limited(grid, seed=93_000 + i, band=(i % 5) + 1, amplitude=0.4)
+            for i in range(8)
+        ]
+        for u in fresh + composition_adversaries(grid):
             fine = refine(u)
             ceiling = max(sup(u), sup(fine))
             _, *u_blocks = hm_norms(np.fft.rfftn(u), 3)
-            for mu in (0.5, -0.5):
+            for mu in (0.5, -0.5, 1.0 / 3.0, 1.25):
                 _, *blocks = hm_norms(np.fft.rfftn((1.0 + fine) ** mu), 3)
                 for k in (1, 2, 3):
                     lhs = blocks[k - 1]

@@ -183,7 +183,7 @@ class TestBuildScenario:
         assert bp.t1 == pytest.approx(2.0)
         assert bp.eps_prime == pytest.approx(0.5 * h_threshold(0.5, bp.t1))
         assert bp.c_delta == forcing_constant(
-            e0, 0.5, scenario.params.mu, 3,
+            e0, scenario.params.mu, 3,
             constants.c_sobolev, constants.c_algebra, constants.c_moser,
         )
 
@@ -336,6 +336,23 @@ class TestRunScenario:
         cfg = make_cfg(tmp_path, bad)
         assert run_scenario(str(cfg), tmp_path / "out") == 3
         assert f"{bad}: {key} is not a valid {kind}: {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("c_delta", ["auto", "2"])
+    def test_omega_outside_the_threshold_window_exits_3(
+        self, tmp_path, constants_file, capsys, c_delta
+    ):
+        # h(t), g(t) and the budgets need 0 < omega < 1: the config refuses any
+        # other omega whatever the bootstrap keys say, so an explicit c_delta,
+        # which computes no auto value, is refused as well
+        cfg = make_cfg(tmp_path, constants_file, **{
+            "params.omega": "1.5", "bootstrap.t1": "2", "bootstrap.eps_prime": "0.1",
+            "bootstrap.c_delta": c_delta,
+        })
+        assert run_scenario(str(cfg), tmp_path / "out") == 3
+        assert capsys.readouterr().err == (
+            "config error: params.omega: the threshold algebra needs omega in (0, 1), got 1.5\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_order_above_the_constants_exits_3_before_the_weights(
@@ -577,20 +594,6 @@ class TestEveryConfigEndsInAnExitCode:
     def test_overflowing_initial_energy_is_a_config_error(self, tmp_path, constants_file, capsys):
         # finite data whose E_m overflows: squaring 1e200 in the spectral power
         cfg = self.coefficients(tmp_path, constants_file, **{"initial.u0_coeffs": "1,0,0,1e200,0"})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run_scenario(str(cfg), tmp_path / "out") == 3
-        assert "initial.u0_coeffs: the initial energy E_m overflows" in capsys.readouterr().err
-
-    def test_energy_whose_omega_squared_overflows_is_a_config_error(
-        self, tmp_path, constants_file, capsys
-    ):
-        # the Python float omega^2 = 1e400 of the energy density raises OverflowError
-        cfg = self.coefficients(
-            tmp_path, constants_file,
-            **{"params.omega": "1e200", "params.k_eos": "0.5", "source.amplitude": "0",
-               "initial.u0_coeffs": "1,0,0,0.5,0", "solver.t_end": "0.55"},
-        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_scenario(str(cfg), tmp_path / "out") == 3

@@ -260,9 +260,9 @@ class TestCompositionConstants:
         assert high >= low
 
     def test_forcing_constant_chain(self):
-        e_m0, omega, mu = 0.1, 0.5, 0.5
+        e_m0, mu = 0.1, 0.5
         c_sob, c_alg = 0.2, 0.3
-        c_delta = forcing_constant(e_m0, omega, mu, 1, c_sob, c_alg, {1: 1.0})
+        c_delta = forcing_constant(e_m0, mu, 1, c_sob, c_alg, {1: 1.0})
         dp = c_sob * math.sqrt(2.0) * e_m0  # the sup ceiling delta'
         c1 = 0.5 * (1.0 - dp) ** (0.5 - 1.0)
         expected = c_alg * (c1 * math.sqrt(2.0) * e_m0 + VOLUME**0.5)
@@ -270,4 +270,4 @@ class TestCompositionConstants:
 
     def test_forcing_constant_rejects_large_data(self):
         with pytest.raises(ValueError, match="too large"):
-            forcing_constant(0.5, 0.5, 0.5, 1, 20.0, 0.3, {1: 1.0})
+            forcing_constant(0.5, 0.5, 1, 20.0, 0.3, {1: 1.0})

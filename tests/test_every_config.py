@@ -27,8 +27,9 @@ FLOAT_KEYS = (
     "source.sigma_rate", "initial.e_m0", "solver.dt", "solver.t_end", "bootstrap.t1",
     "bootstrap.eps_prime", "bootstrap.c_delta",
 )
-INVALID_INTS = {
+INVALID = {
     "grid.n": ("2", "5", "0"),
+    "params.omega": ("0", "1", "1.5"),
     "params.m": ("1", "0", "-1", "4"),
     "solver.sample_every": ("0", "-3"),
     "source.seed": ("-1",),
@@ -130,8 +131,8 @@ def random_config(index, constants):
             entries["initial.preset"] = "coefficients"
             entries[key] = _coeffs(rng, n, extreme=rng.choice(EXTREMES))
         else:
-            key = rng.choice(sorted(INVALID_INTS))
-            entries[key] = rng.choice(INVALID_INTS[key])
+            key = rng.choice(sorted(INVALID))
+            entries[key] = rng.choice(INVALID[key])
     return entries
 
 

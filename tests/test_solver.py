@@ -10,6 +10,7 @@ from scipy.integrate import solve_ivp
 
 from toruswave.energy import COLUMNS
 from toruswave.fields import (
+    VOLUME,
     GridSpec,
     TWO_PI,
     hm_norms,
@@ -21,6 +22,7 @@ from toruswave.solver import (
     _propagator_pieces,
     dealias_mask,
     simulate,
+    simulate_batch,
 )
 from toruswave.source import ModelParams, SourceSpec
 from toruswave.verify import mean_mode_reference
@@ -202,6 +204,67 @@ class TestForcingOrder:
         ratios = [a / b for a, b in zip(errors, errors[1:])]
         for ratio in ratios:
             assert 3.2 < ratio < 4.8, f"convergence ratios {ratios}"
+
+
+class TestUniformOracle:
+    """Uniform data under the uniform source stay uniform, so the PDE reduces to
+    the ODE u'' + 2 omega u' = e^{-kappa t} a sigma(t) (1 + u)^mu with
+    a = amplitude / (2 pi)^{3/2}, which DOP853 integrates independently of the
+    solver: a consistent but wrong force (sigma read at the wrong time, a wrong
+    kappa or mu) still converges at second order, but not to this reference."""
+
+    GRID = GridSpec(8)
+    U0, U1, T = -0.3, 0.4, 4.0
+    CASES = {
+        "mu=1/2, cos": (ModelParams.from_equation_of_state(2.0 / 3.0, omega=0.5),
+                        SourceSpec(amplitude=2.0, sigma="cos", sigma_rate=0.7)),
+        "mu=1/2, const": (ModelParams.from_equation_of_state(2.0 / 3.0, omega=0.5),
+                          SourceSpec(amplitude=2.0)),
+        "mu=2, cos": (ModelParams(omega=0.5, kappa=0.3, mu=2.0),
+                      SourceSpec(amplitude=0.5, sigma="cos", sigma_rate=0.7)),
+    }
+
+    def reference(self, params, spec):
+        a = spec.amplitude / VOLUME**0.5
+        rate = spec.sigma_rate if spec.sigma == "cos" else 0.0
+
+        def rhs(t, y):
+            force = math.exp(-params.kappa * t) * a * math.cos(rate * t) * (1.0 + y[0]) ** params.mu
+            return [y[1], force - 2.0 * params.omega * y[1]]
+
+        ode = solve_ivp(rhs, (0.0, self.T), [self.U0, self.U1], method="DOP853", rtol=1e-13)
+        return ode.y[0, -1]
+
+    def config(self, dt):
+        return SolverConfig(self.GRID, dt=dt, t_end=self.T, sample_every=round(self.T / dt))
+
+    def endpoint(self, params, spec, dt):
+        u0, u1 = (np.full(self.GRID.shape, value) for value in (self.U0, self.U1))
+        traj = simulate(u0, u1, params, spec, self.config(dt))
+        assert traj.breakdown is None and traj.times()[-1] == self.T
+        return traj.series("u_mean")[-1]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_second_order_to_the_ode(self, case):
+        params, spec = self.CASES[case]
+        exact = self.reference(params, spec)
+        errors = [abs(self.endpoint(params, spec, dt) - exact) for dt in (0.1, 0.05, 0.025)]
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert errors[0] < 1e-4, errors
+        for ratio in ratios:
+            assert 3.5 <= ratio <= 4.5, f"errors {errors}, ratios {ratios}"
+
+    def test_a_batch_slot_gives_the_same_endpoint(self):
+        # the mu = 1/2 cosine run between two others: no slot reads another's force
+        cases = [self.CASES[case] for case in ("mu=2, cos", "mu=1/2, cos", "mu=1/2, const")]
+        stack = np.ones((3, *self.GRID.shape))
+        batch = simulate_batch(
+            self.U0 * stack, self.U1 * stack,
+            [params for params, _ in cases], [spec for _, spec in cases], self.config(0.05),
+        )
+        alone = self.endpoint(*cases[1], 0.05)
+        assert batch[1].series("u_mean")[-1] == alone
+        assert batch[0].series("u_mean")[-1] != alone
 
 
 class TestMeanMode:

@@ -55,14 +55,12 @@ def named_rows(trajectory):
 
 def make_bootstrap(trajectory, t1=2.0, eps_prime=0.1, c_delta=2.0):
     e_m0 = math.sqrt(trajectory.series("e_m_sq")[0])
-    bp = BootstrapParams(
+    return BootstrapParams(
         e_m0=e_m0,
         t1=t1,
         eps_prime=eps_prime,
         c_delta=c_delta,
     )
-    bp.eps1, bp.eps2 = epsilon_budgets(bp, trajectory.params.omega)
-    return bp
 
 
 @pytest.fixture(scope="module")
@@ -183,9 +181,10 @@ class TestEnergyIntegral:
 
 class TestBootstrap:
     def test_holds_on_small_data(self, free_traj, free_bp):
-        result, t_max = check_bootstrap(free_traj, free_bp)
+        result = check_bootstrap(free_traj, free_bp)
         assert result.passed
-        assert t_max is None
+        assert verify.bootstrap_ok(free_traj, free_bp.e_m0).all()
+        assert run_all(free_traj, free_bp).t_max_empirical is None
 
     def test_skips_when_initial_data_gate_fails(self, mean_traj):
         u0_norm = mean_traj.series("u_hm")[0]
@@ -195,21 +194,28 @@ class TestBootstrap:
             eps_prime=0.1,
             c_delta=2.0,
         )
-        result, t_max = check_bootstrap(mean_traj, bp)
+        result = check_bootstrap(mean_traj, bp)
         assert result.skipped and "precondition" in result.reason
-        assert t_max is None
+        # the bound fails from the first sample on, but a skipped check names no time
+        assert not verify.bootstrap_ok(mean_traj, bp.e_m0).any()
+        assert run_all(mean_traj, bp).t_max_empirical is None
 
     def test_runaway_source_violates_in_finite_time(self, runaway_traj):
         bp = make_bootstrap(runaway_traj)
-        result, t_max = check_bootstrap(runaway_traj, bp)
+        result = check_bootstrap(runaway_traj, bp)
         assert not result.passed
+        t_max = run_all(runaway_traj, bp).t_max_empirical
         assert t_max is not None
         assert 0.0 < t_max < runaway_traj.times()[-1]
+        # the first sample the per-sample flag fails, as timeseries.csv writes it
+        ok = verify.bootstrap_ok(runaway_traj, bp.e_m0)
+        assert ok[0] and t_max == runaway_traj.times()[np.argmin(ok)]
 
 
 class TestImprovedEstimates:
     def test_passes_within_budget(self, forced_traj, forced_bp):
-        assert forced_traj.source_amplitude <= min(forced_bp.eps1, forced_bp.eps2)
+        budgets = epsilon_budgets(forced_bp, forced_traj.params.omega)
+        assert forced_traj.source_amplitude <= min(budgets)
         result = check_improved_estimates(forced_traj, forced_bp)
         assert result.passed and not result.skipped
 
@@ -272,18 +278,19 @@ class TestMeanMode:
 
 class TestAsymptotics:
     def test_free_decay_settles_to_zero(self, free_traj):
-        result, c0 = check_asymptotics(free_traj)
+        result = check_asymptotics(free_traj)
         assert result.passed and not result.skipped
-        assert abs(c0) < 1e-10
+        assert abs(run_all(free_traj, make_bootstrap(free_traj)).c0_estimate) < 1e-10
 
     def test_constant_limit_matches_conserved_combination(self, mean_traj):
-        result, c0 = check_asymptotics(mean_traj)
+        result = check_asymptotics(mean_traj)
         assert result.passed
         # u0_bar + u1_bar / (2 omega) = 0.1 + 0.02 / 1 = 0.12
+        c0 = run_all(mean_traj, make_bootstrap(mean_traj)).c0_estimate
         assert c0 == pytest.approx(0.12, abs=1e-6)
 
     def test_skips_on_short_horizon(self, short_traj):
-        result, c0 = check_asymptotics(short_traj)
+        result = check_asymptotics(short_traj)
         assert result.skipped and "horizon" in result.reason
 
     def test_rejects_non_decaying_velocity(self, free_traj):
@@ -292,7 +299,7 @@ class TestAsymptotics:
             for s in named_rows(free_traj)
         ]
         bad = trajectory_from_rows(samples, like=free_traj)
-        result, _ = check_asymptotics(bad)
+        result = check_asymptotics(bad)
         assert not result.passed
 
     def test_rejects_growing_standard_energy(self, free_traj):
@@ -302,7 +309,7 @@ class TestAsymptotics:
             for s in named_rows(free_traj)
         ]
         bad = trajectory_from_rows(samples, like=free_traj)
-        result, _ = check_asymptotics(bad)
+        result = check_asymptotics(bad)
         assert not result.passed
 
 
@@ -334,8 +341,9 @@ class TestAsymptotics:
         u_hm = summed.series("u_hm")[-1]
         subtracted = math.sqrt(max(u_hm**2 - VOLUME * c0**2, 0.0))
         assert subtracted > 10.0 * self._flattening_threshold(summed)
-        result, c0_est = check_asymptotics(summed)
+        result = check_asymptotics(summed)
         assert result.passed and not result.skipped
+        c0_est = run_all(summed, make_bootstrap(summed)).c0_estimate
         assert c0_est == pytest.approx(0.1 + 0.02 / (2 * OMEGA), rel=1e-6)
 
     def test_rejects_non_flat_final_state(self, settled_traj):
@@ -346,14 +354,15 @@ class TestAsymptotics:
             settled_traj, final_state=dataclasses.replace(final, u_hat=final.u_hat + ripple)
         )
         assert 1e-6 > 10.0 * self._flattening_threshold(bad)
-        result, _ = check_asymptotics(bad)
+        result = check_asymptotics(bad)
         assert not result.passed and not result.skipped
 
     def test_skips_without_final_state(self, free_traj):
         stub = dataclasses.replace(free_traj, final_state=None)
-        result, c0 = check_asymptotics(stub)
+        result = check_asymptotics(stub)
         assert result.skipped and "final state" in result.reason
-        assert c0 == free_traj.series("u_mean")[-1]
+        report = run_all(stub, make_bootstrap(stub))
+        assert report.c0_estimate == free_traj.series("u_mean")[-1]
 
 
 class TestFinalStateChecks:
@@ -437,6 +446,24 @@ class TestRunAll:
         # the declared c_delta must dominate the measured one for the
         # budget arithmetic to have been meaningful
         assert report.c_delta_measured <= forced_bp.c_delta
+
+    def test_report_prints_the_budgets_improved_estimates_used(self, forced_traj, forced_bp):
+        # BootstrapParams stores no budgets: the report derives them as the check
+        # does, so a library run_all prints the budgets behind its verdict
+        report = run_all(forced_traj, forced_bp)
+        eps1, eps2 = epsilon_budgets(forced_bp, OMEGA)
+        assert (report.eps1, report.eps2) == (eps1, eps2)
+        assert f"eps1 = {eps1:.17g}\neps2 = {eps2:.17g}\n" in report.to_text()
+        # the check's budget is the same min(eps1, eps2): just above it, it skips
+        for factor, skipped in ((0.999, False), (1.001, True)):
+            amplitude = factor * min(eps1, eps2)
+            moved = dataclasses.replace(forced_traj, source_amplitude=amplitude)
+            assert check_improved_estimates(moved, forced_bp).skipped is skipped
+        # no admissible factor: the check says why, and the report prints zeros
+        past = dataclasses.replace(forced_bp, eps_prime=0.4)
+        report = run_all(forced_traj, past)
+        assert "no admissible improvement factor" in report.results[3].reason
+        assert (report.eps1, report.eps2) == (0.0, 0.0)
 
     def test_corrupted_run_fails_exactly_the_energy_checks(
         self, corrupted_traj, free_bp, constants8

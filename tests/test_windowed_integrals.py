@@ -213,7 +213,7 @@ class TestAgainstPerPairQuadrature:
         assert_pairs_match(got, expected)
 
     def test_asymptotics_result(self, trajectory):
-        result, _ = check_asymptotics(trajectory)
+        result = check_asymptotics(trajectory)
         if result.skipped:
             assert "horizon" in result.reason
             return
@@ -314,11 +314,11 @@ class TestLongHorizon:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             integral = check_energy_integral(long_traj)
-            asymptotics, c0 = check_asymptotics(long_traj)
+            asymptotics = check_asymptotics(long_traj)
             report = run_all(long_traj, bootstrap, constants8)
         assert not integral.skipped and math.isfinite(integral.worst_margin)
         assert not asymptotics.skipped and math.isfinite(asymptotics.worst_margin)
-        assert math.isfinite(c0)
+        assert math.isfinite(report.c0_estimate)
         for result in report.results:
             assert not result.skipped, result.check_id
             assert math.isfinite(result.worst_margin), result.check_id

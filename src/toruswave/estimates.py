@@ -55,23 +55,20 @@ class BootstrapParams:
             raise ValueError(f"forcing constant must be positive, got {self.c_delta}")
 
 
-def _sample_grid(times, a_values, f_values):
+def _sample_grid(times, f_values):
     times = np.asarray(times, dtype=np.float64)
-    a_values = np.asarray(a_values, dtype=np.float64)
     f_values = np.asarray(f_values, dtype=np.float64)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("need a one-dimensional grid with at least two samples")
-    if a_values.shape != times.shape or f_values.shape != times.shape:
-        raise ValueError(
-            f"sample grids disagree: {times.shape}, {a_values.shape}, {f_values.shape}"
-        )
+    if f_values.shape != times.shape:
+        raise ValueError(f"sample grids disagree: {times.shape}, {f_values.shape}")
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
-    return times, a_values, f_values
+    return times, f_values
 
 
-def damped_trapezoids(times, a_values, f_values, g0, starts, ends):
-    """Comparison solutions of g' <= A g + f from many start samples in one pass.
+def damped_trapezoids(times, rate: float, f_values, g0, starts, ends):
+    """Comparison solutions of g' <= A g + f, A = ``rate``, from many start samples in one pass.
 
     ``starts`` are strictly increasing sample indices with initial values
     ``g0``; ``ends`` are increasing sample indices.  Yields blocks
@@ -79,10 +76,10 @@ def damped_trapezoids(times, a_values, f_values, g0, starts, ends):
     two arrays belongs to starts[s], for every start before the block, so
     that for a start i and an end j
 
-        bound  = e^{int_i^j A} g0 + trapezoid over [t_i, t_j] of K f,
+        bound  = e^{A (t_j - t_i)} g0 + trapezoid over [t_i, t_j] of K f,
         budget = sum over i < k < j of |second difference of K f at t_k|,
 
-    with K(s) = e^{int_s^{t_j} A}.  ``budget`` is the sum behind the
+    with K(s) = e^{A (t_j - s)}.  ``budget`` is the sum behind the
     composite-trapezoid error estimate (h^2/12) int |(K f)''|.
 
     Between two starts every open window takes the same affine steps
@@ -92,12 +89,12 @@ def damped_trapezoids(times, a_values, f_values, g0, starts, ends):
     one step's growth is formed and decaying bounds never overflow.  Cost
     O(P + len(starts) * len(ends)); memory is one block.
     """
-    times, a_values, f_values = _sample_grid(times, a_values, f_values)
+    times, f_values = _sample_grid(times, f_values)
     ends = np.asarray(ends, dtype=np.intp)
     if not ends.size:
         return
     h = np.diff(times)
-    growth = np.exp(0.5 * h * (a_values[:-1] + a_values[1:]))
+    growth = np.exp(rate * h)
     trapezoid = 0.5 * h * (f_values[:-1] * growth + f_values[1:])
     second = np.zeros(h.shape)
     second[1:] = np.abs(
@@ -137,18 +134,18 @@ def damped_trapezoids(times, a_values, f_values, g0, starts, ends):
         budget[n] = walk[-1, 3]
 
 
-def gronwall_bound(times, a_values, f_values, g0: float):
-    """Propagate g' <= A g + f from the first sample: the comparison solution.
+def gronwall_bound(times, rate: float, f_values, g0: float):
+    """Propagate g' <= A g + f, A = ``rate``, from the first sample: the comparison solution.
 
-    Returns the array  e^{int A} g0 + int e^{int A} f  at every sample.
-    Integrals are trapezoids, so the bound carries the usual O(h^2)
-    quadrature error; with A = 0 it is the plain running trapezoid of f.
+    Returns the array  e^{A (t - t_0)} g0 + int_{t_0}^t e^{A (t - s)} f(s) ds  at
+    every sample.  Integrals are trapezoids, so the bound carries the usual
+    O(h^2) quadrature error; with A = 0 it is the plain running trapezoid of f.
     """
-    times, a_values, f_values = _sample_grid(times, a_values, f_values)
+    times, f_values = _sample_grid(times, f_values)
     out = np.full(times.shape, np.nan)
     out[0] = g0
     ends = range(1, times.size)
-    for js, bound, _ in damped_trapezoids(times, a_values, f_values, [g0], [0], ends):
+    for js, bound, _ in damped_trapezoids(times, rate, f_values, [g0], [0], ends):
         out[js] = bound[0]
     return out
 

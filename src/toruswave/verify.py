@@ -1,20 +1,22 @@
 """Trajectory verification: every bound the analysis asserts, with margins.
 
-Each check walks a recorded trajectory and evaluates one inequality family,
-reporting the worst normalized margin (RHS - LHS) / scale together with the
-tolerance that was in force there.  Tolerances cover discretization error
-only: centered differencing is O(dt^2), trapezoid quadrature is O(h^2), and
-both budgets are estimated from the samples themselves rather than assumed.
-A check passes iff its worst margin stays above minus its tolerance; a check
-that cannot run reports itself as skipped with the reason, never silently.
+Each check states its inequality families, each one (times, margins,
+tolerances) with the normalized margin (RHS - LHS) / scale per sample, and
+``_finish`` picks the binding sample over them all: the one minimizing
+margin + tolerance, so a check whose tightest point enjoys a generous budget
+is not misreported as binding at some looser point with a stingy budget.
+Tolerances cover discretization error only: centered differencing is
+O(dt^2), trapezoid quadrature is O(h^2), and both budgets are estimated from
+the samples themselves rather than assumed.  A check passes iff its binding
+margin stays above minus its tolerance; a check that cannot run reports
+itself as skipped with the reason, never silently.
 
-The binding sample is the one minimizing margin + tolerance, so a check
-whose tightest point enjoys a generous budget is not misreported as binding
-at some looser point with a stingy budget.
-
-Windowed integrals (the energy integral over every pair of decimated
-samples, the standard-energy bound from t = 0) come from one streaming
-recurrence, ``estimates.damped_trapezoids``, which carries each window's
+The energy inequality (E_m^2)' <= -omega E_m^2 + P E_m is stated once, by
+``_energy_inequality``: ``energy_differential`` checks it pointwise and
+``energy_integral`` integrates it divided by 2 E_m, E_m' <= -(omega/2) E_m + P/2.
+Windowed integrals (that integral over every pair of decimated samples, the
+standard-energy bound from t = 0) come from one streaming recurrence at a
+constant rate, ``estimates.damped_trapezoids``, which carries each window's
 damped trapezoid and second-difference budget along the samples: the cost
 is O(P + starts * ends), never more than O(P * starts), memory O(starts),
 and no factor e^{+rate t} that could overflow on a long horizon is formed.
@@ -88,10 +90,13 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
-def _finish(check_id: str, times, margins, tolerances) -> CheckResult:
-    times = np.asarray(times, dtype=np.float64)
-    margins = np.asarray(margins, dtype=np.float64)
-    tolerances = np.asarray(tolerances, dtype=np.float64)
+def _finish(check_id: str, *families) -> CheckResult:
+    """The verdict at the binding sample over inequality families (times, margins, tolerances).
+
+    A scalar in a family is broadcast over it; ties bind at the first sample.
+    """
+    columns = zip(*(np.broadcast_arrays(*np.atleast_1d(*family)) for family in families))
+    times, margins, tolerances = (np.concatenate(column, dtype=np.float64) for column in columns)
     binding = int(np.argmin(margins + tolerances))
     margin = float(margins[binding])
     tolerance = float(tolerances[binding])
@@ -110,12 +115,13 @@ def _quadrature_budget(integrand, spacing: float) -> float:
     return float(np.sum(second)) * spacing / 12.0
 
 
-def _forcing_profile(trajectory: Trajectory):
-    """omega^2/sqrt(2) ||u||_{H^m} + sqrt(2) ||F||_{H^m}: the energy inequality's forcing."""
+def _energy_inequality(trajectory: Trajectory):
+    """(omega, P) of the energy inequality (E_m^2)' <= -omega E_m^2 + P E_m, where
+    P = omega^2/sqrt(2) ||u||_{H^m} + sqrt(2) ||F||_{H^m} per sample."""
     omega = trajectory.params.omega
     profile = (omega**2 / math.sqrt(2.0)) * trajectory.series("u_hm")
     profile += math.sqrt(2.0) * trajectory.series("f_hm")
-    return profile
+    return omega, profile
 
 
 def check_energy_differential(trajectory: Trajectory) -> CheckResult:
@@ -123,10 +129,10 @@ def check_energy_differential(trajectory: Trajectory) -> CheckResult:
     times = trajectory.times()
     if times.size < 3:
         return _skip(check_id, f"needs at least 3 samples, have {times.size}")
-    omega = trajectory.params.omega
+    omega, profile = _energy_inequality(trajectory)
     e_sq = trajectory.series("e_m_sq")
     e_m = np.sqrt(e_sq)
-    rhs = -omega * e_sq + _forcing_profile(trajectory) * e_m
+    rhs = -omega * e_sq + profile * e_m
 
     lhs = np.gradient(e_sq, times)
     third = np.gradient(np.gradient(lhs, times), times)
@@ -135,7 +141,7 @@ def check_energy_differential(trajectory: Trajectory) -> CheckResult:
     margins = (rhs - lhs) / scale
     tolerances = (FD_SAFETY * spacing**2 * np.abs(third) / 6.0 + ABS_TOL) / scale
     inner = slice(1, -1)  # endpoints are one-sided differences, not checked
-    return _finish(check_id, times[inner], margins[inner], tolerances[inner])
+    return _finish(check_id, (times[inner], margins[inner], tolerances[inner]))
 
 
 def _decimated_indices(n: int) -> list[int]:
@@ -153,9 +159,8 @@ def _integral_windows(times, rate: float, profile, lhs, starts):
     trapezoid and its second-difference budget come from the shared
     recurrence, so the cost is O(P + starts * ends), not one quadrature per pair.
     """
-    rates = np.full(times.shape, -rate)
     ends = _decimated_indices(times.size)
-    for js, bound, budget in damped_trapezoids(times, rates, profile, lhs[starts], starts, ends):
+    for js, bound, budget in damped_trapezoids(times, -rate, profile, lhs[starts], starts, ends):
         begin = starts[: bound.shape[0], None]
         scale = np.maximum(bound, _SCALE_FLOOR)
         spacing = (times[js] - times[begin]) / (js - begin)
@@ -165,15 +170,13 @@ def _integral_windows(times, rate: float, profile, lhs, starts):
 
 
 def _binding_windows(times, rate: float, profile, lhs, starts):
-    """Per decimated end, the window that binds there: (end times, margins, tolerances)."""
-    ends, margins, tolerances = [], [], []
-    for js, block_margins, block_tolerances in _integral_windows(times, rate, profile, lhs, starts):
-        binding = np.argmin(block_margins + block_tolerances, axis=0)
+    """The window binding at each decimated end, as one family (times, margins, tolerances)."""
+    blocks = []
+    for js, margins, tolerances in _integral_windows(times, rate, profile, lhs, starts):
+        binding = np.argmin(margins + tolerances, axis=0)
         columns = np.arange(js.size)
-        ends.extend(times[js])
-        margins.extend(block_margins[binding, columns])
-        tolerances.extend(block_tolerances[binding, columns])
-    return ends, margins, tolerances
+        blocks.append((times[js], margins[binding, columns], tolerances[binding, columns]))
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 def check_energy_integral(trajectory: Trajectory) -> CheckResult:
@@ -181,12 +184,12 @@ def check_energy_integral(trajectory: Trajectory) -> CheckResult:
     times = trajectory.times()
     if times.size < 3:
         return _skip(check_id, f"needs at least 3 samples, have {times.size}")
-    omega = trajectory.params.omega
+    omega, profile = _energy_inequality(trajectory)
     e_m = np.sqrt(trajectory.series("e_m_sq"))
-    profile = _forcing_profile(trajectory)
 
+    # the energy inequality divided by 2 E_m: E_m' <= -(omega/2) E_m + P/2
     starts = np.array(_decimated_indices(times.size)[:-1])
-    return _finish(check_id, *_binding_windows(times, omega, profile, e_m, starts))
+    return _finish(check_id, _binding_windows(times, 0.5 * omega, 0.5 * profile, e_m, starts))
 
 
 def _bootstrap_margins(u_hm, e_m0: float):
@@ -210,15 +213,13 @@ def check_bootstrap(trajectory: Trajectory, bootstrap: BootstrapParams) -> Check
         )
         return _skip(check_id, reason)
 
-    margins = _bootstrap_margins(u_hm, bootstrap.e_m0)
     early = times <= bootstrap.t1 + 1e-12
     half = 0.5 * bootstrap.e_m0
-    step_margins = (half - u_hm[early]) / half
-
-    all_margins = np.concatenate([margins, step_margins])
-    all_times = np.concatenate([times, times[early]])
-    tolerances = np.full(all_margins.shape, ABS_TOL)
-    return _finish(check_id, all_times, all_margins, tolerances)
+    return _finish(
+        check_id,
+        (times, _bootstrap_margins(u_hm, bootstrap.e_m0), ABS_TOL),
+        (times[early], (half - u_hm[early]) / half, ABS_TOL),
+    )
 
 
 def check_improved_estimates(
@@ -242,15 +243,11 @@ def check_improved_estimates(
 
     e_m = np.sqrt(trajectory.series("e_m_sq"))
     bound = (1.0 - bootstrap.eps_prime) * bootstrap.e_m0
-    margins = list((bound - e_m[late]) / bound)
-    worst_times = list(times[late])
-    tolerances = [ABS_TOL] * len(margins)
-
+    endpoint = _bootstrap_margins(trajectory.series("u_hm")[-1], bootstrap.e_m0)
     # the endpoint inequality is strict, so it gets no tolerance at all
-    margins.append(_bootstrap_margins(trajectory.series("u_hm")[-1], bootstrap.e_m0))
-    worst_times.append(times[-1])
-    tolerances.append(0.0)
-    return _finish(check_id, worst_times, margins, tolerances)
+    return _finish(
+        check_id, (times[late], (bound - e_m[late]) / bound, ABS_TOL), (times[-1], endpoint, 0.0)
+    )
 
 
 def mean_mode_reference(trajectory: Trajectory) -> np.ndarray:
@@ -274,8 +271,8 @@ def mean_mode_reference(trajectory: Trajectory) -> np.ndarray:
     # The trapezoid of (1 - e^{-2 omega (t_i - s)}) Fbar splits, trapezoids
     # being linear, into the plain running integral of Fbar minus the damped
     # one: the Gronwall recurrence with g0 = 0 and A = 0, then A = -2 omega.
-    plain = gronwall_bound(t, np.zeros(t.shape), fbar, 0.0)
-    damped = gronwall_bound(t, np.full(t.shape, -2.0 * omega), fbar, 0.0)
+    plain = gronwall_bound(t, 0.0, fbar, 0.0)
+    damped = gronwall_bound(t, -2.0 * omega, fbar, 0.0)
     return (plain - damped) / (2.0 * omega)
 
 
@@ -299,17 +296,12 @@ def check_mean_mode(
     stepping = (trajectory.config.dt / spacing) ** 2 if spacing > 0 else 1.0
     tolerance = (FD_SAFETY * budget * (1.0 + stepping) + ABS_TOL) / scale
 
-    margins = list(-np.abs(recorded - reference) / scale)
-    worst_times = list(times)
-    tolerances = [tolerance] * len(margins)
-
+    families = [(times, -np.abs(recorded - reference) / scale, tolerance)]
     if bootstrap is not None:
         bound = trajectory.source_amplitude * bootstrap.c_delta / (2.0 * omega)
         bound_scale = max(bound, 1e-12)
-        margins += list((bound - np.abs(recorded)) / bound_scale)
-        worst_times += list(times)
-        tolerances += [ABS_TOL / bound_scale] * times.size
-    return _finish(check_id, worst_times, margins, tolerances)
+        families.append((times, (bound - np.abs(recorded)) / bound_scale, ABS_TOL / bound_scale))
+    return _finish(check_id, *families)
 
 
 def _undamped(norms, rate: float, times):
@@ -366,37 +358,27 @@ def check_asymptotics(trajectory: Trajectory) -> CheckResult:
     threshold = ASYMPTOTIC_SAFETY * (e_m0 + c1) * (1.0 + elapsed) * math.exp(-decay * elapsed)
     threshold += 1e-12
 
-    margins, worst_times, tolerances = [], [], []
-
     # finite-horizon limsup proxy: running max of the velocity norm late on
     late_peak = int(window_start + np.argmax(ut_hm[window_start:]))
-    margins.append((threshold - float(ut_hm[late_peak])) / threshold)
-    worst_times.append(times[late_peak])
-    tolerances.append(ABS_TOL)
 
     # spatial flattening: u(t_end) is H^m-close to its own mean (measured directly;
     # ||u||^2 - VOLUME c0^2 would leave a roundoff residue of order sqrt(eps) ||u||)
     (deviation,) = hm_norms(_oscillatory(trajectory.final_state.u_hat), params.m, np.s_[:1])
-    margins.append((threshold - deviation) / threshold)
-    worst_times.append(times[-1])
-    tolerances.append(ABS_TOL)
 
     # standard-energy bound from t = 0 with measured C1, C2 and trapezoid integrals
     profile = 2.0 * omega * _gradient_sq(trajectory) + c1 * c2 * np.exp(-kappa * times)
-    ends, window_margins, window_tolerances = _binding_windows(
-        times, 4.0 * omega, profile, e_std_sq, np.array([0])
+    return _finish(
+        check_id,
+        (times[late_peak], (threshold - ut_hm[late_peak]) / threshold, ABS_TOL),
+        (times[-1], (threshold - deviation) / threshold, ABS_TOL),
+        _binding_windows(times, 4.0 * omega, profile, e_std_sq, np.array([0])),
     )
-    margins.extend(window_margins)
-    worst_times.extend(ends)
-    tolerances.extend(window_tolerances)
-
-    return _finish(check_id, worst_times, margins, tolerances)
 
 
 def _final_inequality(check_id: str, trajectory: Trajectory, lhs: float, rhs: float) -> CheckResult:
     """The final-state inequality lhs <= rhs, its margin relative to rhs."""
     scale = max(rhs, 1e-12)
-    return _finish(check_id, [trajectory.times()[-1]], [(rhs - lhs) / scale], [ABS_TOL / scale])
+    return _finish(check_id, (trajectory.times()[-1], (rhs - lhs) / scale, ABS_TOL / scale))
 
 
 def check_wirtinger_final(trajectory: Trajectory) -> CheckResult:

@@ -1,5 +1,6 @@
 """Config parsing, artifact layout, exit codes, and sweep behavior."""
 
+import csv
 import dataclasses
 import subprocess
 import sys
@@ -287,6 +288,27 @@ class TestRunScenario:
         out = tmp_path / "out"
         assert run_scenario(str(cfg), out) == 1
         assert "bootstrap: FAIL" in (out / "report.txt").read_text()
+
+    def test_free_flow_passes_both_energy_checks_at_every_amplitude(self, tmp_path, constants_file):
+        # with the source off, displacement data on mode (1, 0, 0) evolve as an
+        # exact free solution; the run is linear and both energy checks are
+        # homogeneous, so they pass with one margin whatever E_m(0) is.  The
+        # integral form once used twice the rate and profile of the
+        # differential form's Gronwall integral, and failed at -0.0123 here
+        checks, margins = ("energy_differential", "energy_integral"), []
+        for e_m0 in ("0.05", "1"):
+            cfg = make_cfg(tmp_path, constants_file, drop=("solver.sample_every",), **{
+                "source.amplitude": "0", "initial.part": "displacement",
+                "initial.mode": "1,0,0", "initial.e_m0": e_m0,
+            })
+            out = tmp_path / f"out-{e_m0}"
+            assert run_scenario(str(cfg), out) in (0, 1)
+            with (out / "report.csv").open() as report:
+                rows = {row["check_id"]: row for row in csv.DictReader(report)}
+            assert [rows[c]["status"] for c in checks] == ["PASS", "PASS"], rows
+            margins.append([float(rows[c]["worst_margin"]) for c in checks])
+        assert margins[1] == pytest.approx(margins[0], rel=1e-9)
+        assert margins[0][1] == pytest.approx(0.0495, abs=1e-4)
 
     def test_env_var_supplies_constants(self, tmp_path, constants_file, monkeypatch):
         base = load_constants(constants_file)

@@ -127,23 +127,23 @@ class TestGronwallBound:
     def test_frozen_decay_case(self):
         # g' <= -g + 1 from zero: the comparison solution is 1 - e^{-t}
         times = np.linspace(0.0, 5.0, 501)
-        bound = gronwall_bound(times, -np.ones_like(times), np.ones_like(times), 0.0)
+        bound = gronwall_bound(times, -1.0, np.ones_like(times), 0.0)
         assert np.max(np.abs(bound - (1.0 - np.exp(-times)))) < 1e-5
 
     def test_exact_for_constant_forcing_without_decay(self):
         times = np.linspace(0.0, 3.0, 31)
-        bound = gronwall_bound(times, np.zeros_like(times), 0.5 * np.ones_like(times), 0.25)
+        bound = gronwall_bound(times, 0.0, 0.5 * np.ones_like(times), 0.25)
         assert np.max(np.abs(bound - (0.25 + 0.5 * times))) < 1e-13
 
     def test_dominates_sampled_ode_solution(self):
-        a = lambda t: -1.0 + 0.5 * np.sin(t)
-        f = lambda t: 0.2 * np.exp(-0.5 * t)
+        rate = -0.75
+        f = lambda t: 0.2 * np.exp(-0.5 * t) * (1.0 + 0.5 * np.sin(t))
         times = np.linspace(0.0, 8.0, 801)
         sol = solve_ivp(
-            lambda t, y: a(t) * y + f(t), (0.0, 8.0), [0.3],
+            lambda t, y: rate * y + f(t), (0.0, 8.0), [0.3],
             t_eval=times, rtol=1e-10, atol=1e-12,
         )
-        bound = gronwall_bound(times, a(times), f(times), 0.3)
+        bound = gronwall_bound(times, rate, f(times), 0.3)
         assert np.all(sol.y[0] <= bound + 1e-5)
 
     def test_zero_rate_is_the_running_trapezoid_bit_for_bit(self):
@@ -152,26 +152,25 @@ class TestGronwallBound:
         for size in rng.integers(2, 600, size=40):
             times = np.cumsum(rng.uniform(0.01, 1.0, size)) - 0.5
             f = rng.standard_normal(size)
-            bound = gronwall_bound(times, np.zeros(size), f, 0.0)
+            bound = gronwall_bound(times, 0.0, f, 0.0)
             assert np.array_equal(bound, trapezoid_cumulative(times, f))
 
     def test_validation(self):
         times = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ValueError, match="disagree"):
-            gronwall_bound(times, np.zeros(10), np.zeros(11), 0.0)
+            gronwall_bound(times, 0.0, np.zeros(10), 0.0)
         with pytest.raises(ValueError, match="increasing"):
-            gronwall_bound(times[::-1], np.zeros(11), np.zeros(11), 0.0)
+            gronwall_bound(times[::-1], 0.0, np.zeros(11), 0.0)
 
 
-def direct_windows(times, a_values, f_values, g0, starts, ends):
-    """Each window by its own kernel, trapezoid and second differences."""
-    exponent = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(times) * (a_values[1:] + a_values[:-1]))))
+def direct_windows(times, rate, f_values, g0, starts, ends):
+    """Each window by its own kernel e^{rate (t_j - s)}, trapezoid and second differences."""
     out = {}
     for s, i in enumerate(starts):
         for j in ends:
             if j > i:
-                kf = np.exp(exponent[j] - exponent[i : j + 1]) * f_values[i : j + 1]
-                bound = math.exp(exponent[j] - exponent[i]) * g0[s]
+                kf = np.exp(rate * (times[j] - times[i : j + 1])) * f_values[i : j + 1]
+                bound = math.exp(rate * (times[j] - times[i])) * g0[s]
                 bound += np.trapezoid(kf, times[i : j + 1])
                 budget = np.sum(np.abs(kf[2:] - 2.0 * kf[1:-1] + kf[:-2]))
                 out[i, j] = (bound, budget)
@@ -183,19 +182,19 @@ class TestDampedTrapezoids:
     def test_matches_direct_quadrature(self, count):
         rng = np.random.default_rng(count)
         times = np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 0.3, count - 1))))
-        a_values = -0.5 + 0.3 * np.sin(times)
         f_values = rng.uniform(0.0, 1.0, count)
         starts = sorted(rng.choice(count, size=max(1, count // 4), replace=False).tolist())
         ends = sorted(rng.choice(count, size=max(1, count // 3), replace=False).tolist())
         g0 = rng.uniform(0.0, 1.0, len(starts))
+        rate = rng.uniform(-1.0, 0.5)  # decay or growth
         got = {}
-        for js, bound, budget in damped_trapezoids(times, a_values, f_values, g0, starts, ends):
+        for js, bound, budget in damped_trapezoids(times, rate, f_values, g0, starts, ends):
             assert bound.shape == budget.shape == (bound.shape[0], js.size)
             assert all(starts[bound.shape[0] - 1] < j for j in js)
             for row, i in enumerate(starts[: bound.shape[0]]):
                 for column, j in enumerate(js):
                     got[i, int(j)] = (bound[row, column], budget[row, column])
-        expected = direct_windows(times, a_values, f_values, g0, starts, ends)
+        expected = direct_windows(times, rate, f_values, g0, starts, ends)
         assert got.keys() == expected.keys()
         for key, (bound, budget) in expected.items():
             assert got[key][0] == pytest.approx(bound, rel=1e-14)
@@ -204,7 +203,7 @@ class TestDampedTrapezoids:
     def test_every_start_before_every_end(self):
         times = np.linspace(0.0, 3.0, 31)
         ones = np.ones_like(times)
-        blocks = list(damped_trapezoids(times, -ones, ones, [0.0, 0.0], [0, 20], [0, 10, 20, 25, 30]))
+        blocks = list(damped_trapezoids(times, -1.0, ones, [0.0, 0.0], [0, 20], [0, 10, 20, 25, 30]))
         assert [list(js) for js, _, _ in blocks] == [[10, 20], [25, 30]]
         assert [b.shape[0] for _, b, _ in blocks] == [1, 2]
         # g' <= -g + 1 from 0 has the trapezoid of e^{-(t - s)} over the window
@@ -212,14 +211,13 @@ class TestDampedTrapezoids:
         assert np.max(np.abs(blocks[1][1][1] - exact)) < 1e-3
 
     def test_long_decay_without_warnings(self):
-        # A e^{int A} factor over the whole horizon would underflow to 0 and
+        # an e^{A t} factor over the whole horizon would underflow to 0 and
         # its inverse overflow; the recurrence forms neither
         times = np.linspace(0.0, 4000.0, 40001)
-        rates = np.full(times.shape, -2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (js, bound, budget), = damped_trapezoids(
-                times, rates, np.ones_like(times), [1.0], [0], [times.size - 1]
+                times, -2.0, np.ones_like(times), [1.0], [0], [times.size - 1]
             )
         # the trapezoid sum of e^{-2 (t - s)} on steps h = 0.1 is (h/2) coth(h)
         assert bound[0, 0] == pytest.approx(0.05 / math.tanh(0.1), rel=1e-12)

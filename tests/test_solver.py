@@ -24,7 +24,7 @@ from toruswave.solver import (
     simulate,
     simulate_batch,
 )
-from toruswave.source import ModelParams, SourceSpec
+from toruswave.source import ModelParams, SourceSpec, prepare_source
 from toruswave.verify import mean_mode_reference
 from reference import Sample, trajectory_from_rows, transform
 
@@ -265,6 +265,103 @@ class TestUniformOracle:
         alone = self.endpoint(*cases[1], 0.05)
         assert batch[1].series("u_mean")[-1] == alone
         assert batch[0].series("u_mean")[-1] != alone
+
+
+class TestX1Oracle:
+    """Data and source that depend on x1 alone stay x1-only, so the PDE reduces
+    to u_tt + 2 omega u_t - u_11 = e^{-kappa t} sigma(t) A(x1) (1 + u)^mu, which
+    a 1-D pseudo-spectral method of lines with the same 2/3 rule along k1
+    integrates with DOP853, independently of the solver.  A dealias mask on the
+    wrong axis still converges at second order, but not to this reference."""
+
+    PARAMS = ModelParams.from_equation_of_state(2.0 / 3.0, omega=0.5)
+    SOURCE = SourceSpec(amplitude=0.5, preset="single-mode", sigma="cos", sigma_rate=0.7)
+    T = 4.0
+    MODES = {8: 2, 16: 3}  # grid n: the wavenumber of u0 along x1
+
+    def data(self, grid):
+        x1 = grid.coordinates()[0]
+        u0 = np.broadcast_to(0.1 * np.cos(self.MODES[grid.n] * x1), grid.shape)
+        return u0, np.broadcast_to(0.2 * np.sin(x1), grid.shape)
+
+    def reference(self, grid):
+        """u(T) on the x1 axis from the 1-D method of lines, state (u, u_t) on the grid."""
+        n, omega, kappa, mu = grid.n, self.PARAMS.omega, self.PARAMS.kappa, self.PARAMS.mu
+        rate = self.SOURCE.sigma_rate
+        profile = prepare_source(self.SOURCE, grid, self.PARAMS.m).profile[:, 0, 0]
+        k = np.fft.rfftfreq(n, d=1.0 / n)
+        keep = k <= n // 3
+
+        def rhs(t, y):
+            u, ut = y[:n], y[n:]
+            force = math.exp(-kappa * t) * math.cos(rate * t) * profile * (1.0 + u) ** mu
+            accel = np.fft.irfft(keep * np.fft.rfft(force) - k**2 * np.fft.rfft(u), n)
+            return np.concatenate([ut, accel - 2.0 * omega * ut])
+
+        u0, u1 = (field[:, 0, 0] for field in self.data(grid))
+        y0 = np.concatenate([u0, u1])
+        ode = solve_ivp(rhs, (0.0, self.T), y0, method="DOP853", rtol=1e-13, atol=1e-15)
+        return ode.y[:n, -1]
+
+    @pytest.mark.parametrize("n", MODES)
+    def test_second_order_to_the_method_of_lines(self, n):
+        grid = GridSpec(n)
+        exact = self.reference(grid)
+        errors = []
+        for dt in (0.1, 0.05, 0.025):
+            config = SolverConfig(grid, dt=dt, t_end=self.T, sample_every=round(self.T / dt))
+            traj = simulate(*self.data(grid), self.PARAMS, self.SOURCE, config)
+            assert traj.breakdown is None and traj.final_state.t == self.T
+            u_hat = traj.final_state.u_hat
+            line = np.abs(u_hat[:, 0, 0]).max()
+            off_line = np.abs(u_hat).copy()
+            off_line[:, 0, 0] = 0.0
+            assert off_line.max() < 1e-13 * line, (dt, off_line.max() / line)
+            u = np.fft.irfftn(u_hat, s=grid.shape, axes=(0, 1, 2))[:, 0, 0]
+            errors.append(np.abs(u - exact).max())
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert errors[0] < 1e-4, errors
+        for ratio in ratios:
+            assert 3.5 <= ratio <= 4.5, f"errors {errors}, ratios {ratios}"
+
+
+class TestBreakdownOracle:
+    """Uniform data that drive 1 + u to 0: the ODE of ``TestUniformOracle`` with
+    a terminal event at 1 + u = 0 gives the breakdown time t*, and the solver's
+    breakdown t_k must bracket it, t_k - dt < t* <= t_k, after its last sample."""
+
+    U0, U1 = -0.3, -1.2
+
+    def breakdown_time(self, params, spec):
+        a = spec.amplitude / VOLUME**0.5
+
+        def rhs(t, y):
+            # the root is approached from 1 + u > 0; the clamp keeps a trial step past it real
+            power = max(1.0 + y[0], 0.0) ** params.mu
+            force = math.exp(-params.kappa * t) * a * math.cos(spec.sigma_rate * t) * power
+            return [y[1], force - 2.0 * params.omega * y[1]]
+
+        def hits_zero(t, y):
+            return 1.0 + y[0]
+
+        hits_zero.terminal = True
+        ode = solve_ivp(rhs, (0.0, 4.0), [self.U0, self.U1], method="DOP853", rtol=1e-13,
+                        events=hits_zero)
+        (t_star,) = ode.t_events[0]
+        return t_star
+
+    def test_breakdown_step_brackets_the_ode(self):
+        params, spec = TestUniformOracle.CASES["mu=1/2, cos"]
+        t_star = self.breakdown_time(params, spec)
+        assert t_star == pytest.approx(0.92109, abs=1e-5)
+        grid = TestUniformOracle.GRID
+        u0, u1 = (np.full(grid.shape, value) for value in (self.U0, self.U1))
+        for dt in (0.1, 0.05, 0.025, 0.0125):
+            traj = simulate(u0, u1, params, spec, SolverConfig(grid, dt=dt, t_end=4.0))
+            assert traj.breakdown is not None, dt
+            t_k = traj.breakdown.t
+            assert t_k - dt < t_star <= t_k, (dt, t_k)
+            assert traj.times()[-1] < t_star, (dt, traj.times()[-1])
 
 
 class TestMeanMode:

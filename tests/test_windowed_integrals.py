@@ -64,12 +64,13 @@ def window_pair(times, rate, profile, lhs, g0, i, j):
 
 
 def integral_inputs(trajectory):
+    """(E_m^2)' <= -omega E_m^2 + P E_m divided by 2 E_m: E_m' <= -(omega/2) E_m + P/2."""
     omega = trajectory.params.omega
     times = trajectory.times()
     e_m = np.sqrt(trajectory.series("e_m_sq"))
     profile = (omega**2 / math.sqrt(2.0)) * trajectory.series("u_hm")
     profile += math.sqrt(2.0) * trajectory.series("f_hm")
-    return times, omega, profile, e_m
+    return times, 0.5 * omega, 0.5 * profile, e_m
 
 
 def standard_inputs(trajectory):
@@ -86,15 +87,15 @@ def standard_inputs(trajectory):
 
 def loop_energy_integral(trajectory):
     """Every (i, j) pair by its own quadrature, and the check result over them."""
-    times, omega, profile, e_m = integral_inputs(trajectory)
+    times, rate, profile, e_m = integral_inputs(trajectory)
     ends = pair_ends(times.size)
     pairs = {}
     for pos, i in enumerate(ends):
         for j in ends[pos + 1 :]:
-            pairs[i, j] = window_pair(times, omega, profile, e_m, e_m[i], i, j)
+            pairs[i, j] = window_pair(times, rate, profile, e_m, e_m[i], i, j)
     worst = [times[j] for _, j in pairs]
     margins, tolerances = zip(*pairs.values())
-    return pairs, verify._finish("energy_integral", worst, margins, tolerances)
+    return pairs, verify._finish("energy_integral", (worst, margins, tolerances))
 
 
 def loop_asymptotics(trajectory):
@@ -121,7 +122,7 @@ def loop_asymptotics(trajectory):
         margins.append(pairs[0, j][0])
         tolerances.append(pairs[0, j][1])
         worst.append(times[j])
-    return pairs, verify._finish("asymptotics", worst, margins, tolerances)
+    return pairs, verify._finish("asymptotics", (worst, margins, tolerances))
 
 
 def recurrence_pairs(times, rate, profile, lhs, starts):
@@ -199,8 +200,8 @@ class TestAgainstPerPairQuadrature:
 
     def test_energy_integral_pairs(self, trajectory):
         expected, _ = loop_energy_integral(trajectory)
-        times, omega, profile, e_m = integral_inputs(trajectory)
-        got = recurrence_pairs(times, omega, profile, e_m, pair_ends(times.size)[:-1])
+        times, rate, profile, e_m = integral_inputs(trajectory)
+        got = recurrence_pairs(times, rate, profile, e_m, pair_ends(times.size)[:-1])
         assert_pairs_match(got, expected)
 
     def test_energy_integral_result(self, trajectory):
@@ -306,8 +307,8 @@ class TestLongHorizon:
         short = long_trajectory(201, 100.0)
         pairs, expected = loop_energy_integral(short)
         assert_results_match(check_energy_integral(short), expected)
-        times, omega, profile, e_m = integral_inputs(short)
-        assert_pairs_match(recurrence_pairs(times, omega, profile, e_m, pair_ends(201)[:-1]), pairs)
+        times, rate, profile, e_m = integral_inputs(short)
+        assert_pairs_match(recurrence_pairs(times, rate, profile, e_m, pair_ends(201)[:-1]), pairs)
 
     def test_finite_without_warnings(self, long_traj, constants8):
         bootstrap = make_bootstrap(long_traj)
